@@ -22,6 +22,25 @@ from .errors import DomainError
 from .spaces import EuclideanSpace
 
 
+def _greedy_centers(space, X, points, sep: float) -> list[int]:
+    """Indices of the greedy centers of ``sep``-balls, in row order.
+
+    The first row not yet covered opens a center; every row at distance
+    ``<= sep`` from it is then covered.  This is the pairwise scan "keep
+    ``p`` when ``d(p, c) > sep`` for every kept ``c``" with one kernel call
+    per center.
+    """
+    covered = np.zeros(len(X) + 1, dtype=bool)  # the last entry stays False
+    centers: list[int] = []
+    i = 0
+    while i < len(X):
+        centers.append(i)
+        # rows before i are centers or covered already
+        covered[i + 1 : -1] |= space.distances(X[i + 1 :], points[i]) <= sep
+        i += 1 + int(np.argmin(covered[i + 1 :]))
+    return centers
+
+
 def box_count(cloud, r: float, method: str = "greedy") -> int:
     """Number of radius-``r`` sets needed to cover the cloud.
 
@@ -43,14 +62,9 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
         warnings.warn("empty cloud: covering number reported as 0", stacklevel=2)
         return 0
     if method == "greedy":
-        dist = cloud.space.distance
-        centers: list = []
-        for p in cloud.points:
-            if all(dist(p, c) > r for c in centers):
-                centers.append(p)
-        return len(centers)
+        return len(_greedy_centers(cloud.space, cloud.coordinates, cloud.points, r))
     if method == "grid":
-        pts = cloud.array()
+        pts = cloud.coordinates
         mins = pts.min(axis=0)
         cells = np.floor((pts - mins) / r + 1e-9).astype(np.int64)
         return len({tuple(row) for row in cells})
@@ -91,26 +105,14 @@ class MinkowskiEstimate:
 
 def _nearest_neighbor_gap(cloud, max_probes: int = 256) -> float:
     """Largest nearest-neighbor distance over a strided probe sample."""
-    pts = cloud.points
-    n = len(pts)
+    n = len(cloud.points)
     if n < 2:
         return math.inf
-    if isinstance(cloud.space, EuclideanSpace):
-        arr = cloud.array()
-        stride = max(1, n // max_probes)
-        worst = 0.0
-        for i in range(0, n, stride):
-            d = np.linalg.norm(arr - arr[i], axis=1)
-            d[i] = np.inf
-            worst = max(worst, float(d.min()))
-        return worst
-    dist = cloud.space.distance
-    stride = max(1, n // min(max_probes, 64))
     worst = 0.0
-    for i in range(0, n, stride):
-        p = pts[i]
-        best = min(dist(p, q) for j, q in enumerate(pts) if j != i)
-        worst = max(worst, best)
+    for i in range(0, n, max(1, n // max_probes)):
+        d = cloud.space.distances(cloud.coordinates, cloud.points[i])
+        d[i] = np.inf
+        worst = max(worst, float(d.min()))
     return worst
 
 
@@ -142,9 +144,7 @@ def minkowski_estimate(
         raise DomainError("cannot fit a slope through a cloud of %d points" % len(cloud.points))
     if method is None:
         method = "grid" if isinstance(cloud.space, EuclideanSpace) else "greedy"
-    dist = cloud.space.distance
-    anchor = cloud.points[0]
-    reach = max(dist(anchor, p) for p in cloud.points)
+    reach = float(cloud.space.distances(cloud.coordinates, cloud.points[0]).max())
     if r_max > 2 * reach:
         raise DomainError(
             "r_max=%g exceeds the cloud diameter (at most %g)" % (r_max, 2 * reach)
@@ -198,18 +198,18 @@ def maximal_packing(space, center, R: float, r: float, candidates) -> list:
     """
     if r <= 0 or R <= 0:
         raise DomainError("radii must be positive; got r=%r, R=%r" % (r, R))
-    pts = list(candidates.points) if hasattr(candidates, "points") else list(candidates)
-    dist = space.distance
-    window = [p for p in pts if dist(p, center) <= R]
-    if not window:
+    if hasattr(candidates, "points"):
+        pts, X = candidates.points, candidates.coordinates
+    else:
+        pts = list(candidates)
+        X = space.coordinates(pts)
+    window = np.flatnonzero(space.distances(X, center) <= R)
+    if not window.size:
         warnings.warn("no candidates inside B(center, R): empty packing", stacklevel=2)
         return []
     sep = r if space.ultrametric else 2 * r
-    chosen: list = []
-    for p in window:
-        if all(dist(p, c) > sep for c in chosen):
-            chosen.append(p)
-    return chosen
+    inside = [pts[k] for k in window]
+    return [inside[k] for k in _greedy_centers(space, X[window], inside, sep)]
 
 
 @dataclass(frozen=True)

@@ -597,11 +597,16 @@ def tractability_probe(
     """
     model = system.induced_model(cloud)
     report = TractabilityReport(0.0)
-    dist = system.space.distance
+    space = system.space
 
-    def piece_samples(word: Word) -> list:
-        pts = [p for lab, p in cloud.items() if lab[: len(word)] == word]
-        return pts[:samples_per_piece]
+    def piece_samples(word: Word) -> tuple:
+        piece = cloud.piece(word)
+        return cloud.points[piece.start : min(piece.stop, piece.start + samples_per_piece)]
+
+    def gap(P: Sequence, Q: Sequence) -> float:
+        """``min d(p, q)`` over ``p`` in ``P`` and ``q`` in ``Q``."""
+        X = space.coordinates(P)
+        return min(float(space.distances(X, q).min()) for q in Q)
 
     best_entries: list[dict] = []
     for r in r_grid:
@@ -620,20 +625,16 @@ def tractability_probe(
         close_pairs = []
         for a in range(len(Z)):
             for b in range(a + 1, len(Z)):
-                d = min(
-                    dist(p, q) for p in samples[Z[a]] for q in samples[Z[b]]
-                )
-                if d <= r:
+                if gap(samples[Z[a]], samples[Z[b]]) <= r:
                     close_pairs.append((Z[a], Z[b]))
         if not close_pairs:
             continue
         for h in system.alphabet.words_up_to(depth):
             diam_h = model.diam(h)
             for wi, wj in close_pairs:
-                d = min(
-                    dist(system.apply_word(h, p), system.apply_word(h, q))
-                    for p in samples[wi]
-                    for q in samples[wj]
+                d = gap(
+                    [system.apply_word(h, p) for p in samples[wi]],
+                    [system.apply_word(h, q) for q in samples[wj]],
                 )
                 ratio = d / (diam_h * r)
                 if ratio > report.constant:

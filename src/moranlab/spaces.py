@@ -6,13 +6,24 @@ disjoint), and serialises to a small JSON descriptor.  Points are plain
 tuples throughout; coordinates may be floats or exact scalars (rationals /
 quadratic irrationals), in which case differences are formed exactly before
 the final float conversion, so an exact zero stays zero.
+
+Each space also has one vectorised kernel: ``coordinates(points)`` turns
+points into array rows and ``distances(X, q)`` returns
+``[distance(x, q) for x in X]``.  The kernel uses the scalar path's operand
+order and float operations (squares are products, the gauge's fourth root
+is two square roots, the snowflake exponent is libm's ``pow``), so on
+float coordinates it returns the scalar values bit for bit.  Exact
+coordinates enter the array as ``float(exact)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .words import Alphabet, Word, d2
@@ -29,11 +40,24 @@ def _delta(a, b) -> float:
 def euclidean_distance(p: Sequence, q: Sequence) -> float:
     if len(p) != len(q):
         raise DomainError("points of different dimension: %r vs %r" % (p, q))
-    return math.sqrt(sum(_delta(a, b) ** 2 for a, b in zip(p, q)))
+    total = 0.0
+    for a, b in zip(p, q):
+        d = _delta(a, b)
+        total += d * d
+    return math.sqrt(total)
+
+
+def _float_rows(points: Sequence, dim: int) -> np.ndarray:
+    """``float`` coordinates of ``dim``-dimensional points, one row each."""
+    try:
+        return np.array(points, dtype=float).reshape(len(points), dim)
+    except ValueError as exc:
+        raise DomainError("points are not all %d-dimensional" % dim) from exc
 
 
 class MetricSpace:
-    """Base class; subclasses set ``kind`` and implement ``distance``."""
+    """Base class; subclasses set ``kind`` and implement ``distance`` and
+    the kernel pair ``coordinates`` / ``distances``."""
 
     kind: str = "abstract"
     #: ultrametric spaces satisfy d(x,z) <= max(d(x,y), d(y,z))
@@ -43,6 +67,18 @@ class MetricSpace:
 
     def distance(self, p, q) -> float:
         raise NotImplementedError
+
+    def coordinates(self, points: Sequence) -> np.ndarray:
+        """The points as the rows of the array that :meth:`distances` reads."""
+        raise NotImplementedError
+
+    def distances(self, X: np.ndarray, q) -> np.ndarray:
+        """``[distance(x, q) for x in X]`` over rows of :meth:`coordinates`."""
+        raise NotImplementedError
+
+    def metric_bound(self, s: float) -> float:
+        """Lipschitz bound in this metric of a map with coordinate-metric bound ``s``."""
+        return s
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -65,24 +101,32 @@ class EuclideanSpace(MetricSpace):
     def distance(self, p, q) -> float:
         return euclidean_distance(p, q)
 
+    def coordinates(self, points: Sequence) -> np.ndarray:
+        return _float_rows(points, self.coordinate_dim)
+
+    def distances(self, X: np.ndarray, q) -> np.ndarray:
+        if len(q) != X.shape[1]:
+            raise DomainError("points of different dimension: %r vs rows of %d" % (q, X.shape[1]))
+        total = np.zeros(len(X))
+        for k, c in enumerate(q):
+            d = X[:, k] - float(c)
+            total += d * d
+        return np.sqrt(total)
+
     def to_json(self) -> dict:
         return {"kind": "euclidean", "dim": self.dim}
 
 
-def snowflake_distance(base: MetricSpace, p_exponent: float, x, y) -> float:
-    """``d(x, y) ** p`` for ``p`` in (0, 1): the snowflaked metric.
+@dataclass(frozen=True)
+class SnowflakeSpace(MetricSpace):
+    """The base metric raised to ``p`` in (0, 1): ``d(x, y) ** p``.
 
     Snowflaking preserves the metric axioms (concavity of ``t**p`` gives
     the triangle inequality) and turns any metric into one with no
-    rectifiable curves; it scales all dimensions by ``1/p``.
+    rectifiable curves; it scales all dimensions by ``1/p``, and a map
+    with base-metric Lipschitz bound ``s`` has bound ``s ** p``.
     """
-    if not 0.0 < p_exponent < 1.0:
-        raise DomainError("snowflake exponent must lie in (0, 1), got %r" % p_exponent)
-    return base.distance(x, y) ** p_exponent
 
-
-@dataclass(frozen=True)
-class SnowflakeSpace(MetricSpace):
     base: MetricSpace
     p: float
 
@@ -102,6 +146,18 @@ class SnowflakeSpace(MetricSpace):
 
     def distance(self, x, y) -> float:
         return self.base.distance(x, y) ** self.p
+
+    def coordinates(self, points: Sequence) -> np.ndarray:
+        return self.base.coordinates(points)
+
+    def distances(self, X: np.ndarray, q) -> np.ndarray:
+        # libm's pow per element, as in ``distance``: numpy's vector pow
+        # may round differently
+        d = self.base.distances(X, q)
+        return np.fromiter(map(math.pow, d.tolist(), repeat(self.p)), float, len(d))
+
+    def metric_bound(self, s: float) -> float:
+        return self.base.metric_bound(s) ** self.p
 
     def to_json(self) -> dict:
         return {"kind": "snowflake", "base": self.base.to_json(), "p": self.p}
@@ -124,6 +180,24 @@ class SymbolSpace(MetricSpace):
     def distance(self, u: Word, v: Word) -> float:
         m = min(len(u), len(v))
         return d2(u[:m], v[:m])
+
+    def coordinates(self, points: Sequence) -> np.ndarray:
+        """Row ``k`` is ``len(w), w[0], w[1], ...`` padded with zeros."""
+        width = max((len(w) for w in points), default=0)
+        dtype = np.min_scalar_type(max(width, self.alphabet.size - 1))
+        X = np.zeros((len(points), width + 1), dtype=dtype)
+        for k, w in enumerate(points):
+            X[k, 0] = len(w)
+            X[k, 1 : len(w) + 1] = w
+        return X
+
+    def distances(self, X: np.ndarray, q: Word) -> np.ndarray:
+        m = min(X.shape[1] - 1, len(q))
+        if m == 0:
+            return np.zeros(len(X))
+        # compare on the common depth of each row and the query
+        differ = (X[:, 1 : m + 1] != np.asarray(q[:m])) & (np.arange(m) < X[:, :1])
+        return np.where(differ.any(axis=1), np.ldexp(1.0, -differ.argmax(axis=1)), 0.0)
 
     def to_json(self) -> dict:
         return {"kind": "symbol", "alphabet": self.alphabet.size}
@@ -168,8 +242,9 @@ class CombSpace(MetricSpace):
     def spine_length(self) -> float:
         return 1.0 / (1.0 - self.r_float)
 
-    def distance(self, p, q) -> float:
-        return euclidean_distance(p, q)
+    distance = EuclideanSpace.distance
+    coordinates = EuclideanSpace.coordinates
+    distances = EuclideanSpace.distances
 
     def anchor(self, word: Word) -> float:
         """``x_i = sum(i_k r**(k-1))`` in float."""
@@ -231,14 +306,6 @@ class CombSpace(MetricSpace):
         return {"kind": "comb", "r": rj}
 
 
-def comb_membership(space: CombSpace, q: Sequence[float], depth: int) -> CombMembership:
-    """Is ``q`` on the comb? Checks spine, base tooth, and all teeth to ``depth``.
-
-    The x-coordinate comparison uses a fixed tolerance of ``1e-12``.
-    """
-    return space.membership(q, depth)
-
-
 # ---------------------------------------------------------------------------
 # the first Heisenberg group
 # ---------------------------------------------------------------------------
@@ -258,9 +325,14 @@ def heisenberg_inverse(p: HeisenbergPoint) -> HeisenbergPoint:
 
 
 def heisenberg_gauge(p: HeisenbergPoint) -> float:
-    """Homogeneous gauge ``((x^2+y^2)^2 + t^2) ** (1/4)``."""
+    """Homogeneous gauge ``((x^2+y^2)^2 + t^2) ** (1/4)``.
+
+    The fourth root is taken as two square roots, which the vectorised
+    kernel of :class:`HeisenbergSpace` reproduces bit for bit.
+    """
     x, y, t = p
-    return ((x * x + y * y) ** 2 + t * t) ** 0.25
+    s = x * x + y * y
+    return math.sqrt(math.sqrt(s * s + t * t))
 
 
 def heisenberg_dilate(s: float, p: HeisenbergPoint) -> HeisenbergPoint:
@@ -284,6 +356,17 @@ class HeisenbergSpace(MetricSpace):
 
     def distance(self, p: HeisenbergPoint, q: HeisenbergPoint) -> float:
         return heisenberg_gauge(heisenberg_multiply(heisenberg_inverse(p), q))
+
+    def coordinates(self, points: Sequence) -> np.ndarray:
+        return _float_rows(points, 3)
+
+    def distances(self, X: np.ndarray, q: HeisenbergPoint) -> np.ndarray:
+        x2, y2, t2 = (float(c) for c in q)
+        x, y, t = -X[:, 0], -X[:, 1], -X[:, 2]
+        # heisenberg_multiply((x, y, t), q), then heisenberg_gauge
+        a, b, c = x + x2, y + y2, t + t2 + 0.5 * (x * y2 - y * x2)
+        s = a * a + b * b
+        return np.sqrt(np.sqrt(s * s + c * c))
 
     def to_json(self) -> dict:
         return {"kind": "heisenberg"}

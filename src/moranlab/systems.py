@@ -15,6 +15,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -23,9 +24,6 @@ from .errors import DomainError
 from .exactnum import QuadraticNumber, exact_value
 from .models import GeneralModel, MultiplicativeModel
 from .spaces import (
-    CombSpace,
-    EuclideanSpace,
-    HeisenbergSpace,
     MetricSpace,
     SymbolSpace,
     heisenberg_dilate,
@@ -36,7 +34,6 @@ from .words import (
     Alphabet,
     Word,
     _check_enum,
-    incomparable,
     local_stopping_set,
     word_str,
 )
@@ -202,7 +199,9 @@ class PointCloud:
     """Deterministically ordered samples of the level-``depth`` pieces.
 
     ``labels[k]`` is the word of the piece that ``points[k]`` samples; all
-    labels have length ``depth`` and appear in lexicographic order.
+    labels have length ``depth`` and appear in lexicographic order, so the
+    samples of a piece form one contiguous index range (:meth:`piece`).
+    Points keep the scalar type of the system that made them.
     """
 
     space: MetricSpace
@@ -216,9 +215,19 @@ class PointCloud:
     def items(self) -> Iterator[tuple[Word, object]]:
         return zip(self.labels, self.points)
 
-    def array(self) -> np.ndarray:
-        """Float coordinate matrix (rows = points)."""
-        return np.array([[float(c) for c in p] for p in self.points], dtype=float)
+    @cached_property
+    def coordinates(self) -> np.ndarray:
+        """``space.coordinates(points)``, built once per cloud."""
+        return self.space.coordinates(self.points)
+
+    def piece(self, word: Word) -> slice:
+        """Index range of the samples whose label starts with ``word``."""
+        if not word:
+            return slice(0, len(self.labels))
+        lo = bisect.bisect_left(self.labels, word)
+        # the first label past every extension of ``word``
+        hi = bisect.bisect_left(self.labels, word[:-1] + (word[-1] + 1,), lo)
+        return slice(lo, hi)
 
     def to_csv(self) -> str:
         if isinstance(self.space, SymbolSpace):
@@ -265,6 +274,15 @@ class ContractionSystem:
             point = self.maps[s].apply(point)
         return point
 
+    def next_level(self, level: Sequence) -> list:
+        """Each map in order applied to every point of ``level`` in order.
+
+        If ``level`` holds ``phi_v(x)`` in lexicographic order of ``v``, the
+        result holds ``phi_{sv}(x)`` in lexicographic order of ``sv``, made
+        by the same map applications as :meth:`apply_word`.
+        """
+        return [m.apply(p) for m in self.maps for p in level]
+
     def word_lip_bounds(self, word: Word) -> tuple[float, float, bool]:
         """Two-sided contraction bounds of ``phi_w`` and whether they are exact.
 
@@ -272,13 +290,16 @@ class ContractionSystem:
         the word is an axis/rigid similitude (lower == upper) the product
         is the exact distortion.  For chains of planar affine maps the
         singular values of the product matrix are used instead (exact).
+        Map bounds are stated in the coordinate metric; the space turns
+        them into bounds in its own metric.
         """
+        bound = self.space.metric_bound
         if all(isinstance(self.maps[s], Affine2DMap) for s in word) and len(word) > 0:
             prod = np.eye(2)
             for s in word:
                 prod = prod @ self.maps[s]._array()
             sv = np.linalg.svd(prod, compute_uv=False)
-            return float(sv[-1]), float(sv[0]), True
+            return bound(float(sv[-1])), bound(float(sv[0])), True
         lo, hi = 1.0, 1.0
         exact = True
         for s in word:
@@ -291,7 +312,7 @@ class ContractionSystem:
             lo *= b[0]
             hi *= b[1]
             exact = exact and (b[0] == b[1])
-        return lo, hi, exact
+        return bound(lo), bound(hi), exact
 
     # -- induced diameter model -------------------------------------------
 
@@ -302,12 +323,10 @@ class ContractionSystem:
             raise DomainError(
                 "system has no declared seed diameter; supply a cloud to estimate it"
             )
-        pts = list(cloud.points)
-        stride = max(1, len(pts) // 256)
-        sub = pts[::stride]
-        return max(
-            self.space.distance(p, q) for i, p in enumerate(sub) for q in sub[i + 1 :]
-        )
+        stride = max(1, len(cloud) // 256)
+        sub, X = cloud.points[::stride], cloud.coordinates[::stride]
+        dist = self.space.distances
+        return max(float(dist(X[:i], sub[i]).max()) for i in range(1, len(sub)))
 
     def induced_model(self, cloud: PointCloud | None = None):
         """Diameter model of the pieces ``X_w = phi_w(E)``.
@@ -319,24 +338,23 @@ class ContractionSystem:
         bounds = [m.lip_bounds() for m in self.maps]
         seed = self._estimated_seed_diameter(cloud)
         if all(b is not None and b[0] == b[1] for b in bounds):
-            model = MultiplicativeModel([b[0] for b in bounds], seed_diameter=seed)
+            ratios = [self.space.metric_bound(b[0]) for b in bounds]
+            model = MultiplicativeModel(ratios, seed_diameter=seed)
         else:
             if cloud is None:
                 raise DomainError("sampled diameter model needs a cloud")
             cache: dict[Word, float] = {}
+            dist = self.space.distances
 
             def log_diam(word: Word) -> float:
                 if word not in cache:
-                    pts = [p for lab, p in cloud.items() if lab[: len(word)] == word]
+                    piece = cloud.piece(word)
+                    pts, X = cloud.points[piece], cloud.coordinates[piece]
                     if len(pts) < 2:
                         raise DomainError(
                             "cloud resolves no pair of samples inside %s" % word_str(word)
                         )
-                    d = max(
-                        self.space.distance(p, q)
-                        for i, p in enumerate(pts)
-                        for q in pts[i + 1 :]
-                    )
+                    d = max(float(dist(X[:i], pts[i]).max()) for i in range(1, len(pts)))
                     if d <= 0:
                         raise DomainError("degenerate sampled diameter at %s" % word_str(word))
                     cache[word] = math.log(d)
@@ -349,20 +367,21 @@ class ContractionSystem:
     def _containment_check(self, cloud: PointCloud | None):
         if cloud is None or len(cloud) < 2:
             return None
-        pts = list(cloud.points)
-        stride = max(1, len(pts) // 128)
-        sub = pts[::stride]
-        dist = self.space.distance
-        resolution = 2.0 * max(
-            min(dist(p, q) for q in sub if q is not p) if len(sub) > 1 else 0.0
-            for p in sub
-        )
+        stride = max(1, len(cloud) // 128)
+        sub, X = cloud.points[::stride], cloud.coordinates[::stride]
+        dist = self.space.distances
+
+        def nearest_other(i: int) -> float:
+            d = dist(X, sub[i])
+            d[i] = np.inf
+            return float(d.min())
+
+        resolution = 2.0 * max(nearest_other(i) for i in range(len(sub)))
 
         def check(depth: int) -> tuple[bool, str]:
             for k, m in enumerate(self.maps):
                 for p in sub[:32]:
-                    image = m.apply(p)
-                    if min(dist(image, q) for q in sub) > max(resolution, 1e-9):
+                    if dist(X, m.apply(p)).min() > max(resolution, 1e-9):
                         return False, (
                             "map %d sends a sample farther than the sampled set "
                             "resolution %.3g" % (k, resolution)
@@ -380,8 +399,9 @@ def attractor_cloud(
     """Apply every depth-``depth`` word to the first seed points.
 
     Output order is lexicographic in the word, then seed order: fully
-    deterministic.  The total point count is capped by the enumeration
-    limit.
+    deterministic.  The cloud is built level by level (about ``a/(a-1)``
+    map applications per point for ``a`` maps).  The total point count is
+    capped by the enumeration limit.
     """
     if depth < 1:
         raise DomainError("cloud depth must be >= 1")
@@ -392,13 +412,11 @@ def attractor_cloud(
     count = system.alphabet.size**depth * samples_per_leaf
     _check_enum(count, "attractor cloud at depth %d" % depth)
     seeds = system.seed_points[:samples_per_leaf]
-    labels = []
-    points = []
-    for w in system.alphabet.words(depth):
-        for p in seeds:
-            labels.append(w)
-            points.append(system.apply_word(w, p))
-    return PointCloud(system.space, depth, tuple(labels), tuple(points))
+    points = seeds
+    for _ in range(depth):
+        points = system.next_level(points)
+    labels = tuple(w for w in system.alphabet.words(depth) for _ in seeds)
+    return PointCloud(system.space, depth, labels, tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +646,10 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
     if isinstance(x, (list, tuple)):
         x = tuple(x)
     words: list[Word] = list(system.alphabet.words_up_to(depth))
-    points = [system.apply_word(w, x) for w in words]
+    level, points = (x,), []
+    for _ in range(depth):
+        level = system.next_level(level)
+        points.extend(level)
     try:
         lowers = [system.word_lip_bounds(w)[0] for w in words]
     except DomainError:
@@ -636,41 +657,26 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
         lowers = [semiconformal_bounds(system, w).lower for w in words]
     size = system.alphabet.size
 
-    if system.space.coordinate_dim is not None:
-        pts = np.array([[float(c) for c in p] for p in points])
-        sep = np.array(lowers)
-        lo = np.empty(len(words), dtype=np.int64)
-        span = np.empty(len(words), dtype=np.int64)
-        for k, w in enumerate(words):
-            v = 0
-            for s in w:
-                v = v * size + s
-            span[k] = size ** (depth - len(w))
-            lo[k] = v * span[k]
-        hi = lo + span
-        best = math.inf
-        block = 512
-        n = len(words)
-        for i0 in range(0, n, block):
-            sl = slice(i0, min(i0 + block, n))
-            diff = pts[sl, None, :] - pts[None, :, :]
-            dmat = np.sqrt(np.sum(diff * diff, axis=-1))
-            den = sep[sl, None] + sep[None, :]
-            ratio = dmat / den
-            contains = (lo[sl, None] <= lo[None, :]) & (hi[None, :] <= hi[sl, None])
-            contained = (lo[None, :] <= lo[sl, None]) & (hi[sl, None] <= hi[None, :])
-            ratio[contains | contained] = np.inf
-            best = min(best, float(ratio.min()))
-        return best
-
-    dist = system.space.distance
+    # word k covers the depth-``depth`` index range [lo[k], hi[k])
+    sep = np.array(lowers)
+    lo = np.empty(len(words), dtype=np.int64)
+    span = np.empty(len(words), dtype=np.int64)
+    for k, w in enumerate(words):
+        v = 0
+        for s in w:
+            v = v * size + s
+        span[k] = size ** (depth - len(w))
+        lo[k] = v * span[k]
+    hi = lo + span
+    space = system.space
+    X = space.coordinates(points)
     best = math.inf
-    for i, u in enumerate(words):
-        for j in range(i + 1, len(words)):
-            v = words[j]
-            if not incomparable(u, v):
-                continue
-            best = min(best, dist(points[i], points[j]) / (lowers[i] + lowers[j]))
+    for i in range(len(words) - 1):
+        # later words are no shorter, so only words[i] can be a prefix
+        j = slice(i + 1, None)
+        ratio = space.distances(X[j], points[i]) / (sep[i] + sep[j])
+        ratio[(lo[i] <= lo[j]) & (hi[j] <= hi[i])] = np.inf
+        best = min(best, float(ratio.min()))
     return best
 
 
@@ -740,27 +746,23 @@ def ball_condition_probe(
     if not local.words:
         return BallConditionProbe(max(delta_grid), True, (), ())
     order = sorted(local.words, key=lambda w: (-model.diam(w), w))
-    samples = {
-        w: [p for lab, p in cloud.items() if lab[: len(w)] == w] for w in order
-    }
-    dist = cloud.space.distance
+    pieces = [cloud.piece(w) for w in order]
+    X, dist = cloud.coordinates, cloud.space.distances
     # open delta*r balls are disjoint iff centers are >= 2*delta*r apart
     # (>= delta*r in an ultrametric space)
     factor = 1.0 if cloud.space.ultrametric else 2.0
     for delta in sorted(delta_grid, reverse=True):
         chosen: list = []
-        ok = True
-        for w in order:
-            placed = False
-            for cand in samples[w]:
-                if all(dist(cand, c) >= factor * delta * r for c in chosen):
-                    chosen.append(cand)
-                    placed = True
-                    break
-            if not placed:
-                ok = False
+        # distance from every sample to its nearest chosen center
+        nearest = np.full(len(cloud), np.inf)
+        for piece in pieces:
+            free = np.flatnonzero(nearest[piece] >= factor * delta * r)
+            if not free.size:
                 break
-        if ok:
+            center = cloud.points[piece.start + int(free[0])]
+            chosen.append(center)
+            nearest = np.minimum(nearest, dist(X, center))
+        else:
             return BallConditionProbe(delta, True, tuple(order), tuple(chosen))
     return BallConditionProbe(0.0, False, tuple(order), ())
 

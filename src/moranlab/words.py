@@ -276,21 +276,11 @@ def local_stopping_set(model, cloud, x, r: float) -> LocalStoppingSet:
                 "stopping word %s is deeper than the cloud (depth %d); "
                 "regenerate the cloud at depth >= %d" % (word_str(w), depth, len(w))
             )
-    lengths = sorted({len(w) for w in candidates})
-    index = {w: k for k, w in enumerate(candidates)}
-    hit = [False] * len(candidates)
-    counts = [0] * len(candidates)
-    dist = cloud.space.distance
-    for label, point in cloud.items():
-        for n in lengths:
-            k = index.get(label[:n])
-            if k is not None:
-                counts[k] += 1
-                if not hit[k] and dist(point, x) < r:
-                    hit[k] = True
-                break
-    words = tuple(w for w, h in zip(candidates, hit) if h)
-    return LocalStoppingSet(words, tuple(candidates), tuple(counts))
+    inside = cloud.space.distances(cloud.coordinates, x) < r
+    pieces = [cloud.piece(w) for w in candidates]
+    words = tuple(w for w, piece in zip(candidates, pieces) if inside[piece].any())
+    counts = tuple(piece.stop - piece.start for piece in pieces)
+    return LocalStoppingSet(words, tuple(candidates), counts)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,10 @@ from moranlab import (
     space_from_json,
 )
 from moranlab.spaces import (
-    comb_membership,
     heisenberg_dilate,
     heisenberg_gauge,
     heisenberg_inverse,
     heisenberg_multiply,
-    snowflake_distance,
 )
 
 coords = st.floats(
@@ -55,7 +53,7 @@ def test_snowflake_halves_the_exponent():
     flake = SnowflakeSpace(line, 0.5)
     assert flake.distance((0.0,), (4.0,)) == 2.0
     assert flake.distance((0.0,), (0.25,)) == 0.5
-    assert snowflake_distance(line, 0.5, (0.0,), (9.0,)) == 3.0
+    assert flake.distance((0.0,), (9.0,)) == 3.0
 
 
 def test_snowflake_exponent_range():
@@ -64,7 +62,7 @@ def test_snowflake_exponent_range():
         with pytest.raises(DomainError):
             SnowflakeSpace(line, p)
         with pytest.raises(DomainError):
-            snowflake_distance(line, p, (0.0,), (1.0,))
+            SnowflakeSpace(line, p).distance((0.0,), (1.0,))
 
 
 def test_snowflake_inherits_structure_flags():
@@ -109,7 +107,7 @@ def test_comb_locates_teeth_by_word():
     assert (got.part, got.word) == ("tooth", (1,))
     got = comb.membership((1.5, 0.2), 4)
     assert (got.part, got.word) == ("tooth", (1, 1))
-    got = comb_membership(comb, (0.5, 0.25), 4)
+    got = comb.membership((0.5, 0.25), 4)
     assert (got.part, got.word) == ("tooth", (0, 1))
 
 
