@@ -38,10 +38,10 @@ _DIVERGENCE_FACTOR = 1.5
 class DiameterModel:
     """Base class: word-indexed diameters with aggregate helpers.
 
-    Subclasses must set ``alphabet``, ``seed_diameter`` and ``kind`` and
-    implement ``log_diam``.  ``diam`` and the level aggregates have generic
-    (enumerating) fallbacks that structured subclasses override with exact
-    closed forms.
+    Subclasses must call ``super().__init__()``, set ``alphabet``,
+    ``seed_diameter`` and ``kind`` and implement ``log_diam``.  ``diam``, the
+    level aggregates and the ratio scans have generic (enumerating)
+    fallbacks that structured subclasses override with exact closed forms.
     """
 
     alphabet: Alphabet
@@ -49,6 +49,9 @@ class DiameterModel:
     kind: str = "general"
     #: optional geometric nesting check (set by system-induced models)
     containment_check: Optional[Callable[[int], tuple[bool, str]]] = None
+
+    def __init__(self) -> None:
+        self._ld_cache: dict[int, np.ndarray] = {}
 
     # -- per-word values ---------------------------------------------------
 
@@ -63,13 +66,9 @@ class DiameterModel:
     def _level_log_diams(self, n: int) -> np.ndarray:
         """Log-diameters of every level-``n`` word, lexicographic order."""
         _check_enum(self.alphabet.size**n, "level %d of a general model" % n)
-        cache = getattr(self, "_ld_cache", None)
-        if cache is None:
-            cache = {}
-            self._ld_cache = cache
-        if n not in cache:
-            cache[n] = np.array([self.log_diam(w) for w in self.alphabet.words(n)])
-        return cache[n]
+        if n not in self._ld_cache:
+            self._ld_cache[n] = np.array([self.log_diam(w) for w in self.alphabet.words(n)])
+        return self._ld_cache[n]
 
     def level_log_sum(self, t: float, n: int, subtree: SubTree | None = None) -> float:
         """``log(sum(diam(i)**t for i in level n))``, subtree-restricted if given."""
@@ -87,6 +86,69 @@ class DiameterModel:
         ld = self._level_log_diams(n)
         return math.exp(float(np.min(ld))), math.exp(float(np.max(ld)))
 
+    # -- ratio scans ---------------------------------------------------------
+
+    def _scan_levels(self, depth: int) -> tuple[list[np.ndarray], int]:
+        """Level log-diameter arrays ``0..depth`` for the ratio scans, and their arity."""
+        return [self._level_log_diams(n) for n in range(depth + 1)], self.alphabet.size
+
+    def split_ratio_extremes(self, depth: int) -> list:
+        """Running extremes of ``diam(ij) / (diam(i) diam(j))`` over split words.
+
+        Entry ``n`` (``2 <= n <= depth``) is ``(lo, hi, witness_lo, witness_hi)``
+        over all words of length 2..n and all split points; entries 0 and 1 are
+        ``None``.  A witness is the first word attaining its extreme in (length,
+        word, split) order: candidates are keyed ``(ratio, length, word index)``,
+        the maximum's ratio negated, and ``min`` keeps the earlier split of equal
+        keys.  One split of one level is held at a time.
+        """
+        L, a = self._scan_levels(depth)
+        out: list = [None, None]
+        lo = hi = (math.inf, 0, 0)
+        for n in range(2, depth + 1):
+            for m in range(1, n):
+                x = (L[n].reshape(a**m, -1) - L[m][:, None] - L[n - m][None, :]).ravel()
+                v, i = _extreme(x, lowest=True)
+                lo = min(lo, (v, n, i))
+                v, i = _extreme(x, lowest=False)
+                hi = min(hi, (-v, n, i))
+            out.append((lo[0], -hi[0], _word_at(lo[2], a, lo[1]), _word_at(hi[2], a, hi[1])))
+        return out
+
+    def child_ratio_min(self, depth: int) -> list:
+        """Running minimum of ``diam(i) / diam(parent(i))`` with its witness.
+
+        Entry ``n`` (``1 <= n <= depth``) is ``(min, witness)`` over all
+        words of length 1..n, the witness being the first word attaining it
+        in (length, word) order; entry 0 is ``None``.
+        """
+        L, a = self._scan_levels(depth)
+        out: list = [None]
+        lo = (math.inf, 0, 0)
+        for n in range(1, depth + 1):
+            v, i = _extreme((L[n].reshape(-1, a) - L[n - 1][:, None]).ravel(), lowest=True)
+            lo = min(lo, (v, n, i))
+            out.append((lo[0], _word_at(lo[2], a, lo[1])))
+        return out
+
+
+def _extreme(x: np.ndarray, lowest: bool) -> tuple[float, int]:
+    """Least (or greatest) ``math.exp(v)`` over ``x`` and the first index attaining it.
+
+    Only distinct logs within 1e-12 of the extreme are exponentiated: two
+    ratios round to one float only if their logs differ by ~1e-16.
+    """
+    near = np.flatnonzero(np.abs(x - (x.min() if lowest else x.max())) <= 1e-12)
+    logs = np.unique(x[near])
+    exps = np.array([math.exp(v) for v in logs.tolist()])
+    best = float(exps.min() if lowest else exps.max())
+    return best, int(near[np.isin(x[near], logs[exps == best])][0])
+
+
+def _word_at(index: int, size: int, length: int) -> Word:
+    """The ``index``-th word of ``length`` symbols in lexicographic order."""
+    return tuple(int(s) for s in np.unravel_index(index, (size,) * length))
+
 
 class MultiplicativeModel(DiameterModel):
     """``diam(i) = seed * ratio[i_1] * ... * ratio[i_n]``."""
@@ -101,6 +163,7 @@ class MultiplicativeModel(DiameterModel):
             raise DomainError("ratios must lie in (0, 1): %r" % (ratios,))
         if seed_diameter <= 0:
             raise DomainError("seed diameter must be positive")
+        super().__init__()
         self.ratios = ratios
         self.log_ratios = tuple(math.log(r) for r in ratios)
         self.seed_diameter = float(seed_diameter)
@@ -144,6 +207,14 @@ class MultiplicativeModel(DiameterModel):
             self.seed_diameter * max(self.ratios) ** n,
         )
 
+    def split_ratio_extremes(self, depth: int) -> list:
+        v = 1.0 / self.seed_diameter
+        return [None, None] + [(v, v, (0, 0), (0, 0))] * (depth - 1)
+
+    def child_ratio_min(self, depth: int) -> list:
+        s = min(range(self.alphabet.size), key=lambda i: self.ratios[i])
+        return [None] + [(self.ratios[s], (s,))] * depth
+
 
 class LevelModel(DiameterModel):
     """Diameter depends only on the word length."""
@@ -158,6 +229,7 @@ class LevelModel(DiameterModel):
     ):
         if seed_diameter <= 0:
             raise DomainError("seed diameter must be positive")
+        super().__init__()
         self._level_log_diam = level_log_diam
         self.seed_diameter = float(seed_diameter)
         self.alphabet = Alphabet(branches)
@@ -206,6 +278,10 @@ class LevelModel(DiameterModel):
         d = math.exp(self.level_log_diam(n))
         return d, d
 
+    def _scan_levels(self, depth: int) -> tuple[list[np.ndarray], int]:
+        # every word of a level has the level's diameter: scan a one-letter tree
+        return [np.array([self.level_log_diam(n)]) for n in range(depth + 1)], 1
+
 
 class GeneralModel(DiameterModel):
     """Arbitrary word-to-diameter function (enumerating aggregates)."""
@@ -220,6 +296,7 @@ class GeneralModel(DiameterModel):
     ):
         if seed_diameter <= 0:
             raise DomainError("seed diameter must be positive")
+        super().__init__()
         self._log_diam_fn = log_diam_fn
         self.alphabet = alphabet
         self.seed_diameter = float(seed_diameter)
@@ -244,6 +321,7 @@ class RectangleModel(DiameterModel):
             raise DomainError("need matching contraction lists of length >= 2")
         if any(not 0 < v < 1 for v in tuple(a) + tuple(b)):
             raise DomainError("contractions must lie in (0, 1)")
+        super().__init__()
         self.a = tuple(float(v) for v in a)
         self.b = tuple(float(v) for v in b)
         self.alphabet = Alphabet(len(a))
@@ -271,13 +349,6 @@ class RectangleModel(DiameterModel):
     def _level_log_diams(self, n: int) -> np.ndarray:
         la, lb = self._level(n)
         return 0.5 * np.logaddexp(2 * la, 2 * lb)
-
-    def level_log_sum(self, t: float, n: int, subtree: SubTree | None = None) -> float:
-        if subtree is not None:
-            return super().level_log_sum(t, n, subtree)
-        vals = t * self._level_log_diams(n)
-        m = float(np.max(vals))
-        return m + math.log(float(np.sum(np.exp(vals - m))))
 
 
 # ---------------------------------------------------------------------------
@@ -336,72 +407,10 @@ class AxiomReport:
         }
 
 
-# -- ratio scans -------------------------------------------------------------
-
-
-def _split_ratio_extremes(model: DiameterModel, depth: int):
-    """Extremes of ``diam(ij) / (diam(i) diam(j))`` over split words.
-
-    Returns ``(lo, hi, witness_lo, witness_hi)`` over all words of length
-    2..depth and all split points, or ``None`` when depth < 2.
-    """
-    if depth < 2:
-        return None
-    if model.kind == "multiplicative":
-        v = 1.0 / model.seed_diameter
-        w = (0, 0)
-        return v, v, w, w
-    if model.kind == "level":
-        lo, hi = math.inf, -math.inf
-        wlo = whi = None
-        lld = model.level_log_diam
-        for total in range(2, depth + 1):
-            for m in range(1, total):
-                r = math.exp(lld(total) - lld(m) - lld(total - m))
-                if r < lo:
-                    lo, wlo = r, (0,) * total
-                if r > hi:
-                    hi, whi = r, (0,) * total
-        return lo, hi, wlo, whi
-    lo, hi = math.inf, -math.inf
-    wlo = whi = None
-    for total in range(2, depth + 1):
-        for w in model.alphabet.words(total):
-            lw = model.log_diam(w)
-            for m in range(1, total):
-                r = math.exp(lw - model.log_diam(w[:m]) - model.log_diam(w[m:]))
-                if r < lo:
-                    lo, wlo = r, w
-                if r > hi:
-                    hi, whi = r, w
-    return lo, hi, wlo, whi
-
-
-def _child_ratio_min(model: DiameterModel, depth: int):
-    """Minimum of ``diam(i) / diam(parent(i))`` up to ``depth`` with witness."""
-    if model.kind == "multiplicative":
-        s = min(range(model.alphabet.size), key=lambda i: model.ratios[i])
-        return model.ratios[s], (s,)
-    if model.kind == "level":
-        lld = model.level_log_diam
-        best, wit = math.inf, None
-        for n in range(1, depth + 1):
-            r = math.exp(lld(n) - lld(n - 1))
-            if r < best:
-                best, wit = r, (0,) * n
-        return best, wit
-    best, wit = math.inf, None
-    for w in model.alphabet.words_up_to(depth):
-        r = math.exp(model.log_diam(w) - model.log_diam(w[:-1]))
-        if r < best:
-            best, wit = r, w
-    return best, wit
-
-
-def _stability(fit_now: float, fit_prev: float) -> float:
-    if fit_prev <= 0:
-        return math.inf
-    return fit_now / fit_prev
+def _stability(fit_now: float, fit_prev: float) -> tuple[float, str]:
+    """Growth of a fit from depth-1 to depth, and the status it implies."""
+    stab = math.inf if fit_prev <= 0 else fit_now / fit_prev
+    return stab, HOLDS if stab <= _DIVERGENCE_FACTOR else VIOLATED
 
 
 def _w1_check(model: DiameterModel, depth: int) -> AxiomCheck:
@@ -433,26 +442,23 @@ def _w2_check(model: DiameterModel, depth: int, D: float) -> AxiomCheck:
 
 
 def _w3_check(model: DiameterModel, depth: int) -> AxiomCheck:
-    ext = _split_ratio_extremes(model, depth)
-    if ext is None:
+    if depth < 2:
         return AxiomCheck("W3", NOT_CHECKABLE, note="depth < 2 exposes no splits")
-    _, hi, _, whi = ext
-    prev = _split_ratio_extremes(model, depth - 1) if depth >= 3 else ext
+    ext = model.split_ratio_extremes(depth)
+    _, hi, _, whi = ext[depth]
     fit = max(1.0, hi)
-    fit_prev = max(1.0, prev[1])
-    stab = _stability(fit, fit_prev)
-    status = HOLDS if stab <= _DIVERGENCE_FACTOR else VIOLATED
+    fit_prev = max(1.0, (ext[depth - 1] or ext[depth])[1])
+    stab, status = _stability(fit, fit_prev)
     note = "" if status == HOLDS else "fitted constant grew by %.3g between depths" % stab
     return AxiomCheck("W3", status, constant=fit, witness=whi, stability=stab, note=note)
 
 
 def _w4_check(model: DiameterModel, depth: int) -> AxiomCheck:
-    lo, wit = _child_ratio_min(model, depth)
-    lo_prev, _ = _child_ratio_min(model, depth - 1) if depth >= 2 else (lo, wit)
+    ext = model.child_ratio_min(depth)
+    lo, wit = ext[depth]
     fit = max(1.0, 1.0 / lo)
-    fit_prev = max(1.0, 1.0 / lo_prev)
-    stab = _stability(fit, fit_prev)
-    status = HOLDS if stab <= _DIVERGENCE_FACTOR else VIOLATED
+    fit_prev = max(1.0, 1.0 / (ext[depth - 1] or ext[depth])[0])
+    stab, status = _stability(fit, fit_prev)
     note = "minimal witnessed child/parent ratio %.6g" % lo
     if status == VIOLATED:
         note += "; fitted constant grew by %.3g between depths (diverging)" % stab
@@ -490,20 +496,16 @@ def validate_cmc(model: DiameterModel, depth: int) -> AxiomReport:
         raise DomainError("depth must be >= 1")
     report = AxiomReport("cmc", depth)
     report.checks.append(_w1_check(model, depth))
-    ext = _split_ratio_extremes(model, depth)
-    if ext is None:
+    if depth < 2:
         c1 = AxiomCheck("C1", NOT_CHECKABLE, note="depth < 2 exposes no splits")
         D = 1.0
     else:
-        lo, hi, wlo, whi = ext
+        ext = model.split_ratio_extremes(depth)
+        lo, hi, wlo, whi = ext[depth]
+        plo, phi, _, _ = ext[depth - 1] or ext[depth]
         fit = max(1.0, hi, 1.0 / lo)
-        if depth >= 3:
-            plo, phi, _, _ = _split_ratio_extremes(model, depth - 1)
-            fit_prev = max(1.0, phi, 1.0 / plo)
-        else:
-            fit_prev = fit
-        stab = _stability(fit, fit_prev)
-        status = HOLDS if stab <= _DIVERGENCE_FACTOR else VIOLATED
+        fit_prev = max(1.0, phi, 1.0 / plo)
+        stab, status = _stability(fit, fit_prev)
         wit = wlo if (1.0 / lo) >= hi else whi
         note = "two-sided split ratio within [%.6g, %.6g]" % (lo, hi)
         if status == VIOLATED:

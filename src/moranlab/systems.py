@@ -465,15 +465,15 @@ def semiconformal_bounds(
         while math.comb(alphabet.size**pool_depth, 2) < pair_samples:
             pool_depth += 1
         pool = list(alphabet.words(pool_depth))
+        images = [system.apply_word(word, u) for u in pool]
         dist = system.space.distance
         lo, hi = math.inf, 0.0
         for i, u in enumerate(pool):
-            fu = system.apply_word(word, u)
-            for v in pool[i + 1 :]:
-                duv = dist(u, v)
+            for j in range(i + 1, len(pool)):
+                duv = dist(u, pool[j])
                 if duv == 0.0:
                     continue
-                r = dist(fu, system.apply_word(word, v)) / duv
+                r = dist(images[i], images[j]) / duv
                 lo = min(lo, r)
                 hi = max(hi, r)
         if hi == 0.0:

@@ -216,30 +216,28 @@ def stopping_set(model, r: float, max_depth: int = 64) -> list[Word]:
     ``seed_diameter`` and ``diam(word)``.
 
     The boundary is inclusive on the word itself: at ``r == diam(X_i)``
-    the word ``i`` belongs to the stopping set.
+    the word ``i`` belongs to the stopping set.  The walk goes level by
+    level; the words kept plus the next level count against :func:`enum_cap`.
     """
     if not 0 < r < model.seed_diameter:
         raise DomainError(
             "stopping radius must lie in (0, seed diameter); got r=%r, seed=%r"
             % (r, model.seed_diameter)
         )
+    symbols = model.alphabet.symbols()
     out: list[Word] = []
-
-    def visit(word: Word) -> None:
-        dw = model.diam(word)
-        if dw <= r:
-            out.append(word)
-            return
-        if len(word) >= max_depth:
+    frontier: list[Word] = [()]
+    while frontier:
+        _check_enum(len(out) + len(frontier) * len(symbols), "stopping set at r=%r" % r)
+        children = [w + (s,) for w in frontier for s in symbols]
+        frontier = []
+        for w in children:
+            (out if model.diam(w) <= r else frontier).append(w)
+        if frontier and len(frontier[0]) >= max_depth:
             raise DomainError(
                 "piece diameters did not drop below r=%r within depth %d" % (r, max_depth)
             )
-        for s in model.alphabet.symbols():
-            visit(word + (s,))
-
-    for s in model.alphabet.symbols():
-        visit((s,))
-    return out
+    return sorted(out)  # an antichain sorts into depth-first order
 
 
 @dataclass(frozen=True)

@@ -290,3 +290,28 @@ def test_local_stopping_set_matches_the_label_scan():
             }
             assert set(local.words) == hits
             assert sum(local.sample_counts) == len(cloud)
+
+
+def pairwise_semiconformal_bounds(system, word):
+    """The pair loop that re-applied the word to the second point of every pair."""
+    alphabet = system.space.alphabet
+    pool = list(alphabet.words(3))
+    lo, hi = math.inf, 0.0
+    for i, u in enumerate(pool):
+        fu = system.apply_word(word, u)
+        for v in pool[i + 1 :]:
+            duv = system.space.distance(u, v)
+            if duv == 0.0:
+                continue
+            r = system.space.distance(fu, system.apply_word(word, v)) / duv
+            lo = min(lo, r)
+            hi = max(hi, r)
+    return lo, hi
+
+
+def test_symbolic_semiconformal_bounds_match_the_pair_loop():
+    system = shipped_system("symbolifs")
+    for word in system.alphabet.words_up_to(3):
+        bounds = semiconformal_bounds(system, word)
+        assert (bounds.lower, bounds.upper) == pairwise_semiconformal_bounds(system, word)
+        assert not bounds.exact

@@ -1,14 +1,18 @@
 """Diameter models, axiom fits, decay constants, and the tractability probe."""
 
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moranlab import (
     Alphabet,
     ContractionSystem,
     DomainError,
+    EnumerationCapError,
     EuclideanSpace,
     GeneralModel,
     LevelModel,
@@ -189,6 +193,133 @@ def test_shipped_model_specs_reproduce_the_fits():
     sc = load_spec(SPECS / "supercantor.json").get_model()
     report = validate_wcmc(sc, 12)
     assert report.passed
+
+
+# -- ratio scans against the scalar reference ----------------------------------------
+
+
+def scalar_split_ratio_extremes(model, depth):
+    """The word-by-word scan the level-array scan replaced (three ``log_diam`` per split)."""
+    if depth < 2:
+        return None
+    lo, hi = math.inf, -math.inf
+    wlo = whi = None
+    for total in range(2, depth + 1):
+        for w in model.alphabet.words(total):
+            lw = model.log_diam(w)
+            for m in range(1, total):
+                r = math.exp(lw - model.log_diam(w[:m]) - model.log_diam(w[m:]))
+                if r < lo:
+                    lo, wlo = r, w
+                if r > hi:
+                    hi, whi = r, w
+    return lo, hi, wlo, whi
+
+
+def scalar_child_ratio_min(model, depth):
+    best, wit = math.inf, None
+    for w in model.alphabet.words_up_to(depth):
+        r = math.exp(model.log_diam(w) - model.log_diam(w[:-1]))
+        if r < best:
+            best, wit = r, w
+    return best, wit
+
+
+def assert_scans_match_the_reference(model, depth):
+    split = model.split_ratio_extremes(depth)
+    child = model.child_ratio_min(depth)
+    assert len(split) == len(child) == depth + 1
+    # every running entry, so the depth-1 stability fits are covered too
+    for n in range(1, depth + 1):
+        assert split[n] == scalar_split_ratio_extremes(model, n)
+        assert child[n] == scalar_child_ratio_min(model, n)
+
+
+@st.composite
+def alphabets_and_depths(draw):
+    a = draw(st.integers(2, 4))
+    # keep the scalar reference small: at most 3**7 words per level
+    return a, draw(st.integers(1, 7 if a < 4 else 5))
+
+
+@given(
+    alphabets_and_depths(),
+    st.sampled_from([0.25, 0.5, 1 / 3, 0.1]),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_general_scans_match_the_reference_with_ties(shape, step, data):
+    """Log-diameters on a grid of ``step``: many ratios tie exactly or to the last ulp."""
+    (a, depth) = shape
+    weight = data.draw(st.lists(st.integers(-6, -1), min_size=a, max_size=a))
+    wobble = data.draw(st.lists(st.integers(-2, 2), min_size=1, max_size=5))
+    seed = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+
+    def log_diam(w):
+        k = sum((i + 1) * s for i, s in enumerate(w)) % len(wobble)
+        return step * (sum(weight[s] for s in w) + wobble[k])
+
+    assert_scans_match_the_reference(GeneralModel(log_diam, Alphabet(a), seed), depth)
+
+
+@given(alphabets_and_depths(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_rectangle_scans_match_the_reference(shape, data):
+    (a, depth) = shape
+    side = st.lists(st.floats(0.05, 0.95), min_size=a, max_size=a)
+    assert_scans_match_the_reference(RectangleModel(data.draw(side), data.draw(side)), depth)
+
+
+@given(alphabets_and_depths(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_level_scans_match_the_reference(shape, data):
+    (a, depth) = shape
+    ratios = data.draw(
+        st.lists(st.sampled_from([0.5, 0.25, 0.3, 2.0**-0.5]), min_size=depth, max_size=depth)
+    )
+    model = LevelModel.from_level_ratios(lambda n: ratios[n - 1], a)
+    assert_scans_match_the_reference(model, depth)
+
+
+def test_sampled_symbolic_model_scans_match_the_reference():
+    system = load_spec(SPECS / "symbolifs.json").require_system()
+    model = system.induced_model(attractor_cloud(system, 8))
+    assert model.kind == "general"
+    assert_scans_match_the_reference(model, 7)
+
+
+def test_closed_form_scans():
+    split = cantor_model().split_ratio_extremes(4)
+    assert split[:2] == [None, None]
+    assert split[2:] == [(1.0, 1.0, (0, 0), (0, 0))] * 3
+    assert MultiplicativeModel((1 / 2, 1 / 5, 1 / 5)).child_ratio_min(2) == [
+        None,
+        (1 / 5, (1,)),
+        (1 / 5, (1,)),
+    ]
+    assert nsq_model().child_ratio_min(3)[3] == (2.0**-5, (0, 0, 0))
+
+
+def test_validators_read_each_log_diameter_once(monkeypatch):
+    calls = Counter()
+    weight = (math.log(0.3), math.log(0.5), math.log(0.2))
+
+    def log_diam(w):
+        calls[w] += 1
+        return sum(weight[s] for s in w) + 0.1 * math.cos(sum(w))
+
+    model = GeneralModel(log_diam, Alphabet(3))
+    validate_wcmc(model, 6)
+    validate_cmc(model, 6)
+    assert len(calls) == sum(3**n for n in range(1, 7))
+    assert max(calls.values()) == 1
+
+    monkeypatch.setenv("MORANLAB_ENUM_CAP", "500")
+    for validate in (validate_wcmc, validate_cmc):
+        with pytest.raises(EnumerationCapError):
+            validate(GeneralModel(log_diam, Alphabet(3)), 6)
+        with pytest.raises(EnumerationCapError):
+            validate(RectangleModel((0.5, 0.3), (0.4, 0.6)), 9)
 
 
 # -- geometric decay ----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Word combinatorics, the dyadic tree metric, and stopping sets."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranlab import (
@@ -207,6 +207,43 @@ def test_stopping_set_depth_guard():
     model = MultiplicativeModel((0.95, 0.95))
     with pytest.raises(DomainError):
         stopping_set(model, 1e-3, max_depth=5)
+
+
+def test_stopping_set_honours_the_enumeration_cap(monkeypatch):
+    model = MultiplicativeModel((1 / 3, 1 / 3))
+    r = 1.5 * 3.0**-12
+    assert len(stopping_set(model, r)) == 4096
+    monkeypatch.setenv("MORANLAB_ENUM_CAP", "1000")
+    with pytest.raises(EnumerationCapError):
+        stopping_set(model, r)
+    assert len(stopping_set(model, 1.5 * 3.0**-9)) == 512
+
+
+def _recursive_stopping_set(model, r):
+    """The depth-first walk the level-by-level one replaced."""
+    out = []
+
+    def visit(word):
+        if model.diam(word) <= r:
+            out.append(word)
+            return
+        for s in model.alphabet.symbols():
+            visit(word + (s,))
+
+    for s in model.alphabet.symbols():
+        visit((s,))
+    return out
+
+
+@given(
+    st.lists(st.sampled_from([0.2, 0.25, 0.5, 0.6]), min_size=2, max_size=3),
+    st.floats(0.05, 0.9),
+)
+@settings(deadline=None)
+def test_stopping_set_matches_the_depth_first_walk(ratios, r):
+    # repeated ratios put whole families of words exactly on the boundary
+    model = MultiplicativeModel(ratios)
+    assert stopping_set(model, r) == _recursive_stopping_set(model, r)
 
 
 def test_local_stopping_set_near_the_left_end():
