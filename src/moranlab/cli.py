@@ -73,7 +73,12 @@ def _spec_model(spec):
         return spec.get_model()
     except DomainError:
         system = spec.require_system()
-        return spec.get_model(attractor_cloud(system, 8, 2))
+        # the largest cloud of at most 512 points: (8, 2) for two maps
+        samples = min(2, len(system.seed_points))
+        depth = 1
+        while system.alphabet.size ** (depth + 1) * samples <= 512:
+            depth += 1
+        return spec.get_model(attractor_cloud(system, depth, samples))
 
 
 def _cmd_pressure(args) -> int:
@@ -148,14 +153,19 @@ def _cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
-def _svg(cloud) -> str:
-    pts = [[float(c) for c in p] for p in cloud.points]
-    xs = [p[0] for p in pts]
-    ys = [p[1] if len(p) > 1 else 0.0 for p in pts]
+def _plane_box(cloud):
+    """Point abscissae, ordinates (0 on a line) and the box padded by 5%."""
+    X = cloud.coordinates
+    xs = X[:, 0].tolist()
+    ys = X[:, 1].tolist() if X.shape[1] > 1 else [0.0] * len(xs)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
-    x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
+    return xs, ys, (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
+
+
+def _svg(cloud) -> str:
+    xs, ys, (x0, x1, y0, y1) = _plane_box(cloud)
     w, h = x1 - x0, y1 - y0
     radius = 0.004 * max(w, h)
     lines = [
@@ -171,13 +181,7 @@ def _svg(cloud) -> str:
 
 
 def _ppm(cloud, pixels: int) -> str:
-    pts = [[float(c) for c in p] for p in cloud.points]
-    xs = [p[0] for p in pts]
-    ys = [p[1] if len(p) > 1 else 0.0 for p in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
-    x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
+    xs, ys, (x0, x1, y0, y1) = _plane_box(cloud)
     grid = [[0] * pixels for _ in range(pixels)]
     for x, y in zip(xs, ys):
         col = min(int((x - x0) / (x1 - x0) * pixels), pixels - 1)

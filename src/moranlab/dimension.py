@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spaces import EuclideanSpace
+from .systems import PointCloud
 
 
 def _greedy_centers(space, X, points, sep: float) -> list[int]:
@@ -198,7 +199,7 @@ def maximal_packing(space, center, R: float, r: float, candidates) -> list:
     """
     if r <= 0 or R <= 0:
         raise DomainError("radii must be positive; got r=%r, R=%r" % (r, R))
-    if hasattr(candidates, "points"):
+    if isinstance(candidates, PointCloud):
         pts, X = candidates.points, candidates.coordinates
     else:
         pts = list(candidates)

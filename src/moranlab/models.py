@@ -16,6 +16,7 @@ keeps growing from one depth to the next is reported as a violation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -40,8 +41,9 @@ class DiameterModel:
 
     Subclasses must call ``super().__init__()``, set ``alphabet``,
     ``seed_diameter`` and ``kind`` and implement ``log_diam``.  ``diam``, the
-    level aggregates and the ratio scans have generic (enumerating)
-    fallbacks that structured subclasses override with exact closed forms.
+    level aggregates, the window ratios and the ratio scans have generic
+    (enumerating) fallbacks that structured subclasses override with exact
+    closed forms.
     """
 
     alphabet: Alphabet
@@ -51,7 +53,7 @@ class DiameterModel:
     containment_check: Optional[Callable[[int], tuple[bool, str]]] = None
 
     def __init__(self) -> None:
-        self._ld_cache: dict[int, np.ndarray] = {}
+        self._ld_cache: dict[tuple[int, SubTree | None], np.ndarray] = {}
 
     # -- per-word values ---------------------------------------------------
 
@@ -63,23 +65,41 @@ class DiameterModel:
 
     # -- level aggregates ----------------------------------------------------
 
-    def _level_log_diams(self, n: int) -> np.ndarray:
-        """Log-diameters of every level-``n`` word, lexicographic order."""
-        _check_enum(self.alphabet.size**n, "level %d of a general model" % n)
-        if n not in self._ld_cache:
-            self._ld_cache[n] = np.array([self.log_diam(w) for w in self.alphabet.words(n)])
-        return self._ld_cache[n]
+    def _branches(self, levels: range, subtree: SubTree | None) -> list[int]:
+        """Branches kept at each of ``levels``: all of them without a subtree."""
+        if subtree is None:
+            return [self.alphabet.size] * len(levels)
+        subtree.check_alphabet(self.alphabet)
+        return [subtree.branch(k) for k in levels]
+
+    def _level_log_diams(self, n: int, subtree: SubTree | None = None) -> np.ndarray:
+        """Log-diameters of the level-``n`` words (of ``subtree`` if given), cached."""
+        key = (n, subtree)
+        if key not in self._ld_cache:
+            branches = self._branches(range(1, n + 1), subtree)
+            _check_enum(math.prod(branches), "level %d of a %s model" % (n, self.kind))
+            self._ld_cache[key] = self._log_diams(branches)
+        return self._ld_cache[key]
+
+    def _log_diams(self, branches: list[int]) -> np.ndarray:
+        """Uncached log-diameters of the words with ``i_k < branches[k-1]``, lexicographic."""
+        return np.array([self.log_diam(w) for w in itertools.product(*map(range, branches))])
 
     def level_log_sum(self, t: float, n: int, subtree: SubTree | None = None) -> float:
         """``log(sum(diam(i)**t for i in level n))``, subtree-restricted if given."""
-        if subtree is None:
-            vals = t * self._level_log_diams(n)
-            m = float(np.max(vals))
-            return m + math.log(float(np.sum(np.exp(vals - m))))
-        subtree.check_alphabet(self.alphabet)
-        vals = [t * self.log_diam(w) for w in subtree.words(n)]
-        m = max(vals)
-        return m + math.log(sum(math.exp(v - m) for v in vals))
+        vals = t * self._level_log_diams(n, subtree)
+        m = float(np.max(vals))
+        return m + math.log(float(np.sum(np.exp(vals - m))))
+
+    def window_ratios(self, t: float, m: int, n: int, subtree: SubTree) -> np.ndarray:
+        """``sum_j (diam(ij) / diam(i))**t`` over the length-``n`` suffixes ``j``.
+
+        One entry per length-``m`` subtree word ``i``, in lexicographic
+        order; models whose ratio does not depend on ``i`` return one entry.
+        """
+        top = self._level_log_diams(m, subtree)
+        low = self._level_log_diams(m + n, subtree)
+        return np.exp(t * low.reshape(len(top), -1) - t * top[:, None]).sum(axis=1)
 
     def level_extremes(self, n: int) -> tuple[float, float]:
         """(min, max) diameter over level ``n``."""
@@ -178,28 +198,20 @@ class MultiplicativeModel(DiameterModel):
             d *= self.ratios[s]
         return d
 
-    def _branch_log_sum(self, t: float, b: int) -> float:
-        return math.log(sum(r**t for r in self.ratios[:b]))
+    def _branch_log_sums(self, t: float, levels: range, subtree, out: float) -> float:
+        """``out`` plus ``log(sum(r**t))`` over the kept branches of each level."""
+        for b in self._branches(levels, subtree):
+            out += math.log(sum(r**t for r in self.ratios[:b]))
+        return out
 
     def level_log_sum(self, t: float, n: int, subtree: SubTree | None = None) -> float:
         out = t * math.log(self.seed_diameter)
-        for k in range(1, n + 1):
-            b = self.alphabet.size if subtree is None else subtree.branch(k)
-            if subtree is not None:
-                subtree.check_alphabet(self.alphabet)
-            out += self._branch_log_sum(t, b)
-        return out
+        return self._branch_log_sums(t, range(1, n + 1), subtree, out)
 
-    def suffix_log_sum(self, t: float, m: int, n: int, subtree: SubTree | None = None) -> float:
-        """``log(sum((diam(ij)/diam(i))**t))`` over allowed length-``n`` suffixes.
-
-        Independent of the prefix ``i`` (only its length ``m`` matters).
-        """
-        out = 0.0
-        for k in range(m + 1, m + n + 1):
-            b = self.alphabet.size if subtree is None else subtree.branch(k)
-            out += self._branch_log_sum(t, b)
-        return out
+    def window_ratios(self, t: float, m: int, n: int, subtree: SubTree) -> np.ndarray:
+        # independent of the prefix: only its length m matters
+        log_ratio = self._branch_log_sums(t, range(m + 1, m + n + 1), subtree, 0.0)
+        return np.array([math.exp(log_ratio)])
 
     def level_extremes(self, n: int) -> tuple[float, float]:
         return (
@@ -261,18 +273,13 @@ class LevelModel(DiameterModel):
         return self.level_log_diam(len(word))
 
     def level_log_sum(self, t: float, n: int, subtree: SubTree | None = None) -> float:
-        if subtree is None:
-            count = self.alphabet.size**n
-        else:
-            subtree.check_alphabet(self.alphabet)
-            count = subtree.count(n)
+        count = math.prod(self._branches(range(1, n + 1), subtree))
         return math.log(count) + t * self.level_log_diam(n)
 
-    def suffix_log_sum(self, t: float, m: int, n: int, subtree: SubTree | None = None) -> float:
-        count = 1
-        for k in range(m + 1, m + n + 1):
-            count *= self.alphabet.size if subtree is None else subtree.branch(k)
-        return math.log(count) + t * (self.level_log_diam(m + n) - self.level_log_diam(m))
+    def window_ratios(self, t: float, m: int, n: int, subtree: SubTree) -> np.ndarray:
+        count = math.prod(self._branches(range(m + 1, m + n + 1), subtree))
+        lld = self.level_log_diam
+        return np.array([math.exp(math.log(count) + t * (lld(m + n) - lld(m)))])
 
     def level_extremes(self, n: int) -> tuple[float, float]:
         d = math.exp(self.level_log_diam(n))
@@ -328,26 +335,17 @@ class RectangleModel(DiameterModel):
         self.seed_diameter = math.hypot(1.0, 1.0)
         self._la = np.log(self.a)
         self._lb = np.log(self.b)
-        self._levels: list[tuple[np.ndarray, np.ndarray]] = [
-            (np.zeros(1), np.zeros(1))
-        ]
-
-    def _level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        _check_enum(self.alphabet.size**n, "level %d of a rectangle model" % n)
-        while len(self._levels) <= n:
-            la, lb = self._levels[-1]
-            self._levels.append(
-                ((la[:, None] + self._la).ravel(), (lb[:, None] + self._lb).ravel())
-            )
-        return self._levels[n]
 
     def log_diam(self, word: Word) -> float:
         la = sum(self._la[s] for s in word)
         lb = sum(self._lb[s] for s in word)
         return 0.5 * np.logaddexp(2 * la, 2 * lb)
 
-    def _level_log_diams(self, n: int) -> np.ndarray:
-        la, lb = self._level(n)
+    def _log_diams(self, branches: list[int]) -> np.ndarray:
+        la = lb = np.zeros(1)
+        for b in branches:
+            la = (la[:, None] + self._la[:b]).ravel()
+            lb = (lb[:, None] + self._lb[:b]).ravel()
         return 0.5 * np.logaddexp(2 * la, 2 * lb)
 
 

@@ -18,6 +18,7 @@ coordinates enter the array as ``float(exact)``.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -255,7 +256,6 @@ class CombSpace(MetricSpace):
 
     def _anchors(self, length: int) -> list[tuple[float, Word]]:
         if length not in self._anchor_cache:
-            out = [(0.0, (0,) * length)]
             items = [(0.0, ())]
             for _ in range(length):
                 items = [
@@ -274,8 +274,6 @@ class CombSpace(MetricSpace):
             return CombMembership(True, "spine", None)
         if abs(x) <= tol and -tol <= y <= 1.0 + tol:
             return CombMembership(True, "base-tooth", None)
-        import bisect
-
         for m in range(1, depth + 1):
             height = self.r_float**m
             if not -tol <= y <= height + tol:

@@ -26,7 +26,7 @@ from .errors import DomainError
 from .models import DiameterModel, LevelModel
 from .spaces import HeisenbergSpace
 from .systems import CarnotMap, ContractionSystem
-from .words import SubTree, Word, _check_enum, word_str
+from .words import SubTree, Word, word_str
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 
@@ -153,10 +153,10 @@ def verify_cmsc(
 
     Every subtree word ``i`` with ``|i| + n <= depth`` (the root included)
     is paired with each deeper level ``n >= 1`` and the ratio
-    ``sum_{ij in subtree} diam(X_ij)^t / diam(X_i)^t`` is recorded.  For
-    level-homogeneous models the ratio only depends on ``(|i|, n)`` and
-    the scan collapses to suffix sums; word-dependent models are
-    enumerated outright (subject to the enumeration cap).
+    ``sum_{ij in subtree} diam(X_ij)^t / diam(X_i)^t`` is recorded; the
+    model's :meth:`~moranlab.models.DiameterModel.window_ratios` gives one
+    ratio per prefix (one in all for closed forms, where only ``|i|``
+    matters).  Witnesses are the first extremes in ``(|i|, i, n)`` order.
     """
     if depth < 2:
         raise DomainError("window check needs depth >= 2")
@@ -171,45 +171,32 @@ def verify_cmsc(
 
     ratio_min, ratio_max = math.inf, -math.inf
     wit_low = wit_high = ((), 0)
-
-    if hasattr(model, "suffix_log_sum"):
-        for m in range(0, depth):
-            witness = (0,) * m
-            for n in range(1, depth - m + 1):
-                ratio = math.exp(model.suffix_log_sum(t, m, n, subtree))
-                if ratio < ratio_min:
-                    ratio_min, wit_low = ratio, (witness, n)
-                if ratio > ratio_max:
-                    ratio_max, wit_high = ratio, (witness, n)
-    else:
-        levels: list[list[Word]] = [[()]]
-        for k in range(1, depth + 1):
-            b = subtree.branch(k)
-            levels.append([w + (s,) for w in levels[k - 1] for s in range(b)])
-            _check_enum(len(levels[k]), "subtree level %d" % k)
-        log_diam = {(): math.log(model.seed_diameter)}
-        for lvl in levels[1:]:
-            for w in lvl:
-                log_diam[w] = model.log_diam(w)
-        for m in range(0, depth):
-            for i in levels[m]:
-                base = t * log_diam[i]
-                for n in range(1, depth - m + 1):
-                    acc = [
-                        t * log_diam[u] - base
-                        for u in levels[m + n]
-                        if u[:m] == i
-                    ]
-                    ratio = float(np.exp(acc).sum())
-                    if ratio < ratio_min:
-                        ratio_min, wit_low = ratio, (i, n)
-                    if ratio > ratio_max:
-                        ratio_max, wit_high = ratio, (i, n)
+    for m in range(depth):
+        # rows: the length-m subtree words (or one row); columns: n = 1 .. depth - m
+        R = np.column_stack(
+            [model.window_ratios(t, m, n, subtree) for n in range(1, depth - m + 1)]
+        )
+        lo, hi = int(R.argmin()), int(R.argmax())
+        counts = subtree.branch_counts[:m]
+        if R.flat[lo] < ratio_min:
+            ratio_min, wit_low = float(R.flat[lo]), _window_witness(lo, R, counts)
+        if R.flat[hi] > ratio_max:
+            ratio_max, wit_high = float(R.flat[hi]), _window_witness(hi, R, counts)
 
     holds = (1.0 / C < ratio_min) and (ratio_max < C)
     return CmscReport(
         float(t), float(C), depth, ratio_min, ratio_max, wit_low, wit_high, holds, note
     )
+
+
+def _window_witness(k: int, R: np.ndarray, prefix_counts: tuple[int, ...]) -> tuple[Word, int]:
+    """``(i, n)`` of the flat index ``k`` into the window ratios ``R``.
+
+    Row ``r`` of ``R`` is the ``r``-th word with ``i_j < prefix_counts[j]``
+    in lexicographic order, column ``c`` the suffix length ``n = c + 1``.
+    """
+    row, col = divmod(k, R.shape[1])
+    return tuple(int(s) for s in np.unravel_index(row, prefix_counts)), col + 1
 
 
 # ---------------------------------------------------------------------------

@@ -512,13 +512,12 @@ class CollisionScan:
         return len(self.collisions)
 
 
-def _anchor_sum_exact(coeffs: Sequence[int], r):
-    total = r * 0
-    power = r * 0 + 1
-    for c in coeffs:
+def _anchor_sum_exact(coeffs: Sequence[int], powers: Sequence):
+    """``sum c_k r^k`` for ``c_k`` in ``{-1, 0, 1}``, from the exact powers ``r^k``."""
+    total = powers[0] * 0
+    for c, power in zip(coeffs, powers):
         if c:
-            total = total + c * power
-        power = power * r
+            total = total + power if c > 0 else total - power
     return total
 
 
@@ -594,6 +593,10 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
             cvec = tuple(-c for c in cvec)
         return cvec
 
+    if r_exact is not None:
+        exact_pows = [r_exact * 0 + 1]  # r^0 .. r^(depth-1), once per scan
+        for _ in range(1, depth):
+            exact_pows.append(exact_pows[-1] * r_exact)
     confirmed: dict[tuple[int, ...], float] = {}
     for cvec in candidates:
         canon = canonical(cvec)
@@ -601,7 +604,7 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
             continue
         gap = abs(sum(c * pows[k] for k, c in enumerate(canon)))
         if r_exact is not None:
-            if _is_exact_zero(_anchor_sum_exact(canon, r_exact)):
+            if _is_exact_zero(_anchor_sum_exact(canon, exact_pows)):
                 confirmed[canon] = 0.0
             elif gap > 0:
                 min_gap = min(min_gap, gap)

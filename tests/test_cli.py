@@ -1,5 +1,6 @@
 """End-to-end CLI runs compared byte-for-byte against golden transcripts."""
 
+import json
 import os
 import subprocess
 import sys
@@ -121,6 +122,26 @@ def test_domain_failures_exit_3(args):
     assert result.returncode == 3
     assert result.stderr.startswith("error:")
     assert result.stdout == ""
+
+
+INDUCED_CASES = [
+    ["pressure", "specs/comb.json", "--zero", "--depth", "8"],
+    ["pressure", "specs/heisenberg.json", "--zero", "--depth", "4"],
+    ["validate", "specs/comb.json"],
+    ["validate", "specs/heisenberg.json"],
+]
+
+
+@pytest.mark.parametrize("args", INDUCED_CASES, ids=lambda a: " ".join(a[:2]))
+def test_induced_models_fit_the_seed_count_and_the_cap(args):
+    """One seed point (comb) or 16 maps (heisenberg) still induce a model."""
+    result = run_cli(*args)
+    assert result.returncode in (0, 1), result.stderr
+    data = json.loads(result.stdout)
+    if args[0] == "pressure":
+        assert 0.0 < data["zero"] < 10.0
+    else:
+        assert data["scheme"] == "wcmc" and data["checks"]
 
 
 def test_unknown_subcommand_exits_2():

@@ -19,6 +19,7 @@ from moranlab import (
     MultiplicativeModel,
     RectangleModel,
     SimilitudeMap,
+    SubTree,
     attractor_cloud,
     decay_constants,
     tractability_probe,
@@ -69,11 +70,18 @@ def test_multiplicative_level_sum_matches_enumeration():
 
 
 def test_suffix_sum_composes_with_level_sum():
+    """Level 5 is level 2 weighted by each prefix's window ratio over 3 levels."""
     model = MultiplicativeModel((1 / 3, 1 / 2), seed_diameter=3.0)
-    t = 0.6
-    total = model.level_log_sum(t, 5)
-    split = model.level_log_sum(t, 2) + model.suffix_log_sum(t, 2, 3)
-    assert total == pytest.approx(split, abs=1e-12)
+    general = GeneralModel(model.log_diam, Alphabet(2), seed_diameter=3.0)
+    t, full = 0.6, SubTree((2,) * 5)
+    (ratio,) = model.window_ratios(t, 2, 3, full)
+    split = model.level_log_sum(t, 2) + math.log(ratio)
+    assert model.level_log_sum(t, 5) == pytest.approx(split, abs=1e-12)
+    ratios = general.window_ratios(t, 2, 3, full)
+    assert ratios == pytest.approx([ratio] * 4, rel=1e-12)
+    prefixes = [general.diam(w) ** t for w in general.alphabet.words(2)]
+    split = math.log(sum(d * q for d, q in zip(prefixes, ratios)))
+    assert general.level_log_sum(t, 5) == pytest.approx(split, abs=1e-12)
 
 
 def test_multiplicative_input_validation():

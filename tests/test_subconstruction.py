@@ -3,15 +3,19 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranlab import (
     DomainError,
+    EnumerationCapError,
     GeneralModel,
     HEISENBERG,
+    LevelModel,
     MultiplicativeModel,
+    RectangleModel,
     StratificationData,
     SubTree,
     beta_minus,
@@ -164,6 +168,119 @@ def test_window_argument_validation():
         verify_cmsc(model, tree, 0.4, 4.0, 1)  # depth too small
     with pytest.raises(DomainError):
         verify_cmsc(model, SubTree((2, 2)), 0.4, 4.0, 10)  # shallow subtree
+
+
+# -- window ratios against the enumerating reference ------------------------------
+
+
+def enumerated_window(model, subtree, t, depth):
+    """The prefix-by-prefix scan the level arrays replaced: ``(min, max, witnesses)``."""
+    ratio_min, ratio_max = math.inf, -math.inf
+    wit_low = wit_high = ((), 0)
+    levels = [[()]]
+    for k in range(1, depth + 1):
+        b = subtree.branch(k)
+        levels.append([w + (s,) for w in levels[k - 1] for s in range(b)])
+    # the root reads log_diam(()) like every other word; for a rectangle this
+    # is 0.5 * log 2, one ulp below log(hypot(1, 1))
+    log_diam = {(): model.log_diam(())}
+    for lvl in levels[1:]:
+        for w in lvl:
+            log_diam[w] = model.log_diam(w)
+    for m in range(0, depth):
+        for i in levels[m]:
+            base = t * log_diam[i]
+            for n in range(1, depth - m + 1):
+                acc = [t * log_diam[u] - base for u in levels[m + n] if u[:m] == i]
+                ratio = float(np.exp(acc).sum())
+                if ratio < ratio_min:
+                    ratio_min, wit_low = ratio, (i, n)
+                if ratio > ratio_max:
+                    ratio_max, wit_high = ratio, (i, n)
+    return ratio_min, ratio_max, wit_low, wit_high
+
+
+def report_window(report):
+    return report.ratio_min, report.ratio_max, report.witness_low, report.witness_high
+
+
+@st.composite
+def subtrees(draw, a):
+    depth = draw(st.integers(2, 6 if a < 4 else 5))
+    return SubTree(tuple(draw(st.lists(st.integers(1, a), min_size=depth, max_size=depth))))
+
+
+@st.composite
+def grid_models(draw):
+    """General models with log-diameters on a grid: many window ratios tie."""
+    a = draw(st.integers(2, 4))
+    step = draw(st.sampled_from([0.25, 0.5, 1 / 3, 0.1]))
+    weight = draw(st.lists(st.integers(-6, -1), min_size=a, max_size=a))
+    wobble = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=5))
+    seed = draw(st.sampled_from([0.5, 1.0, 2.0]))
+
+    def log_diam(w):
+        k = sum((i + 1) * s for i, s in enumerate(w)) % len(wobble)
+        return step * (sum(weight[s] for s in w) + wobble[k])
+
+    return GeneralModel(log_diam, Alphabet(a), seed)
+
+
+@st.composite
+def rectangle_models(draw):
+    a = draw(st.integers(2, 4))
+    side = st.lists(st.floats(0.05, 0.95), min_size=a, max_size=a)
+    return RectangleModel(draw(side), draw(side))
+
+
+@given(st.one_of(grid_models(), rectangle_models()), st.data())
+@settings(max_examples=60, deadline=None)
+def test_window_matches_the_enumerating_reference(model, data):
+    tree = data.draw(subtrees(model.alphabet.size))
+    t = data.draw(st.sampled_from([0.3, 0.5, T_STAR, 1.0, 1.7]))
+    report = verify_cmsc(model, tree, t, 4.0, tree.depth)
+    assert report_window(report) == enumerated_window(model, tree, t, tree.depth)
+
+
+def test_window_matches_the_reference_on_a_greedy_tree():
+    gen = GeneralModel(ternary_model().log_diam, Alphabet(3))
+    tree = cantor_branch_sequence(0.4, 9)
+    report = verify_cmsc(gen, tree, 0.4, 4.0, 9)
+    assert report_window(report) == enumerated_window(gen, tree, 0.4, 9)
+
+
+def test_closed_form_window_witnesses_are_leftmost_prefixes():
+    tree = cantor_branch_sequence(0.4, 8)
+    for model in (ternary_model(), LevelModel.from_level_ratios(lambda n: 1 / 3, 3)):
+        assert model.window_ratios(0.4, 3, 2, tree).shape == (1,)
+        report = verify_cmsc(model, tree, 0.4, 4.0, 8)
+        for word, n in (report.witness_low, report.witness_high):
+            assert word == (0,) * len(word) and 1 <= n <= 8 - len(word)
+
+
+@given(st.one_of(grid_models(), rectangle_models()), st.data())
+@settings(max_examples=40, deadline=None)
+def test_subtree_level_sum_matches_brute_force(model, data):
+    tree = data.draw(subtrees(model.alphabet.size))
+    t = data.draw(st.sampled_from([0.3, 1.0, 1.7]))
+    for n in range(tree.depth + 1):
+        brute = math.log(sum(math.exp(t * model.log_diam(w)) for w in tree.words(n)))
+        assert model.level_log_sum(t, n, tree) == pytest.approx(brute, abs=1e-12)
+
+
+def test_subtree_levels_honour_the_enumeration_cap(monkeypatch):
+    tree = SubTree((3, 3, 2, 3))  # levels of 3, 9, 18 and 54 words
+    monkeypatch.setenv("MORANLAB_ENUM_CAP", "20")
+    for make in (
+        lambda: GeneralModel(ternary_model().log_diam, Alphabet(3)),
+        lambda: RectangleModel((0.5, 0.3, 0.2), (0.4, 0.6, 0.1)),
+    ):
+        assert verify_cmsc(make(), tree, 0.5, 100.0, 3).depth == 3
+        make().level_log_sum(0.5, 3, tree)
+        with pytest.raises(EnumerationCapError):
+            verify_cmsc(make(), tree, 0.5, 100.0, 4)
+        with pytest.raises(EnumerationCapError):
+            make().level_log_sum(0.5, 4, tree)
 
 
 # -- Carnot sequences ----------------------------------------------------------------
