@@ -211,7 +211,7 @@ def _cmd_generate(args) -> int:
 
 
 def _default_scales(cloud) -> list[float]:
-    pts = [[float(c) for c in p] for p in cloud.points]
+    pts = cloud.float_rows()
     span = max(
         max(col) - min(col) for col in zip(*pts)
     )

@@ -30,8 +30,11 @@ class QuadraticNumber:
     d: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        # Fractions are immutable: keep them rather than copy them
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
         if self.d <= 1 or _issquare(self.d):
             raise ValueError("d must be a non-square integer > 1")
 

@@ -12,9 +12,11 @@ one-sided: sampling can miss extremes, never invent them.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -56,6 +58,11 @@ class ContractionMap:
         """Exact ``(lower, upper)`` metric distortion, or ``None`` if unknown."""
         return None
 
+    def exact_affine(self) -> tuple[object, tuple] | None:
+        """``(r, c)`` with ``apply(x)[j] == r * x[j] + c[j]`` exactly, ``r``
+        the map's own exact ratio; ``None`` unless every parameter is exact."""
+        return None
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -79,6 +86,12 @@ class SimilitudeMap(ContractionMap):
 
     def lip_bounds(self):
         return (float(self.ratio), float(self.ratio))
+
+    def exact_affine(self):
+        r, f = self.ratio, self.fixed_point
+        if exact_value(r) is None or any(exact_value(c) is None for c in f):
+            return None
+        return r, tuple(c - r * c for c in f)
 
     def to_json(self):
         return {
@@ -138,6 +151,11 @@ class CombMap(ContractionMap):
 
     def lip_bounds(self):
         return (float(self.r), float(self.r))
+
+    def exact_affine(self):
+        if exact_value(self.r) is None or exact_value(self.shift) is None:
+            return None
+        return self.r, (self.shift, 0)
 
     def to_json(self):
         return {"kind": "comb", "r": float(self.r), "shift": self.shift}
@@ -202,23 +220,25 @@ class PointCloud:
     labels have length ``depth`` and appear in lexicographic order, so the
     samples of a piece form one contiguous index range (:meth:`piece`).
     Points keep the scalar type of the system that made them.
+    ``coordinates`` is ``space.coordinates(points)``, built once per cloud
+    unless the builder passes the same array in.
     """
 
     space: MetricSpace
     depth: int
     labels: tuple[Word, ...]
     points: tuple
+    coordinates: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.coordinates is None:
+            object.__setattr__(self, "coordinates", self.space.coordinates(self.points))
 
     def __len__(self) -> int:
         return len(self.points)
 
     def items(self) -> Iterator[tuple[Word, object]]:
         return zip(self.labels, self.points)
-
-    @cached_property
-    def coordinates(self) -> np.ndarray:
-        """``space.coordinates(points)``, built once per cloud."""
-        return self.space.coordinates(self.points)
 
     def piece(self, word: Word) -> slice:
         """Index range of the samples whose label starts with ``word``."""
@@ -229,6 +249,13 @@ class PointCloud:
         hi = bisect.bisect_left(self.labels, word[:-1] + (word[-1] + 1,), lo)
         return slice(lo, hi)
 
+    def float_rows(self) -> list[list[float]]:
+        """``[[float(c) for c in p] for p in points]``, read off ``coordinates``
+        where those are float rows (every space but the symbol tree)."""
+        if self.coordinates.dtype == float:
+            return self.coordinates.tolist()
+        return [[float(c) for c in p] for p in self.points]
+
     def to_csv(self) -> str:
         if isinstance(self.space, SymbolSpace):
             header = "word,point"
@@ -238,8 +265,8 @@ class PointCloud:
             names = ["x", "y", "z"][:dim] if dim <= 3 else ["c%d" % i for i in range(dim)]
             header = "word," + ",".join(names)
             rows = [
-                "%s,%s" % (word_str(w), ",".join("%.12g" % float(c) for c in p))
-                for w, p in self.items()
+                "%s,%s" % (word_str(w), ",".join("%.12g" % c for c in x))
+                for w, x in zip(self.labels, self.float_rows())
             ]
         return "\n".join([header] + rows) + "\n"
 
@@ -283,6 +310,11 @@ class ContractionSystem:
         """
         return [m.apply(p) for m in self.maps for p in level]
 
+    @cached_property
+    def map_lip_bounds(self) -> tuple[tuple[float, float] | None, ...]:
+        """``lip_bounds()`` of each map, computed once per system."""
+        return tuple(m.lip_bounds() for m in self.maps)
+
     def word_lip_bounds(self, word: Word) -> tuple[float, float, bool]:
         """Two-sided contraction bounds of ``phi_w`` and whether they are exact.
 
@@ -303,7 +335,7 @@ class ContractionSystem:
         lo, hi = 1.0, 1.0
         exact = True
         for s in word:
-            b = self.maps[s].lip_bounds()
+            b = self.map_lip_bounds[s]
             if b is None:
                 raise DomainError(
                     "map %d has no exact contraction bounds; sample with "
@@ -335,7 +367,7 @@ class ContractionSystem:
         (similitudes, comb branches, Carnot halvings); otherwise sampled
         from the cloud, with the usual one-sided caveat.
         """
-        bounds = [m.lip_bounds() for m in self.maps]
+        bounds = self.map_lip_bounds
         seed = self._estimated_seed_diameter(cloud)
         if all(b is not None and b[0] == b[1] for b in bounds):
             ratios = [self.space.metric_bound(b[0]) for b in bounds]
@@ -412,11 +444,133 @@ def attractor_cloud(
     count = system.alphabet.size**depth * samples_per_leaf
     _check_enum(count, "attractor cloud at depth %d" % depth)
     seeds = system.seed_points[:samples_per_leaf]
+    labels = tuple(w for w in system.alphabet.words(depth) for _ in seeds)
+    levels = _integer_levels(system, seeds)
+    if levels is not None:
+        level = next(itertools.islice(levels, depth - 1, None))
+        return PointCloud(system.space, depth, labels, level.points(), level.coordinates())
     points = seeds
     for _ in range(depth):
         points = system.next_level(points)
-    labels = tuple(w for w in system.alphabet.words(depth) for _ in seeds)
     return PointCloud(system.space, depth, labels, tuple(points))
+
+
+# ---------------------------------------------------------------------------
+# integer levels of exact affine systems
+# ---------------------------------------------------------------------------
+
+
+def _integer_parts(x) -> tuple[int, int, int]:
+    """``(den, a, b)`` with ``x == (a + b*sqrt(d)) / den`` for an exact scalar."""
+    if isinstance(x, QuadraticNumber):
+        a, b = x.a, x.b
+        den = math.lcm(a.denominator, b.denominator)
+        return den, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    x = Fraction(x)
+    return x.denominator, x.numerator, 0
+
+
+def _over(parts: list[tuple[int, int, int]], den: int) -> tuple[list[int], list[int]]:
+    """Numerators ``a``, ``b`` of ``parts`` over the common denominator ``den``."""
+    return [a * (den // q) for q, a, _ in parts], [b * (den // q) for q, _, b in parts]
+
+
+@dataclass(frozen=True)
+class _IntegerLevel:
+    """One level of points ``(a[j][k] + b[j][k]*sqrt(d)) / den``.
+
+    ``a[j]`` and ``b[j]`` are object arrays of Python ints, coordinate ``j``
+    of every point; ``b`` is ``None`` on rational systems (``d == 1``).
+    """
+
+    den: int
+    a: list
+    b: list | None
+    d: int
+
+    def coordinates(self) -> np.ndarray:
+        """``float(exact)`` bit for bit: ints divide with correct rounding,
+        and quadratic numbers convert as ``float(a) + float(b) * sqrt(d)``."""
+        cols = [(a / self.den).astype(float) for a in self.a]
+        if self.b is not None:
+            root = math.sqrt(self.d)
+            cols = [x + (b / self.den).astype(float) * root for x, b in zip(cols, self.b)]
+        return np.column_stack(cols)
+
+    def points(self) -> tuple:
+        """The exact points, with the values and types of :meth:`apply_word`."""
+        den, d = self.den, self.d
+        if self.b is None:
+            cols = [[Fraction(a, den) for a in col] for col in self.a]
+        else:
+            cols = [
+                [QuadraticNumber(Fraction(a, den), Fraction(b, den), d) for a, b in zip(ca, cb)]
+                for ca, cb in zip(self.a, self.b)
+            ]
+        return tuple(zip(*cols))
+
+
+def _integer_levels(system: ContractionSystem, seeds: Sequence) -> Iterator[_IntegerLevel] | None:
+    """Levels 1, 2, ... of ``seeds`` under ``system`` on integer numerators.
+
+    Applies when every map has an exact affine form whose ratio is a
+    ``Fraction`` (rational systems) or a quadratic number of one radicand
+    ``d``, and every offset and seed coordinate is an exact scalar of that
+    field, with as many coordinates as the space.  Then ``apply_word``
+    gives ``Fraction`` (resp. ``QuadraticNumber``) coordinates only, and
+    the levels hold the same values and point order as
+    :meth:`ContractionSystem.next_level`.  Otherwise returns ``None``.
+    """
+    forms = [m.exact_affine() for m in system.maps]
+    if any(f is None for f in forms):
+        return None
+    ratios = [r for r, _ in forms]
+    if all(type(r) is Fraction for r in ratios):
+        d = 1
+    elif all(isinstance(r, QuadraticNumber) and r.d == ratios[0].d for r in ratios):
+        d = ratios[0].d
+    else:
+        return None
+    n = system.space.coordinate_dim
+    scalars = [c for _, cs in forms for c in cs] + [c for p in seeds for c in p]
+    if not (
+        all(len(cs) == n for _, cs in forms)
+        and all(isinstance(p, tuple) and len(p) == n for p in seeds)
+        and all(
+            type(c) in (int, Fraction) or (isinstance(c, QuadraticNumber) and c.d == d)
+            for c in scalars
+        )
+    ):
+        return None
+    # map k: x_j -> ((p + q sqrt d) x_j + (u_j + v_j sqrt d)) / den over one den
+    parts = [[_integer_parts(r), *map(_integer_parts, cs)] for r, cs in forms]
+    den = math.lcm(*(q for row in parts for q, _, _ in row))
+    maps = [_over(row, den) for row in parts]
+    seed_parts = [_integer_parts(c) for p in seeds for c in p]
+    level_den = math.lcm(*(q for q, _, _ in seed_parts))
+    a, b = (np.array(v, dtype=object).reshape(-1, n).T for v in _over(seed_parts, level_den))
+    seed_level = _IntegerLevel(level_den, list(a), list(b) if d > 1 else None, d)
+    return _iterate_levels(maps, den, d, seed_level)
+
+
+def _iterate_levels(maps, den: int, d: int, level: _IntegerLevel) -> Iterator[_IntegerLevel]:
+    """``maps[k] = (a, b)``: numerators over ``den`` of map k's ratio (index
+    0) and offsets (index ``j + 1``); each level is every map applied to
+    every point of the previous one, maps outermost as in ``next_level``."""
+    while True:
+        D, A, B = level.den, level.a, level.b
+        if B is None:
+            A = [np.concatenate([a[0] * x + a[j + 1] * D for a, _ in maps])
+                 for j, x in enumerate(A)]
+        else:
+            A, B = (
+                [np.concatenate([a[0] * x + (b[0] * d) * y + a[j + 1] * D for a, b in maps])
+                 for j, (x, y) in enumerate(zip(A, B))],
+                [np.concatenate([b[0] * x + a[0] * y + b[j + 1] * D for a, b in maps])
+                 for j, (x, y) in enumerate(zip(A, B))],
+            )
+        level = _IntegerLevel(den * D, A, B, d)
+        yield level
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +666,6 @@ class CollisionScan:
         return len(self.collisions)
 
 
-def _anchor_sum_exact(coeffs: Sequence[int], powers: Sequence):
-    """``sum c_k r^k`` for ``c_k`` in ``{-1, 0, 1}``, from the exact powers ``r^k``."""
-    total = powers[0] * 0
-    for c, power in zip(coeffs, powers):
-        if c:
-            total = total + power if c > 0 else total - power
-    return total
-
-
 def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
     """Search for word pairs whose comb anchors ``x_i = sum i_k r^{k-1}`` agree.
 
@@ -594,9 +739,16 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
         return cvec
 
     if r_exact is not None:
-        exact_pows = [r_exact * 0 + 1]  # r^0 .. r^(depth-1), once per scan
-        for _ in range(1, depth):
-            exact_pows.append(exact_pows[-1] * r_exact)
+        # r^k = (A_k + B_k sqrt d) / den^(depth-1) with integers A_k, B_k; as
+        # sqrt d is irrational, sum c_k r^k = 0 iff both integer sums vanish
+        den, p, q = _integer_parts(r_exact)
+        qd = q * r_exact.d if isinstance(r_exact, QuadraticNumber) else 0
+        A, B, a, b = [], [], 1, 0
+        for k in range(depth):
+            scale = den ** (depth - 1 - k)
+            A.append(a * scale)
+            B.append(b * scale)
+            a, b = a * p + b * qd, a * q + b * p
     confirmed: dict[tuple[int, ...], float] = {}
     for cvec in candidates:
         canon = canonical(cvec)
@@ -604,7 +756,7 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
             continue
         gap = abs(sum(c * pows[k] for k, c in enumerate(canon)))
         if r_exact is not None:
-            if _is_exact_zero(_anchor_sum_exact(canon, exact_pows)):
+            if sum(c * x for c, x in zip(canon, A)) == 0 == sum(c * y for c, y in zip(canon, B)):
                 confirmed[canon] = 0.0
             elif gap > 0:
                 min_gap = min(min_gap, gap)
@@ -620,12 +772,6 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
         triples.append((u, v, gap))
     triples.sort(key=lambda p: (len(p[0]), p[0], p[1]))
     return CollisionScan(tuple(triples), min_gap, r_exact is not None, depth, tol)
-
-
-def _is_exact_zero(x) -> bool:
-    if isinstance(x, QuadraticNumber):
-        return x.is_zero()
-    return x == 0
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +795,18 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
     if isinstance(x, (list, tuple)):
         x = tuple(x)
     words: list[Word] = list(system.alphabet.words_up_to(depth))
-    level, points = (x,), []
-    for _ in range(depth):
-        level = system.next_level(level)
-        points.extend(level)
+    space = system.space
+    levels = _integer_levels(system, (x,))
+    if levels is not None:
+        # the probes are the float rows themselves: float(exact) bit for bit
+        X = np.concatenate([level.coordinates() for level in itertools.islice(levels, depth)])
+        points = X
+    else:
+        level, points = (x,), []
+        for _ in range(depth):
+            level = system.next_level(level)
+            points.extend(level)
+        X = space.coordinates(points)
     try:
         lowers = [system.word_lip_bounds(w)[0] for w in words]
     except DomainError:
@@ -671,8 +825,6 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
         span[k] = size ** (depth - len(w))
         lo[k] = v * span[k]
     hi = lo + span
-    space = system.space
-    X = space.coordinates(points)
     best = math.inf
     for i in range(len(words) - 1):
         # later words are no shorter, so only words[i] can be a prefix

@@ -2,13 +2,16 @@
 
 Each fast path is checked against a scalar reference: the kernels against
 ``space.distance``, greedy covers and packings against the pairwise scan,
-and level-by-level clouds against ``apply_word``.
+level-by-level clouds against ``apply_word``, and the integer levels of
+exact systems against exact scalar arithmetic.
 """
 
 import math
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from moranlab import (
     GOLDEN_RATIO,
     Alphabet,
+    CombMap,
     CombSpace,
     ContractionSystem,
     DomainError,
@@ -23,6 +27,7 @@ from moranlab import (
     HeisenbergSpace,
     PointCloud,
     QuadraticNumber,
+    SimilitudeMap,
     SnowflakeSpace,
     SymbolSpace,
     attractor_cloud,
@@ -30,11 +35,14 @@ from moranlab import (
     load_spec,
     local_stopping_set,
     maximal_packing,
+    osc_collision_scan,
     pressure_zero,
     semiconformal_bounds,
     separation_epsilon,
 )
-from moranlab.words import incomparable
+from moranlab.cli import _default_scales
+from moranlab.systems import _integer_levels
+from moranlab.words import incomparable, word_str
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 T_STAR = math.log(2) / math.log(3)
@@ -315,3 +323,222 @@ def test_symbolic_semiconformal_bounds_match_the_pair_loop():
         bounds = semiconformal_bounds(system, word)
         assert (bounds.lower, bounds.upper) == pairwise_semiconformal_bounds(system, word)
         assert not bounds.exact
+
+
+# -- integer levels of exact systems against exact scalar arithmetic -------------------
+
+# ratios in (0, 1) with denominators up to 40, 7/19 drawn on purpose
+ratios = st.fractions(min_value=Fraction(1, 40), max_value=Fraction(39, 40), max_denominator=40)
+offsets = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=50))
+golden_field = st.builds(
+    lambda a, b: QuadraticNumber(a, b, 5),
+    st.fractions(-2, 2, max_denominator=20),
+    st.fractions(-2, 2, max_denominator=20),
+)
+
+
+@st.composite
+def rational_similitudes(draw):
+    """Two or three rational similitudes on the line or the plane, exact seeds."""
+    dim, size = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    ratio = st.one_of(ratios, st.just(Fraction(7, 19)))
+    maps = [SimilitudeMap(draw(ratio), draw(st.tuples(*[offsets] * dim))) for _ in range(size)]
+    seeds = draw(st.lists(st.tuples(*[offsets] * dim), min_size=1, max_size=2))
+    depth = draw(st.integers(1, 10 if size == 2 else 6))
+    return ContractionSystem(EuclideanSpace(dim), maps, seeds), depth
+
+
+@st.composite
+def comb_systems(draw):
+    """Comb branches with one ratio field: rational, or quadratic in sqrt 5."""
+    quadratic = draw(st.booleans())
+    if quadratic:
+        ratio = st.one_of(st.just(GOLDEN_RATIO), golden_field.filter(lambda r: 0 < float(r) < 1))
+        seed = st.one_of(offsets, golden_field)
+    else:
+        ratio, seed = ratios, offsets
+    maps = [CombMap(draw(ratio), shift) for shift in range(draw(st.integers(2, 3)))]
+    seeds = draw(st.lists(st.tuples(seed, seed), min_size=1, max_size=2))
+    space = draw(st.sampled_from([EuclideanSpace(2), CombSpace(0.5)]))
+    return ContractionSystem(space, maps, seeds), draw(st.integers(1, 8 if len(maps) == 2 else 5))
+
+
+def exact_cloud(system, depth, seeds):
+    """``apply_word`` on every word and seed, in cloud order."""
+    return tuple(system.apply_word(w, p) for w in system.alphabet.words(depth) for p in seeds)
+
+
+def float_bits(points):
+    return np.array([[float(c) for c in p] for p in points], dtype=float).tobytes()
+
+
+def per_point_epsilon(system, x, depth):
+    """The exact-point path: levels of exact points, then their float rows."""
+    words = list(system.alphabet.words_up_to(depth))
+    level, points = (tuple(x),), []
+    for _ in range(depth):
+        level = system.next_level(level)
+        points.extend(level)
+    sep = np.array([system.word_lip_bounds(w)[0] for w in words])
+    # word w covers the depth-``depth`` index range [lo, hi)
+    size = system.alphabet.size
+    span = np.array([size ** (depth - len(w)) for w in words])
+    value = [sum(s * size ** (len(w) - 1 - k) for k, s in enumerate(w)) for w in words]
+    lo = np.array(value) * span
+    hi = lo + span
+    X = system.space.coordinates(points)
+    best = math.inf
+    for i in range(len(words) - 1):
+        j = slice(i + 1, None)
+        ratio = system.space.distances(X[j], points[i]) / (sep[i] + sep[j])
+        ratio[(lo[i] <= lo[j]) & (hi[j] <= hi[i])] = np.inf
+        best = min(best, float(ratio.min()))
+    return best
+
+
+def check_integer_levels(system, depth):
+    seeds = system.seed_points
+    assert _integer_levels(system, seeds) is not None
+    cloud = attractor_cloud(system, depth, samples_per_leaf=len(seeds))
+    want = exact_cloud(system, depth, seeds)
+    assert cloud.points == want
+    types = lambda pts: [type(c) for p in pts for c in p]  # noqa: E731
+    assert types(cloud.points) == types(want)
+    assert cloud.coordinates.tobytes() == float_bits(want)
+    assert cloud.coordinates.tobytes() == system.space.coordinates(want).tobytes()
+    x, depth = seeds[-1], min(depth, 6)
+    assert separation_epsilon(system, x, depth) == per_point_epsilon(system, x, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=rational_similitudes())
+def test_rational_similitude_levels_equal_exact_arithmetic(case):
+    check_integer_levels(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=comb_systems())
+def test_comb_levels_equal_exact_arithmetic(case):
+    check_integer_levels(*case)
+
+
+def test_integer_numerators_outgrow_int64():
+    system = ContractionSystem(
+        EuclideanSpace(1),
+        (SimilitudeMap(Fraction(7, 19), (0,)), SimilitudeMap(Fraction(5, 23), (Fraction(1, 997),))),
+        ((Fraction(1, 3),),),
+    )
+    for level, _ in zip(_integer_levels(system, system.seed_points), range(8)):
+        pass
+    assert level.den > 2**63 and max(level.a[0]) > 2**63
+    check_integer_levels(system, 8)
+
+
+@pytest.mark.parametrize(
+    "maps, seeds",
+    [
+        # rational and quadratic ratios in one system
+        ((CombMap(Fraction(1, 2), 0), CombMap(GOLDEN_RATIO, 1)), ((0, Fraction(1, 2)),)),
+        # rational ratios, a quadratic seed coordinate
+        ((CombMap(Fraction(1, 2), 0), CombMap(Fraction(1, 3), 1)), ((GOLDEN_RATIO, 1),)),
+        # exact maps, a float seed
+        ((CombMap(Fraction(1, 2), 0), CombMap(Fraction(1, 3), 1)), ((0.5, 1),)),
+        # a float ratio
+        ((CombMap(0.5, 0), CombMap(Fraction(1, 3), 1)), ((0, 1),)),
+    ],
+)
+def test_mixed_systems_fall_back_to_exact_scalars(maps, seeds):
+    system = ContractionSystem(EuclideanSpace(2), maps, seeds)
+    assert _integer_levels(system, seeds) is None
+    cloud = attractor_cloud(system, 4)
+    want = exact_cloud(system, 4, seeds)
+    assert cloud.points == want
+    assert [type(c) for p in cloud.points for c in p] == [type(c) for p in want for c in p]
+    assert cloud.coordinates.tobytes() == float_bits(want)
+    assert separation_epsilon(system, seeds[0], 4) == per_point_epsilon(system, seeds[0], 4)
+
+
+def test_two_radicands_still_raise():
+    maps = (CombMap(GOLDEN_RATIO, 0), CombMap(QuadraticNumber(0, Fraction(1, 2), 2), 1))
+    system = ContractionSystem(EuclideanSpace(2), maps, ((0, 1),))
+    assert _integer_levels(system, system.seed_points) is None
+    with pytest.raises(ValueError, match="mixed radicands"):
+        attractor_cloud(system, 2)
+
+
+def test_ragged_seeds_still_raise():
+    maps = [SimilitudeMap(Fraction(1, 3), (0, k)) for k in (0, 1)]
+    system = ContractionSystem(EuclideanSpace(2), maps, ((0, 1), (0,)))
+    assert _integer_levels(system, system.seed_points) is None
+    with pytest.raises(DomainError, match="2-dimensional"):
+        attractor_cloud(system, 3, samples_per_leaf=2).coordinates
+
+
+def uneven_similitudes(space):
+    maps = [SimilitudeMap(r, (k,)) for k, r in enumerate((Fraction(1, 3), Fraction(1, 4), 0.4))]
+    return ContractionSystem(space, maps, ((0,),))
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        shipped_system("cantor"),
+        shipped_system("comb"),
+        shipped_system("heisenberg"),
+        uneven_similitudes(EuclideanSpace(1)),
+        uneven_similitudes(SnowflakeSpace(EuclideanSpace(1), 0.5)),
+    ],
+    ids=["cantor", "comb", "heisenberg", "uneven", "uneven-snowflake"],
+)
+def test_word_bounds_are_the_per_letter_products(system):
+    bound = system.space.metric_bound
+    for word in system.alphabet.words_up_to(2 if system.alphabet.size > 3 else 5):
+        lo, hi, exact = 1.0, 1.0, True
+        for s in word:
+            b = system.maps[s].lip_bounds()
+            lo, hi, exact = lo * b[0], hi * b[1], exact and b[0] == b[1]
+        assert system.word_lip_bounds(word) == (bound(lo), bound(hi), exact)
+
+
+def exact_collisions(r, depth):
+    """Canonical colliding pairs by brute force over exact anchor sums."""
+    pairs = set()
+    for m in range(1, depth + 1):
+        for c in product((-1, 0, 1), repeat=m):
+            if c[-1] == 0 or next(x for x in c if x) < 0:
+                continue
+            total = r * 0
+            for k, x in enumerate(c):
+                total = total + x * r**k
+            if total == 0:
+                u = tuple(int(x > 0) for x in c)
+                v = tuple(int(x < 0) for x in c)
+                pairs.add((u, v) if u > v else (v, u))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "r", [GOLDEN_RATIO, QuadraticNumber(0, Fraction(1, 2), 2), Fraction(2, 3), Fraction(5, 7)]
+)
+def test_collision_scan_agrees_with_exact_anchor_sums(r):
+    pairs = exact_collisions(r, 7)
+    # a wide tolerance makes many near misses candidates; each is re-decided
+    for depth, tol in product(range(1, 8), (1e-9, 0.5)):
+        scan = osc_collision_scan(r, depth, tol)
+        assert scan.exact
+        assert {(u, v) for u, v, _ in scan} == {p for p in pairs if len(p[0]) <= depth}
+        assert all(gap == 0.0 for _, _, gap in scan)
+
+
+@pytest.mark.parametrize("name", SHIPPED_SYSTEMS)
+def test_csv_and_default_scales_read_the_float_rows(name):
+    system = shipped_system(name)
+    cloud = attractor_cloud(system, 2 if name == "heisenberg" else 5)
+    rows = [[float(c) for c in p] for p in cloud.points]
+    assert cloud.float_rows() == rows
+    if name != "symbolifs":
+        body = ["%s,%s" % (word_str(w), ",".join("%.12g" % float(c) for c in p))
+                for w, p in cloud.items()]
+        assert cloud.to_csv().splitlines()[1:] == body
+    span = max(max(col) - min(col) for col in zip(*rows))
+    assert _default_scales(cloud) == [span * 2.0**-k for k in range(2, 7)]
