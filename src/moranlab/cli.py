@@ -11,36 +11,19 @@ byte-identical output.
 Exit codes: 0 success (and all conditions hold), 1 a checked condition
 is violated, 2 unusable input (file, JSON, flags), 3 a domain or
 resource error (out-of-range parameter, enumeration cap).
+
+Each handler imports the modules its subcommand needs, so a call loads
+only those (``beta`` loads no numpy).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .dimension import minkowski_estimate
-from .errors import DomainError, EnumerationCapError
-from .models import validate_cmc, validate_wcmc
-from .pressure import pressure_curve, pressure_zero
-from .spaces import SymbolSpace
-from .specio import SpecError, load_spec, parse_scalar
-from .subconstruction import (
-    StratificationData,
-    beta_minus,
-    beta_plus,
-    cantor_branch_sequence,
-    verify_cmsc,
-)
-from .systems import (
-    CombMap,
-    attractor_cloud,
-    ball_condition_probe,
-    finite_clustering_sup,
-    osc_collision_scan,
-    separation_epsilon,
-)
-from .words import SubTree, word_str
+from .errors import DomainError, EnumerationCapError, SpecError
 
 
 def _round12(value: float) -> float:
@@ -69,6 +52,8 @@ def _emit(obj) -> None:
 
 def _spec_model(spec):
     """Spec's model; induces one from a generated cloud when required."""
+    from .systems import attractor_cloud
+
     try:
         return spec.get_model()
     except DomainError:
@@ -82,6 +67,9 @@ def _spec_model(spec):
 
 
 def _cmd_pressure(args) -> int:
+    from .pressure import pressure_curve, pressure_zero
+    from .specio import load_spec
+
     spec = load_spec(args.spec)
     model = _spec_model(spec)
     if args.zero:
@@ -110,43 +98,84 @@ def _cmd_pressure(args) -> int:
     return 0
 
 
+def _number(text: str, flag: str):
+    """One finite number of ``flag`` (int, float or ``p/q``), exact where written so."""
+    from .specio import parse_scalar
+
+    value = parse_scalar(text)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int or fraction beyond the float range
+        finite = False
+    if not finite:
+        raise SpecError("%s takes finite numbers, got %r" % (flag, text))
+    return value
+
+
+def _numbers(text: str, flag: str) -> list[float]:
+    """A comma list of finite numbers, as floats."""
+    return [float(_number(v, flag)) for v in text.split(",") if v]
+
+
+def _integers(text: str, flag: str) -> tuple[int, ...]:
+    """A non-empty comma list of integers."""
+    try:
+        values = tuple(int(v) for v in text.split(",") if v)
+    except ValueError:
+        raise SpecError("%s takes comma-separated integers, got %r" % (flag, text)) from None
+    if not values:
+        raise SpecError("%s needs at least one integer" % flag)
+    return values
+
+
 def _parse_grid(text: str) -> list[float]:
     """``a:b:n`` for n evenly spaced values, or a comma list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise SpecError("grid must be start:stop:count or a comma list")
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+        a, b = (float(_number(v, "--t-grid")) for v in parts[:2])
+        try:
+            n = int(parts[2])
+        except ValueError:
+            raise SpecError("grid count must be an integer, got %r" % parts[2]) from None
         if n < 2 or not a < b:
             raise SpecError("grid needs start < stop and count >= 2")
         return [a + (b - a) * k / (n - 1) for k in range(n)]
-    values = [float(parse_scalar(v)) for v in text.split(",") if v]
+    values = _numbers(text, "--t-grid")
     if not values:
         raise SpecError("empty grid")
     return values
 
 
-def _parse_subtree(text: str | None, t: float | None, depth: int) -> SubTree:
+def _parse_subtree(text: str | None, t: float | None, depth: int):
     if text is None or text == "greedy":
+        from .subconstruction import cantor_branch_sequence
+
         if t is None:
             raise SpecError("subconstruction checks need --t")
         return cantor_branch_sequence(t, depth)
-    counts = tuple(int(v) for v in text.split(",") if v)
-    if not counts:
-        raise SpecError("empty subtree counts")
-    return SubTree(counts)
+    from .words import SubTree
+
+    return SubTree(_integers(text, "--subtree"))
 
 
 def _cmd_validate(args) -> int:
+    from .specio import load_spec
+
     spec = load_spec(args.spec)
     model = _spec_model(spec)
     if args.axioms == "cmsc":
+        from .subconstruction import verify_cmsc
+
         if args.t is None:
             raise SpecError("cmsc validation needs --t")
         subtree = _parse_subtree(args.subtree, args.t, args.depth)
         report = verify_cmsc(model, subtree, args.t, args.constant, args.depth)
         _emit(report.to_json())
         return 0 if report.holds else 1
+    from .models import validate_cmc, validate_wcmc
+
     validate = validate_wcmc if args.axioms == "wcmc" else validate_cmc
     report = validate(model, args.depth)
     _emit(report.to_json())
@@ -194,6 +223,10 @@ def _ppm(cloud, pixels: int) -> str:
 
 
 def _cmd_generate(args) -> int:
+    from .spaces import SymbolSpace
+    from .specio import load_spec
+    from .systems import attractor_cloud
+
     spec = load_spec(args.spec)
     system = spec.require_system()
     cloud = attractor_cloud(system, args.depth, args.samples)
@@ -206,6 +239,8 @@ def _cmd_generate(args) -> int:
     elif args.out == "ppm":
         if isinstance(system.space, SymbolSpace):
             raise SpecError("symbolic clouds have no plane rendering; use csv")
+        if args.pixels < 1:
+            raise DomainError("--pixels must be at least 1, got %d" % args.pixels)
         sys.stdout.write(_ppm(cloud, args.pixels))
     return 0
 
@@ -231,6 +266,10 @@ def _model_scale_ratio(model) -> float:
 
 
 def _cmd_dimension(args) -> int:
+    from .dimension import minkowski_estimate
+    from .specio import load_spec
+    from .systems import attractor_cloud
+
     spec = load_spec(args.spec)
     system = spec.require_system()
     cloud = attractor_cloud(system, args.depth, args.samples)
@@ -243,6 +282,11 @@ def _cmd_dimension(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from .specio import load_spec
+    from .systems import attractor_cloud, ball_condition_probe, finite_clustering_sup
+    from .systems import osc_collision_scan, separation_epsilon
+    from .words import word_str
+
     spec = load_spec(args.spec)
     if args.probe == "osc-collisions":
         r = _probe_ratio(spec, args)
@@ -261,18 +305,14 @@ def _cmd_probe(args) -> int:
         return 0
     system = spec.require_system()
     if args.probe == "epsilon":
-        x = _probe_point(system, args)
+        x = _probe_point(system, args.x)
         value = separation_epsilon(system, x, args.depth)
         _emit({"epsilon": value, "depth": args.depth})
         return 0
     cloud = attractor_cloud(system, args.depth, args.samples)
     model = spec.get_model(cloud)
     if args.probe == "clustering":
-        radii = (
-            [float(parse_scalar(v)) for v in args.scales.split(",") if v]
-            if args.scales
-            else _default_scales(cloud)
-        )
+        radii = _numbers(args.scales, "--scales") if args.scales else _default_scales(cloud)
         sup = finite_clustering_sup(model, cloud, args.x_samples, radii)
         _emit(
             {
@@ -287,9 +327,9 @@ def _cmd_probe(args) -> int:
     if args.probe == "ball":
         if args.r is None:
             raise SpecError("ball probe needs --r")
-        r = float(parse_scalar(args.r))
-        deltas = [float(parse_scalar(v)) for v in args.deltas.split(",") if v]
-        x = _probe_point(system, args)
+        r = float(_number(args.r, "--r"))
+        deltas = _numbers(args.deltas, "--deltas")
+        x = _probe_point(system, args.x)
         probe = ball_condition_probe(model, cloud, x, r, deltas)
         _emit(
             {
@@ -304,8 +344,10 @@ def _cmd_probe(args) -> int:
 
 
 def _probe_ratio(spec, args):
+    from .systems import CombMap
+
     if args.r is not None:
-        return parse_scalar(args.r)
+        return _number(args.r, "--r")
     system = spec.system
     if system is not None:
         for m in system.maps:
@@ -314,18 +356,34 @@ def _probe_ratio(spec, args):
     raise SpecError("no --r given and the spec has no comb ratio to reuse")
 
 
-def _probe_point(system, args):
-    if args.x is not None:
-        coords = tuple(parse_scalar(v) for v in args.x.split(","))
-        if isinstance(system.space, SymbolSpace):
-            return tuple(int(c) for c in coords)
-        return coords
-    return system.seed_points[0]
+def _probe_point(system, text: str | None):
+    """``--x`` (else the first seed point): as wide as the seeds, or a word of letters."""
+    from .spaces import SymbolSpace
+
+    if text is None:
+        return system.seed_points[0]
+    coords = tuple(_number(v, "--x") for v in text.split(","))
+    if isinstance(system.space, SymbolSpace):
+        size = system.space.alphabet.size
+        if not all(float(c).is_integer() and 0 <= c < size for c in coords):
+            raise DomainError(
+                "symbol points are words of integer letters 0..%d, got --x %s"
+                % (size - 1, text)
+            )
+        return tuple(int(c) for c in coords)
+    width = len(system.seed_points[0])
+    if len(coords) != width:
+        raise DomainError(
+            "points of different dimension: --x has width %d, the space's points %d"
+            % (len(coords), width)
+        )
+    return coords
 
 
 def _cmd_beta(args) -> int:
-    layers = tuple(int(v) for v in args.layers.split(",") if v)
-    strat = StratificationData(layers)
+    from .stratification import StratificationData, beta_minus, beta_plus
+
+    strat = StratificationData(_integers(args.layers, "--layers"))
     _emit(
         {
             "beta_minus": beta_minus(strat, args.alpha),

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -72,7 +70,6 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
     raise DomainError("unknown box-count method %r" % method)
 
 
-@dataclass(frozen=True)
 class MinkowskiEstimate:
     """Least-squares slope of ``log N(r)`` against ``log(1/r)``.
 
@@ -80,11 +77,16 @@ class MinkowskiEstimate:
     per-scale log-log residuals are kept for inspection and plotting.
     """
 
-    slope: float
-    r_squared: float
-    radii: tuple[float, ...]
-    counts: tuple[int, ...]
-    residuals: tuple[float, ...]
+    __slots__ = ("slope", "r_squared", "radii", "counts", "residuals")
+
+    def __init__(
+        self, slope: float, r_squared: float, radii: tuple, counts: tuple, residuals: tuple
+    ):
+        self.slope = slope
+        self.r_squared = r_squared
+        self.radii = radii
+        self.counts = counts
+        self.residuals = residuals
 
     def __iter__(self):
         return iter((self.slope, self.r_squared))
@@ -213,7 +215,6 @@ def maximal_packing(space, center, R: float, r: float, candidates) -> list:
     return [inside[k] for k in _greedy_centers(space, X[window], inside, sep)]
 
 
-@dataclass(frozen=True)
 class PackingGrowth:
     """Witnessed two-sided growth of packing counts in the ratio ``R/r``.
 
@@ -223,11 +224,14 @@ class PackingGrowth:
     window is ``[alpha2, alpha1]``.  Unpacks as ``a1, a2, c = growth``.
     """
 
-    alpha1: float
-    alpha2: float
-    c: float
-    ratios: tuple[float, ...]
-    counts: tuple[float, ...]
+    __slots__ = ("alpha1", "alpha2", "c", "ratios", "counts")
+
+    def __init__(self, alpha1: float, alpha2: float, c: float, ratios: tuple, counts: tuple):
+        self.alpha1 = alpha1
+        self.alpha2 = alpha2
+        self.c = c
+        self.ratios = ratios
+        self.counts = counts
 
     def __iter__(self):
         return iter((self.alpha1, self.alpha2, self.c))

@@ -16,3 +16,7 @@ class EnumerationCapError(RuntimeError):
     The cap exists so that a careless depth/alphabet combination fails
     fast instead of exhausting memory.  See :func:`moranlab.words.enum_cap`.
     """
+
+
+class SpecError(ValueError):
+    """Malformed specification input (file, JSON shape, key, or flag value)."""

@@ -5,13 +5,13 @@ rational, so deciding whether two composed affine maps share a fixed point
 cannot be done reliably in floating point.  ``QuadraticNumber`` represents
 ``a + b * sqrt(d)`` with ``fractions.Fraction`` coefficients, which is closed
 under the ring operations used by anchor arithmetic and gives exact zero
-tests.  Plain rationals are the special case ``b = 0``.
+tests.  Plain rationals are the special case ``b = 0``.  As with
+``Fraction``, arithmetic with a ``float`` gives a ``float``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -21,22 +21,28 @@ def _issquare(n: int) -> bool:
     return r * r == n
 
 
-@dataclass(frozen=True)
 class QuadraticNumber:
-    """``a + b * sqrt(d)`` with rational ``a``, ``b`` and square-free ``d > 1``."""
+    """``a + b * sqrt(d)`` with rational ``a``, ``b`` and square-free ``d > 1``.
 
-    a: Fraction
-    b: Fraction
-    d: int
+    Immutable and hashable (equal to the rational ``a`` when ``b == 0``).
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d: int) -> None:
         # Fractions are immutable: keep them rather than copy them
-        if type(self.a) is not Fraction:
-            object.__setattr__(self, "a", Fraction(self.a))
-        if type(self.b) is not Fraction:
-            object.__setattr__(self, "b", Fraction(self.b))
-        if self.d <= 1 or _issquare(self.d):
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
+        if d <= 1 or _issquare(d):
             raise ValueError("d must be a non-square integer > 1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadraticNumber is immutable")
 
     # -- ring operations -------------------------------------------------
 
@@ -52,7 +58,7 @@ class QuadraticNumber:
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return float(self) + other if isinstance(other, float) else NotImplemented
         return QuadraticNumber(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
@@ -63,19 +69,19 @@ class QuadraticNumber:
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return float(self) - other if isinstance(other, float) else NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return other - float(self) if isinstance(other, float) else NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return float(self) * other if isinstance(other, float) else NotImplemented
         return QuadraticNumber(
             self.a * o.a + self.b * o.b * self.d,
             self.a * o.b + self.b * o.a,

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -201,7 +200,12 @@ class MultiplicativeModel(DiameterModel):
     def _branch_log_sums(self, t: float, levels: range, subtree, out: float) -> float:
         """``out`` plus ``log(sum(r**t))`` over the kept branches of each level."""
         for b in self._branches(levels, subtree):
-            out += math.log(sum(r**t for r in self.ratios[:b]))
+            total = sum(r**t for r in self.ratios[:b])
+            if total == 0.0:  # every r**t underflowed: sum in log space
+                top = max(self.log_ratios[:b])
+                total = sum(math.exp(t * (v - top)) for v in self.log_ratios[:b])
+                out += t * top
+            out += math.log(total)
         return out
 
     def level_log_sum(self, t: float, n: int, subtree: SubTree | None = None) -> float:
@@ -358,8 +362,7 @@ VIOLATED = "violated"
 NOT_CHECKABLE = "not-checkable"
 
 
-@dataclass
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     axiom: str
     status: str
     constant: float | None = None
@@ -378,12 +381,14 @@ class AxiomCheck:
         }
 
 
-@dataclass
 class AxiomReport:
-    scheme: str
-    depth: int
-    checks: list[AxiomCheck] = field(default_factory=list)
-    constant: float | None = None
+    __slots__ = ("scheme", "depth", "checks", "constant")
+
+    def __init__(self, scheme: str, depth: int):
+        self.scheme = scheme
+        self.depth = depth
+        self.checks: list[AxiomCheck] = []
+        self.constant: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -521,8 +526,7 @@ def validate_cmc(model: DiameterModel, depth: int) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """Witnessed constants for ``diam(i) <= c * rho**len(i)`` up to a depth."""
 
     c: float | None
@@ -558,7 +562,6 @@ def decay_constants(model: DiameterModel, depth: int) -> DecayFit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TractabilityReport:
     """Witnessed constant for ``dist(X_hi, X_hj) <= C diam(X_h) r``.
 
@@ -567,10 +570,13 @@ class TractabilityReport:
     listed prefixes and radii were probed.
     """
 
-    constant: float
-    entries: list[dict] = field(default_factory=list)
-    skipped_radii: list[tuple[float, str]] = field(default_factory=list)
-    lower_bound: bool = True
+    __slots__ = ("constant", "entries", "skipped_radii", "lower_bound")
+
+    def __init__(self, constant: float):
+        self.constant = constant
+        self.entries: list[dict] = []
+        self.skipped_radii: list[tuple[float, str]] = []
+        self.lower_bound = True
 
     def to_json(self) -> dict:
         return {

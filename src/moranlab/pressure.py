@@ -16,8 +16,7 @@ value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError
 from .models import DiameterModel
@@ -65,8 +64,7 @@ def _bisect_zero(f: Callable[[float], float], tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class PressureZero:
+class PressureZero(NamedTuple):
     """A finite-depth pressure zero with a two-depth stability diagnostic.
 
     ``drift`` is ``value - reference_value``; when it exceeds the stability
@@ -175,8 +173,7 @@ def _check_feasible(a0, a1, b0, b1) -> None:
         raise DomainError("rectangles must fit disjointly: a0+a1 <= 1 and b0+b1 <= 1")
 
 
-@dataclass(frozen=True)
-class PressureCurve:
+class PressureCurve(NamedTuple):
     """Sampled map ``t -> P_depth(t)`` for plotting and CSV export."""
 
     depth: int

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +59,8 @@ class MetricSpace:
     """Base class; subclasses set ``kind`` and implement ``distance`` and
     the kernel pair ``coordinates`` / ``distances``."""
 
+    __slots__ = ()
+
     kind: str = "abstract"
     #: ultrametric spaces satisfy d(x,z) <= max(d(x,y), d(y,z))
     ultrametric: bool = False
@@ -85,15 +86,15 @@ class MetricSpace:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class EuclideanSpace(MetricSpace):
-    dim: int
+    __slots__ = ("dim",)
 
     kind = "euclidean"
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int):
+        if dim < 1:
             raise DomainError("dimension must be >= 1")
+        self.dim = dim
 
     @property
     def coordinate_dim(self) -> int:
@@ -118,7 +119,6 @@ class EuclideanSpace(MetricSpace):
         return {"kind": "euclidean", "dim": self.dim}
 
 
-@dataclass(frozen=True)
 class SnowflakeSpace(MetricSpace):
     """The base metric raised to ``p`` in (0, 1): ``d(x, y) ** p``.
 
@@ -128,14 +128,15 @@ class SnowflakeSpace(MetricSpace):
     with base-metric Lipschitz bound ``s`` has bound ``s ** p``.
     """
 
-    base: MetricSpace
-    p: float
+    __slots__ = ("base", "p")
 
     kind = "snowflake"
 
-    def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise DomainError("snowflake exponent must lie in (0, 1), got %r" % self.p)
+    def __init__(self, base: MetricSpace, p: float):
+        if not 0.0 < p < 1.0:
+            raise DomainError("snowflake exponent must lie in (0, 1), got %r" % p)
+        self.base = base
+        self.p = p
 
     @property
     def ultrametric(self) -> bool:
@@ -164,7 +165,6 @@ class SnowflakeSpace(MetricSpace):
         return {"kind": "snowflake", "base": self.base.to_json(), "p": self.p}
 
 
-@dataclass(frozen=True)
 class SymbolSpace(MetricSpace):
     """The branch space with the dyadic tree metric.
 
@@ -173,10 +173,13 @@ class SymbolSpace(MetricSpace):
     that agree there have unresolved (reported as zero) distance.
     """
 
-    alphabet: Alphabet
+    __slots__ = ("alphabet",)
 
     kind = "symbol"
     ultrametric = True
+
+    def __init__(self, alphabet: Alphabet):
+        self.alphabet = alphabet
 
     def distance(self, u: Word, v: Word) -> float:
         m = min(len(u), len(v))
@@ -209,8 +212,7 @@ class SymbolSpace(MetricSpace):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CombMembership:
+class CombMembership(NamedTuple):
     member: bool
     part: str | None = None  # "spine" | "base-tooth" | "tooth"
     word: Word | None = None
@@ -290,18 +292,10 @@ class CombSpace(MetricSpace):
 
     def to_json(self) -> dict:
         from .exactnum import QuadraticNumber
+        from .specio import scalar_to_json
 
-        if isinstance(self.r, QuadraticNumber):
-            rj = {
-                "sqrt": {
-                    "a": [self.r.a.numerator, self.r.a.denominator],
-                    "b": [self.r.b.numerator, self.r.b.denominator],
-                    "d": self.r.d,
-                }
-            }
-        else:
-            rj = float(self.r)
-        return {"kind": "comb", "r": rj}
+        r = scalar_to_json(self.r) if isinstance(self.r, QuadraticNumber) else float(self.r)
+        return {"kind": "comb", "r": r}
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,12 @@ way into map arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, SpecError
 from .exactnum import QuadraticNumber
-from .models import DiameterModel, LevelModel, MultiplicativeModel, RectangleModel
 from .spaces import SymbolSpace, space_from_json
 from .systems import (
     Affine2DMap,
@@ -37,9 +36,8 @@ from .systems import (
     SymbolMap,
 )
 
-
-class SpecError(ValueError):
-    """Malformed specification input (file, JSON shape, or key)."""
+if TYPE_CHECKING:  # models load on first use: clouds of a system do not need them
+    from .models import DiameterModel
 
 
 def parse_scalar(value):
@@ -138,6 +136,8 @@ def map_from_dict(data: dict):
 
 
 def model_from_dict(data: dict) -> DiameterModel:
+    from .models import LevelModel, MultiplicativeModel, RectangleModel
+
     kind = data.get("kind")
     if kind == "multiplicative":
         return MultiplicativeModel(
@@ -163,8 +163,7 @@ def model_from_dict(data: dict) -> DiameterModel:
     raise SpecError("unknown model kind %r" % kind)
 
 
-@dataclass
-class LoadedSpec:
+class LoadedSpec(NamedTuple):
     """A parsed spec file: a system and/or a diameter model."""
 
     name: str

@@ -3,9 +3,9 @@
 Two builders produce per-level branch counts whose controlled Moran
 subconstruction pins the Hausdorff dimension at a prescribed exponent:
 a greedy base-3 rule on the ternary Cantor tree and a dyadic rule on
-stratified (Carnot) groups, where :func:`beta_minus` / :func:`beta_plus`
-convert between Euclidean and gauge dimensions.  :func:`verify_cmsc`
-checks the defining window
+stratified (Carnot) groups (see :mod:`moranlab.stratification` for the
+dimension comparison functions).  :func:`verify_cmsc` checks the defining
+window
 
     C^{-1} * diam(X_i)^t  <  sum over descendants at level |i|+n
                               of diam(X_ij)^t  <  C * diam(X_i)^t
@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 from .models import DiameterModel, LevelModel
 from .spaces import HeisenbergSpace
+from .stratification import StratificationData, beta_minus
 from .systems import CarnotMap, ContractionSystem
 from .words import SubTree, Word, word_str
 
@@ -32,83 +33,11 @@ LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 
 
 # ---------------------------------------------------------------------------
-# stratified groups
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StratificationData:
-    """Layer dimensions ``(m_1, ..., m_s)`` of a stratified group."""
-
-    layer_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.layer_dims:
-            raise DomainError("need at least one layer")
-        if any(m < 1 for m in self.layer_dims):
-            raise DomainError("layer dimensions must be positive integers")
-        object.__setattr__(self, "layer_dims", tuple(int(m) for m in self.layer_dims))
-
-    @property
-    def steps(self) -> int:
-        return len(self.layer_dims)
-
-    @property
-    def topological_dim(self) -> int:
-        return sum(self.layer_dims)
-
-    @property
-    def homogeneous_dim(self) -> int:
-        """``Q = sum_j j * m_j``: the gauge dimension of the whole group."""
-        return sum(j * m for j, m in enumerate(self.layer_dims, start=1))
-
-
-HEISENBERG = StratificationData((2, 1))
-
-
-def beta_minus(strat: StratificationData, alpha: float) -> float:
-    """Lower dimension comparison function.
-
-    Piecewise linear: ``alpha`` Euclidean dimensions are filled into the
-    layers starting from the lightest weight (layer ``j`` costs ``j`` per
-    unit), so it is the cheapest gauge dimension compatible with the
-    Euclidean one.  ``beta_minus(N) = Q`` at the topological dimension N.
-    """
-    return _beta_fill(strat, alpha, reverse=False)
-
-
-def beta_plus(strat: StratificationData, alpha: float) -> float:
-    """Upper dimension comparison function (fill heaviest layers first)."""
-    return _beta_fill(strat, alpha, reverse=True)
-
-
-def _beta_fill(strat: StratificationData, alpha: float, reverse: bool) -> float:
-    a = float(alpha)
-    if not 0.0 < a <= strat.topological_dim:
-        raise DomainError(
-            "alpha must lie in (0, %d], got %r" % (strat.topological_dim, alpha)
-        )
-    layers = list(enumerate(strat.layer_dims, start=1))
-    if reverse:
-        layers.reverse()
-    total = 0.0
-    remaining = a
-    for weight, cap in layers:
-        take = min(remaining, cap)
-        total += weight * take
-        remaining -= take
-        if remaining <= 0.0:
-            break
-    return total
-
-
-# ---------------------------------------------------------------------------
 # CMSC window check
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CmscReport:
+class CmscReport(NamedTuple):
     """Outcome of the window check at exponent ``t`` and constant ``C``.
 
     ``ratio_min``/``ratio_max`` are the extreme observed values of
@@ -160,8 +89,10 @@ def verify_cmsc(
     """
     if depth < 2:
         raise DomainError("window check needs depth >= 2")
-    if C <= 1.0:
-        raise DomainError("the window constant must exceed 1")
+    if not 1.0 < C < math.inf:
+        raise DomainError("the window constant must be finite and exceed 1, got %r" % C)
+    if not math.isfinite(t):
+        raise DomainError("the exponent must be finite, got %r" % t)
     if subtree.depth < depth:
         raise DomainError(
             "subtree provides %d levels but depth %d was requested"

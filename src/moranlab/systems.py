@@ -15,16 +15,14 @@ import bisect
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .exactnum import QuadraticNumber, exact_value
-from .models import GeneralModel, MultiplicativeModel
 from .spaces import (
     MetricSpace,
     SymbolSpace,
@@ -49,6 +47,8 @@ class ContractionMap:
     """One branch map.  Subclasses implement ``apply`` and, when the exact
     two-sided contraction bounds are known, ``lip_bounds``."""
 
+    __slots__ = ()
+
     kind: str = "abstract"
 
     def apply(self, point):
@@ -67,18 +67,18 @@ class ContractionMap:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class SimilitudeMap(ContractionMap):
     """``x -> fixed + ratio * (x - fixed)`` in Euclidean space."""
 
-    ratio: float
-    fixed_point: tuple
+    __slots__ = ("ratio", "fixed_point")
 
     kind = "similitude"
 
-    def __post_init__(self):
-        if not 0.0 < float(self.ratio) < 1.0:
+    def __init__(self, ratio, fixed_point: tuple):
+        if not 0.0 < float(ratio) < 1.0:
             raise DomainError("similitude ratio must lie in (0, 1)")
+        self.ratio = ratio
+        self.fixed_point = fixed_point
 
     def apply(self, point):
         r, f = self.ratio, self.fixed_point
@@ -101,14 +101,16 @@ class SimilitudeMap(ContractionMap):
         }
 
 
-@dataclass(frozen=True)
 class Affine2DMap(ContractionMap):
     """``x -> A x + b`` on the plane; distortion = singular values of A."""
 
-    matrix: tuple[tuple[float, float], tuple[float, float]]
-    translation: tuple[float, float]
+    __slots__ = ("matrix", "translation")
 
     kind = "affine2d"
+
+    def __init__(self, matrix: tuple[tuple[float, float], ...], translation: tuple[float, float]):
+        self.matrix = matrix
+        self.translation = translation
 
     def apply(self, point):
         (a, b), (c, d) = self.matrix
@@ -131,7 +133,6 @@ class Affine2DMap(ContractionMap):
         }
 
 
-@dataclass(frozen=True)
 class CombMap(ContractionMap):
     """``(x, y) -> (r x + shift, r y)``: one branch of the comb system.
 
@@ -140,10 +141,13 @@ class CombMap(ContractionMap):
     algebraic ratios reliable.
     """
 
-    r: object
-    shift: int
+    __slots__ = ("r", "shift")
 
     kind = "comb"
+
+    def __init__(self, r, shift: int):
+        self.r = r
+        self.shift = shift
 
     def apply(self, point):
         x, y = point
@@ -161,7 +165,6 @@ class CombMap(ContractionMap):
         return {"kind": "comb", "r": float(self.r), "shift": self.shift}
 
 
-@dataclass(frozen=True)
 class SymbolMap(ContractionMap):
     """Prefix-rewriting map on the branch space.
 
@@ -170,9 +173,12 @@ class SymbolMap(ContractionMap):
     every (non-empty) cylinder onto a cylinder.
     """
 
-    table: tuple[Word, ...]
+    __slots__ = ("table",)
 
     kind = "symbol"
+
+    def __init__(self, table: tuple[Word, ...]):
+        self.table = table
 
     def apply(self, word: Word) -> Word:
         if len(word) == 0:
@@ -183,7 +189,6 @@ class SymbolMap(ContractionMap):
         return {"kind": "symbol", "table": [list(w) for w in self.table]}
 
 
-@dataclass(frozen=True)
 class CarnotMap(ContractionMap):
     """``p -> a * delta_{1/2}(a^{-1} * p)`` on the Heisenberg group.
 
@@ -191,9 +196,12 @@ class CarnotMap(ContractionMap):
     so the map contracts the gauge distance by exactly one half.
     """
 
-    anchor: tuple[float, float, float]
+    __slots__ = ("anchor",)
 
     kind = "carnot"
+
+    def __init__(self, anchor: tuple[float, float, float]):
+        self.anchor = anchor
 
     def apply(self, point):
         a = self.anchor
@@ -212,7 +220,6 @@ class CarnotMap(ContractionMap):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PointCloud:
     """Deterministically ordered samples of the level-``depth`` pieces.
 
@@ -224,15 +231,16 @@ class PointCloud:
     unless the builder passes the same array in.
     """
 
-    space: MetricSpace
-    depth: int
-    labels: tuple[Word, ...]
-    points: tuple
-    coordinates: np.ndarray = field(default=None, repr=False, compare=False)
+    __slots__ = ("space", "depth", "labels", "points", "coordinates")
 
-    def __post_init__(self):
-        if self.coordinates is None:
-            object.__setattr__(self, "coordinates", self.space.coordinates(self.points))
+    def __init__(
+        self, space: MetricSpace, depth: int, labels: tuple, points: tuple, coordinates=None
+    ):
+        self.space = space
+        self.depth = depth
+        self.labels = labels
+        self.points = points
+        self.coordinates = space.coordinates(points) if coordinates is None else coordinates
 
     def __len__(self) -> int:
         return len(self.points)
@@ -271,25 +279,23 @@ class PointCloud:
         return "\n".join([header] + rows) + "\n"
 
 
-@dataclass
 class ContractionSystem:
     """Ambient space + branch maps + seed points (+ optional known diameter)."""
 
-    space: MetricSpace
-    maps: tuple[ContractionMap, ...]
-    seed_points: tuple
-    seed_diameter: float | None = None
-    name: str = ""
-
-    def __post_init__(self):
-        if len(self.maps) < 2:
+    def __init__(
+        self, space: MetricSpace, maps, seed_points, seed_diameter: float | None = None, name=""
+    ):
+        if len(maps) < 2:
             raise DomainError("a contraction system needs at least two maps")
-        if len(self.seed_points) < 1:
+        if len(seed_points) < 1:
             raise DomainError("a contraction system needs at least one seed point")
-        self.maps = tuple(self.maps)
+        self.space = space
+        self.maps = tuple(maps)
         self.seed_points = tuple(
-            tuple(p) if isinstance(p, (list, tuple)) else p for p in self.seed_points
+            tuple(p) if isinstance(p, (list, tuple)) else p for p in seed_points
         )
+        self.seed_diameter = seed_diameter
+        self.name = name
 
     @property
     def alphabet(self) -> Alphabet:
@@ -367,6 +373,8 @@ class ContractionSystem:
         (similitudes, comb branches, Carnot halvings); otherwise sampled
         from the cloud, with the usual one-sided caveat.
         """
+        from .models import GeneralModel, MultiplicativeModel
+
         bounds = self.map_lip_bounds
         seed = self._estimated_seed_diameter(cloud)
         if all(b is not None and b[0] == b[1] for b in bounds):
@@ -475,8 +483,7 @@ def _over(parts: list[tuple[int, int, int]], den: int) -> tuple[list[int], list[
     return [a * (den // q) for q, a, _ in parts], [b * (den // q) for q, _, b in parts]
 
 
-@dataclass(frozen=True)
-class _IntegerLevel:
+class _IntegerLevel(NamedTuple):
     """One level of points ``(a[j][k] + b[j][k]*sqrt(d)) / den``.
 
     ``a[j]`` and ``b[j]`` are object arrays of Python ints, coordinate ``j``
@@ -578,7 +585,6 @@ def _iterate_levels(maps, den: int, d: int, level: _IntegerLevel) -> Iterator[_I
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SemiconformalBounds:
     """Witnessed distortion interval of a word map.
 
@@ -587,12 +593,20 @@ class SemiconformalBounds:
     bound can only be smaller, the true upper bound only larger.
     """
 
-    lower: float
-    upper: float
-    exact: bool
+    __slots__ = ("lower", "upper", "exact")
+
+    def __init__(self, lower: float, upper: float, exact: bool):
+        self.lower = lower
+        self.upper = upper
+        self.exact = exact
 
     def __iter__(self):
         return iter((self.lower, self.upper))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SemiconformalBounds):
+            return NotImplemented
+        return (self.lower, self.upper, self.exact) == (other.lower, other.upper, other.exact)
 
 
 def semiconformal_bounds(
@@ -642,7 +656,6 @@ def semiconformal_bounds(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CollisionScan:
     """Result of :func:`osc_collision_scan`.
 
@@ -653,11 +666,16 @@ class CollisionScan:
     non-collision anchor difference seen across the whole scan.
     """
 
-    collisions: tuple[tuple[Word, Word, float], ...]
-    min_nonzero_gap: float
-    exact: bool
-    depth: int
-    tol: float
+    __slots__ = ("collisions", "min_nonzero_gap", "exact", "depth", "tol")
+
+    def __init__(
+        self, collisions: tuple, min_nonzero_gap: float, exact: bool, depth: int, tol: float
+    ):
+        self.collisions = collisions
+        self.min_nonzero_gap = min_nonzero_gap
+        self.exact = exact
+        self.depth = depth
+        self.tol = tol
 
     def __iter__(self):
         return iter(self.collisions)
@@ -870,8 +888,7 @@ def finite_clustering_sup(
     return best
 
 
-@dataclass(frozen=True)
-class BallConditionProbe:
+class BallConditionProbe(NamedTuple):
     """Greedy witness for the ball condition at one ``(x, r)``.
 
     ``delta`` is the largest grid value for which every local stopping
@@ -927,7 +944,6 @@ def ball_condition_probe(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SymbolicConformalityReport:
     """Exhaustive finite-depth check of the two cylinder properties.
 
@@ -936,11 +952,14 @@ class SymbolicConformalityReport:
       is exactly twice the cylinder diameter.
     """
 
-    depth: int
-    cylinder_ok: bool
-    cylinder_violations: list[tuple[int, Word]] = field(default_factory=list)
-    distance_ok: bool = True
-    max_distance_error: float = 0.0
+    __slots__ = ("depth", "cylinder_ok", "cylinder_violations", "distance_ok", "max_distance_error")
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.cylinder_ok = True
+        self.cylinder_violations: list[tuple[int, Word]] = []
+        self.distance_ok = True
+        self.max_distance_error = 0.0
 
     @property
     def passed(self) -> bool:
@@ -973,7 +992,7 @@ def proper_semiconformality_check_symbolic(
     # cylinders live in the space's tree, not the (possibly narrower) tree
     # indexed by the system's own maps
     alphabet = getattr(system.space, "alphabet", system.alphabet)
-    report = SymbolicConformalityReport(depth, True)
+    report = SymbolicConformalityReport(depth)
 
     for w in alphabet.words_up_to(depth - 1):
         tails = list(alphabet.words(depth - len(w)))

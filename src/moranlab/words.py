@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, EnumerationCapError
@@ -49,15 +48,15 @@ def _check_enum(count: int, what: str) -> None:
         raise EnumerationCapError("%s would enumerate %d words (cap %d)" % (what, count, cap))
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """The branch set ``I = {0, ..., size-1}`` shared by every level."""
 
-    size: int
+    __slots__ = ("size",)
 
-    def __post_init__(self) -> None:
-        if self.size < 2:
-            raise ValueError("alphabet needs at least two symbols, got %d" % self.size)
+    def __init__(self, size: int) -> None:
+        if size < 2:
+            raise ValueError("alphabet needs at least two symbols, got %d" % size)
+        self.size = size
 
     def symbols(self) -> range:
         return range(self.size)
@@ -140,7 +139,6 @@ def d2(u: Word, v: Word) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SubTree:
     """A level-wise pruned tree: keep the first ``b_k`` branches at level k.
 
@@ -149,16 +147,30 @@ class SubTree:
     every k <= n.  This is the shape produced by the greedy branch-sequence
     constructions, where at each level either the full branch set or a
     deterministic initial segment of it survives.
+
+    Sub-trees are immutable and compare and hash by their counts: models
+    key their cached level arrays by ``(n, subtree)``.
     """
 
-    branch_counts: tuple[int, ...]
+    __slots__ = ("branch_counts",)
 
-    def __post_init__(self) -> None:
-        counts = tuple(int(b) for b in self.branch_counts)
-        object.__setattr__(self, "branch_counts", counts)
+    def __init__(self, branch_counts: Sequence[int]) -> None:
+        counts = tuple(int(b) for b in branch_counts)
         for k, b in enumerate(counts, start=1):
             if b < 1:
-                raise ValueError("branch count at level %d must be >= 1, got %d" % (k, b))
+                raise DomainError("branch count at level %d must be >= 1, got %d" % (k, b))
+        object.__setattr__(self, "branch_counts", counts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SubTree is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SubTree):
+            return NotImplemented
+        return self.branch_counts == other.branch_counts
+
+    def __hash__(self) -> int:
+        return hash(self.branch_counts)
 
     @property
     def depth(self) -> int:
@@ -240,7 +252,6 @@ def stopping_set(model, r: float, max_depth: int = 64) -> list[Word]:
     return sorted(out)  # an antichain sorts into depth-first order
 
 
-@dataclass(frozen=True)
 class LocalStoppingSet:
     """Result of :func:`local_stopping_set`.
 
@@ -250,9 +261,12 @@ class LocalStoppingSet:
     many cloud points witnessed ``candidates[i]``.
     """
 
-    words: tuple[Word, ...]
-    candidates: tuple[Word, ...]
-    sample_counts: tuple[int, ...]
+    __slots__ = ("words", "candidates", "sample_counts")
+
+    def __init__(self, words: tuple, candidates: tuple, sample_counts: tuple) -> None:
+        self.words = words
+        self.candidates = candidates
+        self.sample_counts = sample_counts
 
     def __len__(self) -> int:
         return len(self.words)

@@ -1,0 +1,155 @@
+"""Malformed flag values through ``cli.main``: every call ends with a clean exit.
+
+Exit codes: 0/1 print one JSON document (or CSV/SVG/PPM), 2 (unusable
+input) and 3 (domain or resource error) print one ``error:`` line and
+nothing on stdout.  The fuzz test draws whole command lines; the cases
+above it pin the bugs it guards against.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moranlab import cli
+
+PKG_ROOT = Path(__file__).resolve().parent.parent
+SPEC_NAMES = ("cantor", "comb", "heisenberg", "nsq", "selfaffine", "supercantor", "symbolifs")
+
+
+def run_main(argv):
+    """``(exit code, stdout, stderr)`` of one in-process call; argparse exits count."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError("non-finite number %s in the output" % name)
+
+
+def assert_clean_exit(argv, code, out, err):
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code in (2, 3):
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        assert out == "", (argv, out)
+    elif _emits_json(argv):
+        assert out.count("\n") == 1, (argv, out)
+        json.loads(out, parse_constant=_reject_constant)
+
+
+def _emits_json(argv) -> bool:
+    if argv[0] == "pressure":
+        return "--zero" in argv
+    return argv[0] != "generate"
+
+
+# -- known cases of that class, one test each -------------------------------------
+
+BAD_POINTS = [
+    (["probe", "specs/comb.json", "--probe", "epsilon", "--x", "0.5", "--depth", "8"],
+     "--x has width 1, the space's points 2"),
+    (["probe", "specs/heisenberg.json", "--probe", "epsilon", "--x", "0.5", "--depth", "2"],
+     "--x has width 1, the space's points 3"),
+    (["probe", "specs/cantor.json", "--probe", "epsilon", "--x", "0.5,0.2"],
+     "--x has width 2, the space's points 1"),
+    (["probe", "specs/cantor.json", "--probe", "ball", "--r", "0.33", "--x", "0.5,0.2"],
+     "--x has width 2, the space's points 1"),
+    (["probe", "specs/symbolifs.json", "--probe", "epsilon", "--x", "0.5"],
+     "integer letters 0..2"),
+    (["probe", "specs/symbolifs.json", "--probe", "ball", "--r", "0.3", "--x", "1,3"],
+     "integer letters 0..2"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_POINTS, ids=[" ".join(a) for a, _ in BAD_POINTS])
+def test_probe_points_of_the_wrong_width_exit_3(monkeypatch, argv, message):
+    monkeypatch.chdir(PKG_ROOT)
+    code, out, err = run_main(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and message in err
+
+
+BAD_INTEGER_LISTS = [
+    (["validate", "specs/cantor.json", "--axioms", "cmsc", "--t", "0.4", "--subtree", "x,y"],
+     "--subtree takes comma-separated integers"),
+    (["beta", "--layers", "2,x", "--alpha", "1"], "--layers takes comma-separated integers"),
+    (["beta", "--layers", ",", "--alpha", "1"], "--layers needs at least one integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", BAD_INTEGER_LISTS, ids=[" ".join(a) for a, _ in BAD_INTEGER_LISTS]
+)
+def test_integer_list_flags_exit_2(monkeypatch, argv, message):
+    monkeypatch.chdir(PKG_ROOT)
+    code, out, err = run_main(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+# -- argv fuzz --------------------------------------------------------------------
+
+NUMBERS = st.sampled_from([
+    "", ",", "x", "nan", "inf", "-inf", "1e400", "1" * 400, "-1", "0", "-0.0", "1/0",
+    "1/x", "2/3", "0.5", "0.33", "0.1,0.05", "0.5,,0.2", "1,2", "1,2,3", "0,0.5", "7",
+])
+INTEGER_LISTS = st.sampled_from(["", ",", "x,y", "2,x", "0", "-1", "1", "2,1", "1,2,1,2", "99999999999999999999"])
+GRIDS = NUMBERS | st.sampled_from(["0:1:3", "1:0:3", "0:1:1", "0:1:x", "0:1", "x:1:3", "0.1:0.9:4", ":1:3", "0:1:3,4"])
+FLOATS = st.sampled_from(["0.4", "0.1", "1", "2.5", "9", "-1", "nan", "inf", "x"])
+
+
+def _flags(draw, pairs):
+    """``--flag value`` for each ``(flag, strategy)`` pair that is drawn at all."""
+    argv = []
+    for flag, values in pairs:
+        value = draw(st.none() | values)
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(("pressure", "validate", "generate", "dimension", "probe", "beta")))
+    if command == "beta":
+        return ["beta", "--layers", draw(INTEGER_LISTS), "--alpha", draw(FLOATS)]
+    argv = [command, "specs/%s.json" % draw(st.sampled_from(SPEC_NAMES))]
+    argv += ["--depth", str(draw(st.integers(-1, 6)))]
+    if command == "pressure":
+        argv += ["--zero"] if draw(st.booleans()) else ["--t-grid", draw(GRIDS)]
+    elif command == "validate":
+        argv += ["--axioms", draw(st.sampled_from(("wcmc", "cmc", "cmsc")))]
+        argv += _flags(draw, [("--t", FLOATS), ("-C", FLOATS),
+                              ("--subtree", INTEGER_LISTS | st.just("greedy"))])
+    elif command == "generate":
+        argv += ["--out", draw(st.sampled_from(("csv", "svg", "ppm")))]
+        argv += _flags(draw, [("--samples", st.sampled_from(("0", "1", "2", "5"))),
+                              ("--pixels", st.sampled_from(("0", "1", "8")))])
+    elif command == "dimension":
+        argv += _flags(draw, [("--scales", st.sampled_from(("-2", "0", "1", "3", "2000")))])
+    else:
+        argv += ["--probe", draw(st.sampled_from(("clustering", "ball", "epsilon", "osc-collisions")))]
+        argv += _flags(draw, [("--r", NUMBERS), ("--x", NUMBERS), ("--scales", NUMBERS),
+                              ("--deltas", NUMBERS), ("--x-samples", st.sampled_from(("0", "1", "5")))])
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore:skipping r=")  # radii too fine for a shallow cloud
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines(), cap=st.sampled_from(("16", "256", "2048")))
+def test_malformed_command_lines_exit_cleanly(argv, cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(PKG_ROOT)
+        mp.setenv("MORANLAB_ENUM_CAP", cap)
+        code, out, err = run_main(argv)
+    assert_clean_exit(argv, code, out, err)

@@ -39,6 +39,14 @@ def test_rationals_mix_in_on_either_side():
     assert Fraction(1, 2) * x == x * Fraction(1, 2)
 
 
+def test_floats_mix_in_as_floats():
+    x = QuadraticNumber(Fraction(1, 3), Fraction(2, 7), 2)
+    for y in (0.1, -2.5):
+        assert x + y == y + x == float(x) + y
+        assert (x - y, y - x) == (float(x) - y, y - float(x))
+        assert x * y == y * x == float(x) * y
+
+
 def test_mixed_radicands_are_rejected():
     x = QuadraticNumber(0, 1, 2)
     y = QuadraticNumber(0, 1, 3)

@@ -133,6 +133,10 @@ def test_zero_absent_when_levels_do_not_contract():
     model = LevelModel.from_level_ratios(lambda n: 1.5, 2)
     with pytest.raises(DomainError):
         pressure_zero(model, 8)
+    # P_1(t) = log 2 + t log 6 never vanishes, and 0.6**t underflows before
+    # the search for a bracket gives up
+    with pytest.raises(DomainError):
+        pressure_zero(MultiplicativeModel((0.6, 0.6), seed_diameter=10.0), 1)
 
 
 def test_zero_argument_validation():

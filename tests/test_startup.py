@@ -1,0 +1,98 @@
+"""Start-up cost: what ``import moranlab`` and each subcommand load.
+
+Each check runs in a fresh interpreter and reads ``sys.modules`` at its
+end, so modules imported by earlier tests in this process do not count.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PKG_ROOT = Path(__file__).resolve().parent.parent
+
+# runs ``python -m moranlab`` with the arguments after ``-c``, then writes the
+# loaded module names to stderr as the last line
+RUN_CLI = (
+    "import atexit, json, runpy, sys\n"
+    "atexit.register(lambda: sys.stderr.write('\\n' + json.dumps(sorted(sys.modules))))\n"
+    "runpy.run_module('moranlab', run_name='__main__', alter_sys=True)\n"
+)
+HEAVY = {"moranlab.dimension", "moranlab.pressure", "moranlab.subconstruction"}
+
+
+def python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(PKG_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, cwd=PKG_ROOT, env=env
+    )
+
+
+def modules_after_cli(*argv) -> set:
+    result = python("-c", RUN_CLI, *argv)
+    assert result.returncode in (0, 1), result.stderr
+    return set(json.loads(result.stderr.splitlines()[-1]))
+
+
+def test_import_moranlab_loads_no_numpy():
+    result = python("-c", "import json, sys, moranlab; print(json.dumps(sorted(sys.modules)))")
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(result.stdout))
+    assert "numpy" not in loaded
+    assert not {m for m in loaded if m.startswith("moranlab.")}
+
+
+def test_beta_runs_without_numpy():
+    loaded = modules_after_cli("beta", "--layers", "2,1", "--alpha", "2.5")
+    assert "moranlab.stratification" in loaded
+    assert not {m for m in loaded if m == "numpy" or m.startswith("numpy.")}
+
+
+SKIPPED = [
+    (["generate", "specs/cantor.json", "--depth", "3"], HEAVY | {"moranlab.models"}),
+    (["probe", "specs/cantor.json", "--probe", "epsilon", "--x", "0.5", "--depth", "4"],
+     HEAVY | {"moranlab.models"}),
+    (["validate", "specs/cantor.json", "--depth", "6"], HEAVY),
+    (["validate", "specs/nsq.json", "--axioms", "cmc", "--depth", "6"], HEAVY),
+]
+
+
+@pytest.mark.parametrize("argv,skipped", SKIPPED, ids=[" ".join(a[:2] + a[3:4]) for a, _ in SKIPPED])
+def test_subcommands_skip_the_modules_they_do_not_use(argv, skipped):
+    loaded = modules_after_cli(*argv)
+    assert "moranlab.systems" in loaded
+    assert loaded.isdisjoint(skipped)
+
+
+def test_every_public_name_resolves_in_a_fresh_process():
+    code = (
+        "import moranlab\n"
+        "missing = [n for n in moranlab.__all__ if getattr(moranlab, n, None) is None]\n"
+        "assert not missing, missing\n"
+        "namespace = {}\n"
+        "exec('from moranlab import *', namespace)\n"
+        "assert set(moranlab.__all__) <= set(namespace)\n"
+        "try:\n"
+        "    moranlab.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown names must raise AttributeError')\n"
+    )
+    result = python("-c", code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_submodules_are_attributes_in_a_fresh_process():
+    code = (
+        "import moranlab\n"
+        "dimension = getattr(moranlab, 'dimension')\n"
+        "assert dimension.box_count is moranlab.box_count\n"
+        "assert moranlab.cli.main\n"
+    )
+    result = python("-c", code)
+    assert result.returncode == 0, result.stderr
