@@ -12,8 +12,12 @@ Exit codes: 0 success (and all conditions hold), 1 a checked condition
 is violated, 2 unusable input (file, JSON, flags), 3 a domain or
 resource error (out-of-range parameter, enumeration cap).
 
-Each handler imports the modules its subcommand needs, so a call loads
-only those (``beta`` loads no numpy).
+``main`` is the one dispatch path: it parses the flags, loads the spec
+once (every subcommand but ``beta`` takes one), calls the subcommand's
+handler ``(spec, args) -> (text, exit code)``, maps errors to exit codes
+and is the only writer of stdout.  ``probe`` looks its probes up in
+:data:`PROBES`.  Each handler imports the modules its subcommand needs,
+so a call loads only those (``beta`` loads no numpy).
 """
 
 from __future__ import annotations
@@ -41,12 +45,16 @@ def _clean(obj):
     return obj
 
 
-def _emit(obj) -> None:
-    print(json.dumps(_clean(obj), separators=(",", ":")))
+def _json(obj) -> str:
+    """The one JSON rendering: 12-digit floats, compact separators, one line."""
+    try:
+        return json.dumps(_clean(obj), separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:  # an overflow upstream: JSON has no infinities or NaNs
+        raise DomainError("the result is not finite; are the spec's numbers too large?") from None
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (spec, args) -> (stdout text, exit code)
 # ---------------------------------------------------------------------------
 
 
@@ -66,36 +74,33 @@ def _spec_model(spec):
         return spec.get_model(attractor_cloud(system, depth, samples))
 
 
-def _cmd_pressure(args) -> int:
-    from .pressure import pressure_curve, pressure_zero
-    from .specio import load_spec
+def _cloud_model(spec, args):
+    """The ``--depth``/``--samples`` cloud of the spec's system and its model."""
+    from .systems import attractor_cloud
 
-    spec = load_spec(args.spec)
+    cloud = attractor_cloud(spec.require_system(), args.depth, args.samples)
+    return cloud, spec.get_model(cloud)
+
+
+def _cmd_pressure(spec, args):
+    from .pressure import pressure_curve, pressure_zero
+
     model = _spec_model(spec)
-    if args.zero:
-        z = pressure_zero(model, args.depth)
-        note = (
-            "stable at this depth"
-            if z.stable
-            else "drifting (half-depth %s -> %s); extrapolated %s"
-            % tuple("%.6g" % v for v in (z.reference_value, z.value, z.extrapolated))
-        )
-        _emit(
-            {
-                "zero": z.value,
-                "depth": z.depth,
-                "reference_zero": z.reference_value,
-                "reference_depth": z.reference_depth,
-                "drift": z.drift,
-                "stable": z.stable,
-                "extrapolated": z.extrapolated,
-                "note": note,
-            }
-        )
-        return 0
-    ts = _parse_grid(args.t_grid)
-    sys.stdout.write(pressure_curve(model, ts, args.depth).to_csv())
-    return 0
+    if not args.zero:
+        return pressure_curve(model, _parse_grid(args.t_grid), args.depth).to_csv(), 0
+    z = pressure_zero(model, args.depth)
+    note = (
+        "stable at this depth"
+        if z.stable
+        else "drifting (half-depth %s -> %s); extrapolated %s"
+        % tuple("%.6g" % v for v in (z.reference_value, z.value, z.extrapolated))
+    )
+    zero = {
+        "zero": z.value, "depth": z.depth, "reference_zero": z.reference_value,
+        "reference_depth": z.reference_depth, "drift": z.drift, "stable": z.stable,
+        "extrapolated": z.extrapolated, "note": note,
+    }
+    return _json(zero), 0
 
 
 def _number(text: str, flag: str):
@@ -160,10 +165,7 @@ def _parse_subtree(text: str | None, t: float | None, depth: int):
     return SubTree(_integers(text, "--subtree"))
 
 
-def _cmd_validate(args) -> int:
-    from .specio import load_spec
-
-    spec = load_spec(args.spec)
+def _cmd_validate(spec, args):
     model = _spec_model(spec)
     if args.axioms == "cmsc":
         from .subconstruction import verify_cmsc
@@ -172,14 +174,12 @@ def _cmd_validate(args) -> int:
             raise SpecError("cmsc validation needs --t")
         subtree = _parse_subtree(args.subtree, args.t, args.depth)
         report = verify_cmsc(model, subtree, args.t, args.constant, args.depth)
-        _emit(report.to_json())
-        return 0 if report.holds else 1
+        return _json(report.to_json()), 0 if report.holds else 1
     from .models import validate_cmc, validate_wcmc
 
     validate = validate_wcmc if args.axioms == "wcmc" else validate_cmc
     report = validate(model, args.depth)
-    _emit(report.to_json())
-    return 0 if report.passed else 1
+    return _json(report.to_json()), 0 if report.passed else 1
 
 
 def _plane_box(cloud):
@@ -201,11 +201,8 @@ def _svg(cloud) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.12g %.12g %.12g %.12g">'
         % (x0, -y1, w, h)
     ]
-    for x, y in zip(xs, ys):
-        lines.append(
-            '<circle cx="%.12g" cy="%.12g" r="%.12g" fill="black"/>' % (x, -y, radius)
-        )
-    lines.append("</svg>")
+    circle = '<circle cx="%.12g" cy="%.12g" r="%.12g" fill="black"/>'
+    lines += [circle % (x, -y, radius) for x, y in zip(xs, ys)] + ["</svg>"]
     return "\n".join(lines) + "\n"
 
 
@@ -222,34 +219,25 @@ def _ppm(cloud, pixels: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(spec, args):
     from .spaces import SymbolSpace
-    from .specio import load_spec
     from .systems import attractor_cloud
 
-    spec = load_spec(args.spec)
     system = spec.require_system()
+    if args.out != "csv" and isinstance(system.space, SymbolSpace):
+        raise SpecError("symbolic clouds have no plane rendering; use csv")
+    if args.out == "ppm" and args.pixels < 1:
+        raise DomainError("--pixels must be at least 1, got %d" % args.pixels)
     cloud = attractor_cloud(system, args.depth, args.samples)
     if args.out == "csv":
-        sys.stdout.write(cloud.to_csv())
-    elif args.out == "svg":
-        if isinstance(system.space, SymbolSpace):
-            raise SpecError("symbolic clouds have no plane rendering; use csv")
-        sys.stdout.write(_svg(cloud))
-    elif args.out == "ppm":
-        if isinstance(system.space, SymbolSpace):
-            raise SpecError("symbolic clouds have no plane rendering; use csv")
-        if args.pixels < 1:
-            raise DomainError("--pixels must be at least 1, got %d" % args.pixels)
-        sys.stdout.write(_ppm(cloud, args.pixels))
-    return 0
+        return cloud.to_csv(), 0
+    if args.out == "svg":
+        return _svg(cloud), 0
+    return _ppm(cloud, args.pixels), 0
 
 
 def _default_scales(cloud) -> list[float]:
-    pts = cloud.float_rows()
-    span = max(
-        max(col) - min(col) for col in zip(*pts)
-    )
+    span = max(max(col) - min(col) for col in zip(*cloud.float_rows()))
     if span <= 0:
         raise DomainError("degenerate cloud; supply --scales")
     return [span * 2.0**-k for k in range(2, 7)]
@@ -257,90 +245,90 @@ def _default_scales(cloud) -> list[float]:
 
 def _model_scale_ratio(model) -> float:
     """Geometric spacing for scale grids: the model's ratio if uniform, else 1/2."""
-    ratios = getattr(model, "ratios", None)
-    if ratios is not None:
-        vals = {float(r) for r in ratios}
-        if len(vals) == 1:
-            return vals.pop()
-    return 0.5
+    vals = {float(r) for r in getattr(model, "ratios", ())}
+    return vals.pop() if len(vals) == 1 else 0.5
 
 
-def _cmd_dimension(args) -> int:
+def _cmd_dimension(spec, args):
     from .dimension import minkowski_estimate
-    from .specio import load_spec
-    from .systems import attractor_cloud
 
-    spec = load_spec(args.spec)
-    system = spec.require_system()
-    cloud = attractor_cloud(system, args.depth, args.samples)
-    model = spec.get_model(cloud)
+    cloud, model = _cloud_model(spec, args)
     rho = _model_scale_ratio(model)
     diam = float(model.seed_diameter)
     est = minkowski_estimate(cloud, diam * rho**args.scales, diam * rho, args.scales)
-    _emit(est.to_json())
-    return 0
+    return _json(est.to_json()), 0
 
 
-def _cmd_probe(args) -> int:
-    from .specio import load_spec
-    from .systems import attractor_cloud, ball_condition_probe, finite_clustering_sup
-    from .systems import osc_collision_scan, separation_epsilon
+# -- probes: (spec, args) -> result object ------------------------------------
+
+
+def _probe_clustering(spec, args):
+    from .systems import finite_clustering_sup
+
+    cloud, model = _cloud_model(spec, args)
+    radii = _numbers(args.scales, "--scales") if args.scales else _default_scales(cloud)
+    return {
+        "clustering_sup": finite_clustering_sup(model, cloud, args.x_samples, radii),
+        "depth": args.depth,
+        "radii": radii,
+        "x_samples": args.x_samples,
+        "note": "lower bound: finite probe points and radii",
+    }
+
+
+def _probe_ball(spec, args):
+    from .systems import ball_condition_probe
     from .words import word_str
 
-    spec = load_spec(args.spec)
-    if args.probe == "osc-collisions":
-        r = _probe_ratio(spec, args)
-        scan = osc_collision_scan(r, args.depth)
-        _emit(
-            {
-                "collisions": [
-                    {"a": word_str(u), "b": word_str(v), "gap": gap}
-                    for u, v, gap in scan.collisions
-                ],
-                "min_nonzero_gap": scan.min_nonzero_gap,
-                "exact": scan.exact,
-                "depth": scan.depth,
-            }
-        )
-        return 0
+    cloud, model = _cloud_model(spec, args)
+    if args.r is None:
+        raise SpecError("ball probe needs --r")
+    r = float(_number(args.r, "--r"))
+    deltas = _numbers(args.deltas, "--deltas")
+    x = _probe_point(spec.require_system(), args.x)
+    probe = ball_condition_probe(model, cloud, x, r, deltas)
+    return {
+        "delta": probe.delta,
+        "satisfied": probe.satisfied,
+        "r": r,
+        "words": [word_str(w) for w in probe.words],
+    }
+
+
+def _probe_epsilon(spec, args):
+    from .systems import separation_epsilon
+
     system = spec.require_system()
-    if args.probe == "epsilon":
-        x = _probe_point(system, args.x)
-        value = separation_epsilon(system, x, args.depth)
-        _emit({"epsilon": value, "depth": args.depth})
-        return 0
-    cloud = attractor_cloud(system, args.depth, args.samples)
-    model = spec.get_model(cloud)
-    if args.probe == "clustering":
-        radii = _numbers(args.scales, "--scales") if args.scales else _default_scales(cloud)
-        sup = finite_clustering_sup(model, cloud, args.x_samples, radii)
-        _emit(
-            {
-                "clustering_sup": sup,
-                "depth": args.depth,
-                "radii": radii,
-                "x_samples": args.x_samples,
-                "note": "lower bound: finite probe points and radii",
-            }
-        )
-        return 0
-    if args.probe == "ball":
-        if args.r is None:
-            raise SpecError("ball probe needs --r")
-        r = float(_number(args.r, "--r"))
-        deltas = _numbers(args.deltas, "--deltas")
-        x = _probe_point(system, args.x)
-        probe = ball_condition_probe(model, cloud, x, r, deltas)
-        _emit(
-            {
-                "delta": probe.delta,
-                "satisfied": probe.satisfied,
-                "r": r,
-                "words": [word_str(w) for w in probe.words],
-            }
-        )
-        return 0
-    raise SpecError("unknown probe %r" % args.probe)
+    x = _probe_point(system, args.x)
+    return {"epsilon": separation_epsilon(system, x, args.depth), "depth": args.depth}
+
+
+def _probe_osc_collisions(spec, args):
+    from .systems import osc_collision_scan
+    from .words import word_str
+
+    scan = osc_collision_scan(_probe_ratio(spec, args), args.depth)
+    return {
+        "collisions": [
+            {"a": word_str(u), "b": word_str(v), "gap": gap} for u, v, gap in scan.collisions
+        ],
+        "min_nonzero_gap": scan.min_nonzero_gap,
+        "exact": scan.exact,
+        "depth": scan.depth,
+    }
+
+
+# ``--probe`` takes exactly these names
+PROBES = {
+    "clustering": _probe_clustering,
+    "ball": _probe_ball,
+    "epsilon": _probe_epsilon,
+    "osc-collisions": _probe_osc_collisions,
+}
+
+
+def _cmd_probe(spec, args):
+    return _json(PROBES[args.probe](spec, args)), 0
 
 
 def _probe_ratio(spec, args):
@@ -348,11 +336,9 @@ def _probe_ratio(spec, args):
 
     if args.r is not None:
         return _number(args.r, "--r")
-    system = spec.system
-    if system is not None:
-        for m in system.maps:
-            if isinstance(m, CombMap):
-                return m.r
+    for m in spec.system.maps if spec.system is not None else ():
+        if isinstance(m, CombMap):
+            return m.r
     raise SpecError("no --r given and the spec has no comb ratio to reuse")
 
 
@@ -380,17 +366,12 @@ def _probe_point(system, text: str | None):
     return coords
 
 
-def _cmd_beta(args) -> int:
+def _cmd_beta(spec, args):
     from .stratification import StratificationData, beta_minus, beta_plus
 
     strat = StratificationData(_integers(args.layers, "--layers"))
-    _emit(
-        {
-            "beta_minus": beta_minus(strat, args.alpha),
-            "beta_plus": beta_plus(strat, args.alpha),
-        }
-    )
-    return 0
+    beta = {"beta_minus": beta_minus(strat, args.alpha), "beta_plus": beta_plus(strat, args.alpha)}
+    return _json(beta), 0
 
 
 # ---------------------------------------------------------------------------
@@ -405,76 +386,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pressure", help="pressure curve or its zero")
-    p.add_argument("spec")
+    def command(name: str, func, help: str, spec: bool = True):
+        """Subcommand ``name``, run by ``func`` on its ``spec`` file once ``main`` loads it."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if spec:
+            p.add_argument("spec")
+        return p
+
+    p = command("pressure", _cmd_pressure, "pressure curve or its zero")
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--zero", action="store_true", help="solve P_depth(t) = 0")
     p.add_argument("--t-grid", default="0.1:1.0:10", help="a:b:n or comma list")
-    p.set_defaults(func=_cmd_pressure)
 
-    p = sub.add_parser("validate", help="check construction axioms")
-    p.add_argument("spec")
+    p = command("validate", _cmd_validate, "check construction axioms")
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--axioms", choices=("wcmc", "cmc", "cmsc"), default="wcmc")
     p.add_argument("--t", type=float, default=None, help="exponent for cmsc")
     p.add_argument("-C", "--constant", type=float, default=4.0, help="cmsc window")
-    p.add_argument(
-        "--subtree", default=None, help="'greedy' or comma branch counts (cmsc)"
-    )
-    p.set_defaults(func=_cmd_validate)
+    p.add_argument("--subtree", default=None, help="'greedy' or comma branch counts (cmsc)")
 
-    p = sub.add_parser("generate", help="attractor cloud as csv/svg/ppm")
-    p.add_argument("spec")
+    p = command("generate", _cmd_generate, "attractor cloud as csv/svg/ppm")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--samples", type=int, default=1, help="seed points per word")
     p.add_argument("--out", choices=("csv", "svg", "ppm"), default="csv")
     p.add_argument("--pixels", type=int, default=64, help="ppm raster size")
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("dimension", help="box-count slope of a generated cloud")
-    p.add_argument("spec")
+    p = command("dimension", _cmd_dimension, "box-count slope of a generated cloud")
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--scales", type=int, default=6, help="number of geometric scales")
-    p.set_defaults(func=_cmd_dimension)
 
-    p = sub.add_parser("probe", help="separation-condition diagnostics")
-    p.add_argument("spec")
-    p.add_argument(
-        "--probe",
-        choices=("clustering", "ball", "epsilon", "osc-collisions"),
-        required=True,
-    )
+    p = command("probe", _cmd_probe, "separation-condition diagnostics")
+    p.add_argument("--probe", choices=tuple(PROBES), required=True)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--r", default=None, help="radius / ratio (number or p/q)")
     p.add_argument("--x", default=None, help="probe point, comma coordinates")
     p.add_argument("--x-samples", type=int, default=200)
     p.add_argument("--scales", default=None, help="radius grid (clustering)")
-    p.add_argument(
-        "--deltas", default="0.5,0.25,0.125,0.0625,0.03125", help="ball probe grid"
-    )
-    p.set_defaults(func=_cmd_probe)
+    p.add_argument("--deltas", default="0.5,0.25,0.125,0.0625,0.03125", help="ball probe grid")
 
-    p = sub.add_parser("beta", help="Carnot dimension comparison functions")
+    p = command("beta", _cmd_beta, "Carnot dimension comparison functions", spec=False)
     p.add_argument("--layers", required=True, help="layer dims, e.g. 2,1")
     p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(func=_cmd_beta)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse ``argv``, load the spec once, run the subcommand, write its output."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SpecError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (DomainError, EnumerationCapError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+        spec = None
+        if "spec" in args:  # every subcommand but beta reads a spec file
+            from .specio import load_spec
 
-
-if __name__ == "__main__":
-    sys.exit(main())
+            spec = load_spec(args.spec)
+        text, code = args.func(spec, args)
+    except (SpecError, DomainError, EnumerationCapError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2 if isinstance(exc, SpecError) else 3
+    sys.stdout.write(text)
+    return code

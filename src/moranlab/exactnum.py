@@ -15,6 +15,8 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
+from .errors import DomainError
+
 
 def _issquare(n: int) -> bool:
     r = math.isqrt(n)
@@ -49,7 +51,7 @@ class QuadraticNumber:
     def _coerce(self, other) -> "QuadraticNumber | None":
         if isinstance(other, QuadraticNumber):
             if other.d != self.d:
-                raise ValueError("mixed radicands %d and %d" % (self.d, other.d))
+                raise DomainError("mixed radicands %d and %d" % (self.d, other.d))
             return other
         if isinstance(other, Rational):
             return QuadraticNumber(Fraction(other), Fraction(0), self.d)

@@ -56,12 +56,11 @@ def _float_rows(points: Sequence, dim: int) -> np.ndarray:
 
 
 class MetricSpace:
-    """Base class; subclasses set ``kind`` and implement ``distance`` and
-    the kernel pair ``coordinates`` / ``distances``."""
+    """Base class; subclasses implement ``distance``, ``to_json`` and the
+    kernel pair ``coordinates`` / ``distances``."""
 
     __slots__ = ()
 
-    kind: str = "abstract"
     #: ultrametric spaces satisfy d(x,z) <= max(d(x,y), d(y,z))
     ultrametric: bool = False
     #: points are fixed-length numeric tuples usable as array rows
@@ -88,8 +87,6 @@ class MetricSpace:
 
 class EuclideanSpace(MetricSpace):
     __slots__ = ("dim",)
-
-    kind = "euclidean"
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -129,8 +126,6 @@ class SnowflakeSpace(MetricSpace):
     """
 
     __slots__ = ("base", "p")
-
-    kind = "snowflake"
 
     def __init__(self, base: MetricSpace, p: float):
         if not 0.0 < p < 1.0:
@@ -175,7 +170,6 @@ class SymbolSpace(MetricSpace):
 
     __slots__ = ("alphabet",)
 
-    kind = "symbol"
     ultrametric = True
 
     def __init__(self, alphabet: Alphabet):
@@ -227,8 +221,6 @@ class CombSpace(MetricSpace):
     Euclidean one.  ``r`` may be an exact scalar (Fraction or quadratic
     irrational), in which case anchors are computed exactly on request.
     """
-
-    kind = "comb"
 
     def __init__(self, r):
         rf = float(r)
@@ -341,7 +333,6 @@ class HeisenbergSpace(MetricSpace):
     stopping-set and packing machinery needs.
     """
 
-    kind = "heisenberg"
     ultrametric = False
     coordinate_dim = None  # triangle inequality holds for the gauge, but
     # coordinates do not embed isometrically in Euclidean space
@@ -370,6 +361,8 @@ class HeisenbergSpace(MetricSpace):
 
 
 def space_from_json(data: dict) -> MetricSpace:
+    if not isinstance(data, dict):
+        raise DomainError("a space must be a JSON object, got %r" % (data,))
     kind = data.get("kind")
     if kind == "euclidean":
         return EuclideanSpace(int(data["dim"]))

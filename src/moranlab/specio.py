@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, SpecError
 from .exactnum import QuadraticNumber
-from .spaces import SymbolSpace, space_from_json
+from .spaces import HeisenbergSpace, SnowflakeSpace, space_from_json
 from .systems import (
     Affine2DMap,
     CarnotMap,
@@ -58,18 +58,16 @@ def parse_scalar(value):
         except ValueError as exc:
             raise SpecError("bad numeric string %r" % value) from exc
     if isinstance(value, dict):
-        if "fraction" in value:
-            num, den = value["fraction"]
-            return Fraction(num, den)
-        if "sqrt" in value:
-            spec = value["sqrt"]
-            try:
-                a = Fraction(*spec["a"])
-                b = Fraction(*spec["b"])
-                d = int(spec["d"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SpecError("bad sqrt scalar %r" % (value,)) from exc
-            return QuadraticNumber(a, b, d)
+        try:
+            if "fraction" in value:
+                num, den = value["fraction"]
+                return Fraction(num, den)
+            if "sqrt" in value:
+                spec = value["sqrt"]
+                return QuadraticNumber(Fraction(*spec["a"]), Fraction(*spec["b"]), int(spec["d"]))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+            raise SpecError("bad exact scalar %r: %s" % (value, why)) from exc
         raise SpecError("unknown scalar object with keys %s" % sorted(value))
     raise SpecError("cannot parse scalar %r" % (value,))
 
@@ -113,32 +111,75 @@ LEVEL_RULES = {
 # ---------------------------------------------------------------------------
 
 
+def _object(data) -> dict:
+    if not isinstance(data, dict):
+        raise SpecError("must be a JSON object, got %r" % (data,))
+    return data
+
+
+def _sized(values, width: int, name: str, parse=parse_scalar) -> tuple:
+    """``parse`` of each entry of ``values``, which must have ``width`` of them."""
+    if len(values) != width:
+        raise SpecError("%s needs %d entries, got %r" % (name, width, values))
+    return tuple(parse(v) for v in values)
+
+
+def _real(value) -> float:
+    return float(parse_scalar(value))
+
+
 def map_from_dict(data: dict):
-    kind = data.get("kind")
+    kind = _object(data).get("kind")
     if kind == "similitude":
-        return SimilitudeMap(
-            parse_scalar(data["ratio"]),
-            tuple(parse_scalar(c) for c in data["fixed_point"]),
-        )
+        fixed_point = tuple(parse_scalar(c) for c in data["fixed_point"])
+        return SimilitudeMap(parse_scalar(data["ratio"]), fixed_point)
     if kind == "affine2d":
-        matrix = tuple(
-            tuple(float(parse_scalar(c)) for c in row) for row in data["matrix"]
-        )
-        translation = tuple(float(parse_scalar(c)) for c in data["translation"])
-        return Affine2DMap(matrix, translation)
+        matrix = _sized(data["matrix"], 2, "matrix", lambda row: _sized(row, 2, "a row", _real))
+        return Affine2DMap(matrix, _sized(data["translation"], 2, "translation", _real))
     if kind == "comb":
         return CombMap(parse_scalar(data["r"]), int(data["shift"]))
     if kind == "symbol":
-        return SymbolMap(tuple(tuple(int(s) for s in w) for w in data["table"]))
+        return SymbolMap(tuple(tuple(w) for w in data["table"]))
     if kind == "carnot":
-        return CarnotMap(tuple(float(c) for c in data["anchor"]))
+        return CarnotMap(_sized(data["anchor"], 3, "anchor", _real))
     raise SpecError("unknown map kind %r" % kind)
+
+
+# width of the points each map kind acts on; None: words; similitudes: their fixed point's
+MAP_WIDTHS = {"affine2d": 2, "comb": 2, "carnot": 3, "symbol": None}
+
+
+def _system_map(data, space, width: int | None):
+    """A map that acts on the ``space``'s points of ``width`` coordinates, or on
+    its words: then its table has one word per letter, using only its letters."""
+    m, kind = map_from_dict(data), data["kind"]
+    acts_on = len(m.fixed_point) if kind == "similitude" else MAP_WIDTHS[kind]
+    if acts_on != width:
+        raise SpecError("a %s map acts on points of width %s, not %s" % (kind, acts_on, width))
+    if width is None:
+        _sized(m.table, space.alphabet.size, "the table", space.alphabet.check_word)
+    return m
+
+
+def _seed_point(point, space, width: int | None):
+    if width is None:
+        return space.alphabet.check_word(point)
+    return _sized(point, width, "a seed point")
+
+
+def _entry(name: str, build, *args):
+    """``build(*args)``; bad input in it becomes a :class:`SpecError` naming the entry."""
+    try:
+        return build(*args)
+    except (KeyError, TypeError, ValueError) as exc:
+        why = "missing key %s" % exc if isinstance(exc, KeyError) else exc
+        raise SpecError("%s: %s" % (name, why)) from exc
 
 
 def model_from_dict(data: dict) -> DiameterModel:
     from .models import LevelModel, MultiplicativeModel, RectangleModel
 
-    kind = data.get("kind")
+    kind = _object(data).get("kind")
     if kind == "multiplicative":
         return MultiplicativeModel(
             [float(parse_scalar(r)) for r in data["ratios"]],
@@ -190,27 +231,26 @@ def spec_from_dict(data: dict) -> LoadedSpec:
     name = data.get("name", "")
     spec_type = data.get("type")
     if spec_type == "model":
-        return LoadedSpec(name, model=model_from_dict(data))
+        return LoadedSpec(name, model=_entry("model", model_from_dict, data))
     if spec_type == "system":
         try:
-            space = space_from_json(data["space"])
-            maps = tuple(map_from_dict(m) for m in data["maps"])
-            raw_points = data["seed_points"]
+            space = base = _entry("space", space_from_json, data["space"])
+            while isinstance(base, SnowflakeSpace):  # snowflaking keeps the points
+                base = base.base
+            # coordinates of one point; None for the words of the symbol tree
+            width = 3 if isinstance(base, HeisenbergSpace) else base.coordinate_dim
+            maps = [_entry("maps[%d]" % k, _system_map, m, base, width)
+                    for k, m in enumerate(data["maps"])]
+            points = enumerate(data["seed_points"])
         except KeyError as exc:
             raise SpecError("system spec missing key %s" % exc) from exc
-        if isinstance(space, SymbolSpace):
-            seeds = tuple(tuple(int(s) for s in p) for p in raw_points)
-        else:
-            seeds = tuple(tuple(parse_scalar(c) for c in p) for p in raw_points)
-        seed_diam = data.get("seed_diameter")
-        system = ContractionSystem(
-            space,
-            maps,
-            seeds,
-            seed_diameter=None if seed_diam is None else float(seed_diam),
-            name=name,
+        seeds = tuple(
+            _entry("seed_points[%d]" % k, _seed_point, p, base, width) for k, p in points
         )
-        model = model_from_dict(data["model"]) if "model" in data else None
+        seed_diam = data.get("seed_diameter")
+        seed_diam = None if seed_diam is None else float(seed_diam)
+        system = ContractionSystem(space, maps, seeds, seed_diameter=seed_diam, name=name)
+        model = _entry("model", model_from_dict, data["model"]) if "model" in data else None
         return LoadedSpec(name, system=system, model=model)
     raise SpecError("spec type must be 'model' or 'system', got %r" % spec_type)
 

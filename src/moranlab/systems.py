@@ -35,6 +35,7 @@ from .words import (
     Word,
     _check_enum,
     local_stopping_set,
+    local_stopping_sets,
     word_str,
 )
 
@@ -49,8 +50,6 @@ class ContractionMap:
 
     __slots__ = ()
 
-    kind: str = "abstract"
-
     def apply(self, point):
         raise NotImplementedError
 
@@ -63,16 +62,11 @@ class ContractionMap:
         the map's own exact ratio; ``None`` unless every parameter is exact."""
         return None
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 class SimilitudeMap(ContractionMap):
     """``x -> fixed + ratio * (x - fixed)`` in Euclidean space."""
 
     __slots__ = ("ratio", "fixed_point")
-
-    kind = "similitude"
 
     def __init__(self, ratio, fixed_point: tuple):
         if not 0.0 < float(ratio) < 1.0:
@@ -93,20 +87,11 @@ class SimilitudeMap(ContractionMap):
             return None
         return r, tuple(c - r * c for c in f)
 
-    def to_json(self):
-        return {
-            "kind": "similitude",
-            "ratio": float(self.ratio),
-            "fixed_point": [float(c) for c in self.fixed_point],
-        }
-
 
 class Affine2DMap(ContractionMap):
     """``x -> A x + b`` on the plane; distortion = singular values of A."""
 
     __slots__ = ("matrix", "translation")
-
-    kind = "affine2d"
 
     def __init__(self, matrix: tuple[tuple[float, float], ...], translation: tuple[float, float]):
         self.matrix = matrix
@@ -125,13 +110,6 @@ class Affine2DMap(ContractionMap):
         s = np.linalg.svd(self._array(), compute_uv=False)
         return (float(s[-1]), float(s[0]))
 
-    def to_json(self):
-        return {
-            "kind": "affine2d",
-            "matrix": [list(row) for row in self.matrix],
-            "translation": list(self.translation),
-        }
-
 
 class CombMap(ContractionMap):
     """``(x, y) -> (r x + shift, r y)``: one branch of the comb system.
@@ -142,8 +120,6 @@ class CombMap(ContractionMap):
     """
 
     __slots__ = ("r", "shift")
-
-    kind = "comb"
 
     def __init__(self, r, shift: int):
         self.r = r
@@ -161,9 +137,6 @@ class CombMap(ContractionMap):
             return None
         return self.r, (self.shift, 0)
 
-    def to_json(self):
-        return {"kind": "comb", "r": float(self.r), "shift": self.shift}
-
 
 class SymbolMap(ContractionMap):
     """Prefix-rewriting map on the branch space.
@@ -175,8 +148,6 @@ class SymbolMap(ContractionMap):
 
     __slots__ = ("table",)
 
-    kind = "symbol"
-
     def __init__(self, table: tuple[Word, ...]):
         self.table = table
 
@@ -184,9 +155,6 @@ class SymbolMap(ContractionMap):
         if len(word) == 0:
             raise DomainError("symbol maps need a non-empty prefix to inspect")
         return self.table[word[0]] + tuple(word)
-
-    def to_json(self):
-        return {"kind": "symbol", "table": [list(w) for w in self.table]}
 
 
 class CarnotMap(ContractionMap):
@@ -198,8 +166,6 @@ class CarnotMap(ContractionMap):
 
     __slots__ = ("anchor",)
 
-    kind = "carnot"
-
     def __init__(self, anchor: tuple[float, float, float]):
         self.anchor = anchor
 
@@ -210,9 +176,6 @@ class CarnotMap(ContractionMap):
 
     def lip_bounds(self):
         return (0.5, 0.5)
-
-    def to_json(self):
-        return {"kind": "carnot", "anchor": list(self.anchor)}
 
 
 # ---------------------------------------------------------------------------
@@ -634,16 +597,15 @@ def semiconformal_bounds(
             pool_depth += 1
         pool = list(alphabet.words(pool_depth))
         images = [system.apply_word(word, u) for u in pool]
-        dist = system.space.distance
+        space = system.space
+        P, I = space.coordinates(pool), space.coordinates(images)
         lo, hi = math.inf, 0.0
-        for i, u in enumerate(pool):
-            for j in range(i + 1, len(pool)):
-                duv = dist(u, pool[j])
-                if duv == 0.0:
-                    continue
-                r = dist(images[i], images[j]) / duv
-                lo = min(lo, r)
-                hi = max(hi, r)
+        for i in range(len(pool) - 1):
+            duv = space.distances(P[i + 1 :], pool[i])
+            resolved = duv != 0.0
+            r = space.distances(I[i + 1 :], images[i])[resolved] / duv[resolved]
+            if r.size:
+                lo, hi = min(lo, float(r.min())), max(hi, float(r.max()))
         if hi == 0.0:
             raise DomainError("no resolved pair in the sampling pool")
         return SemiconformalBounds(lo, hi, False)
@@ -817,8 +779,7 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
     levels = _integer_levels(system, (x,))
     if levels is not None:
         # the probes are the float rows themselves: float(exact) bit for bit
-        X = np.concatenate([level.coordinates() for level in itertools.islice(levels, depth)])
-        points = X
+        points = X = np.concatenate([lv.coordinates() for lv in itertools.islice(levels, depth)])
     else:
         level, points = (x,), []
         for _ in range(depth):
@@ -832,17 +793,12 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
         lowers = [semiconformal_bounds(system, w).lower for w in words]
     size = system.alphabet.size
 
-    # word k covers the depth-``depth`` index range [lo[k], hi[k])
+    # word k covers the depth-``depth`` index range [lo[k], hi[k]); the words
+    # of level n are the base-``size`` numbers 0 .. size**n - 1 in order
     sep = np.array(lowers)
-    lo = np.empty(len(words), dtype=np.int64)
-    span = np.empty(len(words), dtype=np.int64)
-    for k, w in enumerate(words):
-        v = 0
-        for s in w:
-            v = v * size + s
-        span[k] = size ** (depth - len(w))
-        lo[k] = v * span[k]
-    hi = lo + span
+    ns = range(1, depth + 1)
+    lo = np.concatenate([np.arange(size**n, dtype=np.int64) * size ** (depth - n) for n in ns])
+    hi = lo + np.repeat([size ** (depth - n) for n in ns], [size**n for n in ns])
     best = math.inf
     for i in range(len(words) - 1):
         # later words are no shorter, so only words[i] can be a prefix
@@ -871,21 +827,16 @@ def finite_clustering_sup(
     """
     if x_samples < 1:
         raise DomainError("need at least one probe point")
-    pts = list(cloud.points)
-    stride = max(1, len(pts) // x_samples)
-    probes = pts[::stride][:x_samples]
-    best = None
+    probes = cloud.points[:: max(1, len(cloud) // x_samples)][:x_samples]
+    sups = []
     for r in r_grid:
         try:
-            sets = [local_stopping_set(model, cloud, x, r) for x in probes]
+            sups.append(max(map(len, local_stopping_sets(model, cloud, probes, r))))
         except DomainError as exc:
             warnings.warn("skipping r=%r: %s" % (r, exc))
-            continue
-        m = max(len(s) for s in sets)
-        best = m if best is None else max(best, m)
-    if best is None:
+    if not sups:
         raise DomainError("no radius in the grid was usable at this cloud depth")
-    return best
+    return max(sups)
 
 
 class BallConditionProbe(NamedTuple):

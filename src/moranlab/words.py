@@ -64,7 +64,7 @@ class Alphabet:
     def check_word(self, word: Sequence[int]) -> Word:
         w = tuple(word)
         for s in w:
-            if not 0 <= s < self.size:
+            if type(s) is not int or not 0 <= s < self.size:
                 raise DomainError("symbol %r outside alphabet of size %d" % (s, self.size))
         return w
 
@@ -273,12 +273,18 @@ class LocalStoppingSet:
 
 
 def local_stopping_set(model, cloud, x, r: float) -> LocalStoppingSet:
-    """Stopping words whose sampled piece meets the open ball ``B(x, r)``.
+    """Stopping words whose sampled piece meets the open ball ``B(x, r)``."""
+    return local_stopping_sets(model, cloud, (x,), r)[0]
+
+
+def local_stopping_sets(model, cloud, xs: Sequence, r: float) -> list[LocalStoppingSet]:
+    """The local stopping set at radius ``r`` of each point of ``xs``.
 
     A piece ``X_i`` is approximated by the cloud points whose label starts
     with ``i``; it is kept when some sample point lies at distance
     strictly less than ``r`` from ``x``.  The approximation is one-sided:
-    sampling can only miss intersections, never invent them.
+    sampling can only miss intersections, never invent them.  All points
+    share one stopping set, walked once.
     """
     candidates = stopping_set(model, r)
     depth = cloud.depth
@@ -288,11 +294,14 @@ def local_stopping_set(model, cloud, x, r: float) -> LocalStoppingSet:
                 "stopping word %s is deeper than the cloud (depth %d); "
                 "regenerate the cloud at depth >= %d" % (word_str(w), depth, len(w))
             )
-    inside = cloud.space.distances(cloud.coordinates, x) < r
     pieces = [cloud.piece(w) for w in candidates]
-    words = tuple(w for w, piece in zip(candidates, pieces) if inside[piece].any())
     counts = tuple(piece.stop - piece.start for piece in pieces)
-    return LocalStoppingSet(words, tuple(candidates), counts)
+    out = []
+    for x in xs:
+        inside = cloud.space.distances(cloud.coordinates, x) < r
+        words = tuple(w for w, piece in zip(candidates, pieces) if inside[piece].any())
+        out.append(LocalStoppingSet(words, tuple(candidates), counts))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Malformed flag values through ``cli.main``: every call ends with a clean exit.
+"""Malformed flag values and spec files through ``cli.main``: every call ends
+with a clean exit.
 
 Exit codes: 0/1 print one JSON document (or CSV/SVG/PPM), 2 (unusable
 input) and 3 (domain or resource error) print one ``error:`` line and
-nothing on stdout.  The fuzz test draws whole command lines; the cases
-above it pin the bugs it guards against.
+nothing on stdout.  One fuzz test draws whole command lines, the other
+mutates the shipped spec files; the cases above each pin the bugs it
+guards against.
 """
 
 import contextlib
@@ -151,5 +153,140 @@ def test_malformed_command_lines_exit_cleanly(argv, cap):
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(PKG_ROOT)
         mp.setenv("MORANLAB_ENUM_CAP", cap)
+        code, out, err = run_main(argv)
+    assert_clean_exit(argv, code, out, err)
+
+
+# -- malformed spec files -----------------------------------------------------------
+
+
+def shipped(name):
+    return json.loads((PKG_ROOT / "specs" / ("%s.json" % name)).read_text())
+
+
+def _set(name, path, value):
+    """Shipped spec ``name`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    data = shipped(name)
+    *parents, last = path
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return data
+
+
+TWO_LETTERS = {
+    "type": "system", "name": "two-letter", "space": {"kind": "symbol", "alphabet": 2},
+    "maps": [{"kind": "symbol", "table": [[0], [1]]}, {"kind": "symbol", "table": [[5], [1]]}],
+    "seed_points": [[0, 1]], "seed_diameter": 1.0,
+}
+
+BAD_SPECS = [
+    ("fraction zero denominator", _set("cantor", ("maps", 0, "ratio"), {"fraction": [1, 0]}),
+     ["generate", "--depth", "2"], "maps[0]: bad exact scalar"),
+    ("sqrt zero denominator",
+     _set("comb", ("maps", 1, "r"), {"sqrt": {"a": [1, 0], "b": [1, 2], "d": 5}}),
+     ["pressure", "--zero"], "maps[1]: bad exact scalar"),
+    ("maps that are not objects", _set("cantor", ("maps",), [1, 2]),
+     ["generate", "--depth", "2"], "maps[0]: must be a JSON object"),
+    ("carnot anchor of two numbers", _set("heisenberg", ("maps", 3, "anchor"), [0, 1]),
+     ["generate", "--depth", "2"], "maps[3]: anchor needs 3 entries"),
+    ("affine2d matrix of one row", _set("selfaffine", ("maps", 0, "matrix"), [[1, 0]]),
+     ["generate", "--depth", "2"], "maps[0]: matrix needs 2 entries"),
+    ("similitude fixed point too wide", _set("cantor", ("maps", 1, "fixed_point"), [0, 0]),
+     ["generate", "--depth", "2"], "maps[1]: a similitude map acts on points of width 2, not 1"),
+    ("seed point too wide", _set("cantor", ("seed_points", 0), [0, 1]),
+     ["generate", "--depth", "2"], "seed_points[0]: a seed point needs 1 entries"),
+    ("symbol table beyond the alphabet", TWO_LETTERS,
+     ["generate", "--depth", "2"], "maps[1]: symbol 5 outside alphabet of size 2"),
+    ("symbol table one word short", _set("symbolifs", ("maps", 0, "table"), [[1, 0], [1]]),
+     ["generate", "--depth", "2"], "maps[0]: the table needs 3 entries"),
+    ("symbol seed beyond the alphabet", _set("symbolifs", ("seed_points", 1), [1, 3]),
+     ["generate", "--depth", "2"], "seed_points[1]: symbol 3 outside alphabet of size 3"),
+    ("symbol seed of fractional letters", _set("symbolifs", ("seed_points", 0), [0.9, 1.7]),
+     ["generate", "--depth", "2"], "seed_points[0]: symbol 0.9 outside alphabet of size 3"),
+    ("symbol table of fractional letters", _set("symbolifs", ("maps", 1, "table", 0), [2.5]),
+     ["generate", "--depth", "2"], "maps[1]: symbol 2.5 outside alphabet of size 3"),
+]
+
+
+@pytest.mark.parametrize("data,argv,message", [c[1:] for c in BAD_SPECS],
+                         ids=[c[0] for c in BAD_SPECS])
+def test_malformed_specs_exit_2_naming_the_entry(tmp_path, data, argv, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_main([argv[0], str(path), *argv[1:]])
+    assert (code, out) == (2, ""), (code, out, err)
+    assert err.startswith("error: ") and message in err, err
+
+
+# found by the fuzz test below: valid shapes whose arithmetic fails downstream
+FAILING_ARITHMETIC = [
+    ("coordinates that overflow", _set("cantor", ("maps", 1, "fixed_point"), [1e300]),
+     ["probe", "--probe", "epsilon", "--depth", "2"], "the result is not finite"),
+    ("two radicands", _set("comb", ("maps", 1, "r", "sqrt", "d"), 7),
+     ["generate", "--depth", "2"], "mixed radicands 5 and 7"),
+]
+
+
+@pytest.mark.parametrize("data,argv,message", [c[1:] for c in FAILING_ARITHMETIC],
+                         ids=[c[0] for c in FAILING_ARITHMETIC])
+def test_failing_arithmetic_exits_3(tmp_path, data, argv, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_main([argv[0], str(path), *argv[1:]])
+    assert (code, out) == (3, ""), (code, out, err)
+    assert err.startswith("error: ") and message in err, err
+
+
+def _paths(node, path=()):
+    """Every key and index path in a JSON tree, the root first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+WRONG_VALUES = st.sampled_from([
+    None, True, "x", "1/0", "-1", 0, -1, 7, 0.5, 1e300, [], {}, [1, 2, 3], [[1, 0]],
+    {"fraction": [1, 0]}, {"fraction": [1]}, {"sqrt": {"a": [1, 0], "b": [1, 2], "d": 5}},
+    {"sqrt": {"a": [1, 2], "b": [1, 2], "d": -5}}, {"kind": "teleport"},
+])
+SPEC_COMMANDS = [
+    ["generate", "--depth", "2"], ["pressure", "--zero", "--depth", "4"],
+    ["validate", "--depth", "3"], ["probe", "--probe", "epsilon", "--depth", "2"],
+    ["dimension", "--depth", "3", "--scales", "2"],
+]
+
+
+@st.composite
+def mutated_specs(draw):
+    """A shipped spec with one entry dropped, replaced or made wider or narrower."""
+    data = shipped(draw(st.sampled_from(SPEC_NAMES)))
+    *parents, last = draw(st.sampled_from(list(_paths(data))[1:]))
+    node = data
+    for key in parents:
+        node = node[key]
+    action = draw(st.sampled_from(("drop", "replace", "widen", "narrow")))
+    value = node[last]
+    if action == "drop":
+        del node[last]
+    elif action == "widen" and isinstance(value, list):
+        value.append(value[-1] if value else 0)
+    elif action == "narrow" and isinstance(value, list) and value:
+        value.pop()
+    else:
+        node[last] = draw(WRONG_VALUES)
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=mutated_specs(), argv=st.sampled_from(SPEC_COMMANDS))
+def test_mutated_specs_exit_cleanly(tmp_path_factory, data, argv):
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    path.write_text(json.dumps(data))
+    argv = [argv[0], str(path), *argv[1:]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MORANLAB_ENUM_CAP", "4096")
         code, out, err = run_main(argv)
     assert_clean_exit(argv, code, out, err)

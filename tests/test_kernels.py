@@ -23,6 +23,7 @@ from moranlab import (
     CombSpace,
     ContractionSystem,
     DomainError,
+    EnumerationCapError,
     EuclideanSpace,
     HeisenbergSpace,
     PointCloud,
@@ -32,6 +33,7 @@ from moranlab import (
     SymbolSpace,
     attractor_cloud,
     box_count,
+    finite_clustering_sup,
     load_spec,
     local_stopping_set,
     maximal_packing,
@@ -39,6 +41,7 @@ from moranlab import (
     pressure_zero,
     semiconformal_bounds,
     separation_epsilon,
+    stopping_set,
 )
 from moranlab.cli import _default_scales
 from moranlab.systems import _integer_levels
@@ -542,3 +545,91 @@ def test_csv_and_default_scales_read_the_float_rows(name):
         assert cloud.to_csv().splitlines()[1:] == body
     span = max(max(col) - min(col) for col in zip(*rows))
     assert _default_scales(cloud) == [span * 2.0**-k for k in range(2, 7)]
+
+
+# -- the grid count and the clustering probe -----------------------------------------
+
+
+def set_of_cells_count(cloud, r):
+    """The grid count as a set of row tuples, which the sorted count replaced."""
+    X = cloud.coordinates
+    cells = np.floor((X - X.min(axis=0)) / r + 1e-9).astype(np.int64)
+    return len({tuple(row) for row in cells})
+
+
+# multiples of 1/4 sit on the cell boundaries of the dyadic radii
+grid_coordinates = st.one_of(floats, st.integers(-12, 12).map(lambda k: k / 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(1, 3), data=st.data(),
+    r=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 0.1]), st.floats(0.01, 5.0)),
+)
+def test_grid_count_matches_the_set_of_cells(dim, data, r):
+    points = data.draw(tuples(grid_coordinates, dim, max_size=40))
+    cloud = PointCloud(EuclideanSpace(dim), 1, ((),) * len(points), tuple(points))
+    assert box_count(cloud, r, method="grid") == set_of_cells_count(cloud, r)
+
+
+def per_point_clustering_sup(model, cloud, x_samples, radii):
+    """The clustering sup with one stopping set per probe point; None if no radius fits."""
+    probes = list(cloud.points)[:: max(1, len(cloud) // x_samples)][:x_samples]
+    best = None
+    for r in radii:
+        try:
+            sup = max(len(local_stopping_set(model, cloud, x, r)) for x in probes)
+        except DomainError:
+            continue
+        best = sup if best is None else max(best, sup)
+    return best
+
+
+@pytest.mark.filterwarnings("ignore:skipping r=")
+@settings(max_examples=40, deadline=None)
+@given(
+    case=rational_similitudes(), x_samples=st.integers(1, 20),
+    fractions_of_diameter=st.lists(st.floats(0.01, 1.2), min_size=1, max_size=4),
+)
+def test_clustering_sup_matches_the_per_point_loop(case, x_samples, fractions_of_diameter):
+    system, depth = case
+    cloud = attractor_cloud(system, min(depth, 6), len(system.seed_points))
+    try:
+        model = system.induced_model(cloud)
+    except DomainError:  # every sample coincides: no seed diameter to scale
+        return
+    radii = [f * model.seed_diameter for f in fractions_of_diameter]
+    # ratios near 1 reach small radii only after millions of words: both
+    # paths must then stop at the same (small) enumeration cap
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MORANLAB_ENUM_CAP", "4096")
+        try:
+            want = per_point_clustering_sup(model, cloud, x_samples, radii)
+        except EnumerationCapError:
+            with pytest.raises(EnumerationCapError):
+                finite_clustering_sup(model, cloud, x_samples, radii)
+            return
+        if want is None:
+            with pytest.raises(DomainError, match="no radius"):
+                finite_clustering_sup(model, cloud, x_samples, radii)
+        else:
+            assert finite_clustering_sup(model, cloud, x_samples, radii) == want
+
+
+@pytest.mark.parametrize("name,depth", [("cantor", 6), ("symbolifs", 6)])
+def test_clustering_walks_one_stopping_set_per_radius(monkeypatch, name, depth):
+    from moranlab import words
+
+    system = shipped_system(name)
+    cloud = attractor_cloud(system, depth)
+    model = system.induced_model(cloud)
+    calls = []
+
+    def counted(model, r, *args):
+        calls.append(r)
+        return stopping_set(model, r, *args)
+
+    monkeypatch.setattr(words, "stopping_set", counted)
+    radii = [0.2 * model.seed_diameter, 0.1 * model.seed_diameter]
+    assert finite_clustering_sup(model, cloud, 50, radii) >= 1
+    assert calls == radii
