@@ -17,11 +17,11 @@ import warnings
 import numpy as np
 
 from .errors import DomainError
-from .spaces import EuclideanSpace
+from .spaces import EuclideanSpace, row_minima
 from .systems import PointCloud
 
 
-def _greedy_centers(space, X, points, sep: float) -> list[int]:
+def _greedy_centers(space, X, sep: float) -> list[int]:
     """Indices of the greedy centers of ``sep``-balls, in row order.
 
     The first row not yet covered opens a center; every row at distance
@@ -35,7 +35,7 @@ def _greedy_centers(space, X, points, sep: float) -> list[int]:
     while i < len(X):
         centers.append(i)
         # rows before i are centers or covered already
-        covered[i + 1 : -1] |= space.distances(X[i + 1 :], points[i]) <= sep
+        covered[i + 1 : -1] |= space.distances(X[i + 1 :], X[i : i + 1])[0] <= sep
         i += 1 + int(np.argmin(covered[i + 1 :]))
     return centers
 
@@ -61,7 +61,7 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
         warnings.warn("empty cloud: covering number reported as 0", stacklevel=2)
         return 0
     if method == "greedy":
-        return len(_greedy_centers(cloud.space, cloud.coordinates, cloud.points, r))
+        return len(_greedy_centers(cloud.space, cloud.coordinates, r))
     if method == "grid":
         pts = cloud.coordinates
         mins = pts.min(axis=0)
@@ -110,15 +110,12 @@ class MinkowskiEstimate:
 
 def _nearest_neighbor_gap(cloud, max_probes: int = 256) -> float:
     """Largest nearest-neighbor distance over a strided probe sample."""
-    n = len(cloud.points)
+    X, n = cloud.coordinates, len(cloud.points)
     if n < 2:
         return math.inf
-    worst = 0.0
-    for i in range(0, n, max(1, n // max_probes)):
-        d = cloud.space.distances(cloud.coordinates, cloud.points[i])
-        d[i] = np.inf
-        worst = max(worst, float(d.min()))
-    return worst
+    probes = np.arange(0, n, max(1, n // max_probes))
+    # NaN distances are passed over, as a running ``max(worst, d)`` from 0 does
+    return max(0.0, float(np.fmax.reduce(row_minima(cloud.space, X, X[probes], probes))))
 
 
 def minkowski_estimate(
@@ -149,11 +146,9 @@ def minkowski_estimate(
         raise DomainError("cannot fit a slope through a cloud of %d points" % len(cloud.points))
     if method is None:
         method = "grid" if isinstance(cloud.space, EuclideanSpace) else "greedy"
-    reach = float(cloud.space.distances(cloud.coordinates, cloud.points[0]).max())
+    reach = float(cloud.space.distances(cloud.coordinates, cloud.coordinates[:1]).max())
     if r_max > 2 * reach:
-        raise DomainError(
-            "r_max=%g exceeds the cloud diameter (at most %g)" % (r_max, 2 * reach)
-        )
+        raise DomainError("r_max=%g exceeds the cloud diameter (at most %g)" % (r_max, 2 * reach))
     gap = _nearest_neighbor_gap(cloud)
     if not gap < r_min / 10:
         raise DomainError(
@@ -208,13 +203,13 @@ def maximal_packing(space, center, R: float, r: float, candidates) -> list:
     else:
         pts = list(candidates)
         X = space.coordinates(pts)
-    window = np.flatnonzero(space.distances(X, center) <= R)
+    window = np.flatnonzero(space.distances(X, space.coordinates([center]))[0] <= R)
     if not window.size:
         warnings.warn("no candidates inside B(center, R): empty packing", stacklevel=2)
         return []
     sep = r if space.ultrametric else 2 * r
     inside = [pts[k] for k in window]
-    return [inside[k] for k in _greedy_centers(space, X[window], inside, sep)]
+    return [inside[k] for k in _greedy_centers(space, X[window], sep)]
 
 
 class PackingGrowth:

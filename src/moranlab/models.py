@@ -76,7 +76,7 @@ class DiameterModel:
         key = (n, subtree)
         if key not in self._ld_cache:
             branches = self._branches(range(1, n + 1), subtree)
-            _check_enum(math.prod(branches), "level %d of a %s model" % (n, self.kind))
+            _check_enum(math.prod(branches), "level %d of a %s model" % (n, self.kind), branches)
             self._ld_cache[key] = self._log_diams(branches)
         return self._ld_cache[key]
 
@@ -601,6 +601,8 @@ def tractability_probe(
     every prefix ``h`` up to ``depth``; the witnessed constant is the
     largest ``dist(X_hi, X_hj) / (diam(X_h) * r)`` observed.
     """
+    from .spaces import row_minima
+
     model = system.induced_model(cloud)
     report = TractabilityReport(0.0)
     space = system.space
@@ -610,9 +612,8 @@ def tractability_probe(
         return cloud.points[piece.start : min(piece.stop, piece.start + samples_per_piece)]
 
     def gap(P: Sequence, Q: Sequence) -> float:
-        """``min d(p, q)`` over ``p`` in ``P`` and ``q`` in ``Q``."""
-        X = space.coordinates(P)
-        return min(float(space.distances(X, q).min()) for q in Q)
+        """``min d(p, q)`` over ``P`` x ``Q``, folded over ``Q`` in order as ``min`` does."""
+        return min(row_minima(space, space.coordinates(P), space.coordinates(Q)).tolist())
 
     best_entries: list[dict] = []
     for r in r_grid:
@@ -628,11 +629,8 @@ def tractability_probe(
             report.skipped_radii.append((r, "stopping words deeper than the cloud"))
             continue
         samples = {w: piece_samples(w) for w in Z}
-        close_pairs = []
-        for a in range(len(Z)):
-            for b in range(a + 1, len(Z)):
-                if gap(samples[Z[a]], samples[Z[b]]) <= r:
-                    close_pairs.append((Z[a], Z[b]))
+        pairs = itertools.combinations(Z, 2)
+        close_pairs = [(u, v) for u, v in pairs if gap(samples[u], samples[v]) <= r]
         if not close_pairs:
             continue
         for h in system.alphabet.words_up_to(depth):

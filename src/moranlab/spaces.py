@@ -8,19 +8,20 @@ quadratic irrationals), in which case differences are formed exactly before
 the final float conversion, so an exact zero stays zero.
 
 Each space also has one vectorised kernel: ``coordinates(points)`` turns
-points into array rows and ``distances(X, q)`` returns
-``[distance(x, q) for x in X]``.  The kernel uses the scalar path's operand
-order and float operations (squares are products, the gauge's fourth root
-is two square roots, the snowflake exponent is libm's ``pow``), so on
-float coordinates it returns the scalar values bit for bit.  Exact
-coordinates enter the array as ``float(exact)``.
+points into array rows and ``distances(X, Q)`` takes a block of query rows
+in that layout and returns ``D[i, j] = distance(X[j], Q[i])``; one point is
+a one-row block, and loops over many points pass blocks of :func:`block_rows`
+rows.  The kernel uses the scalar path's operand order and float operations
+(squares are products, the gauge's fourth root is two square roots, the
+snowflake exponent is libm's ``pow``), so on float coordinates it returns
+the scalar values bit for bit.  Exact coordinates enter as ``float(exact)``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from itertools import repeat
+from itertools import product, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +46,27 @@ def euclidean_distance(p: Sequence, q: Sequence) -> float:
         d = _delta(a, b)
         total += d * d
     return math.sqrt(total)
+
+
+#: float64 elements per temporary of a block-query loop (64 KiB)
+BLOCK_ELEMENTS = 2**13
+
+
+def block_rows(n_rows: int) -> int:
+    """Query rows per kernel call against ``n_rows`` rows."""
+    return max(1, BLOCK_ELEMENTS // max(1, n_rows))
+
+
+def row_minima(space: "MetricSpace", X: np.ndarray, Q: np.ndarray, skip=None) -> np.ndarray:
+    """``min(distance(x, q) for x in X)`` (NaN if one is NaN) per query row ``q``
+    of ``Q``; query ``i`` passes over row ``skip[i]`` of ``X`` if given."""
+    out, step = [np.empty(0)], block_rows(len(X))
+    for a in range(0, len(Q), step):
+        d = space.distances(X, Q[a : a + step])
+        if skip is not None:
+            d[np.arange(len(d)), skip[a : a + step]] = np.inf
+        out.append(d.min(axis=1))
+    return np.concatenate(out)
 
 
 def _float_rows(points: Sequence, dim: int) -> np.ndarray:
@@ -73,8 +95,8 @@ class MetricSpace:
         """The points as the rows of the array that :meth:`distances` reads."""
         raise NotImplementedError
 
-    def distances(self, X: np.ndarray, q) -> np.ndarray:
-        """``[distance(x, q) for x in X]`` over rows of :meth:`coordinates`."""
+    def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """``D[i, j] = distance(X[j], Q[i])`` over rows of :meth:`coordinates`."""
         raise NotImplementedError
 
     def metric_bound(self, s: float) -> float:
@@ -103,12 +125,12 @@ class EuclideanSpace(MetricSpace):
     def coordinates(self, points: Sequence) -> np.ndarray:
         return _float_rows(points, self.coordinate_dim)
 
-    def distances(self, X: np.ndarray, q) -> np.ndarray:
-        if len(q) != X.shape[1]:
-            raise DomainError("points of different dimension: %r vs rows of %d" % (q, X.shape[1]))
-        total = np.zeros(len(X))
-        for k, c in enumerate(q):
-            d = X[:, k] - float(c)
+    def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        if Q.shape[1] != X.shape[1]:
+            raise DomainError("query rows of width %d vs rows of %d" % (Q.shape[1], X.shape[1]))
+        total = np.zeros((len(Q), len(X)))
+        for k in range(X.shape[1]):
+            d = X[:, k] - Q[:, k, None]
             total += d * d
         return np.sqrt(total)
 
@@ -147,11 +169,12 @@ class SnowflakeSpace(MetricSpace):
     def coordinates(self, points: Sequence) -> np.ndarray:
         return self.base.coordinates(points)
 
-    def distances(self, X: np.ndarray, q) -> np.ndarray:
+    def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
         # libm's pow per element, as in ``distance``: numpy's vector pow
         # may round differently
-        d = self.base.distances(X, q)
-        return np.fromiter(map(math.pow, d.tolist(), repeat(self.p)), float, len(d))
+        d = self.base.distances(X, Q)
+        out = np.fromiter(map(math.pow, d.ravel().tolist(), repeat(self.p)), float, d.size)
+        return out.reshape(d.shape)
 
     def metric_bound(self, s: float) -> float:
         return self.base.metric_bound(s) ** self.p
@@ -189,13 +212,14 @@ class SymbolSpace(MetricSpace):
             X[k, 1 : len(w) + 1] = w
         return X
 
-    def distances(self, X: np.ndarray, q: Word) -> np.ndarray:
-        m = min(X.shape[1] - 1, len(q))
+    def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        m = min(X.shape[1], Q.shape[1]) - 1
         if m == 0:
-            return np.zeros(len(X))
-        # compare on the common depth of each row and the query
-        differ = (X[:, 1 : m + 1] != np.asarray(q[:m])) & (np.arange(m) < X[:, :1])
-        return np.where(differ.any(axis=1), np.ldexp(1.0, -differ.argmax(axis=1)), 0.0)
+            return np.zeros((len(Q), len(X)))
+        # compare each pair on the common depth of its two rows
+        k = np.arange(m)
+        differ = (X[:, 1 : m + 1] != Q[:, None, 1 : m + 1]) & (k < X[:, :1]) & (k < Q[:, None, :1])
+        return np.where(differ.any(axis=2), np.ldexp(1.0, -differ.argmax(axis=2)), 0.0)
 
     def to_json(self) -> dict:
         return {"kind": "symbol", "alphabet": self.alphabet.size}
@@ -250,15 +274,8 @@ class CombSpace(MetricSpace):
 
     def _anchors(self, length: int) -> list[tuple[float, Word]]:
         if length not in self._anchor_cache:
-            items = [(0.0, ())]
-            for _ in range(length):
-                items = [
-                    (x + s * self.r_float ** len(w), w + (s,))
-                    for x, w in items
-                    for s in (0, 1)
-                ]
-            out = sorted(items)
-            self._anchor_cache[length] = out
+            words = product((0, 1), repeat=length)
+            self._anchor_cache[length] = sorted((self.anchor(w), w) for w in words)
         return self._anchor_cache[length]
 
     def membership(self, q: Sequence[float], depth: int, tol: float = 1e-12) -> CombMembership:
@@ -274,8 +291,7 @@ class CombSpace(MetricSpace):
                 continue
             anchors = self._anchors(m)
             lo = bisect.bisect_left(anchors, (x - tol, ()))
-            for k in range(lo, len(anchors)):
-                ax, w = anchors[k]
+            for ax, w in anchors[lo:]:
                 if ax > x + tol:
                     break
                 if abs(ax - x) <= tol:
@@ -343,13 +359,15 @@ class HeisenbergSpace(MetricSpace):
     def coordinates(self, points: Sequence) -> np.ndarray:
         return _float_rows(points, 3)
 
-    def distances(self, X: np.ndarray, q: HeisenbergPoint) -> np.ndarray:
-        x2, y2, t2 = (float(c) for c in q)
-        x, y, t = -X[:, 0], -X[:, 1], -X[:, 2]
-        # heisenberg_multiply((x, y, t), q), then heisenberg_gauge
-        a, b, c = x + x2, y + y2, t + t2 + 0.5 * (x * y2 - y * x2)
-        s = a * a + b * b
-        return np.sqrt(np.sqrt(s * s + c * c))
+    def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        x2, y2, t2 = Q[:, 0, None], Q[:, 1, None], Q[:, 2, None]
+        x, y, t = X.T
+        # heisenberg_multiply(heisenberg_inverse(x), q), then heisenberg_gauge; bit
+        # for bit, -x * y2 - -y * x2 is y * x2 - x * y2 and a, b only change sign
+        a, b, c = x - x2, y - y2, (t2 - t) + 0.5 * (y * x2 - x * y2)
+        s = np.square(a, out=a) + np.square(b, out=b)
+        np.add(np.square(s, out=s), np.square(c, out=c), out=s)
+        return np.sqrt(np.sqrt(s, out=s), out=s)
 
     def to_json(self) -> dict:
         return {"kind": "heisenberg"}

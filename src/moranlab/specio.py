@@ -137,7 +137,9 @@ def map_from_dict(data: dict):
         matrix = _sized(data["matrix"], 2, "matrix", lambda row: _sized(row, 2, "a row", _real))
         return Affine2DMap(matrix, _sized(data["translation"], 2, "translation", _real))
     if kind == "comb":
-        return CombMap(parse_scalar(data["r"]), int(data["shift"]))
+        if type(data["shift"]) is not int:
+            raise SpecError("shift must be an integer, got %r" % (data["shift"],))
+        return CombMap(parse_scalar(data["r"]), data["shift"])
     if kind == "symbol":
         return SymbolMap(tuple(tuple(w) for w in data["table"]))
     if kind == "carnot":

@@ -26,6 +26,8 @@ from .exactnum import QuadraticNumber, exact_value
 from .spaces import (
     MetricSpace,
     SymbolSpace,
+    block_rows,
+    row_minima,
     heisenberg_dilate,
     heisenberg_inverse,
     heisenberg_multiply,
@@ -321,13 +323,8 @@ class ContractionSystem:
         if self.seed_diameter is not None:
             return self.seed_diameter
         if cloud is None or len(cloud) < 2:
-            raise DomainError(
-                "system has no declared seed diameter; supply a cloud to estimate it"
-            )
-        stride = max(1, len(cloud) // 256)
-        sub, X = cloud.points[::stride], cloud.coordinates[::stride]
-        dist = self.space.distances
-        return max(float(dist(X[:i], sub[i]).max()) for i in range(1, len(sub)))
+            raise DomainError("system has no declared seed diameter; supply a cloud to estimate it")
+        return _sampled_diameter(self.space, cloud.coordinates[:: max(1, len(cloud) // 256)])
 
     def induced_model(self, cloud: PointCloud | None = None):
         """Diameter model of the pieces ``X_w = phi_w(E)``.
@@ -347,17 +344,15 @@ class ContractionSystem:
             if cloud is None:
                 raise DomainError("sampled diameter model needs a cloud")
             cache: dict[Word, float] = {}
-            dist = self.space.distances
 
             def log_diam(word: Word) -> float:
                 if word not in cache:
-                    piece = cloud.piece(word)
-                    pts, X = cloud.points[piece], cloud.coordinates[piece]
-                    if len(pts) < 2:
+                    X = cloud.coordinates[cloud.piece(word)]
+                    if len(X) < 2:
                         raise DomainError(
                             "cloud resolves no pair of samples inside %s" % word_str(word)
                         )
-                    d = max(float(dist(X[:i], pts[i]).max()) for i in range(1, len(pts)))
+                    d = _sampled_diameter(self.space, X)
                     if d <= 0:
                         raise DomainError("degenerate sampled diameter at %s" % word_str(word))
                     cache[word] = math.log(d)
@@ -372,23 +367,18 @@ class ContractionSystem:
             return None
         stride = max(1, len(cloud) // 128)
         sub, X = cloud.points[::stride], cloud.coordinates[::stride]
-        dist = self.space.distances
-
-        def nearest_other(i: int) -> float:
-            d = dist(X, sub[i])
-            d[i] = np.inf
-            return float(d.min())
-
-        resolution = 2.0 * max(nearest_other(i) for i in range(len(sub)))
+        space = self.space
+        # each sample's nearest other sample, folded as ``max`` does
+        resolution = 2.0 * max(row_minima(space, X, X, np.arange(len(X))).tolist())
 
         def check(depth: int) -> tuple[bool, str]:
             for k, m in enumerate(self.maps):
-                for p in sub[:32]:
-                    if dist(X, m.apply(p)).min() > max(resolution, 1e-9):
-                        return False, (
-                            "map %d sends a sample farther than the sampled set "
-                            "resolution %.3g" % (k, resolution)
-                        )
+                images = space.coordinates([m.apply(p) for p in sub[:32]])
+                if (row_minima(space, X, images) > max(resolution, 1e-9)).any():
+                    return False, (
+                        "map %d sends a sample farther than the sampled set "
+                        "resolution %.3g" % (k, resolution)
+                    )
             return True, "sampled containment of each branch image within resolution %.3g" % (
                 resolution,
             )
@@ -396,9 +386,19 @@ class ContractionSystem:
         return check
 
 
-def attractor_cloud(
-    system: ContractionSystem, depth: int, samples_per_leaf: int = 1
-) -> PointCloud:
+def _sampled_diameter(space: MetricSpace, X: np.ndarray) -> float:
+    """``max`` over rows ``i >= 1`` of the largest ``distance(X[j], X[i])``,
+    ``j < i``, folded in row order as Python's ``max`` does."""
+    n, row_max, step = len(X), [], block_rows(len(X))
+    for a in range(1, n, step):
+        b = min(a + step, n)
+        d = space.distances(X[: b - 1], X[a:b])
+        d[np.arange(b - 1) >= np.arange(a, b)[:, None]] = -np.inf
+        row_max.extend(d.max(axis=1).tolist())
+    return max(row_max)
+
+
+def attractor_cloud(system: ContractionSystem, depth: int, samples_per_leaf: int = 1) -> PointCloud:
     """Apply every depth-``depth`` word to the first seed points.
 
     Output order is lexicographic in the word, then seed order: fully
@@ -409,11 +409,9 @@ def attractor_cloud(
     if depth < 1:
         raise DomainError("cloud depth must be >= 1")
     if not 1 <= samples_per_leaf <= len(system.seed_points):
-        raise DomainError(
-            "samples_per_leaf must lie in [1, %d]" % len(system.seed_points)
-        )
+        raise DomainError("samples_per_leaf must lie in [1, %d]" % len(system.seed_points))
     count = system.alphabet.size**depth * samples_per_leaf
-    _check_enum(count, "attractor cloud at depth %d" % depth)
+    _check_enum(count, "attractor cloud at depth %d" % depth, (system.alphabet.size,) * depth)
     seeds = system.seed_points[:samples_per_leaf]
     labels = tuple(w for w in system.alphabet.words(depth) for _ in seeds)
     levels = _integer_levels(system, seeds)
@@ -599,11 +597,12 @@ def semiconformal_bounds(
         images = [system.apply_word(word, u) for u in pool]
         space = system.space
         P, I = space.coordinates(pool), space.coordinates(images)
-        lo, hi = math.inf, 0.0
-        for i in range(len(pool) - 1):
-            duv = space.distances(P[i + 1 :], pool[i])
+        lo, hi, step = math.inf, 0.0, block_rows(len(pool))
+        for a in range(0, len(pool), step):
+            # every ordered pair: the tree metric is symmetric, bit for bit
+            duv = space.distances(P, P[a : a + step])
             resolved = duv != 0.0
-            r = space.distances(I[i + 1 :], images[i])[resolved] / duv[resolved]
+            r = space.distances(I, I[a : a + step])[resolved] / duv[resolved]
             if r.size:
                 lo, hi = min(lo, float(r.min())), max(hi, float(r.max()))
         if hi == 0.0:
@@ -672,85 +671,69 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
 
     half = depth // 2
     pows = [rf**k for k in range(depth)]
+    digits = np.array([-1, 0, 1], dtype=np.int8)
 
-    def half_sums(positions: range) -> list[tuple[float, tuple[int, ...]]]:
-        out = [(0.0, ())]
+    def half_sums(positions: range) -> tuple[np.ndarray, np.ndarray]:
+        """Sums ``s + c * r**p`` (added position by position) and int8 digit
+        rows of every ``c`` in ``{-1, 0, 1}**positions``, last digit fastest."""
+        sums, rows = np.zeros(1), np.zeros((1, 0), dtype=np.int8)
         for p in positions:
-            out = [
-                (s + c * pows[p], vec + (c,)) for s, vec in out for c in (-1, 0, 1)
-            ]
-        return out
+            sums = (sums[:, None] + digits * pows[p]).ravel()
+            rows = np.column_stack([np.repeat(rows, 3, axis=0), np.tile(digits, len(rows))])
+        return sums, rows
 
-    first = half_sums(range(half))
-    second = sorted(half_sums(range(half, depth)))
-    seconds = [s for s, _ in second]
+    first, first_rows = half_sums(range(half))
+    second, second_rows = half_sums(range(half, depth))
+    # sorted as (sum, digits) tuples: ties keep the digits' lexicographic order
+    order = np.lexsort((*second_rows.T[::-1], second))
+    second, second_rows = second[order], second_rows[order]
 
-    candidates: set[tuple[int, ...]] = set()
-    min_gap = math.inf
+    # each first half matches the second halves in [start, stop): sums within tol
+    start = np.searchsorted(second, -first - tol, "left")
+    stop = np.maximum(start, np.searchsorted(second, -first + tol, "right"))
+    # the nearest neighbours outside the window give the gap
+    near_gaps, nonzero = [], (first_rows.any(axis=1), second_rows.any(axis=1))
+    for near in (start - 1, stop):
+        ok = (0 <= near) & (near < len(second))
+        f, j = np.flatnonzero(ok), near[ok]
+        gap = np.abs(first[f] + second[j])[nonzero[0][f] | nonzero[1][j]]
+        near_gaps.append(gap[gap > tol])
 
-    for s, vec in first:
-        k = bisect.bisect_left(seconds, -s - tol)
-        # sweep matches within tolerance, plus the nearest neighbours for the gap
-        j = k
-        while j < len(second) and seconds[j] <= -s + tol:
-            cvec = vec + second[j][1]
-            if any(cvec):
-                candidates.add(cvec)
-            j += 1
-        for j in (k - 1, j):
-            if 0 <= j < len(second):
-                cvec = vec + second[j][1]
-                if any(cvec):
-                    gap = abs(s + seconds[j])
-                    if gap > tol:
-                        min_gap = min(min_gap, gap)
-
-    def canonical(cvec: tuple[int, ...]) -> tuple[int, ...] | None:
-        # strip trailing zeros (padded duplicates of a shorter collision)
-        m = len(cvec)
-        while m and cvec[m - 1] == 0:
-            m -= 1
-        if m == 0:
-            return None
-        cvec = cvec[:m]
-        lead = next(c for c in cvec if c)
-        if lead < 0:
-            cvec = tuple(-c for c in cvec)
-        return cvec
+    counts = stop - start
+    f = np.repeat(np.arange(len(first)), counts)
+    j = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    cvecs = np.concatenate([first_rows[f], second_rows[j]], axis=1)
+    cvecs = cvecs[cvecs.any(axis=1)]
+    # canonical: first non-zero digit positive (trailing zeros pad a shorter
+    # pair), one row per base-3 key
+    cvecs *= cvecs[np.arange(len(cvecs)), (cvecs != 0).argmax(axis=1), None]
+    _, unique = np.unique((cvecs + 1).astype(np.int64) @ 3 ** np.arange(depth), return_index=True)
+    canon = cvecs[unique]
+    # row sums added column by column from 0, as ``sum`` adds floats before Python 3.12
+    gaps = np.abs(sum(canon[:, k] * p for k, p in enumerate(pows)))
 
     if r_exact is not None:
-        # r^k = (A_k + B_k sqrt d) / den^(depth-1) with integers A_k, B_k; as
-        # sqrt d is irrational, sum c_k r^k = 0 iff both integer sums vanish
-        den, p, q = _integer_parts(r_exact)
-        qd = q * r_exact.d if isinstance(r_exact, QuadraticNumber) else 0
-        A, B, a, b = [], [], 1, 0
-        for k in range(depth):
-            scale = den ** (depth - 1 - k)
-            A.append(a * scale)
-            B.append(b * scale)
-            a, b = a * p + b * qd, a * q + b * p
-    confirmed: dict[tuple[int, ...], float] = {}
-    for cvec in candidates:
-        canon = canonical(cvec)
-        if canon is None or canon in confirmed:
-            continue
-        gap = abs(sum(c * pows[k] for k, c in enumerate(canon)))
-        if r_exact is not None:
-            if sum(c * x for c, x in zip(canon, A)) == 0 == sum(c * y for c, y in zip(canon, B)):
-                confirmed[canon] = 0.0
-            elif gap > 0:
-                min_gap = min(min_gap, gap)
-        else:
-            confirmed[canon] = gap
+        # r^k = (A_k + B_k sqrt d) / den with integers A_k, B_k; as sqrt d is
+        # irrational, sum c_k r^k = 0 iff both integer sums vanish
+        powers = itertools.accumulate([r_exact] * (depth - 1), lambda p, q: p * q, initial=1)
+        parts = [_integer_parts(p) for p in powers]
+        A, B = _over(parts, math.lcm(*(q for q, _, _ in parts)))
+        # int64 sums when none can overflow, Python ints otherwise
+        dtype = np.int64 if max(map(abs, A + B)) * depth < 2**63 else object
+        C = canon.astype(dtype)
+        zero = (C @ np.array(A, dtype) == 0) & (C @ np.array(B, dtype) == 0)
+        # a near miss that is not exactly zero counts toward the gap
+        near_gaps.append(gaps[~zero][gaps[~zero] > 0])
+        canon, gaps = canon[zero], np.zeros(int(zero.sum()))
 
-    triples = []
-    for cvec, gap in confirmed.items():
-        u = tuple(1 if c > 0 else 0 for c in cvec)
-        v = tuple(1 if c < 0 else 0 for c in cvec)
-        if u < v:
-            u, v = v, u
-        triples.append((u, v, gap))
-    triples.sort(key=lambda p: (len(p[0]), p[0], p[1]))
+    # u marks the +1 digits and v the -1 digits of the length-m pair; the
+    # first non-zero digit is +1, so u > v already; sort on (m, u, v)
+    m = depth - (canon[:, ::-1] != 0).argmax(axis=1)
+    u, v = np.maximum(canon, 0), np.maximum(-canon, 0)
+    order = np.lexsort((*v.T[::-1], *u.T[::-1], m))
+    rows = (x[order].tolist() for x in (u, v, m, gaps))
+    triples = [(tuple(a[:k]), tuple(b[:k]), gap) for a, b, k, gap in zip(*rows)]
+    min_gap = float(np.concatenate(near_gaps).min(initial=np.inf))
     return CollisionScan(tuple(triples), min_gap, r_exact is not None, depth, tol)
 
 
@@ -778,8 +761,8 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
     space = system.space
     levels = _integer_levels(system, (x,))
     if levels is not None:
-        # the probes are the float rows themselves: float(exact) bit for bit
-        points = X = np.concatenate([lv.coordinates() for lv in itertools.islice(levels, depth)])
+        # float(exact) bit for bit
+        X = np.concatenate([lv.coordinates() for lv in itertools.islice(levels, depth)])
     else:
         level, points = (x,), []
         for _ in range(depth):
@@ -799,13 +782,19 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
     ns = range(1, depth + 1)
     lo = np.concatenate([np.arange(size**n, dtype=np.int64) * size ** (depth - n) for n in ns])
     hi = lo + np.repeat([size ** (depth - n) for n in ns], [size**n for n in ns])
-    best = math.inf
-    for i in range(len(words) - 1):
-        # later words are no shorter, so only words[i] can be a prefix
-        j = slice(i + 1, None)
-        ratio = space.distances(X[j], points[i]) / (sep[i] + sep[j])
-        ratio[(lo[i] <= lo[j]) & (hi[j] <= hi[i])] = np.inf
-        best = min(best, float(ratio.min()))
+    best, a, n = math.inf, 0, len(words)
+    # word blocks i in [a, b) against the later words j > i; ratios are
+    # non-negative, so an exact zero is final
+    while a < n - 1 and best != 0.0:
+        b = min(a + block_rows(n - a), n - 1)
+        i, j = slice(a, b), slice(a + 1, None)
+        ratio = space.distances(X[j], X[i]) / (sep[i, None] + sep[j])
+        # pairs j <= i, and prefixes: later words are no shorter, so only words[i] can be one
+        prefix = (lo[i, None] <= lo[j]) & (hi[j] <= hi[i, None])
+        ratio[prefix | np.tri(b - a, n - a - 1, -1, dtype=bool)] = np.inf
+        # a row with a NaN ratio is passed over, as ``min(best, nan)`` does
+        best = min(best, float(np.fmin.reduce(ratio.min(axis=1))))
+        a = b
     return best
 
 
@@ -882,9 +871,9 @@ def ball_condition_probe(
             free = np.flatnonzero(nearest[piece] >= factor * delta * r)
             if not free.size:
                 break
-            center = cloud.points[piece.start + int(free[0])]
-            chosen.append(center)
-            nearest = np.minimum(nearest, dist(X, center))
+            k = piece.start + int(free[0])
+            chosen.append(cloud.points[k])
+            nearest = np.minimum(nearest, dist(X, X[k : k + 1])[0])
         else:
             return BallConditionProbe(delta, True, tuple(order), tuple(chosen))
     return BallConditionProbe(0.0, False, tuple(order), ())
@@ -948,34 +937,21 @@ def proper_semiconformality_check_symbolic(
     for w in alphabet.words_up_to(depth - 1):
         tails = list(alphabet.words(depth - len(w)))
         for mi, m in enumerate(system.maps):
-            images = {m.apply(w + tail) for tail in tails}
-            lengths = {len(im) for im in images}
-            is_cylinder = False
-            if len(lengths) == 1:
-                L = lengths.pop()
-                prefix_len = L - (depth - len(w))
-                prefixes = {im[:prefix_len] for im in images}
-                if len(prefixes) == 1:
-                    base = prefixes.pop()
-                    is_cylinder = images == {base + tail for tail in tails}
-            if not is_cylinder:
+            # a cylinder [base] is the image of [w] iff every tail keeps one base
+            first = m.apply(w + tails[0])
+            base = first[: len(first) - (depth - len(w))]
+            if {m.apply(w + tail) for tail in tails} != {base + tail for tail in tails}:
                 report.cylinder_ok = False
                 report.cylinder_violations.append((mi, w))
 
-    # distance law: min over u outside [j] of d2(h, u) == 2 * diam([j])
-    all_words = np.array(list(alphabet.words(depth)), dtype=np.int64)
-    weights = 2.0 ** (1 - np.arange(1, depth + 1))
+    # distance law: min over u outside [j] of d2(h, u) == 2 * diam([j]); with
+    # two letters at least, some word of full depth lies outside every [j]
+    space = SymbolSpace(alphabet)
+    X = space.coordinates(list(alphabet.words(depth)))
     for j in alphabet.words_up_to(depth - 1):
-        jl = len(j)
-        inside = np.all(all_words[:, :jl] == np.array(j), axis=1)
-        if not inside.any() or inside.all():
-            continue
-        h = np.array(j + (0,) * (depth - jl))
-        outside = all_words[~inside]
-        neq = outside != h
-        first = np.argmax(neq, axis=1)
-        dists = weights[first]
-        err = abs(float(dists.min()) - 2.0 * 2.0 ** (-jl))
+        outside = X[(X[:, 1 : len(j) + 1] != j).any(axis=1)]
+        h = space.coordinates([j + (0,) * (depth - len(j))])
+        err = abs(float(space.distances(outside, h).min()) - 2.0 * 2.0 ** (-len(j)))
         report.max_distance_error = max(report.max_distance_error, err)
         if err > 0.0:
             report.distance_ok = False

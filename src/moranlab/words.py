@@ -42,10 +42,17 @@ def enum_cap() -> int:
     return cap
 
 
-def _check_enum(count: int, what: str) -> None:
+def _check_enum(count: int, what: str, branches: Sequence[int] = ()) -> None:
+    """Raise :class:`EnumerationCapError` when ``count`` exceeds :func:`enum_cap`;
+    ``branches[k]`` children per word at level ``k + 1`` name the largest depth that fits."""
     cap = enum_cap()
     if count > cap:
-        raise EnumerationCapError("%s would enumerate %d words (cap %d)" % (what, count, cap))
+        why, depth = "%s would enumerate %d words (cap %d)" % (what, count, cap), len(branches)
+        while depth and count > cap:
+            depth -= 1
+            count //= branches[depth]
+        fits = "no depth fits" if count > cap else "the largest depth that fits is %d" % depth
+        raise EnumerationCapError("%s; %s" % (why, fits) if branches else why)
 
 
 class Alphabet:
@@ -72,7 +79,7 @@ class Alphabet:
         """All words of exactly ``length`` symbols, in lexicographic order."""
         if length < 0:
             raise DomainError("length must be non-negative")
-        _check_enum(self.size**length, "level %d" % length)
+        _check_enum(self.size**length, "level %d" % length, (self.size,) * length)
         return itertools.product(range(self.size), repeat=length)
 
     def words_up_to(self, depth: int) -> Iterator[Word]:
@@ -204,7 +211,7 @@ class SubTree:
     def words(self, length: int) -> Iterator[Word]:
         if not 0 <= length <= self.depth:
             raise DomainError("length %d outside declared depth %d" % (length, self.depth))
-        _check_enum(self.count(length), "sub-tree level %d" % length)
+        _check_enum(self.count(length), "sub-tree level %d" % length, self.branch_counts[:length])
         return itertools.product(*(range(self.branch(k)) for k in range(1, length + 1)))
 
     def to_json(self) -> dict:
@@ -294,13 +301,16 @@ def local_stopping_sets(model, cloud, xs: Sequence, r: float) -> list[LocalStopp
                 "stopping word %s is deeper than the cloud (depth %d); "
                 "regenerate the cloud at depth >= %d" % (word_str(w), depth, len(w))
             )
+    from .spaces import block_rows
+
     pieces = [cloud.piece(w) for w in candidates]
     counts = tuple(piece.stop - piece.start for piece in pieces)
-    out = []
-    for x in xs:
-        inside = cloud.space.distances(cloud.coordinates, x) < r
-        words = tuple(w for w, piece in zip(candidates, pieces) if inside[piece].any())
-        out.append(LocalStoppingSet(words, tuple(candidates), counts))
+    space, X, out = cloud.space, cloud.coordinates, []
+    Q, step = space.coordinates(xs), block_rows(len(X))
+    for a in range(0, len(Q), step):
+        for inside in space.distances(X, Q[a : a + step]) < r:
+            words = tuple(w for w, piece in zip(candidates, pieces) if inside[piece].any())
+            out.append(LocalStoppingSet(words, tuple(candidates), counts))
     return out
 
 
@@ -309,9 +319,7 @@ def local_stopping_sets(model, cloud, xs: Sequence, r: float) -> list[LocalStopp
 # ---------------------------------------------------------------------------
 
 
-def antichain_cover_cost(
-    alphabet: Alphabet, psi: WeightFunction, n: int, max_depth: int
-) -> float:
+def antichain_cover_cost(alphabet: Alphabet, psi: WeightFunction, n: int, max_depth: int) -> float:
     """Cheapest antichain cover of the whole branch space, exactly.
 
     Minimises ``sum(psi(i) for i in C)`` over all covers ``C`` of the full
@@ -329,7 +337,9 @@ def antichain_cover_cost(
     """
     if not 1 <= n <= max_depth:
         raise DomainError("need 1 <= n <= max_depth, got n=%d, max_depth=%d" % (n, max_depth))
-    _check_enum(alphabet.size**max_depth, "cover tree of depth %d" % max_depth)
+    _check_enum(
+        alphabet.size**max_depth, "cover tree of depth %d" % max_depth, (alphabet.size,) * max_depth
+    )
 
     def cost(word: Word) -> float:
         if len(word) == max_depth:

@@ -207,6 +207,9 @@ BAD_SPECS = [
      ["generate", "--depth", "2"], "seed_points[0]: symbol 0.9 outside alphabet of size 3"),
     ("symbol table of fractional letters", _set("symbolifs", ("maps", 1, "table", 0), [2.5]),
      ["generate", "--depth", "2"], "maps[1]: symbol 2.5 outside alphabet of size 3"),
+    # int() made this map a copy of maps[0]: two identical branches, exit 0
+    ("comb shift of one half", _set("comb", ("maps", 1, "shift"), 0.5),
+     ["generate", "--depth", "2"], "maps[1]: shift must be an integer"),
 ]
 
 

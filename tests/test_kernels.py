@@ -30,6 +30,7 @@ from moranlab import (
     QuadraticNumber,
     SimilitudeMap,
     SnowflakeSpace,
+    SymbolMap,
     SymbolSpace,
     attractor_cloud,
     box_count,
@@ -44,8 +45,11 @@ from moranlab import (
     stopping_set,
 )
 from moranlab.cli import _default_scales
-from moranlab.systems import _integer_levels
-from moranlab.words import incomparable, word_str
+from moranlab.dimension import _nearest_neighbor_gap
+from moranlab.models import GeneralModel
+from moranlab.spaces import row_minima
+from moranlab.systems import _integer_levels, _sampled_diameter
+from moranlab.words import incomparable, local_stopping_sets, word_str
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 T_STAR = math.log(2) / math.log(3)
@@ -130,6 +134,11 @@ def scalar_distances(space, points, q):
     return [space.distance(p, q) for p in points]
 
 
+def one_query(space, X, q):
+    """The kernel's row for the single query point ``q``: a one-row block."""
+    return space.distances(X, space.coordinates([q]))[0]
+
+
 # -- kernels against the scalar distance --------------------------------------------
 
 
@@ -138,7 +147,7 @@ def scalar_distances(space, points, q):
 def test_kernel_is_bit_identical_on_float_coordinates(data, pick):
     space, points = data
     q = points[pick % len(points)]
-    got = space.distances(space.coordinates(points), q)
+    got = one_query(space, space.coordinates(points), q)
     assert got.tolist() == scalar_distances(space, points, q)
 
 
@@ -146,7 +155,7 @@ def test_kernel_is_bit_identical_on_float_coordinates(data, pick):
 @given(points=st.lists(words, min_size=1, max_size=12), q=words)
 def test_symbol_kernel_takes_queries_of_any_width(points, q):
     space = SymbolSpace(Alphabet(3))
-    got = space.distances(space.coordinates(points), q)
+    got = one_query(space, space.coordinates(points), q)
     assert got.tolist() == scalar_distances(space, points, q)
 
 
@@ -165,7 +174,7 @@ def test_kernel_is_within_ulps_on_exact_coordinates(scalars, dim, data):
     space = EuclideanSpace(dim)
     X = space.coordinates(points)
     assert X.tolist() == [[float(c) for c in p] for p in points]
-    assert_within_ulps(space.distances(X, q), scalar_distances(space, points, q), points, q)
+    assert_within_ulps(one_query(space, X, q), scalar_distances(space, points, q), points, q)
 
 
 @settings(max_examples=25, deadline=None)
@@ -173,7 +182,7 @@ def test_kernel_is_within_ulps_on_exact_coordinates(scalars, dim, data):
 def test_comb_kernel_on_quadratic_coordinates(points):
     space = CombSpace(GOLDEN_RATIO)
     q = points[0]
-    got = space.distances(space.coordinates(points), q)
+    got = one_query(space, space.coordinates(points), q)
     assert_within_ulps(got, scalar_distances(space, points, q), points, q)
     assert got[0] == 0.0
 
@@ -183,7 +192,7 @@ def test_kernels_reject_mismatched_dimensions():
         EuclideanSpace(2).coordinates([(0.0, 1.0), (2.0,)])
     X = EuclideanSpace(2).coordinates([(0.0, 1.0)])
     with pytest.raises(DomainError):
-        EuclideanSpace(2).distances(X, (0.0,))
+        EuclideanSpace(2).distances(X, np.zeros((1, 1)))
 
 
 # -- greedy covers and packings against the pairwise scan ---------------------------
@@ -227,7 +236,7 @@ def test_greedy_cover_on_shipped_clouds_matches_the_scan(name):
     depth = 2 if name == "heisenberg" else 6
     cloud = attractor_cloud(system, depth)
     space, pts = cloud.space, cloud.points
-    diam = max(space.distances(cloud.coordinates, p).max() for p in pts)
+    diam = max(one_query(space, cloud.coordinates, p).max() for p in pts)
     for k in range(1, 8):
         r = 0.6 * diam * 2.0**-k
         assert box_count(cloud, r) == len(scalar_centers(space, pts, r)), r
@@ -320,6 +329,43 @@ def pairwise_semiconformal_bounds(system, word):
     return lo, hi
 
 
+def loop_symbolic_bounds(system, word, pair_samples=64):
+    """The pool loop that the blocks replaced: one kernel call per pool word."""
+    alphabet, space = system.space.alphabet, system.space
+    pool_depth = 3
+    while math.comb(alphabet.size**pool_depth, 2) < pair_samples:
+        pool_depth += 1
+    pool = list(alphabet.words(pool_depth))
+    images = [system.apply_word(word, u) for u in pool]
+    P, I = space.coordinates(pool), space.coordinates(images)
+    lo, hi = math.inf, 0.0
+    for i in range(len(pool) - 1):
+        duv = space.distances(P[i + 1 :], P[i][None])[0]
+        resolved = duv != 0.0
+        r = space.distances(I[i + 1 :], I[i][None])[0][resolved] / duv[resolved]
+        if r.size:
+            lo, hi = min(lo, float(r.min())), max(hi, float(r.max()))
+    return lo, hi
+
+
+@st.composite
+def symbol_systems(draw):
+    """Prefix-rewriting maps on a two- or three-letter tree, prefixes up to two letters."""
+    space = SymbolSpace(Alphabet(draw(st.integers(2, 3))))
+    prefix = st.lists(st.integers(0, space.alphabet.size - 1), max_size=2).map(tuple)
+    tables = st.lists(prefix, min_size=space.alphabet.size, max_size=space.alphabet.size)
+    maps = [SymbolMap(tuple(draw(tables))) for _ in range(draw(st.integers(2, 3)))]
+    return ContractionSystem(space, maps, ((0,),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=symbol_systems(), pair_samples=st.sampled_from([2, 64, 20000]))
+def test_symbolic_pool_blocks_match_the_per_word_loop(system, pair_samples):
+    for word in system.alphabet.words_up_to(2):
+        bounds = semiconformal_bounds(system, word, pair_samples)
+        assert (bounds.lower, bounds.upper) == loop_symbolic_bounds(system, word, pair_samples)
+
+
 def test_symbolic_semiconformal_bounds_match_the_pair_loop():
     system = shipped_system("symbolifs")
     for word in system.alphabet.words_up_to(3):
@@ -376,13 +422,17 @@ def float_bits(points):
 
 
 def per_point_epsilon(system, x, depth):
-    """The exact-point path: levels of exact points, then their float rows."""
+    """The exact-point path: levels of exact points, then their float rows;
+    one kernel call per word, as ``separation_epsilon`` made before blocks."""
     words = list(system.alphabet.words_up_to(depth))
     level, points = (tuple(x),), []
     for _ in range(depth):
         level = system.next_level(level)
         points.extend(level)
-    sep = np.array([system.word_lip_bounds(w)[0] for w in words])
+    try:
+        sep = np.array([system.word_lip_bounds(w)[0] for w in words])
+    except DomainError:
+        sep = np.array([semiconformal_bounds(system, w).lower for w in words])
     # word w covers the depth-``depth`` index range [lo, hi)
     size = system.alphabet.size
     span = np.array([size ** (depth - len(w)) for w in words])
@@ -393,7 +443,7 @@ def per_point_epsilon(system, x, depth):
     best = math.inf
     for i in range(len(words) - 1):
         j = slice(i + 1, None)
-        ratio = system.space.distances(X[j], points[i]) / (sep[i] + sep[j])
+        ratio = one_query(system.space, X[j], points[i]) / (sep[i] + sep[j])
         ratio[(lo[i] <= lo[j]) & (hi[j] <= hi[i])] = np.inf
         best = min(best, float(ratio.min()))
     return best
@@ -633,3 +683,331 @@ def test_clustering_walks_one_stopping_set_per_radius(monkeypatch, name, depth):
     radii = [0.2 * model.seed_diameter, 0.1 * model.seed_diameter]
     assert finite_clustering_sup(model, cloud, 50, radii) >= 1
     assert calls == radii
+
+
+# -- block queries against the per-query loops they replaced ---------------------------
+#
+# Each reference below is the loop that a block path replaced, one kernel call
+# per query point; the block paths must return the same floats.
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=float_clouds(), picks=st.lists(st.integers(0, 11), min_size=1, max_size=8))
+def test_block_kernel_equals_stacked_single_queries(data, picks):
+    space, points = data
+    queries = [points[k % len(points)] for k in picks]
+    X = space.coordinates(points)
+    stacked = [one_query(space, X, q).tolist() for q in queries]
+    assert space.distances(X, space.coordinates(queries)).tolist() == stacked
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(words, min_size=1, max_size=12), queries=st.lists(words, min_size=1, max_size=6))
+def test_symbol_block_kernel_takes_rows_of_mixed_lengths(points, queries):
+    space = SymbolSpace(Alphabet(3))
+    X, Q = space.coordinates(points), space.coordinates(queries)
+    got = space.distances(X, Q)
+    assert got.shape == (len(queries), len(points))
+    assert got.tolist() == [scalar_distances(space, points, q) for q in queries]
+
+
+def per_query_row_minima(space, X, Q, skip=None):
+    rows = []
+    for i, q in enumerate(Q):
+        d = space.distances(X, q[None])[0]
+        if skip is not None:
+            d[skip[i]] = np.inf
+        rows.append(float(d.min()))
+    return rows
+
+
+def loop_sampled_diameter(space, X):
+    """``_estimated_seed_diameter`` and the sampled ``log_diam`` as loops."""
+    return max(float(space.distances(X[:i], X[i][None])[0].max()) for i in range(1, len(X)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=float_clouds(), data2=float_clouds(), skip_self=st.booleans())
+def test_row_minima_and_diameters_match_the_per_query_loops(data, data2, skip_self):
+    space, points = data
+    X = space.coordinates(points)
+    if skip_self:
+        rows = np.arange(len(X))
+        assert row_minima(space, X, X, rows).tolist() == per_query_row_minima(space, X, X, rows)
+    else:
+        assert row_minima(space, X, X).tolist() == per_query_row_minima(space, X, X)
+    if len(X) > 1:
+        assert _sampled_diameter(space, X) == loop_sampled_diameter(space, X)
+        cloud = PointCloud(space, 1, tuple((k,) for k in range(len(points))), tuple(points))
+        for max_probes in (256, 3):
+            assert _nearest_neighbor_gap(cloud, max_probes) == loop_nearest_gap(cloud, max_probes)
+
+
+def loop_nearest_gap(cloud, max_probes):
+    """``_nearest_neighbor_gap`` as a loop: one kernel call per probe."""
+    X, n, worst = cloud.coordinates, len(cloud), 0.0
+    for i in range(0, n, max(1, n // max_probes)):
+        d = cloud.space.distances(X, X[i][None])[0]
+        d[i] = np.inf
+        worst = max(worst, float(d.min()))
+    return worst
+
+
+@pytest.mark.parametrize("name, depth", [("cantor", 10), ("selfaffine", 8), ("symbolifs", 6)])
+def test_cloud_loops_match_the_per_query_loops(name, depth):
+    """Clouds large enough for many blocks: nearest-neighbour gap, the seed
+    diameter, the sampled piece diameters and the containment resolution."""
+    system = shipped_system(name)
+    cloud = attractor_cloud(system, depth)
+    space, X, n = cloud.space, cloud.coordinates, len(cloud)
+    for max_probes in (256, 7):
+        assert _nearest_neighbor_gap(cloud, max_probes) == loop_nearest_gap(cloud, max_probes)
+    sub = X[:: max(1, n // 256)]
+    unset = ContractionSystem(system.space, system.maps, system.seed_points)
+    assert unset._estimated_seed_diameter(cloud) == loop_sampled_diameter(space, sub)
+    model = unset.induced_model(cloud)
+    if isinstance(model, GeneralModel):  # sampled piece diameters
+        for w in system.alphabet.words_up_to(2):
+            want = math.log(loop_sampled_diameter(space, X[cloud.piece(w)]))
+            assert model.log_diam(w) == want
+    sub = X[:: max(1, n // 128)]
+    nearest = per_query_row_minima(space, sub, sub, range(len(sub)))
+    _, note = model.containment_check(depth)
+    assert note.endswith("%.3g" % (2.0 * max(nearest)))
+
+
+def loop_containment(system, cloud):
+    """The containment verdict as a loop: one kernel call per image point."""
+    stride = max(1, len(cloud) // 128)
+    sub, X = cloud.points[::stride], cloud.coordinates[::stride]
+    resolution = 2.0 * max(per_query_row_minima(cloud.space, X, X, range(len(X))))
+    for m in system.maps:
+        for p in sub[:32]:
+            if one_query(system.space, X, m.apply(p)).min() > max(resolution, 1e-9):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", SHIPPED_SYSTEMS)
+def test_containment_verdicts_match_the_per_point_loop(name):
+    system = shipped_system(name)
+    cloud = attractor_cloud(system, 2 if name == "heisenberg" else 6)
+    assert system._containment_check(cloud)(3)[0] is loop_containment(system, cloud) is True
+
+
+def test_failed_containment_matches_the_per_point_loop():
+    cloud = attractor_cloud(shipped_system("cantor"), 6)
+    maps = [SimilitudeMap(Fraction(1, 3), (0,)), SimilitudeMap(Fraction(1, 3), (5,))]
+    other = ContractionSystem(EuclideanSpace(1), maps, ((0,),))
+    assert other._containment_check(cloud)(3)[0] is loop_containment(other, cloud) is False
+
+
+def test_tractability_probe_matches_the_per_query_gap(monkeypatch):
+    from moranlab import spaces, tractability_probe
+
+    system = shipped_system("cantor")
+    cloud = attractor_cloud(system, 8)
+    args = (system, cloud, [0.12, 0.05], 3)
+    block = tractability_probe(*args, samples_per_piece=200)[1].to_json()
+    monkeypatch.setattr(
+        spaces, "row_minima",
+        lambda space, X, Q, skip=None: np.array(per_query_row_minima(space, X, Q, skip)),
+    )
+    assert tractability_probe(*args, samples_per_piece=200)[1].to_json() == block
+
+
+@pytest.mark.parametrize("name, depth", [("cantor", 10), ("symbolifs", 6)])
+def test_local_stopping_sets_match_the_per_point_loop(name, depth):
+    system = shipped_system(name)
+    cloud = attractor_cloud(system, depth)
+    model = system.induced_model(cloud)
+    probes = cloud.points[:: max(1, len(cloud) // 300)]
+    for r in (0.2 * model.seed_diameter, 0.05 * model.seed_diameter):
+        got = local_stopping_sets(model, cloud, probes, r)
+        candidates = stopping_set(model, r)
+        pieces = [cloud.piece(w) for w in candidates]
+        assert len(got) == len(probes)
+        for local, x in zip(got, probes):
+            inside = one_query(cloud.space, cloud.coordinates, x) < r
+            want = tuple(w for w, piece in zip(candidates, pieces) if inside[piece].any())
+            assert local.words == want
+
+
+@st.composite
+def float_similitudes(draw):
+    """Two or three float similitudes on the line, plain or snowflaked."""
+    size, coordinate = draw(st.integers(2, 3)), st.floats(-2, 2)
+    maps = [SimilitudeMap(draw(st.floats(0.05, 0.95)), (draw(coordinate),)) for _ in range(size)]
+    space = draw(st.sampled_from([EuclideanSpace(1), SnowflakeSpace(EuclideanSpace(1), 0.5)]))
+    system = ContractionSystem(space, maps, ((draw(coordinate),),))
+    return system, draw(st.integers(1, 7 if size == 2 else 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(float_similitudes(), rational_similitudes(), comb_systems()))
+def test_blocked_epsilon_matches_the_per_word_loop(case):
+    system, depth = case
+    x = system.seed_points[0]
+    assert separation_epsilon(system, x, depth) == per_point_epsilon(system, x, depth)
+
+
+@pytest.mark.parametrize(
+    "name, depth",
+    [("cantor", 10), ("comb", 10), ("heisenberg", 2), ("selfaffine", 8), ("symbolifs", 4)],
+)
+def test_blocked_epsilon_matches_the_per_word_loop_on_shipped_systems(name, depth):
+    system = shipped_system(name)
+    x = system.seed_points[0]
+    assert separation_epsilon(system, x, depth) == per_point_epsilon(system, x, depth)
+
+
+def test_epsilon_of_an_exact_overlap_is_zero_and_stops_there(monkeypatch):
+    # x/2, x/2 + 1/4 and x/2 + 1/2: phi_0 phi_2 = phi_1 phi_0 = x/4 + 1/4
+    maps = [SimilitudeMap(Fraction(1, 2), (Fraction(k, 2),)) for k in range(3)]
+    system = ContractionSystem(EuclideanSpace(1), maps, ((Fraction(1, 3),),))
+    x = system.seed_points[0]
+    assert separation_epsilon(system, x, 1) == per_point_epsilon(system, x, 1) > 0.0
+    for depth in range(2, 7):
+        assert separation_epsilon(system, x, depth) == per_point_epsilon(system, x, depth) == 0.0
+    calls = []
+    kernel = EuclideanSpace.distances
+    monkeypatch.setattr(
+        EuclideanSpace, "distances", lambda self, X, Q: calls.append(len(Q)) or kernel(self, X, Q)
+    )
+    # the pair sits in rows 5 and 6 of the 1092 words: the first block holds it
+    assert separation_epsilon(system, x, 6) == 0.0
+    assert len(calls) == 1
+
+
+def loop_collision_scan(r, depth, tol=1e-9):
+    """The ``osc_collision_scan`` loop that the numpy passes replaced:
+    ``(collisions, min_nonzero_gap)``."""
+    from bisect import bisect_left
+
+    from moranlab.exactnum import exact_value
+    from moranlab.systems import _integer_parts
+
+    r_exact, rf, half = exact_value(r), float(r), depth // 2
+    pows = [rf**k for k in range(depth)]
+
+    def half_sums(positions):
+        out = [(0.0, ())]
+        for p in positions:
+            out = [(s + c * pows[p], vec + (c,)) for s, vec in out for c in (-1, 0, 1)]
+        return out
+
+    first = half_sums(range(half))
+    second = sorted(half_sums(range(half, depth)))
+    seconds = [s for s, _ in second]
+    candidates, min_gap = set(), math.inf
+    for s, vec in first:
+        k = bisect_left(seconds, -s - tol)
+        j = k
+        while j < len(second) and seconds[j] <= -s + tol:
+            cvec = vec + second[j][1]
+            if any(cvec):
+                candidates.add(cvec)
+            j += 1
+        for j in (k - 1, j):
+            if 0 <= j < len(second):
+                cvec = vec + second[j][1]
+                if any(cvec):
+                    gap = abs(s + seconds[j])
+                    if gap > tol:
+                        min_gap = min(min_gap, gap)
+
+    def canonical(cvec):
+        m = len(cvec)
+        while m and cvec[m - 1] == 0:
+            m -= 1
+        cvec = cvec[:m]
+        return tuple(-c for c in cvec) if next(c for c in cvec if c) < 0 else cvec
+
+    if r_exact is not None:
+        den, p, q = _integer_parts(r_exact)
+        qd = q * r_exact.d if isinstance(r_exact, QuadraticNumber) else 0
+        A, B, a, b = [], [], 1, 0
+        for k in range(depth):
+            A.append(a * den ** (depth - 1 - k))
+            B.append(b * den ** (depth - 1 - k))
+            a, b = a * p + b * qd, a * q + b * p
+    confirmed = {}
+    for cvec in candidates:
+        canon = canonical(cvec)
+        if canon in confirmed:
+            continue
+        # ``sum`` as the loop used it, written as the left-to-right fold it is
+        # before Python 3.12 (later versions compensate float sums)
+        gap = 0.0
+        for k, c in enumerate(canon):
+            gap += c * pows[k]
+        gap = abs(gap)
+        if r_exact is not None:
+            if sum(c * x for c, x in zip(canon, A)) == 0 == sum(c * y for c, y in zip(canon, B)):
+                confirmed[canon] = 0.0
+            elif gap > 0:
+                min_gap = min(min_gap, gap)
+        else:
+            confirmed[canon] = gap
+    triples = []
+    for cvec, gap in confirmed.items():
+        u = tuple(1 if c > 0 else 0 for c in cvec)
+        v = tuple(1 if c < 0 else 0 for c in cvec)
+        triples.append((max(u, v), min(u, v), gap))
+    triples.sort(key=lambda p: (len(p[0]), p[0], p[1]))
+    return tuple(triples), min_gap
+
+
+# 999/1000: the exact sums outgrow int64 and run on Python ints
+@pytest.mark.parametrize(
+    "r", [GOLDEN_RATIO, Fraction(2, 3), Fraction(5, 7), Fraction(999, 1000), math.pi / 4],
+    ids=["golden", "2/3", "5/7", "999/1000", "pi/4"],
+)
+def test_collision_scan_matches_the_loop(r):
+    for depth in range(1, 15):
+        for tol in (1e-9, 0.5) if depth <= 6 else (1e-9,):
+            scan = osc_collision_scan(r, depth, tol)
+            assert (scan.collisions, scan.min_nonzero_gap) == loop_collision_scan(r, depth, tol)
+
+
+class NanLine(EuclideanSpace):
+    """The line whose kernel gives NaN for one (row, query) pair of values,
+    as ``inf - inf`` does in the gauge of huge Heisenberg coordinates."""
+
+    def __init__(self, row, query):
+        super().__init__(1)
+        self.pair = (row, query)
+
+    def distances(self, X, Q):
+        D = super().distances(X, Q)
+        D[(X[:, 0] == self.pair[0]) & (Q[:, :1] == self.pair[1])] = np.nan
+        return D
+
+
+def test_block_loops_pass_over_nan_rows_as_the_loops_did():
+    maps = [SimilitudeMap(Fraction(1, 3), (0,)), SimilitudeMap(Fraction(1, 5), (1,)),
+            SimilitudeMap(Fraction(2, 7), (Fraction(1, 2),))]
+    plain = ContractionSystem(EuclideanSpace(1), maps, ((Fraction(1, 4),),))
+    x, depth = plain.seed_points[0], 3
+    words = list(plain.alphabet.words_up_to(depth))
+    X = plain.space.coordinates([plain.apply_word(w, x) for w in words])
+    sep = [plain.word_lip_bounds(w)[0] for w in words]
+    pairs = [(i, j) for i, j in combinations(range(len(words)), 2)
+             if incomparable(words[i], words[j])]
+    i, j = min(pairs, key=lambda p: abs(X[p[0], 0] - X[p[1], 0]) / (sep[p[0]] + sep[p[1]]))
+    # a NaN elsewhere in the row of the closest pair: the loop drops the whole row
+    k = next(k for a, k in pairs if a == i and k != j)
+    nan = ContractionSystem(NanLine(X[k, 0], X[i, 0]), maps, plain.seed_points)
+    eps = separation_epsilon(nan, x, depth)
+    assert eps == per_point_epsilon(nan, x, depth) > separation_epsilon(plain, x, depth)
+    space, rows = nan.space, np.arange(len(X))
+    assert np.array_equal(
+        row_minima(space, X, X, rows), per_query_row_minima(space, X, X, rows), equal_nan=True
+    )
+    cloud = PointCloud(space, 1, tuple((k,) for k in rows), tuple(map(tuple, X.tolist())))
+    assert _nearest_neighbor_gap(cloud, 4096) == loop_nearest_gap(cloud, 4096) > 0.0
+    # a NaN in the first row sticks to ``max``; one in a later row is passed over
+    for row in (1, len(X) - 1):
+        first = NanLine(X[0, 0], X[row, 0])
+        want, got = loop_sampled_diameter(first, X), _sampled_diameter(first, X)
+        assert repr(got) == repr(want) and math.isnan(got) == (row == 1)

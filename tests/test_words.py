@@ -17,7 +17,7 @@ from moranlab import (
     attractor_cloud,
     stopping_set,
 )
-from moranlab.models import LevelModel
+from moranlab.models import GeneralModel, LevelModel
 from moranlab.words import (
     d2,
     d2_with_resolution,
@@ -92,6 +92,39 @@ def test_enumeration_cap_is_enforced(monkeypatch):
     assert len(list(abc.words(3))) == 8
     with pytest.raises(EnumerationCapError):
         list(abc.words(4))
+
+
+def test_enumeration_cap_names_the_largest_depth_that_fits(monkeypatch):
+    monkeypatch.setenv("MORANLAB_ENUM_CAP", "100")
+    maps = [SimilitudeMap(1 / 3, (0,)), SimilitudeMap(1 / 3, (1,))]
+    cantor = ContractionSystem(EuclideanSpace(1), maps, [(0.0,), (1.0,)])
+    halves = GeneralModel(lambda w: -0.7 * len(w), Alphabet(2))
+    calls = [
+        (lambda: Alphabet(2).words(7), "level 7 would enumerate 128 words (cap 100)", 6),
+        (lambda: Alphabet(3).words(9), "level 9 would enumerate 19683 words (cap 100)", 4),
+        (lambda: SubTree((3, 3, 3, 4)).words(4),
+         "sub-tree level 4 would enumerate 108 words (cap 100)", 3),
+        (lambda: antichain_cover_cost(Alphabet(2), lambda w: 1.0, 1, 7),
+         "cover tree of depth 7 would enumerate 128 words (cap 100)", 6),
+        (lambda: halves.level_log_sum(1.0, 8),
+         "level 8 of a general model would enumerate 256 words (cap 100)", 6),
+        # two samples per leaf: 2 * 2**6 words
+        (lambda: attractor_cloud(cantor, 6, samples_per_leaf=2),
+         "attractor cloud at depth 6 would enumerate 128 words (cap 100)", 5),
+    ]
+    for call, message, depth in calls:
+        with pytest.raises(EnumerationCapError) as exc:
+            call()
+        assert str(exc.value) == "%s; the largest depth that fits is %d" % (message, depth)
+    assert len(list(Alphabet(2).words(6))) == 64
+    assert len(attractor_cloud(cantor, 5, samples_per_leaf=2)) == 64
+    # not even the root's samples fit
+    monkeypatch.setenv("MORANLAB_ENUM_CAP", "1")
+    with pytest.raises(EnumerationCapError, match=r"\(cap 1\); no depth fits$"):
+        attractor_cloud(cantor, 1, samples_per_leaf=2)
+    # counts of no tree shape keep the short message
+    with pytest.raises(EnumerationCapError, match=r"\(cap 1\)$"):
+        stopping_set(MultiplicativeModel((1 / 3, 1 / 3)), 0.2)
 
 
 def test_bad_enumeration_cap_is_reported(monkeypatch):
