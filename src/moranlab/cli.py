@@ -436,16 +436,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Parse ``argv``, load the spec once, run the subcommand, write its output."""
-    args = build_parser().parse_args(argv)
-    try:
-        spec = None
-        if "spec" in args:  # every subcommand but beta reads a spec file
-            from .specio import load_spec
+    import warnings
 
-            spec = load_spec(args.spec)
-        text, code = args.func(spec, args)
-    except (SpecError, DomainError, EnumerationCapError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2 if isinstance(exc, SpecError) else 3
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:  # each one line, after the output
+        try:
+            spec = None
+            if "spec" in args:  # every subcommand but beta reads a spec file
+                from .specio import load_spec
+
+                spec = load_spec(args.spec)
+            text, code = args.func(spec, args)
+        except (SpecError, DomainError, EnumerationCapError) as exc:
+            text, code = "", 2 if isinstance(exc, SpecError) else 3
+            print("error: %s" % exc, file=sys.stderr)
     sys.stdout.write(text)
+    sys.stderr.writelines("warning: %s\n" % w.message for w in caught)
     return code

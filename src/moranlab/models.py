@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .words import Alphabet, SubTree, Word, word_str, _check_enum, stopping_set
+from .words import Alphabet, SubTree, Word, word_str, _check_enum, _stopping_walk
 
 # Fitted constants that grow by more than this factor between consecutive
 # depths are flagged as diverging (axiom violated rather than held).
@@ -620,12 +620,8 @@ def tractability_probe(
         if not 0 < r < model.seed_diameter:
             report.skipped_radii.append((r, "outside (0, seed diameter)"))
             continue
-        try:
-            Z = stopping_set(model, r)
-        except DomainError as exc:
-            report.skipped_radii.append((r, str(exc)))
-            continue
-        if any(len(w) > cloud.depth for w in Z):
+        Z, wide = _stopping_walk(model, r, cloud.depth)
+        if wide:
             report.skipped_radii.append((r, "stopping words deeper than the cloud"))
             continue
         samples = {w: piece_samples(w) for w in Z}

@@ -15,13 +15,17 @@ rows.  The kernel uses the scalar path's operand order and float operations
 (squares are products, the gauge's fourth root is two square roots, the
 snowflake exponent is libm's ``pow``), so on float coordinates it returns
 the scalar values bit for bit.  Exact coordinates enter as ``float(exact)``.
+Float rows are column-major, one contiguous array per coordinate, as the
+greedy cover reads them (README lists the cover variants measured slower).
+Symbol rows stay row-major; their kernel keeps the padded rows' first
+differing letter if it lies inside the pair's common length.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -70,9 +74,9 @@ def row_minima(space: "MetricSpace", X: np.ndarray, Q: np.ndarray, skip=None) ->
 
 
 def _float_rows(points: Sequence, dim: int) -> np.ndarray:
-    """``float`` coordinates of ``dim``-dimensional points, one row each."""
+    """``float`` coordinates of ``dim``-dimensional points, one row each, column-major."""
     try:
-        return np.array(points, dtype=float).reshape(len(points), dim)
+        return np.array(points, dtype=float, order="F").reshape(len(points), dim)
     except ValueError as exc:
         raise DomainError("points are not all %d-dimensional" % dim) from exc
 
@@ -206,20 +210,19 @@ class SymbolSpace(MetricSpace):
         """Row ``k`` is ``len(w), w[0], w[1], ...`` padded with zeros."""
         width = max((len(w) for w in points), default=0)
         dtype = np.min_scalar_type(max(width, self.alphabet.size - 1))
-        X = np.zeros((len(points), width + 1), dtype=dtype)
-        for k, w in enumerate(points):
-            X[k, 0] = len(w)
-            X[k, 1 : len(w) + 1] = w
-        return X
+        # one flat buffer, filled in one pass (bytes while every value fits one)
+        flat = chain.from_iterable((len(w), *w, *(0,) * (width - len(w))) for w in points)
+        X = np.frombuffer(bytearray(flat), dtype) if dtype == np.uint8 else np.fromiter(flat, dtype)
+        return X.reshape(len(points), width + 1)
 
     def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
         m = min(X.shape[1], Q.shape[1]) - 1
         if m == 0:
             return np.zeros((len(Q), len(X)))
-        # compare each pair on the common depth of its two rows
-        k = np.arange(m)
-        differ = (X[:, 1 : m + 1] != Q[:, None, 1 : m + 1]) & (k < X[:, :1]) & (k < Q[:, None, :1])
-        return np.where(differ.any(axis=2), np.ldexp(1.0, -differ.argmax(axis=2)), 0.0)
+        differ = X[:, 1 : m + 1] != Q[:, None, 1 : m + 1]
+        first = differ.argmax(axis=2)
+        inside = differ.any(axis=2) & (first < np.minimum(X[:, 0], Q[:, :1]))
+        return np.where(inside, np.ldexp(1.0, -first), 0.0)
 
     def to_json(self) -> dict:
         return {"kind": "symbol", "alphabet": self.alphabet.size}

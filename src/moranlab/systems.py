@@ -463,7 +463,7 @@ class _IntegerLevel(NamedTuple):
         if self.b is not None:
             root = math.sqrt(self.d)
             cols = [x + (b / self.den).astype(float) * root for x, b in zip(cols, self.b)]
-        return np.column_stack(cols)
+        return np.array(cols).T  # column-major, as ``space.coordinates`` builds float rows
 
     def points(self) -> tuple:
         """The exact points, with the values and types of :meth:`apply_word`."""

@@ -238,6 +238,16 @@ def stopping_set(model, r: float, max_depth: int = 64) -> list[Word]:
     the word ``i`` belongs to the stopping set.  The walk goes level by
     level; the words kept plus the next level count against :func:`enum_cap`.
     """
+    out, wide = _stopping_walk(model, r, max_depth)
+    if wide:
+        raise DomainError(
+            "piece diameters did not drop below r=%r within depth %d" % (r, max_depth)
+        )
+    return out
+
+
+def _stopping_walk(model, r: float, max_depth: int) -> tuple[list[Word], list[Word]]:
+    """Stopping words up to ``max_depth``, sorted; the wider words left there, in order."""
     if not 0 < r < model.seed_diameter:
         raise DomainError(
             "stopping radius must lie in (0, seed diameter); got r=%r, seed=%r"
@@ -246,17 +256,13 @@ def stopping_set(model, r: float, max_depth: int = 64) -> list[Word]:
     symbols = model.alphabet.symbols()
     out: list[Word] = []
     frontier: list[Word] = [()]
-    while frontier:
+    while frontier and len(frontier[0]) < max_depth:
         _check_enum(len(out) + len(frontier) * len(symbols), "stopping set at r=%r" % r)
         children = [w + (s,) for w in frontier for s in symbols]
         frontier = []
         for w in children:
             (out if model.diam(w) <= r else frontier).append(w)
-        if frontier and len(frontier[0]) >= max_depth:
-            raise DomainError(
-                "piece diameters did not drop below r=%r within depth %d" % (r, max_depth)
-            )
-    return sorted(out)  # an antichain sorts into depth-first order
+    return sorted(out), frontier  # an antichain sorts into depth-first order
 
 
 class LocalStoppingSet:
@@ -291,16 +297,17 @@ def local_stopping_sets(model, cloud, xs: Sequence, r: float) -> list[LocalStopp
     with ``i``; it is kept when some sample point lies at distance
     strictly less than ``r`` from ``x``.  The approximation is one-sided:
     sampling can only miss intersections, never invent them.  All points
-    share one stopping set, walked once.
+    share one stopping set, walked once and no deeper than the cloud.
     """
-    candidates = stopping_set(model, r)
-    depth = cloud.depth
-    for w in candidates:
-        if len(w) > depth:
-            raise DomainError(
-                "stopping word %s is deeper than the cloud (depth %d); "
-                "regenerate the cloud at depth >= %d" % (word_str(w), depth, len(w))
-            )
+    candidates, wide = _stopping_walk(model, r, cloud.depth)
+    if wide:  # the first deeper stopping word in order: letters 0 below wide[0]
+        w = wide[0] + (0,)
+        while model.diam(w) > r and len(w) < 64:
+            w += (0,)
+        raise DomainError(
+            "stopping word %s is deeper than the cloud (depth %d); "
+            "regenerate the cloud at depth >= %d" % (word_str(w), cloud.depth, len(w))
+        )
     from .spaces import block_rows
 
     pieces = [cloud.piece(w) for w in candidates]

@@ -154,3 +154,33 @@ def test_help_exits_0():
     assert result.returncode == 0
     for name in ("pressure", "validate", "generate", "dimension", "probe", "beta"):
         assert name in result.stdout
+
+
+# -- library warnings ------------------------------------------------------------
+
+CLUSTERING_NOTE = ',"x_samples":200,"note":"lower bound: finite probe points and radii"}\n'
+
+# (argv, exit code, stdout, skipped radii)
+WARNING_CASES = [
+    (["probe", "specs/symbolifs.json", "--probe", "clustering"], 0,
+     '{"clustering_sup":1,"depth":6,"radii":[0.25,0.125,0.0625,0.03125,0.015625]'
+     + CLUSTERING_NOTE, 1),
+    (["probe", "specs/heisenberg.json", "--probe", "clustering", "--depth", "2"], 0,
+     '{"clustering_sup":82,"depth":2,"radii":[0.734375,0.3671875,0.18359375,0.091796875,'
+     '0.0458984375]' + CLUSTERING_NOTE, 4),
+    # every radius skipped: the error line comes first, then one line per radius
+    (["probe", "specs/heisenberg.json", "--probe", "clustering", "--depth", "1"], 3, "", 5),
+]
+
+
+@pytest.mark.parametrize("args,code,stdout,skipped", WARNING_CASES,
+                         ids=[" ".join(case[0][1:]) for case in WARNING_CASES])
+def test_library_warnings_print_one_line_each_after_the_output(args, code, stdout, skipped):
+    result = run_cli(*args)
+    assert (result.returncode, result.stdout) == (code, stdout)
+    lines = result.stderr.splitlines()
+    if code:
+        assert lines.pop(0) == "error: no radius in the grid was usable at this cloud depth"
+    assert len(lines) == skipped
+    assert all(line.startswith("warning: skipping r=") for line in lines), lines
+    assert ".py:" not in result.stderr

@@ -273,6 +273,117 @@ def test_piece_is_the_range_of_matching_labels(name):
         assert list(range(piece.start, piece.stop)) == scan
 
 
+# -- memory layouts ------------------------------------------------------------------
+#
+# Float clouds store their coordinates column-major; the kernels must return the
+# same floats (and NaNs in the same places) on every layout and view they meet.
+
+awkward_floats = st.one_of(floats, st.sampled_from([math.inf, -math.inf, math.nan, 1e200, -1e200]))
+
+
+@st.composite
+def float_row_blocks(draw):
+    """A float space, its rows and a block of query rows, infinities and NaNs included."""
+    kind = draw(st.sampled_from(["euclidean", "comb", "heisenberg", "snowflake"]))
+    dim = {"comb": 2, "heisenberg": 3}.get(kind) or draw(st.integers(1, 3))
+    space = {"comb": CombSpace(0.5), "heisenberg": HeisenbergSpace()}.get(kind) or EuclideanSpace(dim)
+    if kind == "snowflake":
+        space = SnowflakeSpace(space, draw(exponents))
+    X = space.coordinates(draw(tuples(awkward_floats, dim)))
+    return space, X, space.coordinates(draw(tuples(awkward_floats, dim, max_size=5)))
+
+
+def same_floats(a, b):
+    return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(max_examples=200, deadline=None)
+@given(case=float_row_blocks(), data=st.data())
+def test_kernels_return_the_same_floats_on_every_layout(case, data):
+    space, X, Q = case
+    C, F = np.ascontiguousarray, np.asfortranarray
+    want = space.distances(C(X), C(Q))
+    for x, q in product((C, F), repeat=2):
+        assert same_floats(space.distances(x(X), q(Q)), want)
+    i = data.draw(st.integers(0, len(X) - 1))
+    idx = data.draw(st.lists(st.integers(0, len(X) - 1), min_size=1, max_size=8))
+    for layout in (C, F):
+        Y = layout(X)
+        # row slices, as the greedy cover reads them, and gathers
+        for rows, queries in [(Y[i + 1 :], Y[i : i + 1]), (Y, Y[i : i + 1]), (Y[idx], Y[idx])]:
+            assert same_floats(space.distances(rows, queries), space.distances(C(rows), C(queries)))
+
+
+@pytest.mark.parametrize("name", SHIPPED_SYSTEMS)
+def test_shipped_clouds_store_float_coordinates_column_major(name):
+    system = shipped_system(name)
+    clouds = [attractor_cloud(system, 2, samples_per_leaf=len(system.seed_points[:2]))]
+    if name == "cantor":
+        clouds.append(attractor_cloud(snowflake_cantor(), 3))
+    for cloud in clouds:
+        X = cloud.coordinates
+        if isinstance(cloud.space, SymbolSpace):
+            assert X.flags.c_contiguous and X.dtype.kind == "u"
+        else:
+            assert X.flags.f_contiguous and X.dtype == float and X.shape[1] > 0
+
+
+# -- the symbol tree: rows and kernel against the builders they replaced -------------
+
+
+def per_word_symbol_rows(space, points):
+    """The symbol rows as they were built: a zero array, filled word by word."""
+    width = max((len(w) for w in points), default=0)
+    dtype = np.min_scalar_type(max(width, space.alphabet.size - 1))
+    X = np.zeros((len(points), width + 1), dtype=dtype)
+    for k, w in enumerate(points):
+        X[k, 0] = len(w)
+        X[k, 1 : len(w) + 1] = w
+    return X
+
+
+def masked_symbol_distances(X, Q):
+    """The symbol kernel as it was: both length masks, then the first difference."""
+    m = min(X.shape[1], Q.shape[1]) - 1
+    if m == 0:
+        return np.zeros((len(Q), len(X)))
+    k = np.arange(m)
+    differ = (X[:, 1 : m + 1] != Q[:, None, 1 : m + 1]) & (k < X[:, :1]) & (k < Q[:, None, :1])
+    return np.where(differ.any(axis=2), np.ldexp(1.0, -differ.argmax(axis=2)), 0.0)
+
+
+@st.composite
+def symbol_words(draw):
+    """An alphabet (300 letters need two-byte rows), words and query words,
+    each list with its own largest length, so queries are wider or narrower."""
+    size = draw(st.sampled_from([2, 3, 300]))
+    letters = st.integers(0, size - 1)
+
+    def word_lists(min_size):
+        longest = draw(st.sampled_from([0, 1, 3, 8]))
+        word = st.lists(letters, max_size=longest).map(tuple)
+        return draw(st.lists(word, min_size=min_size, max_size=12))
+
+    return SymbolSpace(Alphabet(size)), word_lists(0), word_lists(1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=symbol_words())
+def test_symbol_rows_and_kernel_equal_the_masked_reference(case):
+    space, points, queries = case
+    for ws in (points, queries):
+        got, want = space.coordinates(ws), per_word_symbol_rows(space, ws)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    X, Q = space.coordinates(points), space.coordinates(queries)
+    got = space.distances(X, Q)
+    assert got.shape == (len(queries), len(points))
+    assert np.array_equal(got, masked_symbol_distances(X, Q))
+    assert np.array_equal(space.distances(Q, X), masked_symbol_distances(Q, X))
+    assert got.tolist() == [scalar_distances(space, points, q) for q in queries]
+
+
 # -- probes against scalar references --------------------------------------------------
 
 
@@ -673,13 +784,13 @@ def test_clustering_walks_one_stopping_set_per_radius(monkeypatch, name, depth):
     system = shipped_system(name)
     cloud = attractor_cloud(system, depth)
     model = system.induced_model(cloud)
-    calls = []
+    calls, walk = [], words._stopping_walk
 
     def counted(model, r, *args):
         calls.append(r)
-        return stopping_set(model, r, *args)
+        return walk(model, r, *args)
 
-    monkeypatch.setattr(words, "stopping_set", counted)
+    monkeypatch.setattr(words, "_stopping_walk", counted)
     radii = [0.2 * model.seed_diameter, 0.1 * model.seed_diameter]
     assert finite_clustering_sup(model, cloud, 50, radii) >= 1
     assert calls == radii

@@ -305,6 +305,38 @@ def test_local_stopping_set_needs_a_deep_enough_cloud():
         local_stopping_set(system.induced_model(), cloud, (0.0,), 0.33)
 
 
+def full_walk_depth_error(model, r, depth):
+    """The depth check as it was: the whole stopping set is walked, then its
+    first word deeper than the cloud is named."""
+    for w in stopping_set(model, r):
+        if len(w) > depth:
+            return (
+                "stopping word %s is deeper than the cloud (depth %d); "
+                "regenerate the cloud at depth >= %d" % (word_str(w), depth, len(w))
+            )
+    return None
+
+
+@given(
+    st.lists(st.sampled_from([0.2, 0.25, 0.5, 0.6]), min_size=2, max_size=3),
+    st.floats(0.01, 0.9),
+    st.integers(1, 4),
+)
+@settings(deadline=None)
+def test_local_stopping_set_walks_no_deeper_than_the_cloud(ratios, r, depth):
+    model = MultiplicativeModel(ratios)
+    maps = tuple(SimilitudeMap(q, (float(k),)) for k, q in enumerate(ratios))
+    system = ContractionSystem(EuclideanSpace(1), maps, ((0.0,),), seed_diameter=1.0)
+    cloud = attractor_cloud(system, depth)
+    want = full_walk_depth_error(model, r, depth)
+    if want is None:
+        assert list(local_stopping_set(model, cloud, (0.0,), r).candidates) == stopping_set(model, r)
+    else:
+        with pytest.raises(DomainError) as caught:
+            local_stopping_set(model, cloud, (0.0,), r)
+        assert str(caught.value) == want
+
+
 # -- antichain cover cost ------------------------------------------------------
 
 
