@@ -37,11 +37,11 @@ _EXPORTS = {
     ),
     "spaces": (
         "CombSpace", "EuclideanSpace", "HeisenbergSpace", "SnowflakeSpace",
-        "SymbolSpace", "heisenberg_gauge", "space_from_json",
+        "SymbolSpace", "heisenberg_gauge",
     ),
     "specio": (
         "LoadedSpec", "load_spec", "map_from_dict", "model_from_dict",
-        "parse_scalar", "scalar_to_json", "spec_from_dict",
+        "parse_scalar", "space_from_json", "spec_from_dict",
     ),
     "stratification": ("HEISENBERG", "StratificationData", "beta_minus", "beta_plus"),
     "subconstruction": (

@@ -220,11 +220,10 @@ def _ppm(cloud, pixels: int) -> str:
 
 
 def _cmd_generate(spec, args):
-    from .spaces import SymbolSpace
     from .systems import attractor_cloud
 
     system = spec.require_system()
-    if args.out != "csv" and isinstance(system.space, SymbolSpace):
+    if args.out != "csv" and system.space.coordinate_dim is None:
         raise SpecError("symbolic clouds have no plane rendering; use csv")
     if args.out == "ppm" and args.pixels < 1:
         raise DomainError("--pixels must be at least 1, got %d" % args.pixels)
@@ -344,12 +343,10 @@ def _probe_ratio(spec, args):
 
 def _probe_point(system, text: str | None):
     """``--x`` (else the first seed point): as wide as the seeds, or a word of letters."""
-    from .spaces import SymbolSpace
-
     if text is None:
         return system.seed_points[0]
     coords = tuple(_number(v, "--x") for v in text.split(","))
-    if isinstance(system.space, SymbolSpace):
+    if system.space.coordinate_dim is None:
         size = system.space.alphabet.size
         if not all(float(c).is_integer() and 0 <= c < size for c in coords):
             raise DomainError(

@@ -2,10 +2,12 @@
 
 Each space answers ``distance(x, y)`` for its own point type, knows whether
 it is an ultrametric (which changes when two balls of equal radius are
-disjoint), and serialises to a small JSON descriptor.  Points are plain
-tuples throughout; coordinates may be floats or exact scalars (rationals /
-quadratic irrationals), in which case differences are formed exactly before
-the final float conversion, so an exact zero stays zero.
+disjoint), and says what its points are: ``coordinate_dim`` numbers each,
+or words of its ``alphabet`` where ``coordinate_dim`` is ``None``.  Points
+are plain tuples throughout; coordinates may be floats or exact scalars
+(rationals / quadratic irrationals), in which case differences are formed
+exactly before the final float conversion, so an exact zero stays zero.
+Spaces do not read or write spec files.
 
 Each space also has one vectorised kernel: ``coordinates(points)`` turns
 points into array rows and ``distances(X, Q)`` takes a block of query rows
@@ -82,14 +84,15 @@ def _float_rows(points: Sequence, dim: int) -> np.ndarray:
 
 
 class MetricSpace:
-    """Base class; subclasses implement ``distance``, ``to_json`` and the
-    kernel pair ``coordinates`` / ``distances``."""
+    """Base class; subclasses implement ``distance`` and the kernel pair
+    ``coordinates`` / ``distances``."""
 
     __slots__ = ()
 
     #: ultrametric spaces satisfy d(x,z) <= max(d(x,y), d(y,z))
     ultrametric: bool = False
-    #: points are fixed-length numeric tuples usable as array rows
+    #: points are tuples of this many numbers, usable as float array rows;
+    #: ``None``: points are words of the space's ``alphabet``
     coordinate_dim: int | None = None
 
     def distance(self, p, q) -> float:
@@ -106,9 +109,6 @@ class MetricSpace:
     def metric_bound(self, s: float) -> float:
         """Lipschitz bound in this metric of a map with coordinate-metric bound ``s``."""
         return s
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
 
 class EuclideanSpace(MetricSpace):
@@ -138,9 +138,6 @@ class EuclideanSpace(MetricSpace):
             total += d * d
         return np.sqrt(total)
 
-    def to_json(self) -> dict:
-        return {"kind": "euclidean", "dim": self.dim}
-
 
 class SnowflakeSpace(MetricSpace):
     """The base metric raised to ``p`` in (0, 1): ``d(x, y) ** p``.
@@ -167,6 +164,10 @@ class SnowflakeSpace(MetricSpace):
     def coordinate_dim(self) -> int | None:
         return self.base.coordinate_dim
 
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.base.alphabet
+
     def distance(self, x, y) -> float:
         return self.base.distance(x, y) ** self.p
 
@@ -182,9 +183,6 @@ class SnowflakeSpace(MetricSpace):
 
     def metric_bound(self, s: float) -> float:
         return self.base.metric_bound(s) ** self.p
-
-    def to_json(self) -> dict:
-        return {"kind": "snowflake", "base": self.base.to_json(), "p": self.p}
 
 
 class SymbolSpace(MetricSpace):
@@ -223,9 +221,6 @@ class SymbolSpace(MetricSpace):
         first = differ.argmax(axis=2)
         inside = differ.any(axis=2) & (first < np.minimum(X[:, 0], Q[:, :1]))
         return np.where(inside, np.ldexp(1.0, -first), 0.0)
-
-    def to_json(self) -> dict:
-        return {"kind": "symbol", "alphabet": self.alphabet.size}
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +296,6 @@ class CombSpace(MetricSpace):
                     return CombMembership(True, "tooth", w)
         return CombMembership(False)
 
-    def to_json(self) -> dict:
-        from .exactnum import QuadraticNumber
-        from .specio import scalar_to_json
-
-        r = scalar_to_json(self.r) if isinstance(self.r, QuadraticNumber) else float(self.r)
-        return {"kind": "comb", "r": r}
-
 
 # ---------------------------------------------------------------------------
 # the first Heisenberg group
@@ -353,14 +341,13 @@ class HeisenbergSpace(MetricSpace):
     """
 
     ultrametric = False
-    coordinate_dim = None  # triangle inequality holds for the gauge, but
-    # coordinates do not embed isometrically in Euclidean space
+    coordinate_dim = 3  # (x, y, t); the gauge is not the Euclidean distance of these rows
 
     def distance(self, p: HeisenbergPoint, q: HeisenbergPoint) -> float:
         return heisenberg_gauge(heisenberg_multiply(heisenberg_inverse(p), q))
 
     def coordinates(self, points: Sequence) -> np.ndarray:
-        return _float_rows(points, 3)
+        return _float_rows(points, self.coordinate_dim)
 
     def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
         x2, y2, t2 = Q[:, 0, None], Q[:, 1, None], Q[:, 2, None]
@@ -371,30 +358,3 @@ class HeisenbergSpace(MetricSpace):
         s = np.square(a, out=a) + np.square(b, out=b)
         np.add(np.square(s, out=s), np.square(c, out=c), out=s)
         return np.sqrt(np.sqrt(s, out=s), out=s)
-
-    def to_json(self) -> dict:
-        return {"kind": "heisenberg"}
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip
-# ---------------------------------------------------------------------------
-
-
-def space_from_json(data: dict) -> MetricSpace:
-    if not isinstance(data, dict):
-        raise DomainError("a space must be a JSON object, got %r" % (data,))
-    kind = data.get("kind")
-    if kind == "euclidean":
-        return EuclideanSpace(int(data["dim"]))
-    if kind == "snowflake":
-        return SnowflakeSpace(space_from_json(data["base"]), float(data["p"]))
-    if kind == "symbol":
-        return SymbolSpace(Alphabet(int(data["alphabet"])))
-    if kind == "comb":
-        from .specio import parse_scalar
-
-        return CombSpace(parse_scalar(data["r"]))
-    if kind == "heisenberg":
-        return HeisenbergSpace()
-    raise DomainError("unknown space kind: %r" % (kind,))

@@ -1,7 +1,8 @@
 """Reading model/system specification files (JSON).
 
-A spec file is the single source of truth for one construction.  Two
-shapes exist:
+A spec file is the single source of truth for one construction, and this
+module is the one reader of its entries: spaces, maps, seed points and
+models.  Two shapes exist:
 
 ``{"type": "model", "kind": ..., ...}``
     a bare diameter model (multiplicative ratios, a named level rule, or
@@ -9,7 +10,12 @@ shapes exist:
 
 ``{"type": "system", "space": ..., "maps": [...], "seed_points": [...]}``
     a contraction system, optionally with an explicit ``"model"`` entry
-    overriding the induced diameter model.
+    overriding the induced diameter model.  The space is one of
+    ``{"kind": "euclidean", "dim": n}``, ``{"kind": "symbol", "alphabet": n}``,
+    ``{"kind": "comb", "r": scalar}``, ``{"kind": "heisenberg"}`` or
+    ``{"kind": "snowflake", "base": space, "p": p}``; maps and seed points
+    are as wide as its points (its ``coordinate_dim``), or words of its
+    alphabet where the points are words.
 
 Scalars may be written as numbers, ``"p/q"`` strings, or
 ``{"sqrt": {"a": [p, q], "b": [p, q], "d": n}}`` for quadratic
@@ -26,7 +32,14 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, SpecError
 from .exactnum import QuadraticNumber
-from .spaces import HeisenbergSpace, SnowflakeSpace, space_from_json
+from .spaces import (
+    CombSpace,
+    EuclideanSpace,
+    HeisenbergSpace,
+    MetricSpace,
+    SnowflakeSpace,
+    SymbolSpace,
+)
 from .systems import (
     Affine2DMap,
     CarnotMap,
@@ -35,6 +48,7 @@ from .systems import (
     SimilitudeMap,
     SymbolMap,
 )
+from .words import Alphabet
 
 if TYPE_CHECKING:  # models load on first use: clouds of a system do not need them
     from .models import DiameterModel
@@ -70,21 +84,6 @@ def parse_scalar(value):
             raise SpecError("bad exact scalar %r: %s" % (value, why)) from exc
         raise SpecError("unknown scalar object with keys %s" % sorted(value))
     raise SpecError("cannot parse scalar %r" % (value,))
-
-
-def scalar_to_json(value):
-    """Inverse of :func:`parse_scalar` (exact values keep their shape)."""
-    if isinstance(value, QuadraticNumber):
-        return {
-            "sqrt": {
-                "a": [value.a.numerator, value.a.denominator],
-                "b": [value.b.numerator, value.b.denominator],
-                "d": value.d,
-            }
-        }
-    if isinstance(value, Fraction):
-        return "%d/%d" % (value.numerator, value.denominator)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +127,23 @@ def _real(value) -> float:
     return float(parse_scalar(value))
 
 
+def space_from_json(data: dict) -> MetricSpace:
+    if not isinstance(data, dict):
+        raise DomainError("a space must be a JSON object, got %r" % (data,))
+    kind = data.get("kind")
+    if kind == "euclidean":
+        return EuclideanSpace(int(data["dim"]))
+    if kind == "snowflake":
+        return SnowflakeSpace(space_from_json(data["base"]), float(data["p"]))
+    if kind == "symbol":
+        return SymbolSpace(Alphabet(int(data["alphabet"])))
+    if kind == "comb":
+        return CombSpace(parse_scalar(data["r"]))
+    if kind == "heisenberg":
+        return HeisenbergSpace()
+    raise DomainError("unknown space kind: %r" % (kind,))
+
+
 def map_from_dict(data: dict):
     kind = _object(data).get("kind")
     if kind == "similitude":
@@ -151,10 +167,10 @@ def map_from_dict(data: dict):
 MAP_WIDTHS = {"affine2d": 2, "comb": 2, "carnot": 3, "symbol": None}
 
 
-def _system_map(data, space, width: int | None):
-    """A map that acts on the ``space``'s points of ``width`` coordinates, or on
-    its words: then its table has one word per letter, using only its letters."""
-    m, kind = map_from_dict(data), data["kind"]
+def _system_map(data, space):
+    """A map that acts on the ``space``'s points, or on its words: then its
+    table has one word per letter, using only its letters."""
+    m, kind, width = map_from_dict(data), data["kind"], space.coordinate_dim
     acts_on = len(m.fixed_point) if kind == "similitude" else MAP_WIDTHS[kind]
     if acts_on != width:
         raise SpecError("a %s map acts on points of width %s, not %s" % (kind, acts_on, width))
@@ -163,10 +179,10 @@ def _system_map(data, space, width: int | None):
     return m
 
 
-def _seed_point(point, space, width: int | None):
-    if width is None:
+def _seed_point(point, space):
+    if space.coordinate_dim is None:
         return space.alphabet.check_word(point)
-    return _sized(point, width, "a seed point")
+    return _sized(point, space.coordinate_dim, "a seed point")
 
 
 def _entry(name: str, build, *args):
@@ -236,19 +252,13 @@ def spec_from_dict(data: dict) -> LoadedSpec:
         return LoadedSpec(name, model=_entry("model", model_from_dict, data))
     if spec_type == "system":
         try:
-            space = base = _entry("space", space_from_json, data["space"])
-            while isinstance(base, SnowflakeSpace):  # snowflaking keeps the points
-                base = base.base
-            # coordinates of one point; None for the words of the symbol tree
-            width = 3 if isinstance(base, HeisenbergSpace) else base.coordinate_dim
-            maps = [_entry("maps[%d]" % k, _system_map, m, base, width)
+            space = _entry("space", space_from_json, data["space"])
+            maps = [_entry("maps[%d]" % k, _system_map, m, space)
                     for k, m in enumerate(data["maps"])]
             points = enumerate(data["seed_points"])
         except KeyError as exc:
             raise SpecError("system spec missing key %s" % exc) from exc
-        seeds = tuple(
-            _entry("seed_points[%d]" % k, _seed_point, p, base, width) for k, p in points
-        )
+        seeds = tuple(_entry("seed_points[%d]" % k, _seed_point, p, space) for k, p in points)
         seed_diam = data.get("seed_diameter")
         seed_diam = None if seed_diam is None else float(seed_diam)
         system = ContractionSystem(space, maps, seeds, seed_diameter=seed_diam, name=name)

@@ -230,7 +230,7 @@ class PointCloud:
         return [[float(c) for c in p] for p in self.points]
 
     def to_csv(self) -> str:
-        if isinstance(self.space, SymbolSpace):
+        if self.space.coordinate_dim is None:
             header = "word,point"
             rows = ["%s,%s" % (word_str(w), word_str(tuple(p))) for w, p in self.items()]
         else:
@@ -589,7 +589,7 @@ def semiconformal_bounds(
     if any(isinstance(system.maps[s], SymbolMap) for s in word):
         # the maps act on branches of the space's tree, which may be wider
         # than the index alphabet of the system itself
-        alphabet = getattr(system.space, "alphabet", system.alphabet)
+        alphabet = system.space.alphabet
         pool_depth = 3
         while math.comb(alphabet.size**pool_depth, 2) < pair_samples:
             pool_depth += 1
@@ -931,7 +931,7 @@ def proper_semiconformality_check_symbolic(
         raise DomainError("need depth >= 2 to expose cylinder structure")
     # cylinders live in the space's tree, not the (possibly narrower) tree
     # indexed by the system's own maps
-    alphabet = getattr(system.space, "alphabet", system.alphabet)
+    alphabet = system.space.alphabet
     report = SymbolicConformalityReport(depth)
 
     for w in alphabet.words_up_to(depth - 1):

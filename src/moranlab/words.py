@@ -214,13 +214,6 @@ class SubTree:
         _check_enum(self.count(length), "sub-tree level %d" % length, self.branch_counts[:length])
         return itertools.product(*(range(self.branch(k)) for k in range(1, length + 1)))
 
-    def to_json(self) -> dict:
-        return {"branch_counts": list(self.branch_counts)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SubTree":
-        return cls(tuple(data["branch_counts"]))
-
 
 # ---------------------------------------------------------------------------
 # stopping sets

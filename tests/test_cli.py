@@ -184,3 +184,44 @@ def test_library_warnings_print_one_line_each_after_the_output(args, code, stdou
     assert len(lines) == skipped
     assert all(line.startswith("warning: skipping r=") for line in lines), lines
     assert ".py:" not in result.stderr
+
+
+# -- a snowflaked symbol tree -----------------------------------------------------
+
+
+def _snowflaked_symbol_spec(tmp_path) -> str:
+    """``specs/symbolifs.json`` with its space snowflaked: the points stay words."""
+    data = json.loads((SPECS / "symbolifs.json").read_text())
+    data["space"] = {"kind": "snowflake", "base": data["space"], "p": 0.5}
+    path = tmp_path / "snowflaked_symbolifs.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("probe,x", [(["epsilon"], "0,1"), (["epsilon"], "0,1,0,1"),
+                                     (["ball", "--r", "0.6"], "0,1,0,1")],
+                         ids=["epsilon-short-word", "epsilon-seed-wide-word", "ball"])
+def test_snowflaked_symbol_tree_probes_take_words(tmp_path, probe, x):
+    result = run_cli("probe", _snowflaked_symbol_spec(tmp_path), "--probe", *probe,
+                     "--x", x, "--depth", "3")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("\n") == 1
+    json.loads(result.stdout)
+
+
+def test_snowflaked_symbol_tree_rejects_what_the_symbol_tree_rejects(tmp_path):
+    spec = _snowflaked_symbol_spec(tmp_path)
+    result = run_cli("probe", spec, "--probe", "epsilon", "--x", "0.5,1", "--depth", "3")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert "symbol points are words of integer letters" in result.stderr
+    result = run_cli("generate", spec, "--depth", "3", "--out", "svg")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "symbolic clouds have no plane rendering" in result.stderr
+
+
+def test_snowflaked_symbol_tree_prints_the_symbol_csv(tmp_path):
+    flaked = run_cli("generate", _snowflaked_symbol_spec(tmp_path), "--depth", "3")
+    plain = run_cli("generate", "specs/symbolifs.json", "--depth", "3")
+    assert flaked.returncode == plain.returncode == 0
+    assert flaked.stdout == plain.stdout
+    assert flaked.stdout.startswith("word,point\n")

@@ -259,20 +259,26 @@ SPEC_COMMANDS = [
     ["generate", "--depth", "2"], ["pressure", "--zero", "--depth", "4"],
     ["validate", "--depth", "3"], ["probe", "--probe", "epsilon", "--depth", "2"],
     ["dimension", "--depth", "3", "--scales", "2"],
+    ["probe", "--probe", "epsilon", "--depth", "2", "--x", "0,1"],
+    ["probe", "--probe", "epsilon", "--depth", "2", "--x", "0,1,0,1"],
+    ["generate", "--depth", "2", "--out", "svg"],
 ]
 
 
 @st.composite
 def mutated_specs(draw):
-    """A shipped spec with one entry dropped, replaced or made wider or narrower."""
+    """A shipped spec with one entry dropped, replaced or made wider or narrower, or
+    with its space snowflaked (which keeps its points)."""
     data = shipped(draw(st.sampled_from(SPEC_NAMES)))
     *parents, last = draw(st.sampled_from(list(_paths(data))[1:]))
     node = data
     for key in parents:
         node = node[key]
-    action = draw(st.sampled_from(("drop", "replace", "widen", "narrow")))
+    action = draw(st.sampled_from(("drop", "replace", "widen", "narrow", "snowflake")))
     value = node[last]
-    if action == "drop":
+    if action == "snowflake":
+        data["space"] = {"kind": "snowflake", "base": data.get("space"), "p": 0.5}
+    elif action == "drop":
         del node[last]
     elif action == "widen" and isinstance(value, list):
         value.append(value[-1] if value else 0)

@@ -69,6 +69,7 @@ def test_snowflake_inherits_structure_flags():
     sym = SymbolSpace(Alphabet(2))
     assert SnowflakeSpace(sym, 0.5).ultrametric
     assert SnowflakeSpace(sym, 0.5).coordinate_dim is None
+    assert SnowflakeSpace(sym, 0.5).alphabet is sym.alphabet
     plane = EuclideanSpace(2)
     assert not SnowflakeSpace(plane, 0.5).ultrametric
     assert SnowflakeSpace(plane, 0.5).coordinate_dim == 2
@@ -127,8 +128,8 @@ def test_comb_contraction_range():
 
 
 def test_comb_exact_ratio_survives_json():
-    comb = CombSpace(GOLDEN_RATIO)
-    again = space_from_json(comb.to_json())
+    golden = {"sqrt": {"a": [-1, 2], "b": [1, 2], "d": 5}}
+    again = space_from_json({"kind": "comb", "r": golden})
     assert again.r == GOLDEN_RATIO
     assert again.r_float == pytest.approx(float(GOLDEN_RATIO), abs=0)
 
@@ -173,7 +174,7 @@ class TestHeisenberg(unittest.TestCase):
     def test_space_flags(self):
         space = HeisenbergSpace()
         self.assertFalse(space.ultrametric)
-        self.assertIsNone(space.coordinate_dim)
+        self.assertEqual(space.coordinate_dim, 3)
 
 
 @given(
@@ -200,21 +201,25 @@ def test_heisenberg_multiplication_is_associative(x, y, t, x2, y2, t2, x3, y3, t
         assert a == pytest.approx(b, abs=1e-9)
 
 
-# -- JSON round trips -------------------------------------------------------------
+# -- spec entries -----------------------------------------------------------------
 
 
-def test_space_json_round_trips():
-    spaces = [
-        EuclideanSpace(3),
-        SnowflakeSpace(EuclideanSpace(2), 0.5),
-        SymbolSpace(Alphabet(4)),
-        CombSpace(0.75),
-        HeisenbergSpace(),
-    ]
-    for space in spaces:
-        again = space_from_json(space.to_json())
-        assert again.to_json() == space.to_json()
-        assert type(again) is type(space)
+def test_space_json_parses_every_kind():
+    euclidean = space_from_json({"kind": "euclidean", "dim": 3})
+    assert type(euclidean) is EuclideanSpace and euclidean.coordinate_dim == 3
+    symbol = space_from_json({"kind": "symbol", "alphabet": 4})
+    assert type(symbol) is SymbolSpace and symbol.alphabet.size == 4
+    assert symbol.coordinate_dim is None
+    comb = space_from_json({"kind": "comb", "r": "3/4"})
+    assert type(comb) is CombSpace and comb.r == Fraction(3, 4) and comb.coordinate_dim == 2
+    heisenberg = space_from_json({"kind": "heisenberg"})
+    assert type(heisenberg) is HeisenbergSpace and heisenberg.coordinate_dim == 3
+    flake = space_from_json({"kind": "snowflake", "base": {"kind": "euclidean", "dim": 2}, "p": 0.5})
+    assert type(flake) is SnowflakeSpace and flake.p == 0.5 and type(flake.base) is EuclideanSpace
+    assert flake.coordinate_dim == 2
+    tree = space_from_json({"kind": "snowflake", "base": {"kind": "symbol", "alphabet": 3}, "p": 0.25})
+    assert type(tree.base) is SymbolSpace and tree.ultrametric
+    assert tree.coordinate_dim is None and tree.alphabet.size == 3
 
 
 def test_space_json_unknown_kind():

@@ -17,7 +17,7 @@ from moranlab import (
     load_spec,
 )
 from moranlab.spaces import HeisenbergSpace, SymbolSpace
-from moranlab.specio import parse_scalar, scalar_to_json, spec_from_dict
+from moranlab.specio import parse_scalar, spec_from_dict
 from moranlab.systems import CombMap
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -53,13 +53,18 @@ def test_parse_scalar_rejections():
         parse_scalar([1, 2])
 
 
-def test_scalar_round_trips():
-    for value in (7, 0.125, Fraction(3, 7), GOLDEN_RATIO):
-        assert parse_scalar(scalar_to_json(value)) == value
-    assert scalar_to_json(Fraction(3, 7)) == "3/7"
-    assert scalar_to_json(GOLDEN_RATIO) == {
-        "sqrt": {"a": [-1, 2], "b": [1, 2], "d": 5}
-    }
+def test_scalar_literals_keep_their_exact_type():
+    # each scalar form as a spec file writes it, read back from JSON text
+    literals = [
+        ('7', 7, int),
+        ('0.125', 0.125, float),
+        ('"3/7"', Fraction(3, 7), Fraction),
+        ('{"fraction": [6, 14]}', Fraction(3, 7), Fraction),
+        ('{"sqrt": {"a": [-1, 2], "b": [1, 2], "d": 5}}', GOLDEN_RATIO, QuadraticNumber),
+    ]
+    for text, value, kind in literals:
+        parsed = parse_scalar(json.loads(text))
+        assert parsed == value and type(parsed) is kind, text
 
 
 # -- shipped spec files --------------------------------------------------------

@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter and reads ``sys.modules`` at its
 end, so modules imported by earlier tests in this process do not count.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -96,3 +97,20 @@ def test_submodules_are_attributes_in_a_fresh_process():
     )
     result = python("-c", code)
     assert result.returncode == 0, result.stderr
+
+
+def test_spaces_imports_only_errors_and_words():
+    """Spaces describe their points; reading them from spec files is ``specio``'s job."""
+    tree = ast.parse((PKG_ROOT / "src" / "moranlab" / "spaces.py").read_text())
+    named = set()
+    for node in ast.walk(tree):  # module level and inside functions alike
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["moranlab" if node.level else "", node.module]))
+            # ``from . import x`` and ``from moranlab import x`` name the module x
+            modules = [module + "." + a.name for a in node.names] if module == "moranlab" else [module]
+        else:
+            continue
+        named.update(m.split(".", 1)[1] for m in modules if m.startswith("moranlab."))
+    assert named == {"errors", "words"}, named

@@ -198,11 +198,6 @@ def test_subtree_validation():
     SubTree((2, 2)).check_alphabet(Alphabet(2))
 
 
-def test_subtree_json_round_trip():
-    tree = SubTree((2, 1, 2, 1))
-    assert SubTree.from_json(tree.to_json()) == tree
-
-
 # -- stopping sets ------------------------------------------------------------
 
 
