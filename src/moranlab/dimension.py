@@ -57,7 +57,7 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
     """
     if r <= 0:
         raise DomainError("radius must be positive")
-    if not cloud.points:
+    if not len(cloud):
         warnings.warn("empty cloud: covering number reported as 0", stacklevel=2)
         return 0
     if method == "greedy":
@@ -110,7 +110,7 @@ class MinkowskiEstimate:
 
 def _nearest_neighbor_gap(cloud, max_probes: int = 256) -> float:
     """Largest nearest-neighbor distance over a strided probe sample."""
-    X, n = cloud.coordinates, len(cloud.points)
+    X, n = cloud.coordinates, len(cloud)
     if n < 2:
         return math.inf
     probes = np.arange(0, n, max(1, n // max_probes))
@@ -142,8 +142,8 @@ def minkowski_estimate(
         raise DomainError("need 0 < r_min < r_max")
     if n_scales < 2:
         raise DomainError("need at least two scales")
-    if len(cloud.points) < 2:
-        raise DomainError("cannot fit a slope through a cloud of %d points" % len(cloud.points))
+    if len(cloud) < 2:
+        raise DomainError("cannot fit a slope through a cloud of %d points" % len(cloud))
     if method is None:
         method = "grid" if isinstance(cloud.space, EuclideanSpace) else "greedy"
     reach = float(cloud.space.distances(cloud.coordinates, cloud.coordinates[:1]).max())
@@ -208,8 +208,7 @@ def maximal_packing(space, center, R: float, r: float, candidates) -> list:
         warnings.warn("no candidates inside B(center, R): empty packing", stacklevel=2)
         return []
     sep = r if space.ultrametric else 2 * r
-    inside = [pts[k] for k in window]
-    return [inside[k] for k in _greedy_centers(space, X[window], sep)]
+    return [pts[window[k]] for k in _greedy_centers(space, X[window], sep)]
 
 
 class PackingGrowth:

@@ -48,6 +48,9 @@ class DiameterModel:
     alphabet: Alphabet
     seed_diameter: float
     kind: str = "general"
+    #: ``log D`` where every diameter is ``D`` times a product over the word,
+    #: 0 where no such constant is known; ``pressure_at`` divides it out
+    log_scale: float = 0.0
     #: optional geometric nesting check (set by system-induced models)
     containment_check: Optional[Callable[[int], tuple[bool, str]]] = None
 
@@ -186,10 +189,11 @@ class MultiplicativeModel(DiameterModel):
         self.ratios = ratios
         self.log_ratios = tuple(math.log(r) for r in ratios)
         self.seed_diameter = float(seed_diameter)
+        self.log_scale = math.log(self.seed_diameter)
         self.alphabet = Alphabet(len(ratios))
 
     def log_diam(self, word: Word) -> float:
-        return math.log(self.seed_diameter) + sum(self.log_ratios[s] for s in word)
+        return self.log_scale + sum(self.log_ratios[s] for s in word)
 
     def diam(self, word: Word) -> float:
         d = self.seed_diameter
@@ -209,7 +213,7 @@ class MultiplicativeModel(DiameterModel):
         return out
 
     def level_log_sum(self, t: float, n: int, subtree: SubTree | None = None) -> float:
-        out = t * math.log(self.seed_diameter)
+        out = t * self.log_scale
         return self._branch_log_sums(t, range(1, n + 1), subtree, out)
 
     def window_ratios(self, t: float, m: int, n: int, subtree: SubTree) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The depth-``n`` pressure of a diameter model is::
 
-    P_n(t) = (1/n) * log( sum( diam(i)**t for i in level n ) )
+    P_n(t) = (1/n) * ( log( sum( diam(i)**t for i in level n ) ) - t * log_scale )
 
 computed in log space throughout.  ``P_n`` is continuous and strictly
 decreasing in ``t`` once every level-``n`` diameter is below 1, so its zero
@@ -30,16 +30,17 @@ def pressure_at(
 ) -> float:
     """Depth-``depth`` pressure of the model at exponent ``t``.
 
-    For multiplicative models with seed diameter 1 the value is independent
-    of the depth and equals the true pressure.  Restricting to a sub-tree
-    (an extension of the construction proper: only the retained words are
+    The model's ``log_scale`` (``log D`` for a multiplicative model of seed
+    diameter ``D``) is divided out, so for multiplicative models the value
+    is the true pressure at every depth.  Restricting to a sub-tree (an
+    extension of the construction proper: only the retained words are
     summed) is supported for the sub-construction workflows.
     """
     if t < 0:
         raise DomainError("pressure exponent must be >= 0, got %r" % t)
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    return model.level_log_sum(t, depth, subtree) / depth
+    return (model.level_log_sum(t, depth, subtree) - t * model.log_scale) / depth
 
 
 def _bisect_zero(f: Callable[[float], float], tol: float) -> float:

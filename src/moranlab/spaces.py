@@ -25,10 +25,9 @@ differing letter if it lies inside the pair's common length.
 
 from __future__ import annotations
 
-import bisect
 import math
-from itertools import chain, product, repeat
-from typing import NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -228,12 +227,6 @@ class SymbolSpace(MetricSpace):
 # ---------------------------------------------------------------------------
 
 
-class CombMembership(NamedTuple):
-    member: bool
-    part: str | None = None  # "spine" | "base-tooth" | "tooth"
-    word: Word | None = None
-
-
 class CombSpace(MetricSpace):
     """The planar comb with contraction ``r``: spine, base tooth, and teeth.
 
@@ -241,7 +234,7 @@ class CombSpace(MetricSpace):
     the word ``i`` of length ``m`` carries a tooth of height ``r**m``
     anchored at ``x_i = sum(i_k * r**(k-1))``.  The metric is the ambient
     Euclidean one.  ``r`` may be an exact scalar (Fraction or quadratic
-    irrational), in which case anchors are computed exactly on request.
+    irrational).
     """
 
     def __init__(self, r):
@@ -249,52 +242,13 @@ class CombSpace(MetricSpace):
         if not 0.0 < rf < 1.0:
             raise DomainError("comb contraction must lie in (0, 1), got %r" % rf)
         self.r = r
-        self.r_float = rf
-        self._anchor_cache: dict[int, list[tuple[float, Word]]] = {}
 
     ultrametric = False
     coordinate_dim = 2
 
-    @property
-    def spine_length(self) -> float:
-        return 1.0 / (1.0 - self.r_float)
-
     distance = EuclideanSpace.distance
     coordinates = EuclideanSpace.coordinates
     distances = EuclideanSpace.distances
-
-    def anchor(self, word: Word) -> float:
-        """``x_i = sum(i_k r**(k-1))`` in float."""
-        x = 0.0
-        for k, s in enumerate(word):
-            x += s * self.r_float**k
-        return x
-
-    def _anchors(self, length: int) -> list[tuple[float, Word]]:
-        if length not in self._anchor_cache:
-            words = product((0, 1), repeat=length)
-            self._anchor_cache[length] = sorted((self.anchor(w), w) for w in words)
-        return self._anchor_cache[length]
-
-    def membership(self, q: Sequence[float], depth: int, tol: float = 1e-12) -> CombMembership:
-        """Locate ``q`` on the comb, checking teeth down to word length ``depth``."""
-        x, y = float(q[0]), float(q[1])
-        if abs(y) <= tol and -tol <= x <= self.spine_length + tol:
-            return CombMembership(True, "spine", None)
-        if abs(x) <= tol and -tol <= y <= 1.0 + tol:
-            return CombMembership(True, "base-tooth", None)
-        for m in range(1, depth + 1):
-            height = self.r_float**m
-            if not -tol <= y <= height + tol:
-                continue
-            anchors = self._anchors(m)
-            lo = bisect.bisect_left(anchors, (x - tol, ()))
-            for ax, w in anchors[lo:]:
-                if ax > x + tol:
-                    break
-                if abs(ax - x) <= tol:
-                    return CombMembership(True, "tooth", w)
-        return CombMembership(False)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ one-sided: sampling can miss extremes, never invent them.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import warnings
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -188,39 +188,43 @@ class CarnotMap(ContractionMap):
 class PointCloud:
     """Deterministically ordered samples of the level-``depth`` pieces.
 
-    ``labels[k]`` is the word of the piece that ``points[k]`` samples; all
-    labels have length ``depth`` and appear in lexicographic order, so the
-    samples of a piece form one contiguous index range (:meth:`piece`).
-    Points keep the scalar type of the system that made them.
-    ``coordinates`` is ``space.coordinates(points)``, built once per cloud
-    unless the builder passes the same array in.
+    Rows are addressed by index: the words of length ``depth`` over
+    ``size`` letters come in lexicographic order with ``samples`` rows each,
+    so ``labels[k]`` is the base-``size`` digits of ``k // samples`` and
+    :meth:`piece` is arithmetic.  Points keep the scalar type of the system
+    that made them; exact points are built per row on first read.
+    ``coordinates`` is ``space.coordinates(points)`` unless passed in.
     """
 
-    __slots__ = ("space", "depth", "labels", "points", "coordinates")
+    __slots__ = ("space", "depth", "size", "samples", "points", "coordinates")
 
-    def __init__(
-        self, space: MetricSpace, depth: int, labels: tuple, points: tuple, coordinates=None
-    ):
+    def __init__(self, space, depth: int, size: int, samples: int, points, coordinates=None):
         self.space = space
         self.depth = depth
-        self.labels = labels
+        self.size = size
+        self.samples = samples
         self.points = points
         self.coordinates = space.coordinates(points) if coordinates is None else coordinates
 
     def __len__(self) -> int:
         return len(self.points)
 
+    @property
+    def labels(self) -> tuple[Word, ...]:
+        words = itertools.product(range(self.size), repeat=self.depth)
+        return tuple(w for w in words for _ in range(self.samples))
+
     def items(self) -> Iterator[tuple[Word, object]]:
         return zip(self.labels, self.points)
 
     def piece(self, word: Word) -> slice:
         """Index range of the samples whose label starts with ``word``."""
-        if not word:
-            return slice(0, len(self.labels))
-        lo = bisect.bisect_left(self.labels, word)
-        # the first label past every extension of ``word``
-        hi = bisect.bisect_left(self.labels, word[:-1] + (word[-1] + 1,), lo)
-        return slice(lo, hi)
+        index = 0
+        for s in word[: self.depth]:
+            index = index * self.size + s
+        width = self.size ** max(0, self.depth - len(word)) * self.samples
+        # a word longer than every label gets the empty range after its prefix
+        return slice((index + (len(word) > self.depth)) * width, (index + 1) * width)
 
     def float_rows(self) -> list[list[float]]:
         """``[[float(c) for c in p] for p in points]``, read off ``coordinates``
@@ -234,7 +238,7 @@ class PointCloud:
             header = "word,point"
             rows = ["%s,%s" % (word_str(w), word_str(tuple(p))) for w, p in self.items()]
         else:
-            dim = len(self.points[0]) if self.points else 0
+            dim = self.coordinates.shape[1]
             names = ["x", "y", "z"][:dim] if dim <= 3 else ["c%d" % i for i in range(dim)]
             header = "word," + ",".join(names)
             rows = [
@@ -350,7 +354,9 @@ class ContractionSystem:
                     X = cloud.coordinates[cloud.piece(word)]
                     if len(X) < 2:
                         raise DomainError(
-                            "cloud resolves no pair of samples inside %s" % word_str(word)
+                            "the depth-%d cloud resolves no pair of samples inside %s; "
+                            "regenerate the cloud at depth >= %d"
+                            % (cloud.depth, word_str(word), len(word) + 1)
                         )
                     d = _sampled_diameter(self.space, X)
                     if d <= 0:
@@ -366,14 +372,14 @@ class ContractionSystem:
         if cloud is None or len(cloud) < 2:
             return None
         stride = max(1, len(cloud) // 128)
-        sub, X = cloud.points[::stride], cloud.coordinates[::stride]
+        sub, X = cloud.points[: 32 * stride : stride], cloud.coordinates[::stride]
         space = self.space
         # each sample's nearest other sample, folded as ``max`` does
         resolution = 2.0 * max(row_minima(space, X, X, np.arange(len(X))).tolist())
 
         def check(depth: int) -> tuple[bool, str]:
             for k, m in enumerate(self.maps):
-                images = space.coordinates([m.apply(p) for p in sub[:32]])
+                images = space.coordinates([m.apply(p) for p in sub])
                 if (row_minima(space, X, images) > max(resolution, 1e-9)).any():
                     return False, (
                         "map %d sends a sample farther than the sampled set "
@@ -413,15 +419,15 @@ def attractor_cloud(system: ContractionSystem, depth: int, samples_per_leaf: int
     count = system.alphabet.size**depth * samples_per_leaf
     _check_enum(count, "attractor cloud at depth %d" % depth, (system.alphabet.size,) * depth)
     seeds = system.seed_points[:samples_per_leaf]
-    labels = tuple(w for w in system.alphabet.words(depth) for _ in seeds)
+    shape = (system.space, depth, system.alphabet.size, len(seeds))
     levels = _integer_levels(system, seeds)
     if levels is not None:
         level = next(itertools.islice(levels, depth - 1, None))
-        return PointCloud(system.space, depth, labels, level.points(), level.coordinates())
+        return PointCloud(*shape, _LevelPoints(level), level.coordinates())
     points = seeds
     for _ in range(depth):
         points = system.next_level(points)
-    return PointCloud(system.space, depth, labels, tuple(points))
+    return PointCloud(*shape, tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +471,38 @@ class _IntegerLevel(NamedTuple):
             cols = [x + (b / self.den).astype(float) * root for x, b in zip(cols, self.b)]
         return np.array(cols).T  # column-major, as ``space.coordinates`` builds float rows
 
-    def points(self) -> tuple:
-        """The exact points, with the values and types of :meth:`apply_word`."""
+    def point(self, k: int) -> tuple:
+        """Exact point ``k``, with the values and types of :meth:`apply_word`."""
         den, d = self.den, self.d
         if self.b is None:
-            cols = [[Fraction(a, den) for a in col] for col in self.a]
-        else:
-            cols = [
-                [QuadraticNumber(Fraction(a, den), Fraction(b, den), d) for a, b in zip(ca, cb)]
-                for ca, cb in zip(self.a, self.b)
-            ]
-        return tuple(zip(*cols))
+            return tuple(Fraction(a[k], den) for a in self.a)
+        return tuple(QuadraticNumber(Fraction(a[k], den), Fraction(b[k], den), d)
+                     for a, b in zip(self.a, self.b))
+
+
+class _LevelPoints(Sequence):
+    """A level's exact points, read as a tuple; each is built on first read
+    and kept, so overlapping slices (``points[i + 1 :]``) build it once."""
+
+    __slots__ = ("level", "built")
+
+    def __init__(self, level: _IntegerLevel):
+        self.level = level
+        self.built: list = [None] * len(level.a[0])
+
+    def __len__(self) -> int:
+        return len(self.built)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            got = self.built[k]
+            if None in got:
+                got = [self[i] for i in range(*k.indices(len(self.built)))]
+            return tuple(got)
+        p = self.built[k]
+        if p is None:
+            p = self.built[k] = self.level.point(k)
+        return p
 
 
 def _integer_levels(system: ContractionSystem, seeds: Sequence) -> Iterator[_IntegerLevel] | None:
@@ -816,7 +843,8 @@ def finite_clustering_sup(
     """
     if x_samples < 1:
         raise DomainError("need at least one probe point")
-    probes = cloud.points[:: max(1, len(cloud) // x_samples)][:x_samples]
+    stride = max(1, len(cloud) // x_samples)
+    probes = cloud.points[: x_samples * stride : stride]
     sups = []
     for r in r_grid:
         try:

@@ -124,6 +124,17 @@ def test_domain_failures_exit_3(args):
     assert result.stdout == ""
 
 
+def test_unresolved_piece_names_the_cloud_depth_and_the_fix():
+    args = ["probe", "specs/symbolifs.json", "--probe", "ball", "--r", "0.1", "--x", "1,0,0,0"]
+    result = run_cli(*args, "--depth", "3")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == (
+        "error: the depth-3 cloud resolves no pair of samples inside 0-0-0; "
+        "regenerate the cloud at depth >= 4\n"
+    )
+    assert run_cli(*args, "--depth", "5").returncode == 0
+
+
 INDUCED_CASES = [
     ["pressure", "specs/comb.json", "--zero", "--depth", "8"],
     ["pressure", "specs/heisenberg.json", "--zero", "--depth", "4"],

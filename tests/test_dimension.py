@@ -39,8 +39,7 @@ def square_cloud(n=129, lo=-1.0, hi=1.0):
         for i in range(n)
         for j in range(n)
     )
-    labels = tuple((k,) for k in range(len(pts)))
-    return PointCloud(EuclideanSpace(2), 1, labels, pts)
+    return PointCloud(EuclideanSpace(2), 0, 1, len(pts), pts)
 
 
 # -- box counting ------------------------------------------------------------
@@ -56,9 +55,9 @@ def test_box_count_matches_the_construction_levels():
 def test_box_count_degenerate_cases():
     cloud = cantor_cloud()
     assert box_count(cloud, 1.0) == 1  # one ball covers everything
-    single = PointCloud(EuclideanSpace(1), 1, ((0,),), ((0.5,),))
+    single = PointCloud(EuclideanSpace(1), 0, 1, 1, ((0.5,),))
     assert box_count(single, 0.1) == 1
-    empty = PointCloud(EuclideanSpace(1), 1, (), ())
+    empty = PointCloud(EuclideanSpace(1), 0, 1, 0, ())
     with pytest.warns(UserWarning):
         assert box_count(empty, 0.1) == 0
     with pytest.raises(DomainError):
@@ -110,7 +109,7 @@ def test_minkowski_argument_checks():
         minkowski_estimate(cloud, 0.1, 5.0, 4)  # r_max beyond the diameter
     with pytest.raises(DomainError):
         minkowski_estimate(cloud, 0.1, 0.3, 1)  # one scale
-    single = PointCloud(EuclideanSpace(1), 1, ((0,),), ((0.5,),))
+    single = PointCloud(EuclideanSpace(1), 0, 1, 1, ((0.5,),))
     with pytest.raises(DomainError):
         minkowski_estimate(single, 0.1, 0.3, 3)
 

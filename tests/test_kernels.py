@@ -8,7 +8,8 @@ exact systems against exact scalar arithmetic.
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from bisect import bisect_left
+from itertools import combinations, islice, product
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from moranlab import (
     load_spec,
     local_stopping_set,
     maximal_packing,
+    minkowski_estimate,
     osc_collision_scan,
     pressure_zero,
     semiconformal_bounds,
@@ -48,7 +50,7 @@ from moranlab.cli import _default_scales
 from moranlab.dimension import _nearest_neighbor_gap
 from moranlab.models import GeneralModel
 from moranlab.spaces import row_minima
-from moranlab.systems import _integer_levels, _sampled_diameter
+from moranlab.systems import _IntegerLevel, _integer_levels, _sampled_diameter
 from moranlab.words import incomparable, local_stopping_sets, word_str
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -216,7 +218,7 @@ def scalar_packing(space, center, R, r, points):
 @given(data=float_clouds(), r=st.floats(min_value=0.01, max_value=5.0), R=st.floats(0.1, 20.0))
 def test_greedy_cover_and_packing_match_the_scan(data, r, R):
     space, points = data
-    cloud = PointCloud(space, 1, tuple((k,) for k in range(len(points))), tuple(points))
+    cloud = PointCloud(space, 0, 1, len(points), tuple(points))
     assert box_count(cloud, r) == len(scalar_centers(space, points, r))
     want = scalar_packing(space, points[0], R, r, points)
     assert maximal_packing(space, points[0], R, r, points) == want
@@ -258,7 +260,7 @@ def test_level_cloud_equals_apply_word(name):
     words = [w for w in system.alphabet.words(depth) for _ in seeds]
     want = tuple(system.apply_word(w, p) for w, p in zip(words, seeds * size**depth))
     assert cloud.labels == tuple(words)
-    assert cloud.points == want
+    assert tuple(cloud.points) == want
     types = lambda pts: [type(c) for p in pts for c in p]  # noqa: E731
     assert types(cloud.points) == types(want)
 
@@ -271,6 +273,153 @@ def test_piece_is_the_range_of_matching_labels(name):
         scan = [k for k, lab in enumerate(cloud.labels) if lab[: len(w)] == w]
         piece = cloud.piece(w)
         assert list(range(piece.start, piece.stop)) == scan
+
+
+# -- index-addressed clouds against the eager builder they replaced -------------------
+
+
+def eager_cloud(system, depth, samples_per_leaf):
+    """The eager builder: every label and every exact point up front, as tuples."""
+    seeds = system.seed_points[:samples_per_leaf]
+    labels = tuple(w for w in system.alphabet.words(depth) for _ in seeds)
+    levels = _integer_levels(system, seeds)
+    if levels is None:
+        points = seeds
+        for _ in range(depth):
+            points = system.next_level(points)
+        return labels, tuple(points)
+    level = next(islice(levels, depth - 1, None))
+    den, d = level.den, level.d
+    if level.b is None:
+        cols = [[Fraction(a, den) for a in col] for col in level.a]
+    else:
+        cols = [
+            [QuadraticNumber(Fraction(a, den), Fraction(b, den), d) for a, b in zip(ca, cb)]
+            for ca, cb in zip(level.a, level.b)
+        ]
+    return labels, tuple(zip(*cols))
+
+
+def bisect_piece(labels, word):
+    """Index range of the labels that start with ``word``, by bisection."""
+    if not word:
+        return slice(0, len(labels))
+    lo = bisect_left(labels, word)
+    return slice(lo, bisect_left(labels, word[:-1] + (word[-1] + 1,), lo))
+
+
+def eager_csv(space, labels, points):
+    if space.coordinate_dim is None:
+        rows = ["%s,%s" % (word_str(w), word_str(tuple(p))) for w, p in zip(labels, points)]
+        return "\n".join(["word,point"] + rows) + "\n"
+    dim = len(points[0])
+    names = ["x", "y", "z"][:dim] if dim <= 3 else ["c%d" % i for i in range(dim)]
+    rows = ["%s,%s" % (word_str(w), ",".join("%.12g" % float(c) for c in p))
+            for w, p in zip(labels, points)]
+    return "\n".join(["word," + ",".join(names)] + rows) + "\n"
+
+
+def golden_comb():
+    """Quadratic points with three samples per piece."""
+    maps = (CombMap(GOLDEN_RATIO, 0), CombMap(GOLDEN_RATIO, 1))
+    seeds = ((0, Fraction(1, 2)), (GOLDEN_RATIO, 1), (Fraction(1, 3), QuadraticNumber(0, 1, 5)))
+    return ContractionSystem(CombSpace(GOLDEN_RATIO), maps, seeds)
+
+
+INDEXED_SYSTEMS = {name: shipped_system for name in SHIPPED_SYSTEMS}
+INDEXED_SYSTEMS["golden comb"] = lambda _: golden_comb()
+
+
+def check_indexed_cloud(system, depth, samples):
+    cloud = attractor_cloud(system, depth, samples_per_leaf=samples)
+    labels, want = eager_cloud(system, depth, samples)
+    assert (cloud.depth, cloud.size, cloud.samples) == (depth, system.alphabet.size, samples)
+    assert len(cloud) == len(cloud.points) == len(want)
+    assert cloud.labels == labels
+    assert tuple(cloud.points) == want
+    types = lambda pts: [type(c) for p in pts for c in p]  # noqa: E731
+    assert types(cloud.points) == types(want)
+    for w in [(), *system.alphabet.words_up_to(depth + 1)]:
+        assert cloud.piece(w) == bisect_piece(labels, w), w
+    assert cloud.to_csv() == eager_csv(system.space, labels, want)
+
+
+@pytest.mark.parametrize("name", INDEXED_SYSTEMS)
+def test_indexed_cloud_equals_the_eager_builder(name):
+    system = INDEXED_SYSTEMS[name](name)
+    depth = 2 if name == "heisenberg" else 4
+    for samples in range(1, len(system.seed_points) + 1):
+        check_indexed_cloud(system, depth, samples)
+
+
+@pytest.mark.parametrize("name", ["cantor", "golden comb", "heisenberg", "symbolifs"])
+def test_indexed_points_index_and_slice_as_a_tuple(name):
+    system = INDEXED_SYSTEMS[name](name)
+    depth = 2 if name == "heisenberg" else 4
+    samples = len(system.seed_points[:2])
+    points = attractor_cloud(system, depth, samples_per_leaf=samples).points
+    _, want = eager_cloud(system, depth, samples)
+    n, stride = len(want), max(1, len(want) // 5)
+    assert bool(points) and len(points) == n
+    slices = [
+        slice(None, None, stride), slice(None, 5 * stride, stride), slice(3, None),
+        slice(n - 2, None), slice(-3, None), slice(None, None, -1), slice(5, 2),
+        slice(n + 4, None), slice(-2 * n, 2 * n, 3), slice(None),
+    ]
+    # first on rows not built yet, then again once every row is built
+    for s in slices + [slice(k, None) for k in range(n)] + slices:
+        got = points[s]
+        assert type(got) is tuple and got == want[s], s
+    assert points[::stride][:5] == want[::stride][:5]
+    for k in [*range(-n, n), np.int64(3), np.int64(-1)]:
+        assert points[k] == want[k]
+    for k in (n, -n - 1, 10**9):
+        with pytest.raises(IndexError):
+            points[k]
+    with pytest.raises(TypeError):
+        points[1.0]
+    assert list(points) == list(want)
+    assert list(zip(points, want)) == list(zip(want, want))
+    assert list(reversed(points)) == list(reversed(want))
+    assert want[-1] in points and points.index(want[-1]) == want.index(want[-1])
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """Indices of the exact rows built, in build order."""
+    built, point = [], _IntegerLevel.point
+
+    def counted(level, k):
+        built.append(int(k))
+        return point(level, k)
+
+    monkeypatch.setattr(_IntegerLevel, "point", counted)
+    return built
+
+
+def test_exact_clouds_build_only_the_rows_a_call_returns_or_samples(built_rows):
+    system = shipped_system("cantor")
+    cloud = attractor_cloud(system, 16)
+    n = len(cloud)
+    assert n == 2**16 and built_rows == []
+    assert box_count(cloud, 3.0**-5) == 32 <= box_count(cloud, 3.0**-5, "grid")
+    minkowski_estimate(cloud, 3.0**-6, 1.0 / 3.0, 4)
+    cloud.to_csv()
+    assert built_rows == []
+    chosen = maximal_packing(system.space, (0.5,), 0.4, 3.0**-5, cloud)
+    assert len(chosen) == len(built_rows) == len(set(built_rows)) > 1
+    assert [cloud.points[k] for k in built_rows] == chosen
+    built_rows.clear()
+    model = system.induced_model(cloud)
+    stride = n // 128
+    sampled = list(range(0, 32 * stride, stride))
+    assert built_rows == sampled
+    assert model.containment_check(8)[0]
+    assert len(built_rows) == 32
+    built_rows.clear()
+    assert finite_clustering_sup(model, cloud, 20, [0.2, 0.05]) >= 1
+    # the probe points; row 0 is already built, and a row read again is not built again
+    assert built_rows == [k for k in range(0, 20 * (n // 20), n // 20) if k not in sampled]
 
 
 # -- memory layouts ------------------------------------------------------------------
@@ -565,7 +714,7 @@ def check_integer_levels(system, depth):
     assert _integer_levels(system, seeds) is not None
     cloud = attractor_cloud(system, depth, samples_per_leaf=len(seeds))
     want = exact_cloud(system, depth, seeds)
-    assert cloud.points == want
+    assert tuple(cloud.points) == want
     types = lambda pts: [type(c) for p in pts for c in p]  # noqa: E731
     assert types(cloud.points) == types(want)
     assert cloud.coordinates.tobytes() == float_bits(want)
@@ -616,7 +765,7 @@ def test_mixed_systems_fall_back_to_exact_scalars(maps, seeds):
     assert _integer_levels(system, seeds) is None
     cloud = attractor_cloud(system, 4)
     want = exact_cloud(system, 4, seeds)
-    assert cloud.points == want
+    assert tuple(cloud.points) == want
     assert [type(c) for p in cloud.points for c in p] == [type(c) for p in want for c in p]
     assert cloud.coordinates.tobytes() == float_bits(want)
     assert separation_epsilon(system, seeds[0], 4) == per_point_epsilon(system, seeds[0], 4)
@@ -636,6 +785,14 @@ def test_ragged_seeds_still_raise():
     assert _integer_levels(system, system.seed_points) is None
     with pytest.raises(DomainError, match="2-dimensional"):
         attractor_cloud(system, 3, samples_per_leaf=2).coordinates
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(rational_similitudes(), comb_systems()), data=st.data())
+def test_indexed_exact_cloud_equals_the_eager_builder(case, data):
+    system, depth = case
+    samples = data.draw(st.integers(1, len(system.seed_points)))
+    check_indexed_cloud(system, min(depth, 5), samples)
 
 
 def uneven_similitudes(space):
@@ -729,7 +886,7 @@ grid_coordinates = st.one_of(floats, st.integers(-12, 12).map(lambda k: k / 4))
 )
 def test_grid_count_matches_the_set_of_cells(dim, data, r):
     points = data.draw(tuples(grid_coordinates, dim, max_size=40))
-    cloud = PointCloud(EuclideanSpace(dim), 1, ((),) * len(points), tuple(points))
+    cloud = PointCloud(EuclideanSpace(dim), 0, 1, len(points), tuple(points))
     assert box_count(cloud, r, method="grid") == set_of_cells_count(cloud, r)
 
 
@@ -849,7 +1006,7 @@ def test_row_minima_and_diameters_match_the_per_query_loops(data, data2, skip_se
         assert row_minima(space, X, X).tolist() == per_query_row_minima(space, X, X)
     if len(X) > 1:
         assert _sampled_diameter(space, X) == loop_sampled_diameter(space, X)
-        cloud = PointCloud(space, 1, tuple((k,) for k in range(len(points))), tuple(points))
+        cloud = PointCloud(space, 0, 1, len(points), tuple(points))
         for max_probes in (256, 3):
             assert _nearest_neighbor_gap(cloud, max_probes) == loop_nearest_gap(cloud, max_probes)
 
@@ -993,8 +1150,6 @@ def test_epsilon_of_an_exact_overlap_is_zero_and_stops_there(monkeypatch):
 def loop_collision_scan(r, depth, tol=1e-9):
     """The ``osc_collision_scan`` loop that the numpy passes replaced:
     ``(collisions, min_nonzero_gap)``."""
-    from bisect import bisect_left
-
     from moranlab.exactnum import exact_value
     from moranlab.systems import _integer_parts
 
@@ -1115,7 +1270,7 @@ def test_block_loops_pass_over_nan_rows_as_the_loops_did():
     assert np.array_equal(
         row_minima(space, X, X, rows), per_query_row_minima(space, X, X, rows), equal_nan=True
     )
-    cloud = PointCloud(space, 1, tuple((k,) for k in rows), tuple(map(tuple, X.tolist())))
+    cloud = PointCloud(space, 0, 1, len(rows), tuple(map(tuple, X.tolist())))
     assert _nearest_neighbor_gap(cloud, 4096) == loop_nearest_gap(cloud, 4096) > 0.0
     # a NaN in the first row sticks to ``max``; one in a later row is passed over
     for row in (1, len(X) - 1):

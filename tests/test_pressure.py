@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranlab import (
@@ -133,10 +133,27 @@ def test_zero_absent_when_levels_do_not_contract():
     model = LevelModel.from_level_ratios(lambda n: 1.5, 2)
     with pytest.raises(DomainError):
         pressure_zero(model, 8)
-    # P_1(t) = log 2 + t log 6 never vanishes, and 0.6**t underflows before
-    # the search for a bracket gives up
-    with pytest.raises(DomainError):
-        pressure_zero(MultiplicativeModel((0.6, 0.6), seed_diameter=10.0), 1)
+    # 0.6**t underflows long before t = 2**40: the level sum falls back to
+    # log space and stays finite
+    scaled = MultiplicativeModel((0.6, 0.6), seed_diameter=10.0)
+    big = 2.0**40
+    assert pressure_at(scaled, big, 1) == pytest.approx(math.log(2) + big * math.log(0.6))
+    # the seed diameter is divided out, so the zero is the similarity dimension
+    assert pressure_zero(scaled, 1).value == pytest.approx(math.log(2) / math.log(5 / 3), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ratios=st.lists(st.floats(0.02, 0.98), min_size=2, max_size=5),
+    seed=st.floats(1e-3, 1e3),
+)
+def test_scaled_multiplicative_zero_is_the_moran_dimension(ratios, seed):
+    model = MultiplicativeModel(ratios, seed_diameter=seed)
+    want = moran_dimension(ratios)
+    for depth in range(1, 13):
+        zero = pressure_zero(model, depth)
+        assert zero.value == pytest.approx(want, abs=1e-9), depth
+        assert zero.stable
 
 
 def test_zero_argument_validation():

@@ -94,7 +94,8 @@ def test_comb_cloud_points_follow_the_anchor_formula():
     system = ContractionSystem(space, maps, ((0.0, 0.5),))
     cloud = attractor_cloud(system, 3)
     for word, (x, y) in cloud.items():
-        assert x == pytest.approx(space.anchor(word), abs=1e-15)
+        anchor = sum(s * r**k for k, s in enumerate(word))  # x_w = sum(w_k r**(k-1))
+        assert x == pytest.approx(anchor, abs=1e-15)
         assert y == pytest.approx(r**3 * 0.5, abs=1e-15)
 
 
