@@ -27,8 +27,7 @@ _EXPORTS = {
     "exactnum": ("GOLDEN_RATIO", "QuadraticNumber"),
     "models": (
         "AxiomCheck", "AxiomReport", "DiameterModel", "GeneralModel", "LevelModel",
-        "MultiplicativeModel", "RectangleModel", "decay_constants",
-        "tractability_probe", "validate_cmc", "validate_wcmc",
+        "MultiplicativeModel", "RectangleModel", "validate_cmc", "validate_wcmc",
     ),
     "pressure": (
         "PressureCurve", "PressureZero", "moran_dimension", "pressure_at",
@@ -46,7 +45,7 @@ _EXPORTS = {
     "stratification": ("HEISENBERG", "StratificationData", "beta_minus", "beta_plus"),
     "subconstruction": (
         "CmscReport", "cantor_branch_sequence", "carnot_branch_sequence",
-        "carnot_cmsc_verify", "heisenberg_F_map", "heisenberg_system", "verify_cmsc",
+        "carnot_cmsc_verify", "heisenberg_F_map", "verify_cmsc",
     ),
     "systems": (
         "Affine2DMap", "BallConditionProbe", "CarnotMap", "CollisionScan", "CombMap",

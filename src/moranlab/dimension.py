@@ -75,20 +75,17 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
 class MinkowskiEstimate:
     """Least-squares slope of ``log N(r)`` against ``log(1/r)``.
 
-    Unpacks as ``slope, r_squared = estimate``; the radii, counts and
-    per-scale log-log residuals are kept for inspection and plotting.
+    Unpacks as ``slope, r_squared = estimate``; the radii and counts are
+    kept for inspection.
     """
 
-    __slots__ = ("slope", "r_squared", "radii", "counts", "residuals")
+    __slots__ = ("slope", "r_squared", "radii", "counts")
 
-    def __init__(
-        self, slope: float, r_squared: float, radii: tuple, counts: tuple, residuals: tuple
-    ):
+    def __init__(self, slope: float, r_squared: float, radii: tuple, counts: tuple):
         self.slope = slope
         self.r_squared = r_squared
         self.radii = radii
         self.counts = counts
-        self.residuals = residuals
 
     def __iter__(self):
         return iter((self.slope, self.r_squared))
@@ -100,12 +97,6 @@ class MinkowskiEstimate:
             "radii": list(self.radii),
             "counts": list(self.counts),
         }
-
-    def to_csv(self) -> str:
-        lines = ["r,count,residual"]
-        for r, n, e in zip(self.radii, self.counts, self.residuals):
-            lines.append("%.12g,%d,%.12g" % (r, n, e))
-        return "\n".join(lines) + "\n"
 
 
 def _nearest_neighbor_gap(cloud, max_probes: int = 256) -> float:
@@ -167,13 +158,11 @@ def minkowski_estimate(
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return MinkowskiEstimate(
-        float(slope), r2, tuple(radii), tuple(counts), tuple(float(e) for e in resid)
-    )
+    return MinkowskiEstimate(float(slope), r2, tuple(radii), tuple(counts))
 
 
-def hausdorff_upper_sum(model, t: float, depth: int, subtree=None) -> float:
-    """Level-``depth`` cover sum ``sum diam(X_w)^t`` over the chosen words.
+def hausdorff_upper_sum(model, t: float, depth: int) -> float:
+    """Level-``depth`` cover sum ``sum diam(X_w)^t`` over the words ``w`` of that length.
 
     The level-``n`` pieces always cover the limit set, so this is a valid
     Hausdorff premeasure upper bound at gauge ``max diam``;
@@ -181,7 +170,7 @@ def hausdorff_upper_sum(model, t: float, depth: int, subtree=None) -> float:
     """
     if t < 0:
         raise DomainError("exponent must be non-negative")
-    return math.exp(model.level_log_sum(t, depth, subtree=subtree))
+    return math.exp(model.level_log_sum(t, depth))
 
 
 def maximal_packing(space, center, R: float, r: float, candidates) -> list:

@@ -106,10 +106,6 @@ class QuadraticNumber:
 
     # -- predicates and conversion ---------------------------------------
 
-    def is_zero(self) -> bool:
-        # sqrt(d) is irrational, so a + b*sqrt(d) = 0 iff a = b = 0.
-        return self.a == 0 and self.b == 0
-
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadraticNumber):
             return self.d == other.d and self.a == other.a and self.b == other.b

@@ -2,10 +2,11 @@
 
 A *diameter model* assigns a positive diameter to every finite word; it is
 the combinatorial skeleton of a Moran construction, with the geometry
-abstracted away.  Three shapes cover everything shipped here:
+abstracted away.  Four shapes cover everything shipped here:
 
 * multiplicative -- ``diam(i) = seed * prod(ratio[i_k])`` (self-similar);
 * level          -- ``diam(i)`` depends only on ``len(i)``;
+* rectangle      -- the diagonal of an axis-aligned affine rectangle;
 * general        -- an arbitrary word-to-diameter function.
 
 The validators fit the smallest witnessed constants for the nesting/control
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .words import Alphabet, SubTree, Word, word_str, _check_enum, _stopping_walk
+from .words import Alphabet, SubTree, Word, _check_enum
 
 # Fitted constants that grow by more than this factor between consecutive
 # depths are flagged as diverging (axiom violated rather than held).
@@ -38,8 +39,8 @@ _DIVERGENCE_FACTOR = 1.5
 class DiameterModel:
     """Base class: word-indexed diameters with aggregate helpers.
 
-    Subclasses must call ``super().__init__()``, set ``alphabet``,
-    ``seed_diameter`` and ``kind`` and implement ``log_diam``.  ``diam``, the
+    Subclasses must call ``super().__init__()``, set ``alphabet`` and
+    ``seed_diameter`` and implement ``log_diam``.  ``diam``, the
     level aggregates, the window ratios and the ratio scans have generic
     (enumerating) fallbacks that structured subclasses override with exact
     closed forms.
@@ -47,7 +48,6 @@ class DiameterModel:
 
     alphabet: Alphabet
     seed_diameter: float
-    kind: str = "general"
     #: ``log D`` where every diameter is ``D`` times a product over the word,
     #: 0 where no such constant is known; ``pressure_at`` divides it out
     log_scale: float = 0.0
@@ -79,7 +79,8 @@ class DiameterModel:
         key = (n, subtree)
         if key not in self._ld_cache:
             branches = self._branches(range(1, n + 1), subtree)
-            _check_enum(math.prod(branches), "level %d of a %s model" % (n, self.kind), branches)
+            what = "level %d of a %s" % (n, type(self).__name__)
+            _check_enum(math.prod(branches), what, branches)
             self._ld_cache[key] = self._log_diams(branches)
         return self._ld_cache[key]
 
@@ -175,8 +176,6 @@ def _word_at(index: int, size: int, length: int) -> Word:
 class MultiplicativeModel(DiameterModel):
     """``diam(i) = seed * ratio[i_1] * ... * ratio[i_n]``."""
 
-    kind = "multiplicative"
-
     def __init__(self, ratios: Sequence[float], seed_diameter: float = 1.0):
         ratios = tuple(float(r) for r in ratios)
         if len(ratios) < 2:
@@ -239,8 +238,6 @@ class MultiplicativeModel(DiameterModel):
 class LevelModel(DiameterModel):
     """Diameter depends only on the word length."""
 
-    kind = "level"
-
     def __init__(
         self,
         level_log_diam: Callable[[int], float],
@@ -301,8 +298,6 @@ class LevelModel(DiameterModel):
 class GeneralModel(DiameterModel):
     """Arbitrary word-to-diameter function (enumerating aggregates)."""
 
-    kind = "general"
-
     def __init__(
         self,
         log_diam_fn: Callable[[Word], float],
@@ -328,8 +323,6 @@ class RectangleModel(DiameterModel):
     The two coordinate contractions multiply independently along the word,
     and the piece diameter is the diagonal of the resulting rectangle.
     """
-
-    kind = "rectangle"
 
     def __init__(self, a: Sequence[float], b: Sequence[float]):
         if len(a) != len(b) or len(a) < 2:
@@ -523,135 +516,3 @@ def validate_cmc(model: DiameterModel, depth: int) -> AxiomReport:
     report.checks.append(c1)
     report.constant = D
     return report
-
-
-# ---------------------------------------------------------------------------
-# geometric decay fit
-# ---------------------------------------------------------------------------
-
-
-class DecayFit(NamedTuple):
-    """Witnessed constants for ``diam(i) <= c * rho**len(i)`` up to a depth."""
-
-    c: float | None
-    rho: float | None
-    conclusive: bool
-    depth: int
-
-
-def decay_constants(model: DiameterModel, depth: int) -> DecayFit:
-    """Fit ``(c, rho)`` with ``diam(i) <= c * rho**len(i)`` for checked words.
-
-    ``rho`` is the largest level-wise ``(max diameter)**(1/n)``; if that is
-    not below 1 within ``depth`` the fit is inconclusive.  The fit is
-    witnessed on levels 1..depth only.
-    """
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    rho = 0.0
-    for n in range(1, depth + 1):
-        _, hi = model.level_extremes(n)
-        rho = max(rho, hi ** (1.0 / n))
-    if rho >= 1.0:
-        return DecayFit(None, None, False, depth)
-    c = 0.0
-    for n in range(1, depth + 1):
-        _, hi = model.level_extremes(n)
-        c = max(c, hi / rho**n)
-    return DecayFit(c, rho, True, depth)
-
-
-# ---------------------------------------------------------------------------
-# tractability probe
-# ---------------------------------------------------------------------------
-
-
-class TractabilityReport:
-    """Witnessed constant for ``dist(X_hi, X_hj) <= C diam(X_h) r``.
-
-    ``constant`` is a lower bound for the true constant: distances between
-    pieces are estimated from finitely many sample points, and only the
-    listed prefixes and radii were probed.
-    """
-
-    __slots__ = ("constant", "entries", "skipped_radii", "lower_bound")
-
-    def __init__(self, constant: float):
-        self.constant = constant
-        self.entries: list[dict] = []
-        self.skipped_radii: list[tuple[float, str]] = []
-        self.lower_bound = True
-
-    def to_json(self) -> dict:
-        return {
-            "constant": self.constant,
-            "lower_bound": self.lower_bound,
-            "entries": self.entries,
-            "skipped_radii": [[r, why] for r, why in self.skipped_radii],
-        }
-
-
-def tractability_probe(
-    system,
-    cloud,
-    r_grid: Sequence[float],
-    depth: int,
-    samples_per_piece: int = 12,
-) -> tuple[float, TractabilityReport]:
-    """Estimate the smallest ``C`` making the construction tractable.
-
-    For each radius ``r`` in the grid, stopping words ``i, j`` whose
-    sampled pieces come within ``r`` of each other are re-examined under
-    every prefix ``h`` up to ``depth``; the witnessed constant is the
-    largest ``dist(X_hi, X_hj) / (diam(X_h) * r)`` observed.
-    """
-    from .spaces import row_minima
-
-    model = system.induced_model(cloud)
-    report = TractabilityReport(0.0)
-    space = system.space
-
-    def piece_samples(word: Word) -> tuple:
-        piece = cloud.piece(word)
-        return cloud.points[piece.start : min(piece.stop, piece.start + samples_per_piece)]
-
-    def gap(P: Sequence, Q: Sequence) -> float:
-        """``min d(p, q)`` over ``P`` x ``Q``, folded over ``Q`` in order as ``min`` does."""
-        return min(row_minima(space, space.coordinates(P), space.coordinates(Q)).tolist())
-
-    best_entries: list[dict] = []
-    for r in r_grid:
-        if not 0 < r < model.seed_diameter:
-            report.skipped_radii.append((r, "outside (0, seed diameter)"))
-            continue
-        Z, wide = _stopping_walk(model, r, cloud.depth)
-        if wide:
-            report.skipped_radii.append((r, "stopping words deeper than the cloud"))
-            continue
-        samples = {w: piece_samples(w) for w in Z}
-        pairs = itertools.combinations(Z, 2)
-        close_pairs = [(u, v) for u, v in pairs if gap(samples[u], samples[v]) <= r]
-        if not close_pairs:
-            continue
-        for h in system.alphabet.words_up_to(depth):
-            diam_h = model.diam(h)
-            for wi, wj in close_pairs:
-                d = gap(
-                    [system.apply_word(h, p) for p in samples[wi]],
-                    [system.apply_word(h, q) for q in samples[wj]],
-                )
-                ratio = d / (diam_h * r)
-                if ratio > report.constant:
-                    report.constant = ratio
-                best_entries.append(
-                    {
-                        "h": word_str(h),
-                        "i": word_str(wi),
-                        "j": word_str(wj),
-                        "r": r,
-                        "ratio": ratio,
-                    }
-                )
-    best_entries.sort(key=lambda e: -e["ratio"])
-    report.entries = best_entries[:5]
-    return report.constant, report

@@ -20,27 +20,22 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError
 from .models import DiameterModel
-from .words import SubTree
 
 _STABILITY_TOL = 1e-6
 
 
-def pressure_at(
-    model: DiameterModel, t: float, depth: int, subtree: SubTree | None = None
-) -> float:
+def pressure_at(model: DiameterModel, t: float, depth: int) -> float:
     """Depth-``depth`` pressure of the model at exponent ``t``.
 
     The model's ``log_scale`` (``log D`` for a multiplicative model of seed
     diameter ``D``) is divided out, so for multiplicative models the value
-    is the true pressure at every depth.  Restricting to a sub-tree (an
-    extension of the construction proper: only the retained words are
-    summed) is supported for the sub-construction workflows.
+    is the true pressure at every depth.
     """
     if t < 0:
         raise DomainError("pressure exponent must be >= 0, got %r" % t)
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    return (model.level_log_sum(t, depth, subtree) - t * model.log_scale) / depth
+    return (model.level_log_sum(t, depth) - t * model.log_scale) / depth
 
 
 def _bisect_zero(f: Callable[[float], float], tol: float) -> float:
@@ -96,12 +91,7 @@ class PressureZero(NamedTuple):
         return self.value
 
 
-def pressure_zero(
-    model: DiameterModel,
-    depth: int,
-    tol: float = 1e-12,
-    subtree: SubTree | None = None,
-) -> PressureZero:
+def pressure_zero(model: DiameterModel, depth: int, tol: float = 1e-12) -> PressureZero:
     """Unique zero of the depth-``depth`` pressure, to within ``tol`` in t.
 
     Also solves at half the depth and reports the drift between the two
@@ -113,12 +103,12 @@ def pressure_zero(
         raise DomainError("depth must be >= 1")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    value = _bisect_zero(lambda t: pressure_at(model, t, depth, subtree), tol)
+    value = _bisect_zero(lambda t: pressure_at(model, t, depth), tol)
     ref_depth = max(1, depth // 2)
     if ref_depth == depth:
         ref = value
     else:
-        ref = _bisect_zero(lambda t: pressure_at(model, t, ref_depth, subtree), tol)
+        ref = _bisect_zero(lambda t: pressure_at(model, t, ref_depth), tol)
     return PressureZero(value, depth, ref, ref_depth, tol)
 
 
@@ -188,12 +178,7 @@ class PressureCurve(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def pressure_curve(
-    model: DiameterModel,
-    t_values: Sequence[float],
-    depth: int,
-    subtree: SubTree | None = None,
-) -> PressureCurve:
+def pressure_curve(model: DiameterModel, t_values: Sequence[float], depth: int) -> PressureCurve:
     ts = tuple(float(t) for t in t_values)
-    ps = tuple(pressure_at(model, t, depth, subtree) for t in ts)
+    ps = tuple(pressure_at(model, t, depth) for t in ts)
     return PressureCurve(depth, ts, ps)

@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import DomainError
 from .models import DiameterModel, LevelModel
-from .spaces import HeisenbergSpace
 from .stratification import StratificationData, beta_minus
-from .systems import CarnotMap, ContractionSystem
+from .systems import CarnotMap
 from .words import SubTree, Word, word_str
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
@@ -281,19 +280,3 @@ def heisenberg_F_map(anchor) -> CarnotMap:
     (tt,) = layers[1]
     return CarnotMap((float(x), float(y), float(tt)))
 
-
-def heisenberg_system() -> ContractionSystem:
-    """All 16 gauge-halving maps on the dyadic anchor grid.
-
-    Map order is lexicographic in (vertical, horizontal) coordinates, so
-    the first four maps form the purely horizontal family.
-    """
-    maps = []
-    seeds = []
-    for tt in range(4):
-        for x in range(2):
-            for y in range(2):
-                m = heisenberg_F_map([(x, y), (tt,)])
-                maps.append(m)
-                seeds.append(m.anchor)
-    return ContractionSystem(HeisenbergSpace(), tuple(maps), tuple(seeds))

@@ -4,7 +4,7 @@ A :class:`ContractionSystem` bundles an ambient space, finitely many
 contracting maps, and seed points.  Words act by composition
 ``phi_w = phi_{w1} o ... o phi_{wn}``; the pieces of the induced Moran
 construction are ``X_w = phi_w(E)``.  Everything downstream (stopping sets,
-clustering, ball condition, tractability) consumes either exact per-map
+clustering, ball condition) consumes either exact per-map
 contraction bounds or finite sample clouds, and every sampled quantity is
 one-sided: sampling can miss extremes, never invent them.
 """
@@ -251,9 +251,7 @@ class PointCloud:
 class ContractionSystem:
     """Ambient space + branch maps + seed points (+ optional known diameter)."""
 
-    def __init__(
-        self, space: MetricSpace, maps, seed_points, seed_diameter: float | None = None, name=""
-    ):
+    def __init__(self, space: MetricSpace, maps, seed_points, seed_diameter: float | None = None):
         if len(maps) < 2:
             raise DomainError("a contraction system needs at least two maps")
         if len(seed_points) < 1:
@@ -264,7 +262,6 @@ class ContractionSystem:
             tuple(p) if isinstance(p, (list, tuple)) else p for p in seed_points
         )
         self.seed_diameter = seed_diameter
-        self.name = name
 
     @property
     def alphabet(self) -> Alphabet:
@@ -880,8 +877,8 @@ def ball_condition_probe(
     compatible with the already chosen centers wins (greedy first fit).
     Sampled candidates make the reported ``delta`` a lower bound.
     """
-    if not delta_grid:
-        raise DomainError("delta grid must be non-empty")
+    if not delta_grid or not all(d > 0 for d in delta_grid):
+        raise DomainError("delta grid must be non-empty and positive, got %r" % (delta_grid,))
     local = local_stopping_set(model, cloud, x, r)
     if not local.words:
         return BallConditionProbe(max(delta_grid), True, (), ())
@@ -932,18 +929,6 @@ class SymbolicConformalityReport:
     @property
     def passed(self) -> bool:
         return self.cylinder_ok and self.distance_ok
-
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "passed": self.passed,
-            "cylinder_ok": self.cylinder_ok,
-            "cylinder_violations": [
-                {"map": m, "word": list(w)} for m, w in self.cylinder_violations
-            ],
-            "distance_ok": self.distance_ok,
-            "max_distance_error": self.max_distance_error,
-        }
 
 
 def proper_semiconformality_check_symbolic(

@@ -88,17 +88,6 @@ class Alphabet:
             yield from self.words(n)
 
 
-def parent(word: Word) -> Word:
-    """Drop the last symbol.  The empty word has no parent."""
-    if len(word) == 0:
-        raise DomainError("the empty word has no parent")
-    return word[:-1]
-
-
-def is_prefix(u: Word, v: Word) -> bool:
-    return len(u) <= len(v) and v[: len(u)] == u
-
-
 def incomparable(u: Word, v: Word) -> bool:
     """True iff neither word is a prefix of the other.
 
@@ -202,11 +191,6 @@ class SubTree:
         for k in range(1, level + 1):
             out *= self.branch(k)
         return out
-
-    def contains(self, word: Word) -> bool:
-        if len(word) > self.depth:
-            return False
-        return all(s < self.branch(k) for k, s in enumerate(word, start=1))
 
     def words(self, length: int) -> Iterator[Word]:
         if not 0 <= length <= self.depth:

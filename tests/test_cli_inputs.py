@@ -82,6 +82,16 @@ def test_probe_points_of_the_wrong_width_exit_3(monkeypatch, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("deltas", ["-1", "0", "0.5,0"])
+def test_ball_probe_non_positive_deltas_exit_3(monkeypatch, deltas):
+    monkeypatch.chdir(PKG_ROOT)
+    argv = ["probe", "specs/cantor.json", "--probe", "ball", "--r", "0.33", "--x", "0.0",
+            "--depth", "6", "--deltas", deltas]
+    code, out, err = run_main(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "delta grid must be non-empty and positive" in err
+
+
 BAD_INTEGER_LISTS = [
     (["validate", "specs/cantor.json", "--axioms", "cmsc", "--t", "0.4", "--subtree", "x,y"],
      "--subtree takes comma-separated integers"),

@@ -14,7 +14,7 @@ def test_golden_ratio_satisfies_its_minimal_polynomial():
     """r = (sqrt(5)-1)/2 obeys r^2 = 1 - r exactly."""
     r = GOLDEN_RATIO
     assert r * r == 1 - r
-    assert (r * r + r - 1).is_zero()
+    assert r * r + r - 1 == 0
 
 
 def test_golden_ratio_float_value():
@@ -77,8 +77,7 @@ def test_zero_test_is_exact():
     u = QuadraticNumber(1, 1, 5)
     v = QuadraticNumber(1, -1, 5)
     assert u * v == -4
-    assert not (u * v + 4).is_zero() or (u * v + 4).is_zero()
-    assert (u * v + 4).is_zero()
+    assert u * v + 4 == 0
 
 
 def test_equality_with_rationals_needs_zero_irrational_part():

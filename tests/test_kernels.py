@@ -1070,20 +1070,6 @@ def test_failed_containment_matches_the_per_point_loop():
     assert other._containment_check(cloud)(3)[0] is loop_containment(other, cloud) is False
 
 
-def test_tractability_probe_matches_the_per_query_gap(monkeypatch):
-    from moranlab import spaces, tractability_probe
-
-    system = shipped_system("cantor")
-    cloud = attractor_cloud(system, 8)
-    args = (system, cloud, [0.12, 0.05], 3)
-    block = tractability_probe(*args, samples_per_piece=200)[1].to_json()
-    monkeypatch.setattr(
-        spaces, "row_minima",
-        lambda space, X, Q, skip=None: np.array(per_query_row_minima(space, X, Q, skip)),
-    )
-    assert tractability_probe(*args, samples_per_piece=200)[1].to_json() == block
-
-
 @pytest.mark.parametrize("name, depth", [("cantor", 10), ("symbolifs", 6)])
 def test_local_stopping_sets_match_the_per_point_loop(name, depth):
     system = shipped_system(name)

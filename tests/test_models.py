@@ -1,4 +1,4 @@
-"""Diameter models, axiom fits, decay constants, and the tractability probe."""
+"""Diameter models, their level aggregates and scans, and the axiom fits."""
 
 import math
 from collections import Counter
@@ -10,19 +10,14 @@ from hypothesis import strategies as st
 
 from moranlab import (
     Alphabet,
-    ContractionSystem,
     DomainError,
     EnumerationCapError,
-    EuclideanSpace,
     GeneralModel,
     LevelModel,
     MultiplicativeModel,
     RectangleModel,
-    SimilitudeMap,
     SubTree,
     attractor_cloud,
-    decay_constants,
-    tractability_probe,
     validate_cmc,
     validate_wcmc,
 )
@@ -292,7 +287,7 @@ def test_level_scans_match_the_reference(shape, data):
 def test_sampled_symbolic_model_scans_match_the_reference():
     system = load_spec(SPECS / "symbolifs.json").require_system()
     model = system.induced_model(attractor_cloud(system, 8))
-    assert model.kind == "general"
+    assert isinstance(model, GeneralModel)
     assert_scans_match_the_reference(model, 7)
 
 
@@ -328,90 +323,3 @@ def test_validators_read_each_log_diameter_once(monkeypatch):
             validate(GeneralModel(log_diam, Alphabet(3)), 6)
         with pytest.raises(EnumerationCapError):
             validate(RectangleModel((0.5, 0.3), (0.4, 0.6)), 9)
-
-
-# -- geometric decay ----------------------------------------------------------------
-
-
-def test_decay_fit_uniform_thirds():
-    fit = decay_constants(cantor_model(), 8)
-    assert fit.conclusive
-    assert fit.c == 1.0
-    assert fit.rho == pytest.approx(1 / 3, rel=1e-15)
-
-
-def test_decay_fit_slow_model():
-    fit = decay_constants(MultiplicativeModel((0.9, 0.9)), 6)
-    assert (fit.c, fit.rho) == (1.0, pytest.approx(0.9, rel=1e-15))
-
-
-def test_decay_fit_is_dominated_by_the_first_level():
-    """rho is a max over levels, so one big level-1 piece pins it."""
-    fit = decay_constants(supercantor_model(), 10)
-    assert fit.rho == pytest.approx(0.5, rel=1e-15)
-    assert fit.c == 1.0
-    fit = decay_constants(nsq_model(), 10)
-    assert (fit.c, fit.rho, fit.conclusive) == (1.0, 0.5, True)
-
-
-def test_decay_inequality_holds_on_all_checked_words():
-    for model in (cantor_model(), MultiplicativeModel((1 / 3, 1 / 2))):
-        fit = decay_constants(model, 6)
-        for w in model.alphabet.words_up_to(6):
-            assert model.diam(w) <= fit.c * fit.rho ** len(w) * (1 + 1e-12)
-
-
-def test_decay_fit_inconclusive_for_expanding_levels():
-    model = LevelModel.from_level_ratios(lambda n: 1.5 if n == 1 else 0.4, 2)
-    fit = decay_constants(model, 8)
-    assert not fit.conclusive
-    assert fit.c is None and fit.rho is None
-    with pytest.raises(DomainError):
-        decay_constants(model, 0)
-
-
-# -- tractability probe ----------------------------------------------------------------
-
-
-def cantor_system():
-    maps = (SimilitudeMap(1 / 3, (0.0,)), SimilitudeMap(1 / 3, (1.0,)))
-    return ContractionSystem(
-        EuclideanSpace(1), maps, ((0.0,), (1.0,)), seed_diameter=1.0
-    )
-
-
-def test_tractability_constant_scales_exactly_for_similitudes():
-    """Every prefix sees the same gap/diam ratio, so the probe is flat.
-
-    At r = 0.12 the stopping set is level 2 and the nearest pieces are the
-    two middle ones, separated by 1/9 minus one sample spacing.
-    """
-    system = cantor_system()
-    cloud = attractor_cloud(system, 8)
-    constant, report = tractability_probe(
-        system, cloud, [0.12], depth=4, samples_per_piece=64
-    )
-    expected = (1 / 9 + 3.0**-8) / 0.12
-    assert constant == pytest.approx(expected, rel=1e-12)
-    assert report.lower_bound
-    assert len(report.entries) == 5
-    for entry in report.entries:
-        assert entry["ratio"] == pytest.approx(expected, rel=1e-12)
-    assert report.skipped_radii == []
-
-
-def test_tractability_skips_unusable_radii():
-    system = cantor_system()
-    cloud = attractor_cloud(system, 6)
-    constant, report = tractability_probe(system, cloud, [2.0, 0.2], depth=2)
-    assert len(report.skipped_radii) == 1
-    assert report.skipped_radii[0][0] == 2.0
-
-
-def test_tractability_sparse_sampling_can_miss_close_pairs():
-    """The probe is a lower bound: few samples per piece find no witnesses."""
-    system = cantor_system()
-    cloud = attractor_cloud(system, 8)
-    constant, report = tractability_probe(system, cloud, [0.12], depth=2)
-    assert constant == 0.0
-    assert report.entries == []

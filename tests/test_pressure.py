@@ -10,7 +10,6 @@ from moranlab import (
     DomainError,
     LevelModel,
     MultiplicativeModel,
-    SubTree,
     moran_dimension,
     pressure_at,
     pressure_curve,
@@ -121,12 +120,6 @@ def test_square_exponent_zero_extrapolates_to_nought():
     assert zero.reference_value == pytest.approx(1 / 6, abs=1e-9)
     assert zero.extrapolated == pytest.approx(0.0, abs=1e-9)
     assert not zero.stable
-
-
-def test_zero_respects_subtree_restriction():
-    # pruning to a single branch per level leaves pressure 0 at t = 0
-    zero = pressure_zero(cantor_model(), 6, subtree=SubTree((1,) * 6))
-    assert zero.value == 0.0
 
 
 def test_zero_absent_when_levels_do_not_contract():

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +25,13 @@ from moranlab import (
     carnot_branch_sequence,
     carnot_cmsc_verify,
     heisenberg_F_map,
-    heisenberg_system,
     verify_cmsc,
 )
 from moranlab.spaces import heisenberg_gauge, heisenberg_inverse, heisenberg_multiply
+from moranlab.specio import load_spec
 from moranlab.words import Alphabet
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 T_STAR = math.log(2) / math.log(3)
 
 
@@ -377,7 +379,7 @@ def test_F_map_halves_the_gauge_distance():
 
 
 def test_heisenberg_system_layout():
-    system = heisenberg_system()
+    system = load_spec(SPECS / "heisenberg.json").require_system()
     assert len(system.maps) == 16
     assert len(system.seed_points) == 16
     assert system.seed_points[:4] == (

@@ -13,7 +13,9 @@ from moranlab import (
     ContractionSystem,
     DomainError,
     EuclideanSpace,
+    GeneralModel,
     GOLDEN_RATIO,
+    MultiplicativeModel,
     SimilitudeMap,
     SymbolMap,
     SymbolSpace,
@@ -102,7 +104,7 @@ def test_comb_cloud_points_follow_the_anchor_formula():
 def test_induced_model_is_exact_for_similitudes():
     system = cantor_system()
     model = system.induced_model()
-    assert model.kind == "multiplicative"
+    assert isinstance(model, MultiplicativeModel)
     assert model.ratios == (pytest.approx(1 / 3), pytest.approx(1 / 3))
     assert model.seed_diameter == 1.0
     # geometric nesting can only be witnessed against a cloud
@@ -122,7 +124,7 @@ def test_induced_model_of_affine_maps_needs_a_cloud():
         system.induced_model()
     cloud = attractor_cloud(system, 4, samples_per_leaf=2)
     model = system.induced_model(cloud)
-    assert model.kind == "general"
+    assert isinstance(model, GeneralModel)
     assert model.diam((0,)) <= model.seed_diameter
 
 
@@ -188,9 +190,7 @@ def test_symbolic_cylinder_check_passes_for_prefix_rewriters():
     assert report.cylinder_ok
     assert report.distance_ok
     assert report.max_distance_error == 0.0
-    data = report.to_json()
-    assert data["passed"] is True
-    assert data["cylinder_violations"] == []
+    assert report.cylinder_violations == []
 
 
 class _SecondSymbolMap(ContractionMap):
@@ -348,3 +348,13 @@ def test_ball_condition_with_no_local_pieces():
     assert probe.words == ()
     with pytest.raises(DomainError):
         ball_condition_probe(model, cloud, (0.0,), 0.33, [])
+
+
+def test_ball_condition_rejects_non_positive_deltas():
+    """0.0 is the delta that reports failure, so the grid may not hold it."""
+    system = cantor_system()
+    cloud = attractor_cloud(system, 6)
+    model = system.induced_model()
+    for grid in ([-1.0], [0.0], [0.5, 0.0], [0.5, -0.25]):
+        with pytest.raises(DomainError, match="positive"):
+            ball_condition_probe(model, cloud, (0.0,), 0.33, grid)

@@ -22,9 +22,7 @@ from moranlab.words import (
     d2,
     d2_with_resolution,
     incomparable,
-    is_prefix,
     local_stopping_set,
-    parent,
     word_str,
 )
 
@@ -39,20 +37,7 @@ def cantor_system():
 # -- basic word operations --------------------------------------------------
 
 
-def test_parent_drops_last_symbol():
-    assert parent((0, 1, 2)) == (0, 1)
-    assert parent((4,)) == ()
-
-
-def test_empty_word_has_no_parent():
-    with pytest.raises(DomainError):
-        parent(())
-
-
 def test_prefix_and_incomparability():
-    assert is_prefix((0, 1), (0, 1, 0))
-    assert is_prefix((), (0,))
-    assert not is_prefix((0, 1, 0), (0, 1))
     assert incomparable((0, 1), (1, 1))
     assert not incomparable((0,), (0, 1))
     assert not incomparable((0, 1), (0, 1))
@@ -107,7 +92,7 @@ def test_enumeration_cap_names_the_largest_depth_that_fits(monkeypatch):
         (lambda: antichain_cover_cost(Alphabet(2), lambda w: 1.0, 1, 7),
          "cover tree of depth 7 would enumerate 128 words (cap 100)", 6),
         (lambda: halves.level_log_sum(1.0, 8),
-         "level 8 of a general model would enumerate 256 words (cap 100)", 6),
+         "level 8 of a GeneralModel would enumerate 256 words (cap 100)", 6),
         # two samples per leaf: 2 * 2**6 words
         (lambda: attractor_cloud(cantor, 6, samples_per_leaf=2),
          "attractor cloud at depth 6 would enumerate 128 words (cap 100)", 5),
@@ -182,9 +167,6 @@ def test_subtree_counts_and_membership():
     assert tree.count(1) == 2
     assert tree.count(2) == 2
     assert tree.count(3) == 4
-    assert tree.contains((1, 0, 1))
-    assert not tree.contains((0, 1, 0))
-    assert not tree.contains((0, 0, 0, 0))
     assert list(tree.words(2)) == [(0, 0), (1, 0)]
 
 
