@@ -242,20 +242,14 @@ def _default_scales(cloud) -> list[float]:
     return [span * 2.0**-k for k in range(2, 7)]
 
 
-def _model_scale_ratio(model) -> float:
-    """Geometric spacing for scale grids: the model's ratio if uniform, else 1/2."""
-    vals = {float(r) for r in getattr(model, "ratios", ())}
-    return vals.pop() if len(vals) == 1 else 0.5
-
-
 def _cmd_dimension(spec, args):
     from .dimension import minkowski_estimate
 
     cloud, model = _cloud_model(spec, args)
-    rho = _model_scale_ratio(model)
+    rho = model.scale_ratio
     diam = float(model.seed_diameter)
     est = minkowski_estimate(cloud, diam * rho**args.scales, diam * rho, args.scales)
-    return _json(est.to_json()), 0
+    return _json(est._asdict()), 0
 
 
 # -- probes: (spec, args) -> result object ------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,31 +73,14 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
     raise DomainError("unknown box-count method %r" % method)
 
 
-class MinkowskiEstimate:
-    """Least-squares slope of ``log N(r)`` against ``log(1/r)``.
+class MinkowskiEstimate(NamedTuple):
+    """Least-squares slope of ``log N(r)`` against ``log(1/r)``, with the
+    radii and counts it was fitted to."""
 
-    Unpacks as ``slope, r_squared = estimate``; the radii and counts are
-    kept for inspection.
-    """
-
-    __slots__ = ("slope", "r_squared", "radii", "counts")
-
-    def __init__(self, slope: float, r_squared: float, radii: tuple, counts: tuple):
-        self.slope = slope
-        self.r_squared = r_squared
-        self.radii = radii
-        self.counts = counts
-
-    def __iter__(self):
-        return iter((self.slope, self.r_squared))
-
-    def to_json(self) -> dict:
-        return {
-            "slope": self.slope,
-            "r_squared": self.r_squared,
-            "radii": list(self.radii),
-            "counts": list(self.counts),
-        }
+    slope: float
+    r_squared: float
+    radii: tuple[float, ...]
+    counts: tuple[int, ...]
 
 
 def _nearest_neighbor_gap(cloud, max_probes: int = 256) -> float:
@@ -200,26 +184,20 @@ def maximal_packing(space, center, R: float, r: float, candidates) -> list:
     return [pts[window[k]] for k in _greedy_centers(space, X[window], sep)]
 
 
-class PackingGrowth:
+class PackingGrowth(NamedTuple):
     """Witnessed two-sided growth of packing counts in the ratio ``R/r``.
 
     ``(R/r)^alpha2 / c <= #H <= c * (R/r)^alpha1`` holds at every sampled
     pair with the reported constant; ``alpha1``/``alpha2`` are the
     largest/smallest adjacent log-log slopes, so the witnessed exponent
-    window is ``[alpha2, alpha1]``.  Unpacks as ``a1, a2, c = growth``.
+    window is ``[alpha2, alpha1]``.
     """
 
-    __slots__ = ("alpha1", "alpha2", "c", "ratios", "counts")
-
-    def __init__(self, alpha1: float, alpha2: float, c: float, ratios: tuple, counts: tuple):
-        self.alpha1 = alpha1
-        self.alpha2 = alpha2
-        self.c = c
-        self.ratios = ratios
-        self.counts = counts
-
-    def __iter__(self):
-        return iter((self.alpha1, self.alpha2, self.c))
+    alpha1: float
+    alpha2: float
+    c: float
+    ratios: tuple[float, ...]
+    counts: tuple[float, ...]
 
 
 def packing_growth_check(space, trials, R_grid, r_grid) -> PackingGrowth:

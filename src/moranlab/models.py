@@ -51,6 +51,9 @@ class DiameterModel:
     #: ``log D`` where every diameter is ``D`` times a product over the word,
     #: 0 where no such constant is known; ``pressure_at`` divides it out
     log_scale: float = 0.0
+    #: spacing of geometric scale grids: a multiplicative model's ratio when
+    #: every map shares it, 1/2 otherwise
+    scale_ratio: float = 0.5
     #: optional geometric nesting check (set by system-induced models)
     containment_check: Optional[Callable[[int], tuple[bool, str]]] = None
 
@@ -68,7 +71,13 @@ class DiameterModel:
     # -- level aggregates ----------------------------------------------------
 
     def _branches(self, levels: range, subtree: SubTree | None) -> list[int]:
-        """Branches kept at each of ``levels``: all of them without a subtree."""
+        """Branches kept at each of ``levels``: all of them without a subtree.
+
+        Every level aggregate comes through here, so this is where a
+        negative depth is refused; depth 0 (no levels) is the seed alone.
+        """
+        if levels.stop < levels.start:
+            raise DomainError("depth must be >= 0, got %d" % (levels.stop - levels.start))
         if subtree is None:
             return [self.alphabet.size] * len(levels)
         subtree.check_alphabet(self.alphabet)
@@ -190,6 +199,8 @@ class MultiplicativeModel(DiameterModel):
         self.seed_diameter = float(seed_diameter)
         self.log_scale = math.log(self.seed_diameter)
         self.alphabet = Alphabet(len(ratios))
+        if len(set(ratios)) == 1:
+            self.scale_ratio = ratios[0]
 
     def log_diam(self, word: Word) -> float:
         return self.log_scale + sum(self.log_ratios[s] for s in word)
@@ -367,25 +378,12 @@ class AxiomCheck(NamedTuple):
     stability: float | None = None
     note: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "status": self.status,
-            "constant": self.constant,
-            "witness": None if self.witness is None else list(self.witness),
-            "stability": self.stability,
-            "note": self.note,
-        }
 
-
-class AxiomReport:
-    __slots__ = ("scheme", "depth", "checks", "constant")
-
-    def __init__(self, scheme: str, depth: int):
-        self.scheme = scheme
-        self.depth = depth
-        self.checks: list[AxiomCheck] = []
-        self.constant: float | None = None
+class AxiomReport(NamedTuple):
+    scheme: str
+    depth: int
+    checks: tuple[AxiomCheck, ...]
+    constant: float
 
     @property
     def passed(self) -> bool:
@@ -403,7 +401,7 @@ class AxiomReport:
             "depth": self.depth,
             "passed": self.passed,
             "constant": self.constant,
-            "checks": [c.to_json() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 
@@ -475,15 +473,11 @@ def validate_wcmc(model: DiameterModel, depth: int) -> AxiomReport:
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    report = AxiomReport("wcmc", depth)
-    report.checks.append(_w1_check(model, depth))
+    w1 = _w1_check(model, depth)
     w3 = _w3_check(model, depth)
     w4 = _w4_check(model, depth)
     D = max(1.0, w3.constant or 1.0, w4.constant or 1.0)
-    report.checks.append(_w2_check(model, depth, D))
-    report.checks.extend([w3, w4])
-    report.constant = D
-    return report
+    return AxiomReport("wcmc", depth, (w1, _w2_check(model, depth, D), w3, w4), D)
 
 
 def validate_cmc(model: DiameterModel, depth: int) -> AxiomReport:
@@ -494,8 +488,7 @@ def validate_cmc(model: DiameterModel, depth: int) -> AxiomReport:
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    report = AxiomReport("cmc", depth)
-    report.checks.append(_w1_check(model, depth))
+    w1 = _w1_check(model, depth)
     if depth < 2:
         c1 = AxiomCheck("C1", NOT_CHECKABLE, note="depth < 2 exposes no splits")
         D = 1.0
@@ -512,7 +505,4 @@ def validate_cmc(model: DiameterModel, depth: int) -> AxiomReport:
             note += "; fitted constant grew by %.3g between depths (diverging)" % stab
         c1 = AxiomCheck("C1", status, constant=fit, witness=wit, stability=stab, note=note)
         D = fit
-    report.checks.append(_w2_check(model, depth, D))
-    report.checks.append(c1)
-    report.constant = D
-    return report
+    return AxiomReport("cmc", depth, (w1, _w2_check(model, depth, D), c1), D)

@@ -570,28 +570,17 @@ def _iterate_levels(maps, den: int, d: int, level: _IntegerLevel) -> Iterator[_I
 # ---------------------------------------------------------------------------
 
 
-class SemiconformalBounds:
+class SemiconformalBounds(NamedTuple):
     """Witnessed distortion interval of a word map.
 
-    Unpacks as ``lower, upper = bounds``.  When ``exact`` is false the
-    interval was sampled from finitely many point pairs: the true lower
-    bound can only be smaller, the true upper bound only larger.
+    When ``exact`` is false the interval was sampled from finitely many
+    point pairs: the true lower bound can only be smaller, the true upper
+    bound only larger.
     """
 
-    __slots__ = ("lower", "upper", "exact")
-
-    def __init__(self, lower: float, upper: float, exact: bool):
-        self.lower = lower
-        self.upper = upper
-        self.exact = exact
-
-    def __iter__(self):
-        return iter((self.lower, self.upper))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SemiconformalBounds):
-            return NotImplemented
-        return (self.lower, self.upper, self.exact) == (other.lower, other.upper, other.exact)
+    lower: float
+    upper: float
+    exact: bool
 
 
 def semiconformal_bounds(
@@ -606,34 +595,45 @@ def semiconformal_bounds(
     maps attain their extremes on such pairs already, but the result is
     flagged as sampled (one-sided).
     """
+    return SemiconformalBounds(*next(_word_bounds(system, (word,), pair_samples)))
+
+
+def _word_bounds(system: ContractionSystem, words, pair_samples: int = 64) -> Iterator[tuple]:
+    """``(lower, upper, exact)`` of :func:`semiconformal_bounds` for each word.
+
+    The sampling pool, its rows and its pair distances are the same for
+    every word: they are built once, when the first symbolic word needs them.
+    """
     if pair_samples < 2:
         raise DomainError("need at least two sampled pairs")
-    if len(word) == 0:
-        return SemiconformalBounds(1.0, 1.0, True)
-    if any(isinstance(system.maps[s], SymbolMap) for s in word):
-        # the maps act on branches of the space's tree, which may be wider
-        # than the index alphabet of the system itself
-        alphabet = system.space.alphabet
-        pool_depth = 3
-        while math.comb(alphabet.size**pool_depth, 2) < pair_samples:
-            pool_depth += 1
-        pool = list(alphabet.words(pool_depth))
-        images = [system.apply_word(word, u) for u in pool]
-        space = system.space
-        P, I = space.coordinates(pool), space.coordinates(images)
-        lo, hi, step = math.inf, 0.0, block_rows(len(pool))
-        for a in range(0, len(pool), step):
-            # every ordered pair: the tree metric is symmetric, bit for bit
-            duv = space.distances(P, P[a : a + step])
-            resolved = duv != 0.0
-            r = space.distances(I, I[a : a + step])[resolved] / duv[resolved]
+    symbolic = {s for s, m in enumerate(system.maps) if isinstance(m, SymbolMap)}
+    space, blocks = system.space, None
+    for word in words:
+        if symbolic.isdisjoint(word):
+            yield system.word_lip_bounds(word)
+            continue
+        if blocks is None:
+            # the maps act on branches of the space's tree, which may be wider
+            # than the index alphabet of the system itself
+            alphabet, pool_depth = space.alphabet, 3
+            while math.comb(alphabet.size**pool_depth, 2) < pair_samples:
+                pool_depth += 1
+            pool = list(alphabet.words(pool_depth))
+            P, step, blocks = space.coordinates(pool), block_rows(len(pool)), []
+            for a in range(0, len(pool), step):
+                # every ordered pair: the tree metric is symmetric, bit for bit
+                duv = space.distances(P, P[a : a + step])
+                resolved = duv != 0.0
+                blocks.append((slice(a, a + step), resolved, duv[resolved]))
+        I = space.coordinates([system.apply_word(word, u) for u in pool])
+        lo, hi = math.inf, 0.0
+        for rows, resolved, duv in blocks:
+            r = space.distances(I, I[rows])[resolved] / duv
             if r.size:
                 lo, hi = min(lo, float(r.min())), max(hi, float(r.max()))
         if hi == 0.0:
             raise DomainError("no resolved pair in the sampling pool")
-        return SemiconformalBounds(lo, hi, False)
-    lo, hi, exact = system.word_lip_bounds(word)
-    return SemiconformalBounds(lo, hi, exact)
+        yield lo, hi, False
 
 
 # ---------------------------------------------------------------------------
@@ -793,16 +793,11 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
             level = system.next_level(level)
             points.extend(level)
         X = space.coordinates(points)
-    try:
-        lowers = [system.word_lip_bounds(w)[0] for w in words]
-    except DomainError:
-        # maps without exact bounds: fall back to sampled lower bounds
-        lowers = [semiconformal_bounds(system, w).lower for w in words]
+    sep = np.array([lower for lower, _, _ in _word_bounds(system, words)])
     size = system.alphabet.size
 
     # word k covers the depth-``depth`` index range [lo[k], hi[k]); the words
     # of level n are the base-``size`` numbers 0 .. size**n - 1 in order
-    sep = np.array(lowers)
     ns = range(1, depth + 1)
     lo = np.concatenate([np.arange(size**n, dtype=np.int64) * size ** (depth - n) for n in ns])
     hi = lo + np.repeat([size ** (depth - n) for n in ns], [size**n for n in ns])
@@ -845,7 +840,7 @@ def finite_clustering_sup(
     sups = []
     for r in r_grid:
         try:
-            sups.append(max(map(len, local_stopping_sets(model, cloud, probes, r))))
+            sups.append(max(len(s.words) for s in local_stopping_sets(model, cloud, probes, r)))
         except DomainError as exc:
             warnings.warn("skipping r=%r: %s" % (r, exc))
     if not sups:
@@ -909,7 +904,7 @@ def ball_condition_probe(
 # ---------------------------------------------------------------------------
 
 
-class SymbolicConformalityReport:
+class SymbolicConformalityReport(NamedTuple):
     """Exhaustive finite-depth check of the two cylinder properties.
 
     * every map sends every non-empty cylinder onto a full cylinder;
@@ -917,14 +912,17 @@ class SymbolicConformalityReport:
       is exactly twice the cylinder diameter.
     """
 
-    __slots__ = ("depth", "cylinder_ok", "cylinder_violations", "distance_ok", "max_distance_error")
+    depth: int
+    cylinder_violations: list[tuple[int, Word]]
+    max_distance_error: float
 
-    def __init__(self, depth: int):
-        self.depth = depth
-        self.cylinder_ok = True
-        self.cylinder_violations: list[tuple[int, Word]] = []
-        self.distance_ok = True
-        self.max_distance_error = 0.0
+    @property
+    def cylinder_ok(self) -> bool:
+        return not self.cylinder_violations
+
+    @property
+    def distance_ok(self) -> bool:
+        return self.max_distance_error == 0.0
 
     @property
     def passed(self) -> bool:
@@ -945,8 +943,7 @@ def proper_semiconformality_check_symbolic(
     # cylinders live in the space's tree, not the (possibly narrower) tree
     # indexed by the system's own maps
     alphabet = system.space.alphabet
-    report = SymbolicConformalityReport(depth)
-
+    violations = []
     for w in alphabet.words_up_to(depth - 1):
         tails = list(alphabet.words(depth - len(w)))
         for mi, m in enumerate(system.maps):
@@ -954,18 +951,15 @@ def proper_semiconformality_check_symbolic(
             first = m.apply(w + tails[0])
             base = first[: len(first) - (depth - len(w))]
             if {m.apply(w + tail) for tail in tails} != {base + tail for tail in tails}:
-                report.cylinder_ok = False
-                report.cylinder_violations.append((mi, w))
+                violations.append((mi, w))
 
     # distance law: min over u outside [j] of d2(h, u) == 2 * diam([j]); with
     # two letters at least, some word of full depth lies outside every [j]
     space = SymbolSpace(alphabet)
     X = space.coordinates(list(alphabet.words(depth)))
+    error = 0.0
     for j in alphabet.words_up_to(depth - 1):
         outside = X[(X[:, 1 : len(j) + 1] != j).any(axis=1)]
         h = space.coordinates([j + (0,) * (depth - len(j))])
-        err = abs(float(space.distances(outside, h).min()) - 2.0 * 2.0 ** (-len(j)))
-        report.max_distance_error = max(report.max_distance_error, err)
-        if err > 0.0:
-            report.distance_ok = False
-    return report
+        error = max(error, abs(float(space.distances(outside, h).min()) - 2.0 * 2.0 ** (-len(j))))
+    return SymbolicConformalityReport(depth, violations, error)

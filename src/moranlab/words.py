@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, EnumerationCapError
 
@@ -242,7 +242,7 @@ def _stopping_walk(model, r: float, max_depth: int) -> tuple[list[Word], list[Wo
     return sorted(out), frontier  # an antichain sorts into depth-first order
 
 
-class LocalStoppingSet:
+class LocalStoppingSet(NamedTuple):
     """Result of :func:`local_stopping_set`.
 
     ``words`` is the (sample-based, hence possibly under-reported) set of
@@ -251,15 +251,9 @@ class LocalStoppingSet:
     many cloud points witnessed ``candidates[i]``.
     """
 
-    __slots__ = ("words", "candidates", "sample_counts")
-
-    def __init__(self, words: tuple, candidates: tuple, sample_counts: tuple) -> None:
-        self.words = words
-        self.candidates = candidates
-        self.sample_counts = sample_counts
-
-    def __len__(self) -> int:
-        return len(self.words)
+    words: tuple[Word, ...]
+    candidates: tuple[Word, ...]
+    sample_counts: tuple[int, ...]
 
 
 def local_stopping_set(model, cloud, x, r: float) -> LocalStoppingSet:

@@ -83,8 +83,6 @@ def test_middle_thirds_slope_is_exact():
     assert est.r_squared == pytest.approx(1.0, abs=1e-12)
     assert est.counts == (2, 4, 8, 16)
     assert est.radii[-1] == 3.0**-4
-    slope, r2 = est
-    assert (slope, r2) == (est.slope, est.r_squared)
 
 
 def test_square_grid_slope_sits_near_two():
@@ -116,8 +114,8 @@ def test_minkowski_argument_checks():
 
 def test_minkowski_serialization():
     est = minkowski_estimate(cantor_cloud(10), 3.0**-4, 1 / 3, 4)
-    data = est.to_json()
-    assert set(data) == {"slope", "r_squared", "radii", "counts"}
+    data = est._asdict()
+    assert list(data) == ["slope", "r_squared", "radii", "counts"]  # the CLI's key order
     assert len(data["radii"]) == len(data["counts"]) == 4
 
 
@@ -139,6 +137,13 @@ def test_cover_sum_subtree_restriction():
     assert pruned == pytest.approx(2.0**-3, rel=1e-10)
     with pytest.raises(DomainError):
         hausdorff_upper_sum(model, -0.5, 6)
+
+
+def test_cover_sum_refuses_a_negative_depth():
+    model = MultiplicativeModel((1 / 3, 1 / 3), seed_diameter=2.0)
+    assert hausdorff_upper_sum(model, 0.5, 0) == pytest.approx(2.0**0.5, rel=1e-15)
+    with pytest.raises(DomainError, match="depth must be >= 0"):
+        hausdorff_upper_sum(model, 0.5, -3)
 
 
 def test_cover_sum_stays_bounded_for_rectangles():
@@ -196,10 +201,12 @@ def test_packing_growth_window_for_the_plane():
     growth = packing_growth_check(
         plane, [((0.0, 0.0), grid)], [0.8], [0.4, 0.2, 0.1, 0.05]
     )
-    a1, a2, c = growth
-    assert (a2, a1) == (pytest.approx(1.74543, abs=1e-4), pytest.approx(2.08746, abs=1e-4))
-    assert a2 <= 2.0 <= a1
-    assert c == pytest.approx(1.0, abs=1e-9)
+    assert (growth.alpha2, growth.alpha1) == (
+        pytest.approx(1.74543, abs=1e-4),
+        pytest.approx(2.08746, abs=1e-4),
+    )
+    assert growth.alpha2 <= 2.0 <= growth.alpha1
+    assert growth.c == pytest.approx(1.0, abs=1e-9)
     assert growth.ratios == (2.0, 4.0, 8.0, 16.0)
 
 

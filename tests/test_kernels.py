@@ -896,7 +896,7 @@ def per_point_clustering_sup(model, cloud, x_samples, radii):
     best = None
     for r in radii:
         try:
-            sup = max(len(local_stopping_set(model, cloud, x, r)) for x in probes)
+            sup = max(len(local_stopping_set(model, cloud, x, r).words) for x in probes)
         except DomainError:
             continue
         best = sup if best is None else max(best, sup)

@@ -128,6 +128,37 @@ def test_rectangle_model_validation():
         RectangleModel((1 / 2, 1.5), (1 / 2, 1 / 2))
 
 
+# -- depth 0 is the seed, a negative depth is refused ------------------------------
+
+
+def assert_depths_checked(model):
+    """``level_log_sum`` at depth 0 is the seed term; below 0 it raises."""
+    t = 0.7
+    assert model.level_log_sum(t, 0) == pytest.approx(t * math.log(model.seed_diameter), abs=1e-15)
+    for depth in (-1, -3):
+        with pytest.raises(DomainError, match="depth must be >= 0"):
+            model.level_log_sum(t, depth)
+
+
+def test_multiplicative_model_refuses_a_negative_depth():
+    assert_depths_checked(MultiplicativeModel((1 / 3, 1 / 3), seed_diameter=2.0))
+
+
+def test_level_model_refuses_a_negative_depth():
+    model = LevelModel.from_level_ratios(lambda n: 0.5, 2, seed_diameter=2.0)
+    model.level_log_sum(0.7, 5)  # depth -1 once read the last level cached
+    assert_depths_checked(model)
+
+
+def test_general_model_refuses_a_negative_depth():
+    ref = MultiplicativeModel((1 / 3, 1 / 2), seed_diameter=2.0)
+    assert_depths_checked(GeneralModel(ref.log_diam, Alphabet(2), seed_diameter=2.0))
+
+
+def test_rectangle_model_refuses_a_negative_depth():
+    assert_depths_checked(RectangleModel((1 / 2, 1 / 4), (1 / 4, 1 / 2)))
+
+
 # -- axiom systems ---------------------------------------------------------------
 
 

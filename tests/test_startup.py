@@ -157,3 +157,27 @@ def test_every_public_name_has_a_caller():
     uncalled = set(moranlab.__all__) - used - set(UNCALLED_BY_DESIGN)
     assert not uncalled, sorted(uncalled)
     assert set(UNCALLED_BY_DESIGN) <= set(moranlab.__all__)
+
+
+# Classes that may define their own sequence or equality protocol, each with its reason;
+# every other result record is a ``typing.NamedTuple``, which brings both.
+PROTOCOLS_BY_DESIGN = {
+    "CollisionScan": "iterates and counts its collision triples (acceptance criterion 6)",
+    "PointCloud": "a sequence of rows: len is its point count",
+    "_LevelPoints": "the lazy exact rows of a cloud, a Sequence",
+    "QuadraticNumber": "a number: equal values compare equal across types",
+    "SubTree": "validates its counts on construction and keys the models' level caches",
+}
+
+
+def test_records_are_named_tuples():
+    """No class outside the allowlist hand-writes ``__iter__``, ``__len__`` or ``__eq__``."""
+    offenders = set()
+    for path in (PKG_ROOT / "src" / "moranlab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(f, ast.FunctionDef) and f.name in ("__iter__", "__len__", "__eq__")
+                for f in node.body
+            ):
+                offenders.add(node.name)
+    assert offenders <= set(PROTOCOLS_BY_DESIGN), sorted(offenders - set(PROTOCOLS_BY_DESIGN))

@@ -143,8 +143,7 @@ def test_similitude_chain_distortion_is_exact():
     maps = (SimilitudeMap(1 / 3, (0.0,)), SimilitudeMap(1 / 2, (1.0,)))
     system = ContractionSystem(EuclideanSpace(1), maps, ((0.0,),), seed_diameter=1.0)
     bounds = semiconformal_bounds(system, (0, 1))
-    lower, upper = bounds
-    assert (lower, upper) == (pytest.approx(1 / 6), pytest.approx(1 / 6))
+    assert (bounds.lower, bounds.upper) == (pytest.approx(1 / 6), pytest.approx(1 / 6))
     assert bounds.exact
     assert semiconformal_bounds(system, ()) == semiconformal_bounds(system, ())
     assert semiconformal_bounds(system, ()).lower == 1.0

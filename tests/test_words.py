@@ -264,7 +264,7 @@ def test_local_stopping_set_near_the_left_end():
     assert local.words == ((0, 0), (0, 1))
     assert local.candidates == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert local.sample_counts == (16, 16, 16, 16)
-    assert len(local) == 2
+    assert len(local.words) == 2
 
 
 def test_local_stopping_set_far_point_sees_nothing():
