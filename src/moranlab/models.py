@@ -132,14 +132,17 @@ class DiameterModel:
         ``None``.  A witness is the first word attaining its extreme in (length,
         word, split) order: candidates are keyed ``(ratio, length, word index)``,
         the maximum's ratio negated, and ``min`` keeps the earlier split of equal
-        keys.  One split of one level is held at a time.
+        keys.  A level's splits go in blocks of ``block_rows`` ratio arrays.
         """
+        from .spaces import block_rows
         L, a = self._scan_levels(depth)
         out: list = [None, None]
         lo = hi = (math.inf, 0, 0)
         for n in range(2, depth + 1):
-            for m in range(1, n):
-                x = (L[n].reshape(a**m, -1) - L[m][:, None] - L[n - m][None, :]).ravel()
+            step = block_rows(a**n)
+            for ms in (range(f, min(n, f + step)) for f in range(1, n, step)):
+                x = np.stack([(L[n].reshape(a**m, -1) - L[m][:, None] - L[n - m]).ravel()
+                              for m in ms])
                 v, i = _extreme(x, lowest=True)
                 lo = min(lo, (v, n, i))
                 v, i = _extreme(x, lowest=False)
@@ -165,16 +168,17 @@ class DiameterModel:
 
 
 def _extreme(x: np.ndarray, lowest: bool) -> tuple[float, int]:
-    """Least (or greatest) ``math.exp(v)`` over ``x`` and the first index attaining it.
+    """Least (or greatest) ``math.exp(v)`` over the rows of ``x`` and the first column attaining it.
 
-    Only distinct logs within 1e-12 of the extreme are exponentiated: two
-    ratios round to one float only if their logs differ by ~1e-16.
+    Only distinct logs within 1e-12 of their row's extreme are exponentiated:
+    two ratios round to one float only if their logs differ by ~1e-16.
     """
-    near = np.flatnonzero(np.abs(x - (x.min() if lowest else x.max())) <= 1e-12)
-    logs = np.unique(x[near])
+    gap = x - x.min(axis=-1, keepdims=True) if lowest else x.max(axis=-1, keepdims=True) - x
+    near = np.flatnonzero(gap <= 1e-12)
+    logs = np.unique(x.ravel()[near])
     exps = np.array([math.exp(v) for v in logs.tolist()])
     best = float(exps.min() if lowest else exps.max())
-    return best, int(near[np.isin(x[near], logs[exps == best])][0])
+    return best, int((near[np.isin(x.ravel()[near], logs[exps == best])] % x.shape[-1]).min())
 
 
 def _word_at(index: int, size: int, length: int) -> Word:

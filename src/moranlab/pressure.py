@@ -5,12 +5,12 @@ The depth-``n`` pressure of a diameter model is::
     P_n(t) = (1/n) * ( log( sum( diam(i)**t for i in level n ) ) - t * log_scale )
 
 computed in log space throughout.  ``P_n`` is continuous and strictly
-decreasing in ``t`` once every level-``n`` diameter is below 1, so its zero
-is found by plain bisection.  The zero of the limiting pressure upper-bounds
-the Minkowski dimension of the limit set; for models whose per-level
-statistics drift (weak control only), the finite-depth zeros drift too, and
-``pressure_zero`` reports a two-depth stability diagnostic alongside the
-value.
+decreasing in ``t`` once every level-``n`` diameter is below 1; its zero is
+the bisection's, found by a secant search on the bisection's grid.  The zero
+of the limiting pressure upper-bounds the Minkowski dimension of the limit
+set; for models whose per-level statistics drift (weak control only), the
+finite-depth zeros drift too, and ``pressure_zero`` reports a two-depth
+stability diagnostic alongside the value.
 """
 
 from __future__ import annotations
@@ -39,25 +39,39 @@ def pressure_at(model: DiameterModel, t: float, depth: int) -> float:
 
 
 def _bisect_zero(f: Callable[[float], float], tol: float) -> float:
-    """Zero of a continuous strictly decreasing ``f`` with ``f(0) >= 0``."""
-    lo, flo = 0.0, f(0.0)
+    """The zero bisection finds for a continuous strictly decreasing ``f`` with
+    ``f(0) >= 0``: the bracket ``f(lo + a*w) > 0 >= f(lo + b*w)`` (NaN is not
+    > 0) moves to Illinois secant points on the bisection's grid, so where the
+    sign of ``f`` changes once along it (as for a convex ``P_n``) the last cell
+    is the bisection's.  Grid midpoints take over where the secant fails or
+    would cost over twice the bisection's evaluations.
+    """
+    flo = f(0.0)
     if flo < 0:
         raise DomainError("pressure is negative already at t = 0")
     if flo == 0.0:
         return 0.0
-    hi = 1.0
-    while f(hi) > 0:
-        lo = hi
-        hi *= 2.0
+    lo, hi, fhi = 0.0, 1.0, f(1.0)
+    while fhi > 0:
+        lo, flo, hi = hi, fhi, 2.0 * hi
         if hi > 2.0**40:
             raise DomainError("no pressure zero at this depth: P(t) stays positive")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
+        fhi = f(hi)
+    w, b = hi - lo, 1
+    while w > tol:
+        w, b = 0.5 * w, 2 * b
+    # an end's secant weight halves when the other end moves twice (Illinois)
+    a, side, budget = 0, 0, 2 * (b.bit_length() - 1)
+    while b - a > 1:
+        step = (b - a) * (flo / (flo - fhi)) if flo > fhi else math.nan
+        secant = (b - a - 1).bit_length() < budget and math.isfinite(step)
+        k = min(max(a + round(step), a + 1), b - 1) if secant else (a + b) // 2
+        budget, fk = budget - 1, f(lo + k * w)
+        if fk > 0:
+            a, flo, fhi, side = k, fk, (0.5 * fhi if side > 0 else fhi), 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            b, fhi, flo, side = k, fk, (0.5 * flo if side < 0 else flo), -1
+    return 0.5 * ((lo + a * w) + (lo + b * w))
 
 
 class PressureZero(NamedTuple):

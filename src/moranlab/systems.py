@@ -793,7 +793,19 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
             level = system.next_level(level)
             points.extend(level)
         X = space.coordinates(points)
-    sep = np.array([lower for lower, _, _ in _word_bounds(system, words)])
+    # lower bounds a level at a time, each the parent's times the last map's
+    # (the left-to-right products of ``word_lip_bounds``), then libm's pow per
+    # element on the snowflake; words with an affine map or a map without
+    # exact bounds (NaN here) go per word
+    lower = [math.nan if b is None or isinstance(m, Affine2DMap) else b[0]
+             for m, b in zip(system.maps, system.map_lip_bounds)]
+    prods = [np.ones(1)]
+    for _ in range(depth):
+        prods.append((prods[-1][:, None] * lower).ravel())
+    prod = np.concatenate(prods[1:])
+    sep = np.fromiter(map(space.metric_bound, prod.tolist()), float, len(prod))
+    other = np.flatnonzero(np.isnan(prod))
+    sep[other] = [b[0] for b in _word_bounds(system, [words[i] for i in other])]
     size = system.alphabet.size
 
     # word k covers the depth-``depth`` index range [lo[k], hi[k]); the words

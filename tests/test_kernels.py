@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from moranlab import (
     GOLDEN_RATIO,
+    Affine2DMap,
     Alphabet,
     CombMap,
     CombSpace,
@@ -50,7 +51,12 @@ from moranlab.cli import _default_scales
 from moranlab.dimension import _nearest_neighbor_gap
 from moranlab.models import GeneralModel
 from moranlab.spaces import row_minima
-from moranlab.systems import _IntegerLevel, _integer_levels, _sampled_diameter
+from moranlab.systems import (
+    ContractionMap,
+    _IntegerLevel,
+    _integer_levels,
+    _sampled_diameter,
+)
 from moranlab.words import incomparable, local_stopping_sets, word_str
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -819,6 +825,62 @@ def test_word_bounds_are_the_per_letter_products(system):
             b = system.maps[s].lip_bounds()
             lo, hi, exact = lo * b[0], hi * b[1], exact and b[0] == b[1]
         assert system.word_lip_bounds(word) == (bound(lo), bound(hi), exact)
+
+
+class UnboundedMap(ContractionMap):
+    """A map with no known contraction bounds that is not symbolic."""
+
+    def apply(self, point):
+        return point
+
+
+def planar_mixed_system():
+    """Affine-only words (singular values of the product) next to words that
+    mix affine maps and similitudes (products of per-map bounds)."""
+    maps = (
+        Affine2DMap(((0.5, 0.1), (0.0, 0.3)), (0.0, 0.0)),
+        Affine2DMap(((0.2, 0.0), (0.1, 0.4)), (0.5, 0.0)),
+        SimilitudeMap(0.3, (1.0, 1.0)),
+    )
+    return ContractionSystem(EuclideanSpace(2), maps, ((0.0, 0.0),))
+
+
+@pytest.mark.parametrize(
+    "system, depth",
+    [(shipped_system(name), 2 if name == "heisenberg" else 5) for name in SHIPPED_SYSTEMS]
+    + [
+        (uneven_similitudes(EuclideanSpace(1)), 5),
+        (uneven_similitudes(SnowflakeSpace(EuclideanSpace(1), 0.5)), 5),
+        (uneven_similitudes(SnowflakeSpace(EuclideanSpace(1), 0.7)), 5),
+        # here numpy's vector pow would round one bound of the closest pair differently
+        (ContractionSystem(
+            SnowflakeSpace(EuclideanSpace(1), 0.55),
+            [SimilitudeMap(r, (k,))
+             for k, r in enumerate((Fraction(2, 7), Fraction(1, 4), Fraction(2, 7)))],
+            ((0,),),
+        ), 4),
+        (snowflake_cantor(), 8),
+        (planar_mixed_system(), 5),
+    ],
+    ids=list(SHIPPED_SYSTEMS)
+    + ["uneven", "uneven-snowflake", "uneven-snowflake-0.7", "snowflake-0.55", "snowflake-cantor",
+       "planar-mixed"],
+)
+def test_level_lower_bounds_give_the_per_word_epsilon(system, depth):
+    """``separation_epsilon`` builds the product bounds a level at a time;
+    the reference takes each word's bounds from ``word_lip_bounds``."""
+    x = system.seed_points[-1]
+    assert separation_epsilon(system, x, depth) == per_point_epsilon(system, x, depth)
+
+
+def test_unknown_map_bounds_raise_as_the_word_path_does():
+    maps = (SimilitudeMap(0.5, (0,)), UnboundedMap())
+    system = ContractionSystem(EuclideanSpace(1), maps, ((0.2,),))
+    with pytest.raises(DomainError) as per_word:
+        semiconformal_bounds(system, (0, 1))
+    with pytest.raises(DomainError) as levels:
+        separation_epsilon(system, (0.2,), 3)
+    assert str(levels.value) == str(per_word.value)
 
 
 def exact_collisions(r, depth):

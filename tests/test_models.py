@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,8 @@ from moranlab import (
     validate_cmc,
     validate_wcmc,
 )
+from moranlab import models
+from moranlab.spaces import BLOCK_ELEMENTS
 from moranlab.specio import load_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -320,6 +323,75 @@ def test_sampled_symbolic_model_scans_match_the_reference():
     model = system.induced_model(attractor_cloud(system, 8))
     assert isinstance(model, GeneralModel)
     assert_scans_match_the_reference(model, 7)
+
+
+def per_split_extreme(x, lowest):
+    """The one-split tie-break the block scan replaced."""
+    near = np.flatnonzero(np.abs(x - (x.min() if lowest else x.max())) <= 1e-12)
+    logs = np.unique(x[near])
+    exps = np.array([math.exp(v) for v in logs.tolist()])
+    best = float(exps.min() if lowest else exps.max())
+    return best, int(near[np.isin(x[near], logs[exps == best])][0])
+
+
+def per_split_ratio_extremes(model, depth):
+    """``split_ratio_extremes`` with one tie-break per split of each level."""
+    L, a = model._scan_levels(depth)
+    out = [None, None]
+    lo = hi = (math.inf, 0, 0)
+    for n in range(2, depth + 1):
+        for m in range(1, n):
+            x = (L[n].reshape(a**m, -1) - L[m][:, None] - L[n - m][None, :]).ravel()
+            v, i = per_split_extreme(x, lowest=True)
+            lo = min(lo, (v, n, i))
+            v, i = per_split_extreme(x, lowest=False)
+            hi = min(hi, (-v, n, i))
+        word_at = models._word_at
+        out.append((lo[0], -hi[0], word_at(lo[2], a, lo[1]), word_at(hi[2], a, hi[1])))
+    return out
+
+
+@given(
+    alphabets_and_depths(),
+    st.lists(st.sampled_from([0.5, 0.25, 0.3, 0.1, 2.0**-0.5]), min_size=4, max_size=4),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_split_blocks_match_the_per_split_scan_on_ties(shape, ratios, data):
+    """Exact and last-ulp ties between splits and words: the blocks keep the
+    per-split values and the first witnesses."""
+    a, depth = shape
+    depth += 3 if a == 2 else 1
+    logs = [math.log(r) for r in ratios[:a]]
+    level = data.draw(st.lists(st.sampled_from(ratios), min_size=depth, max_size=depth))
+    side = data.draw(st.lists(st.floats(0.05, 0.95), min_size=a, max_size=a))
+    seed = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+    for model in (
+        GeneralModel(lambda w: sum(logs[s] for s in w), Alphabet(a), seed),
+        LevelModel.from_level_ratios(lambda n: level[n - 1], a),
+        RectangleModel(side, side),
+    ):
+        assert model.split_ratio_extremes(depth) == per_split_ratio_extremes(model, depth)
+
+
+def test_split_blocks_past_the_block_size_hold_one_split(monkeypatch):
+    rows = []
+    extreme = models._extreme
+
+    def recording(x, lowest):
+        rows.append(x.shape)
+        return extreme(x, lowest)
+
+    monkeypatch.setattr(models, "_extreme", recording)
+    model = RectangleModel((0.5, 0.3), (0.4, 0.45))
+    depth = 14
+    assert 2**depth > BLOCK_ELEMENTS
+    assert model.split_ratio_extremes(depth) == per_split_ratio_extremes(model, depth)
+    # two tie-breaks (least, greatest) per block of splits
+    blocks, splits = rows[::2], sum(n - 1 for n in range(2, depth + 1))
+    assert sum(k for k, _ in blocks) == splits and len(blocks) < splits
+    assert all(k <= max(1, BLOCK_ELEMENTS // width) for k, width in blocks)
+    assert blocks[1 - depth :] == [(1, 2**depth)] * (depth - 1)
 
 
 def test_closed_form_scans():

@@ -1,15 +1,19 @@
 """Finite-depth pressure, pressure zeros, and the closed-form dimensions."""
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranlab import (
+    Alphabet,
     DomainError,
+    GeneralModel,
     LevelModel,
     MultiplicativeModel,
+    RectangleModel,
     moran_dimension,
     pressure_at,
     pressure_curve,
@@ -17,8 +21,11 @@ from moranlab import (
     self_affine_dimension,
     self_affine_pressure,
 )
+from moranlab.pressure import _bisect_zero
+from moranlab.specio import load_spec
 
 T_STAR = math.log(2) / math.log(3)
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def cantor_model():
@@ -232,3 +239,184 @@ def test_pressure_curve_csv_layout():
     assert lines[1] == "0.5,0.143841036226,10"
     assert len(lines) == 3
     assert text.endswith("\n")
+
+
+# -- the zero finder against plain bisection -------------------------------------------
+
+
+def bisection_zero(f, tol):
+    """Plain bisection, the zero finder the grid secant search replaced."""
+    lo, flo = 0.0, f(0.0)
+    if flo < 0:
+        raise DomainError("pressure is negative already at t = 0")
+    if flo == 0.0:
+        return 0.0
+    hi = 1.0
+    while f(hi) > 0:
+        lo = hi
+        hi *= 2.0
+        if hi > 2.0**40:
+            raise DomainError("no pressure zero at this depth: P(t) stays positive")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def counted(f):
+    calls = []
+
+    def g(*args):
+        calls.append(args)
+        return f(*args)
+
+    return g, calls
+
+
+TOLS = st.sampled_from([1e-12, 1e-9, 1e-6])
+
+
+def assert_zeros_match_bisection(model, depth, tol):
+    zero = pressure_zero(model, depth, tol)
+    for value, n in ((zero.value, zero.depth), (zero.reference_value, zero.reference_depth)):
+        assert value == bisection_zero(lambda t: pressure_at(model, t, n), tol), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ratios=st.lists(st.floats(0.02, 0.98), min_size=2, max_size=5),
+    seed=st.floats(1e-3, 1e3).filter(lambda s: s != 1.0),
+    depth=st.integers(1, 14),
+    tol=TOLS,
+)
+def test_multiplicative_zeros_are_the_bisection_zeros(ratios, seed, depth, tol):
+    assert_zeros_match_bisection(MultiplicativeModel(ratios, seed_diameter=seed), depth, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(2, 9),
+    ratios=st.lists(st.floats(0.55, 0.95), min_size=1, max_size=6),
+    depth=st.integers(1, 30),
+    tol=TOLS,
+)
+def test_level_zeros_above_one_are_the_bisection_zeros(size, ratios, depth, tol):
+    """The zero, ``log(size)`` over the mean of ``-log(ratio)``, is above 1
+    here, often far above: the doubling phase brackets it first."""
+    model = LevelModel.from_level_ratios(lambda n: ratios[(n - 1) % len(ratios)], size)
+    assert_zeros_match_bisection(model, depth, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.lists(st.floats(0.05, 0.5), min_size=2, max_size=3),
+    b=st.lists(st.floats(0.05, 0.5), min_size=3, max_size=3),
+    depth=st.integers(1, 8),
+    tol=TOLS,
+)
+def test_rectangle_zeros_are_the_bisection_zeros(a, b, depth, tol):
+    assert_zeros_match_bisection(RectangleModel(a, b[: len(a)]), depth, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ratios=st.lists(st.floats(0.05, 0.6), min_size=2, max_size=3),
+    wobble=st.floats(0.0, 0.3),
+    depth=st.integers(1, 7),
+    tol=TOLS,
+)
+def test_wobbly_general_zeros_are_the_bisection_zeros(ratios, wobble, depth, tol):
+    logs = [math.log(r) for r in ratios]
+
+    def log_diam(word):
+        return sum(logs[s] for s in word) + wobble * math.cos(sum(word) + len(word))
+
+    assert_zeros_match_bisection(GeneralModel(log_diam, Alphabet(len(ratios))), depth, tol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratios=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6), tol=TOLS)
+def test_moran_dimension_is_the_bisection_zero(ratios, tol):
+    want = bisection_zero(lambda t: sum(r**t for r in ratios) - 1.0, tol)
+    assert moran_dimension(ratios, tol) == want
+
+
+def test_zero_finder_edge_cases_match_bisection():
+    assert _bisect_zero(lambda t: -t, 1e-12) == 0.0
+    for f, message in (
+        (lambda t: -1.0 - t, "pressure is negative already at t = 0"),
+        (lambda t: 1.0, "no pressure zero at this depth: P(t) stays positive"),
+    ):
+        with pytest.raises(DomainError) as err:
+            _bisect_zero(f, 1e-12)
+        assert str(err.value) == message
+    # a tolerance wider than the first bracket: no halving at all
+    for f in (lambda t: 0.3 - t, lambda t: 5.0 - t):
+        assert _bisect_zero(f, 4.0) == bisection_zero(f, 4.0)
+
+
+def test_zero_beyond_a_float_grid_of_tol_ends():
+    """Above 2**13 the floats are further apart than 1e-12, so bisection's
+    halving stalls between two neighbours and never ends; the grid search
+    counts cells in integers and ends next to the zero."""
+    model = LevelModel.from_level_ratios(lambda n: 0.99995, 2)
+    assert pressure_zero(model, 1).value == pytest.approx(
+        math.log(2) / -math.log(0.99995), rel=1e-15
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    slope=st.floats(0.1, 10.0),
+    root=st.floats(0.01, 6.0),
+    nan_from=st.floats(0.0, 3.0),
+    nan_at_zero=st.booleans(),
+    tol=TOLS,
+)
+def test_nan_values_count_as_not_positive(slope, root, nan_from, nan_at_zero, tol):
+    """NaN right of the zero (as from an overflowing level sum), and at 0."""
+    cut = root + nan_from
+
+    def f(t):
+        if t > cut or (nan_at_zero and t == 0.0):
+            return math.nan
+        return math.expm1(slope * (root - t))
+
+    assert _bisect_zero(f, tol) == bisection_zero(f, tol)
+
+
+@pytest.mark.parametrize("k", [1.0, 30.0, 300.0, 3000.0, 30000.0])
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda k: lambda t: math.exp(-k * t) - 1e-6,
+        lambda k: lambda t: max(0.0, 1.0 - t) ** k - 1e-9,
+    ],
+    ids=["exp", "power"],
+)
+def test_step_like_convex_functions_cost_at_most_twice_the_bisection(shape, k, tol):
+    """A sharp drop, then nearly flat: regula falsi's slow case."""
+    new, new_calls = counted(shape(k))
+    ref, ref_calls = counted(shape(k))
+    assert _bisect_zero(new, tol) == bisection_zero(ref, tol)
+    assert len(new_calls) <= 2 * len(ref_calls)
+
+
+@pytest.mark.parametrize(
+    "name, depths",
+    [("cantor", (16,)), ("supercantor", (10, 20, 30)), ("selfaffine", (16,)), ("nsq", (12,))],
+)
+def test_shipped_zeros_take_few_level_sums(name, depths):
+    """At most 16 pressure evaluations per ``pressure_zero`` (value and
+    reference zero together) on every shipped model, where bisection made 84."""
+    model = load_spec(SPECS / ("%s.json" % name)).get_model()
+    model.level_log_sum, calls = counted(model.level_log_sum)
+    for depth in depths:
+        assert_zeros_match_bisection(model, depth, 1e-12)
+        calls.clear()
+        pressure_zero(model, depth)
+        assert len(calls) <= 16, (depth, len(calls))
