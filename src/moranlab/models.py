@@ -59,6 +59,10 @@ class DiameterModel:
 
     def __init__(self) -> None:
         self._ld_cache: dict[tuple[int, SubTree | None], np.ndarray] = {}
+        # the deepest ratio scans so far: running extremes, so every shallower
+        # depth reads its scan as a prefix of these
+        self._split_scan: list = [None, None]
+        self._child_scan: list = [None]
 
     # -- per-word values ---------------------------------------------------
 
@@ -103,15 +107,21 @@ class DiameterModel:
         m = float(np.max(vals))
         return m + math.log(float(np.sum(np.exp(vals - m))))
 
-    def window_ratios(self, t: float, m: int, n: int, subtree: SubTree) -> np.ndarray:
+    def window_ratios(self, t: float, depth: int, subtree: SubTree) -> list[np.ndarray]:
         """``sum_j (diam(ij) / diam(i))**t`` over the length-``n`` suffixes ``j``.
 
-        One entry per length-``m`` subtree word ``i``, in lexicographic
-        order; models whose ratio does not depend on ``i`` return one entry.
+        Entry ``m`` (``0 <= m < depth``) has one row per length-``m`` subtree
+        word ``i``, in lexicographic order, and one column per ``n = 1 ..
+        depth - m``; models whose ratio does not depend on ``i`` give one row.
         """
-        top = self._level_log_diams(m, subtree)
-        low = self._level_log_diams(m + n, subtree)
-        return np.exp(t * low.reshape(len(top), -1) - t * top[:, None]).sum(axis=1)
+        tL = [t * self._level_log_diams(k, subtree) for k in range(depth + 1)]
+        return [
+            np.column_stack([
+                np.exp(tL[m + n].reshape(len(tL[m]), -1) - tL[m][:, None]).sum(axis=1)
+                for n in range(1, depth - m + 1)
+            ])
+            for m in range(depth)
+        ]
 
     def level_extremes(self, n: int) -> tuple[float, float]:
         """(min, max) diameter over level ``n``."""
@@ -133,7 +143,13 @@ class DiameterModel:
         word, split) order: candidates are keyed ``(ratio, length, word index)``,
         the maximum's ratio negated, and ``min`` keeps the earlier split of equal
         keys.  A level's splits go in blocks of ``block_rows`` ratio arrays.
+        The deepest scan is kept: a shallower depth gets a fresh copy of its prefix.
         """
+        if len(self._split_scan) <= depth:
+            self._split_scan = self._split_ratio_scan(depth)
+        return self._split_scan[: max(depth, 1) + 1]
+
+    def _split_ratio_scan(self, depth: int) -> list:
         from .spaces import block_rows
         L, a = self._scan_levels(depth)
         out: list = [None, None]
@@ -155,8 +171,13 @@ class DiameterModel:
 
         Entry ``n`` (``1 <= n <= depth``) is ``(min, witness)`` over all
         words of length 1..n, the witness being the first word attaining it
-        in (length, word) order; entry 0 is ``None``.
+        in (length, word) order; entry 0 is ``None``.  Kept like the split scan.
         """
+        if len(self._child_scan) <= depth:
+            self._child_scan = self._child_ratio_scan(depth)
+        return self._child_scan[: max(depth, 0) + 1]
+
+    def _child_ratio_scan(self, depth: int) -> list:
         L, a = self._scan_levels(depth)
         out: list = [None]
         lo = (math.inf, 0, 0)
@@ -215,25 +236,36 @@ class MultiplicativeModel(DiameterModel):
             d *= self.ratios[s]
         return d
 
-    def _branch_log_sums(self, t: float, levels: range, subtree, out: float) -> float:
-        """``out`` plus ``log(sum(r**t))`` over the kept branches of each level."""
-        for b in self._branches(levels, subtree):
-            total = sum(r**t for r in self.ratios[:b])
-            if total == 0.0:  # every r**t underflowed: sum in log space
-                top = max(self.log_ratios[:b])
-                total = sum(math.exp(t * (v - top)) for v in self.log_ratios[:b])
-                out += t * top
-            out += math.log(total)
-        return out
+    def _branch_log_terms(self, t: float, b: int) -> tuple[float, ...]:
+        """The terms that add ``log(sum(r**t))`` over the first ``b`` ratios to a running sum."""
+        total = sum(r**t for r in self.ratios[:b])
+        if total == 0.0:  # every r**t underflowed: sum in log space
+            top = max(self.log_ratios[:b])
+            total = sum(math.exp(t * (v - top)) for v in self.log_ratios[:b])
+            return t * top, math.log(total)
+        return (math.log(total),)
 
     def level_log_sum(self, t: float, n: int, subtree: SubTree | None = None) -> float:
         out = t * self.log_scale
-        return self._branch_log_sums(t, range(1, n + 1), subtree, out)
+        for b in self._branches(range(1, n + 1), subtree):
+            for term in self._branch_log_terms(t, b):
+                out += term
+        return out
 
-    def window_ratios(self, t: float, m: int, n: int, subtree: SubTree) -> np.ndarray:
-        # independent of the prefix: only its length m matters
-        log_ratio = self._branch_log_sums(t, range(m + 1, m + n + 1), subtree, 0.0)
-        return np.array([math.exp(log_ratio)])
+    def window_ratios(self, t: float, depth: int, subtree: SubTree) -> list[np.ndarray]:
+        # independent of the prefix: only its length m matters; each level's
+        # terms are found once and added in level_log_sum's order
+        branches = self._branches(range(1, depth + 1), subtree)
+        terms = [self._branch_log_terms(t, b) for b in branches]
+        out = []
+        for m in range(depth):
+            acc, row = 0.0, []
+            for level in terms[m:]:
+                for term in level:
+                    acc += term
+                row.append(math.exp(acc))
+            out.append(np.array([row]))
+        return out
 
     def level_extremes(self, n: int) -> tuple[float, float]:
         return (
@@ -296,10 +328,17 @@ class LevelModel(DiameterModel):
         count = math.prod(self._branches(range(1, n + 1), subtree))
         return math.log(count) + t * self.level_log_diam(n)
 
-    def window_ratios(self, t: float, m: int, n: int, subtree: SubTree) -> np.ndarray:
-        count = math.prod(self._branches(range(m + 1, m + n + 1), subtree))
-        lld = self.level_log_diam
-        return np.array([math.exp(math.log(count) + t * (lld(m + n) - lld(m)))])
+    def window_ratios(self, t: float, depth: int, subtree: SubTree) -> list[np.ndarray]:
+        branches = self._branches(range(1, depth + 1), subtree)
+        lld = [self.level_log_diam(k) for k in range(depth + 1)]
+        out = []
+        for m in range(depth):
+            count, row = 1, []
+            for k in range(m + 1, depth + 1):
+                count *= branches[k - 1]
+                row.append(math.exp(math.log(count) + t * (lld[k] - lld[m])))
+            out.append(np.array([row]))
+        return out
 
     def level_extremes(self, n: int) -> tuple[float, float]:
         d = math.exp(self.level_log_diam(n))

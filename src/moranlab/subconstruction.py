@@ -82,9 +82,10 @@ def verify_cmsc(
     Every subtree word ``i`` with ``|i| + n <= depth`` (the root included)
     is paired with each deeper level ``n >= 1`` and the ratio
     ``sum_{ij in subtree} diam(X_ij)^t / diam(X_i)^t`` is recorded; the
-    model's :meth:`~moranlab.models.DiameterModel.window_ratios` gives one
-    ratio per prefix (one in all for closed forms, where only ``|i|``
-    matters).  Witnesses are the first extremes in ``(|i|, i, n)`` order.
+    model's :meth:`~moranlab.models.DiameterModel.window_ratios` gives every
+    ratio in one call, one row per prefix (one row per ``|i|`` for closed
+    forms, where only ``|i|`` matters).  Witnesses are the first extremes in
+    ``(|i|, i, n)`` order.
     """
     if depth < 2:
         raise DomainError("window check needs depth >= 2")
@@ -101,11 +102,8 @@ def verify_cmsc(
 
     ratio_min, ratio_max = math.inf, -math.inf
     wit_low = wit_high = ((), 0)
-    for m in range(depth):
-        # rows: the length-m subtree words (or one row); columns: n = 1 .. depth - m
-        R = np.column_stack(
-            [model.window_ratios(t, m, n, subtree) for n in range(1, depth - m + 1)]
-        )
+    # entry m, rows: the length-m subtree words (or one row); columns: n = 1 .. depth - m
+    for m, R in enumerate(model.window_ratios(t, depth, subtree)):
         lo, hi = int(R.argmin()), int(R.argmax())
         counts = subtree.branch_counts[:m]
         if R.flat[lo] < ratio_min:

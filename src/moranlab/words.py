@@ -311,20 +311,40 @@ def antichain_cover_cost(alphabet: Alphabet, psi: WeightFunction, n: int, max_de
 
     evaluated at the root.  (For proper subsets of the branch space the
     recursion would not be exact; this routine is deliberately restricted
-    to the full space.)
+    to the full space.)  It is evaluated bottom-up, in blocks of ``step``
+    levels (the most with ``size**step <= spaces.BLOCK_ELEMENTS``, at least
+    one) cut from ``max_depth`` up, so that the deepest block is full and a
+    block holds one level of its costs, at most ``size**step``, at a time
+    (a whole level of the tree would take ``size**max_depth``).  Blocks go depth-first
+    in word order; within a block, ``psi`` runs once per word of length
+    ``n..max_depth``, deepest level first and lexicographic within a level.
+    Each node adds its children with ``sum`` in symbol order and keeps
+    ``min(psi(v), kids)``, the recursion's own operations, so the cost is
+    the recursion's bit for bit.
     """
+    from .spaces import BLOCK_ELEMENTS  # spaces imports this module
+
     if not 1 <= n <= max_depth:
         raise DomainError("need 1 <= n <= max_depth, got n=%d, max_depth=%d" % (n, max_depth))
-    _check_enum(
-        alphabet.size**max_depth, "cover tree of depth %d" % max_depth, (alphabet.size,) * max_depth
-    )
+    size = alphabet.size
+    _check_enum(size**max_depth, "cover tree of depth %d" % max_depth, (size,) * max_depth)
+    step = 1
+    while size ** (step + 1) <= BLOCK_ELEMENTS:
+        step += 1
 
-    def cost(word: Word) -> float:
-        if len(word) == max_depth:
-            return psi(word)
-        kids = sum(cost(word + (s,)) for s in alphabet.symbols())
-        if len(word) >= n:
-            return min(psi(word), kids)
-        return kids
+    def cost(prefix: Word) -> float:
+        top = len(prefix)
+        bottom = top + ((max_depth - top) % step or step)
+
+        def level(length: int) -> Iterator[Word]:
+            below = alphabet.words(length - top)
+            return map(prefix.__add__, below) if prefix else below
+
+        costs = list(map(psi if bottom == max_depth else cost, level(bottom)))
+        for length in range(bottom - 1, top - 1, -1):
+            # consecutive runs of ``size`` costs are the children of one node
+            kids = list(map(sum, zip(*[iter(costs)] * size)))
+            costs = list(map(min, map(psi, level(length)), kids)) if length >= n else kids
+        return costs[0]
 
     return cost(())

@@ -72,10 +72,10 @@ def test_suffix_sum_composes_with_level_sum():
     model = MultiplicativeModel((1 / 3, 1 / 2), seed_diameter=3.0)
     general = GeneralModel(model.log_diam, Alphabet(2), seed_diameter=3.0)
     t, full = 0.6, SubTree((2,) * 5)
-    (ratio,) = model.window_ratios(t, 2, 3, full)
+    (ratio,) = model.window_ratios(t, 5, full)[2][:, 2]
     split = model.level_log_sum(t, 2) + math.log(ratio)
     assert model.level_log_sum(t, 5) == pytest.approx(split, abs=1e-12)
-    ratios = general.window_ratios(t, 2, 3, full)
+    ratios = general.window_ratios(t, 5, full)[2][:, 2]
     assert ratios == pytest.approx([ratio] * 4, rel=1e-12)
     prefixes = [general.diam(w) ** t for w in general.alphabet.words(2)]
     split = math.log(sum(d * q for d, q in zip(prefixes, ratios)))
@@ -426,3 +426,70 @@ def test_validators_read_each_log_diameter_once(monkeypatch):
             validate(GeneralModel(log_diam, Alphabet(3)), 6)
         with pytest.raises(EnumerationCapError):
             validate(RectangleModel((0.5, 0.3), (0.4, 0.6)), 9)
+
+
+# -- kept scans ---------------------------------------------------------------------
+
+
+def wobbly_general_model():
+    logs = [math.log(c) for c in (0.27, 0.22, 0.3)]
+    return GeneralModel(
+        lambda w: sum(logs[s] for s in w) + 0.04 * math.cos(sum(w) + len(w)), Alphabet(3)
+    )
+
+
+SCAN_MODELS = [
+    wobbly_general_model,
+    lambda: RectangleModel((0.5, 0.3), (0.4, 0.45)),
+    nsq_model,
+    supercantor_model,
+    cantor_model,
+]
+
+
+@pytest.mark.parametrize("make", SCAN_MODELS)
+def test_kept_scans_equal_a_fresh_models(make):
+    model, depth = make(), 7
+    for d in (depth, depth - 2, depth + 2, 1, 0):
+        assert model.split_ratio_extremes(d) == make().split_ratio_extremes(d)
+        assert model.child_ratio_min(d) == make().child_ratio_min(d)
+
+
+@pytest.mark.parametrize("make", SCAN_MODELS)
+def test_changing_a_returned_scan_leaves_the_model_unchanged(make):
+    model = make()
+    split, child = model.split_ratio_extremes(6), model.child_ratio_min(6)
+    want_split, want_child = list(split), list(child)
+    split[3] = None
+    split.append("junk")
+    del child[2:]
+    assert model.split_ratio_extremes(6) == want_split
+    assert model.split_ratio_extremes(4) == want_split[:5]
+    assert model.child_ratio_min(6) == want_child
+    assert model.child_ratio_min(4) == want_child[:5]
+
+
+@pytest.mark.parametrize("make", SCAN_MODELS)
+def test_validators_on_one_model_equal_fresh_ones(make):
+    model = make()
+    kept = [validate_wcmc(model, 8), validate_cmc(model, 8), validate_cmc(model, 5)]
+    fresh = [validate_wcmc(make(), 8), validate_cmc(make(), 8), validate_cmc(make(), 5)]
+    assert kept == fresh
+
+
+def test_validators_scan_the_splits_once(monkeypatch):
+    calls = []
+    scan = models.DiameterModel._split_ratio_scan
+
+    def counting(model, depth):
+        calls.append(depth)
+        return scan(model, depth)
+
+    monkeypatch.setattr(models.DiameterModel, "_split_ratio_scan", counting)
+    model = wobbly_general_model()
+    validate_wcmc(model, 8)
+    validate_cmc(model, 8)
+    validate_cmc(model, 6)
+    assert calls == [8]
+    validate_cmc(model, 9)  # deeper than any kept scan
+    assert calls == [8, 9]

@@ -235,13 +235,79 @@ def rectangle_models(draw):
     return RectangleModel(draw(side), draw(side))
 
 
-@given(st.one_of(grid_models(), rectangle_models()), st.data())
-@settings(max_examples=60, deadline=None)
+@st.composite
+def multiplicative_models(draw):
+    a = draw(st.integers(2, 4))
+    ratios = draw(st.lists(st.floats(0.05, 0.95), min_size=a, max_size=a, unique=True))
+    return MultiplicativeModel(ratios, draw(st.sampled_from([0.5, 2.0, 3.0])))
+
+
+@st.composite
+def level_models(draw):
+    ratios = draw(st.lists(st.floats(0.05, 0.95), min_size=6, max_size=6))
+    return LevelModel.from_level_ratios(
+        lambda n: ratios[n - 1], draw(st.integers(2, 4)), draw(st.sampled_from([0.5, 2.0]))
+    )
+
+
+def closed_form_window(model, subtree, t, depth):
+    """The per-``(m, n)`` closed forms that one call per check replaced:
+    ``(min, max, witnesses)``, the witness prefix always ``(0,) * m``."""
+    ratio_min, ratio_max = math.inf, -math.inf
+    wit_low = wit_high = ((), 0)
+    for m in range(depth):
+        for n in range(1, depth - m + 1):
+            levels = range(m + 1, m + n + 1)
+            if isinstance(model, LevelModel):
+                count = math.prod(subtree.branch(k) for k in levels)
+                lld = model.level_log_diam
+                ratio = math.exp(math.log(count) + t * (lld(m + n) - lld(m)))
+            else:
+                log_ratio = 0.0
+                for b in map(subtree.branch, levels):
+                    total = sum(r**t for r in model.ratios[:b])
+                    if total == 0.0:
+                        top = max(model.log_ratios[:b])
+                        total = sum(math.exp(t * (v - top)) for v in model.log_ratios[:b])
+                        log_ratio += t * top
+                    log_ratio += math.log(total)
+                ratio = math.exp(log_ratio)
+            if ratio < ratio_min:
+                ratio_min, wit_low = ratio, ((0,) * m, n)
+            if ratio > ratio_max:
+                ratio_max, wit_high = ratio, ((0,) * m, n)
+    return ratio_min, ratio_max, wit_low, wit_high
+
+
+@given(
+    st.one_of(grid_models(), rectangle_models(), multiplicative_models(), level_models()),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
 def test_window_matches_the_enumerating_reference(model, data):
+    """Enumerating models give the enumeration's floats; closed forms give the
+    per-``(m, n)`` formula's floats and the enumeration's to rounding."""
     tree = data.draw(subtrees(model.alphabet.size))
     t = data.draw(st.sampled_from([0.3, 0.5, T_STAR, 1.0, 1.7]))
     report = verify_cmsc(model, tree, t, 4.0, tree.depth)
-    assert report_window(report) == enumerated_window(model, tree, t, tree.depth)
+    enumerated = enumerated_window(model, tree, t, tree.depth)
+    if isinstance(model, (MultiplicativeModel, LevelModel)):
+        assert report_window(report) == closed_form_window(model, tree, t, tree.depth)
+        assert report_window(report)[:2] == pytest.approx(enumerated[:2], rel=1e-12)
+    else:
+        assert report_window(report) == enumerated
+
+
+def test_window_sums_underflowing_ratios_in_log_space():
+    """Every ``r**2`` underflows: each level's sum is taken in log space, and the
+    window ratios, about ``exp(-830 n)``, are all 0.0."""
+    model = MultiplicativeModel((1e-200, 1e-180))
+    assert sum(r**2.0 for r in model.ratios) == 0.0
+    tree = SubTree((2, 1, 2, 2, 1))
+    report = verify_cmsc(model, tree, 2.0, 4.0, 5)
+    assert report_window(report) == closed_form_window(model, tree, 2.0, 5)
+    assert report_window(report) == (0.0, 0.0, ((), 1), ((), 1))
+    assert not report.holds
 
 
 def test_window_matches_the_reference_on_a_greedy_tree():
@@ -254,7 +320,7 @@ def test_window_matches_the_reference_on_a_greedy_tree():
 def test_closed_form_window_witnesses_are_leftmost_prefixes():
     tree = cantor_branch_sequence(0.4, 8)
     for model in (ternary_model(), LevelModel.from_level_ratios(lambda n: 1 / 3, 3)):
-        assert model.window_ratios(0.4, 3, 2, tree).shape == (1,)
+        assert model.window_ratios(0.4, 5, tree)[3][:, 1].shape == (1,)
         report = verify_cmsc(model, tree, 0.4, 4.0, 8)
         for word, n in (report.witness_low, report.witness_high):
             assert word == (0,) * len(word) and 1 <= n <= 8 - len(word)

@@ -1,5 +1,9 @@
 """Word combinatorics, the dyadic tree metric, and stopping sets."""
 
+import itertools
+import math
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +21,9 @@ from moranlab import (
     attractor_cloud,
     stopping_set,
 )
+from moranlab import spaces
 from moranlab.models import GeneralModel, LevelModel
+from moranlab.spaces import BLOCK_ELEMENTS
 from moranlab.words import (
     d2,
     d2_with_resolution,
@@ -352,3 +358,115 @@ def test_cover_cost_depth_window_validated():
         antichain_cover_cost(Alphabet(2), lambda w: 1.0, 3, 2)
     with pytest.raises(DomainError):
         antichain_cover_cost(Alphabet(2), lambda w: 1.0, 0, 2)
+
+
+# -- cover cost against the recursion --------------------------------------------
+
+
+def recursive_cover_cost(alphabet, psi, n, max_depth):
+    """The depth-first recursion that the level-at-a-time evaluation replaced."""
+
+    def cost(word):
+        if len(word) == max_depth:
+            return psi(word)
+        kids = sum(cost(word + (s,)) for s in alphabet.symbols())
+        if len(word) >= n:
+            return min(psi(word), kids)
+        return kids
+
+    return cost(())
+
+
+def same_float(x, y):
+    """``==`` that also matches NaN with NaN and tells -0.0 from 0.0."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+@st.composite
+def cover_windows(draw):
+    a = draw(st.integers(2, 4))
+    max_depth = draw(st.integers(1, 7))
+    return a, draw(st.integers(1, max_depth)), max_depth
+
+
+def word_index(w):
+    return sum((i + 1) * s for i, s in enumerate(w)) + len(w)
+
+
+@st.composite
+def cover_weights(draw, a):
+    """Multiplicative weights, tie-heavy grid weights, or weights taking NaN, inf and ±0.0."""
+    kind = draw(st.sampled_from(["multiplicative", "grid", "special"]))
+    if kind == "multiplicative":
+        model = MultiplicativeModel(
+            draw(st.lists(st.floats(0.05, 0.95), min_size=a, max_size=a)),
+            draw(st.sampled_from([0.5, 1.0, 3.0])),
+        )
+        t = draw(st.sampled_from([0.3, 0.63, 1.0, 1.7]))
+        return lambda w: model.diam(w) ** t
+    if kind == "grid":
+        step = draw(st.sampled_from([0.25, 0.5, 1 / 3, 1.0]))
+        weight = draw(st.lists(st.integers(-3, 0), min_size=a, max_size=a))
+        wobble = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=5))
+        return lambda w: 2.0 ** (
+            step * (sum(weight[s] for s in w) + wobble[word_index(w) % len(wobble)])
+        )
+    values = draw(st.lists(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 1.0, 2.0, 1e-300]),
+        min_size=1, max_size=7,
+    ))
+    return lambda w: values[word_index(w) % len(values)]
+
+
+def block_size(a):
+    """Block sizes that cut the tree into one-level, two-level or whole blocks."""
+    return st.sampled_from([2, a * a, a**3 + 1, BLOCK_ELEMENTS])
+
+
+@given(cover_windows(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_cover_cost_equals_the_recursion(window, data):
+    a, n, max_depth = window
+    psi = data.draw(cover_weights(a))
+    alphabet = Alphabet(a)
+    with mock.patch.object(spaces, "BLOCK_ELEMENTS", data.draw(block_size(a))):
+        got = antichain_cover_cost(alphabet, psi, n, max_depth)
+    assert same_float(got, recursive_cover_cost(alphabet, psi, n, max_depth))
+
+
+def test_cover_cost_min_keeps_psi_unless_the_children_are_smaller():
+    """``min(psi(v), kids)``: a NaN ``psi`` is kept, NaN children never win."""
+    cases = ((math.nan, 0.25, math.nan), (1.0, math.nan, 2.0), (math.inf, 0.25, 1.0))
+    for top, leaf, want in cases:
+        psi = lambda w, top=top, leaf=leaf: top if len(w) == 1 else leaf
+        got = antichain_cover_cost(Alphabet(2), psi, 1, 2)
+        assert same_float(got, want)
+        assert same_float(got, recursive_cover_cost(Alphabet(2), psi, 1, 2))
+
+
+@given(cover_windows(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cover_cost_calls_psi_once_per_word_children_first(window, data):
+    a, n, max_depth = window
+    block = data.draw(block_size(a))
+    calls = []
+
+    def psi(w):
+        calls.append(w)
+        return 1.0 / (1 + len(w))
+
+    with mock.patch.object(spaces, "BLOCK_ELEMENTS", block):
+        antichain_cover_cost(Alphabet(a), psi, n, max_depth)
+    levels = [w for m in range(max_depth, n - 1, -1) for w in itertools.product(range(a), repeat=m)]
+    assert sorted(calls) == sorted(levels)  # once per word, never on one shorter than n
+    order = {w: i for i, w in enumerate(calls)}
+    assert all(order[w[:k]] > order[w] for w in calls for k in range(n, len(w)))
+    if a**max_depth <= block:  # one block: deepest level first, lexicographic
+        assert calls == levels
+    elif n < max_depth:  # the leaves come a block at a time, never a whole level
+        step = max(s for s in range(1, max_depth + 1) if a**s <= block or s == 1)
+        leaves = (len(list(run)) for deep, run in
+                  itertools.groupby(calls, lambda w: len(w) == max_depth) if deep)
+        assert max(leaves) == a**step
