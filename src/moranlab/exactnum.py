@@ -92,18 +92,6 @@ class QuadraticNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are supported")
-        out = QuadraticNumber(Fraction(1), Fraction(0), self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- predicates and conversion ---------------------------------------
 
     def __eq__(self, other) -> bool:

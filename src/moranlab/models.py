@@ -29,6 +29,7 @@ from .words import Alphabet, SubTree, Word, _check_enum
 # Fitted constants that grow by more than this factor between consecutive
 # depths are flagged as diverging (axiom violated rather than held).
 _DIVERGENCE_FACTOR = 1.5
+_DIVERGING = "; fitted constant grew by %.3g between depths (diverging)"
 
 
 # ---------------------------------------------------------------------------
@@ -283,43 +284,27 @@ class MultiplicativeModel(DiameterModel):
 
 
 class LevelModel(DiameterModel):
-    """Diameter depends only on the word length."""
+    """``diam(level n) = seed * ratio(1) * ... * ratio(n)``: the diameter
+    depends only on the word length."""
 
-    def __init__(
-        self,
-        level_log_diam: Callable[[int], float],
-        branches: int,
-        seed_diameter: float = 1.0,
-    ):
+    def __init__(self, ratio: Callable[[int], float], branches: int, seed_diameter: float = 1.0):
         if seed_diameter <= 0:
             raise DomainError("seed diameter must be positive")
         super().__init__()
-        self._level_log_diam = level_log_diam
+        self._ratio = ratio
         self.seed_diameter = float(seed_diameter)
         self.alphabet = Alphabet(branches)
-
-    @classmethod
-    def from_level_ratios(
-        cls, ratio: Callable[[int], float], branches: int, seed_diameter: float = 1.0
-    ) -> "LevelModel":
-        """Model with ``diam(level n) = seed * ratio(1) * ... * ratio(n)``."""
-        cache = [math.log(seed_diameter)]
-
-        def lld(n: int) -> float:
-            while len(cache) <= n:
-                k = len(cache)
-                rho = ratio(k)
-                if rho <= 0:
-                    raise DomainError("level ratio at level %d must be positive" % k)
-                cache.append(cache[-1] + math.log(rho))
-            return cache[n]
-
-        return cls(lld, branches, seed_diameter)
+        # cumulative log-diameters of levels 0, 1, ..., extended on demand
+        self._lld = [math.log(self.seed_diameter)]
 
     def level_log_diam(self, n: int) -> float:
-        if n == 0:
-            return math.log(self.seed_diameter)
-        return self._level_log_diam(n)
+        lld = self._lld
+        while len(lld) <= n:
+            rho = self._ratio(len(lld))
+            if rho <= 0:
+                raise DomainError("level ratio at level %d must be positive" % len(lld))
+            lld.append(lld[-1] + math.log(rho))
+        return lld[n]
 
     def log_diam(self, word: Word) -> float:
         return self.level_log_diam(len(word))
@@ -448,10 +433,15 @@ class AxiomReport(NamedTuple):
         }
 
 
-def _stability(fit_now: float, fit_prev: float) -> tuple[float, str]:
-    """Growth of a fit from depth-1 to depth, and the status it implies."""
-    stab = math.inf if fit_prev <= 0 else fit_now / fit_prev
-    return stab, HOLDS if stab <= _DIVERGENCE_FACTOR else VIOLATED
+def _fitted(axiom: str, fit: float, fit_prev: float, witness: Word, note: str,
+            grew: str) -> AxiomCheck:
+    """``axiom``'s check from its constant fitted at depth and at depth-1: it
+    holds unless the fit grew by more than ``_DIVERGENCE_FACTOR``, and then
+    ``grew % growth`` ends ``note``."""
+    stab = fit / fit_prev  # fits are at least 1
+    if stab <= _DIVERGENCE_FACTOR:
+        return AxiomCheck(axiom, HOLDS, fit, witness, stab, note)
+    return AxiomCheck(axiom, VIOLATED, fit, witness, stab, note + grew % stab)
 
 
 def _w1_check(model: DiameterModel, depth: int) -> AxiomCheck:
@@ -487,23 +477,17 @@ def _w3_check(model: DiameterModel, depth: int) -> AxiomCheck:
         return AxiomCheck("W3", NOT_CHECKABLE, note="depth < 2 exposes no splits")
     ext = model.split_ratio_extremes(depth)
     _, hi, _, whi = ext[depth]
-    fit = max(1.0, hi)
     fit_prev = max(1.0, (ext[depth - 1] or ext[depth])[1])
-    stab, status = _stability(fit, fit_prev)
-    note = "" if status == HOLDS else "fitted constant grew by %.3g between depths" % stab
-    return AxiomCheck("W3", status, constant=fit, witness=whi, stability=stab, note=note)
+    return _fitted("W3", max(1.0, hi), fit_prev, whi, "",
+                   "fitted constant grew by %.3g between depths")
 
 
 def _w4_check(model: DiameterModel, depth: int) -> AxiomCheck:
     ext = model.child_ratio_min(depth)
     lo, wit = ext[depth]
-    fit = max(1.0, 1.0 / lo)
     fit_prev = max(1.0, 1.0 / (ext[depth - 1] or ext[depth])[0])
-    stab, status = _stability(fit, fit_prev)
-    note = "minimal witnessed child/parent ratio %.6g" % lo
-    if status == VIOLATED:
-        note += "; fitted constant grew by %.3g between depths (diverging)" % stab
-    return AxiomCheck("W4", status, constant=fit, witness=wit, stability=stab, note=note)
+    return _fitted("W4", max(1.0, 1.0 / lo), fit_prev, wit,
+                   "minimal witnessed child/parent ratio %.6g" % lo, _DIVERGING)
 
 
 def validate_wcmc(model: DiameterModel, depth: int) -> AxiomReport:
@@ -539,13 +523,8 @@ def validate_cmc(model: DiameterModel, depth: int) -> AxiomReport:
         ext = model.split_ratio_extremes(depth)
         lo, hi, wlo, whi = ext[depth]
         plo, phi, _, _ = ext[depth - 1] or ext[depth]
-        fit = max(1.0, hi, 1.0 / lo)
-        fit_prev = max(1.0, phi, 1.0 / plo)
-        stab, status = _stability(fit, fit_prev)
-        wit = wlo if (1.0 / lo) >= hi else whi
-        note = "two-sided split ratio within [%.6g, %.6g]" % (lo, hi)
-        if status == VIOLATED:
-            note += "; fitted constant grew by %.3g between depths (diverging)" % stab
-        c1 = AxiomCheck("C1", status, constant=fit, witness=wit, stability=stab, note=note)
-        D = fit
+        c1 = _fitted("C1", max(1.0, hi, 1.0 / lo), max(1.0, phi, 1.0 / plo),
+                     wlo if (1.0 / lo) >= hi else whi,
+                     "two-sided split ratio within [%.6g, %.6g]" % (lo, hi), _DIVERGING)
+        D = c1.constant
     return AxiomReport("cmc", depth, (w1, _w2_check(model, depth, D), c1), D)

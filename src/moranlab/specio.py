@@ -209,7 +209,7 @@ def model_from_dict(data: dict) -> DiameterModel:
             raise SpecError(
                 "unknown level rule %r (have: %s)" % (rule, sorted(LEVEL_RULES))
             )
-        return LevelModel.from_level_ratios(
+        return LevelModel(
             LEVEL_RULES[rule],
             int(data["branches"]),
             seed_diameter=float(data.get("seed_diameter", 1.0)),

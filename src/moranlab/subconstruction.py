@@ -159,37 +159,34 @@ def cantor_branch_sequence(t: float, length: int) -> SubTree:
 # ---------------------------------------------------------------------------
 
 
-def _active_layer(strat: StratificationData, alpha: Fraction) -> int:
-    """Index ``l`` with ``sum_{j<=l} m_j < alpha <= sum_{j<=l+1} m_j``."""
-    cum = 0
-    for l, m in enumerate(strat.layer_dims):
-        if cum < alpha <= cum + m:
-            return l
-        cum += m
-    raise DomainError("alpha %s outside (0, %d]" % (alpha, strat.topological_dim))
-
-
-def _carnot_rule_sequence(
-    strat: StratificationData, alpha: Fraction, length: int, layer: int
-) -> tuple[int, ...]:
-    """Raw dyadic greedy rule: ``n_1 = 2`` and
+def _carnot_rule(
+    strat: StratificationData, alpha: float, length: int
+) -> tuple[Fraction, int, tuple[int, ...]]:
+    """``(alpha, l, counts)``: ``alpha`` exact, its active layer ``l``, with
+    ``sum_{j<=l} m_j < alpha <= sum_{j<=l+1} m_j``, and the dyadic greedy rule
+    ``n_1 = 2`` and
 
     ``n_{t+1} = 2  iff  prod_{i<=t} n_i^{(l+1) m_{l+1}} < 2^{t (l+1) (alpha - sum_{j<=l} m_j)}``
 
-    compared exactly in log2 (``t`` here counts steps).
+    compared exactly in log2 (``t`` here counts steps).  At the top
+    breakpoint ``alpha = sum m_j`` no thinning is needed: every count is 2.
     """
-    m_next = strat.layer_dims[layer]
-    excess = alpha - sum(strat.layer_dims[:layer])
-    counts = [2]
-    twos = 1
+    a = Fraction(alpha)
+    if not 0 < a <= strat.topological_dim:
+        raise DomainError("alpha must lie in (0, %d], got %r" % (strat.topological_dim, alpha))
+    layer, below = 0, 0
+    while a > below + strat.layer_dims[layer]:
+        below += strat.layer_dims[layer]
+        layer += 1
+    if a == strat.topological_dim:
+        return a, layer, (2,) * length
+    m_next, excess = strat.layer_dims[layer], a - below
+    counts, twos = [2], 1
     for step in range(1, length):
         # log2 of both sides, divided by (l+1): exact rational comparison
-        if Fraction(twos * m_next) < step * excess:
-            counts.append(2)
-            twos += 1
-        else:
-            counts.append(1)
-    return tuple(counts)
+        counts.append(2 if Fraction(twos * m_next) < step * excess else 1)
+        twos += counts[-1] == 2
+    return a, layer, tuple(counts)
 
 
 def carnot_branch_sequence(
@@ -205,18 +202,10 @@ def carnot_branch_sequence(
     """
     if length < 1:
         raise DomainError("length must be >= 1")
-    a = Fraction(alpha)
-    if not 0 < a <= strat.topological_dim:
-        raise DomainError(
-            "alpha must lie in (0, %d], got %r" % (strat.topological_dim, alpha)
-        )
+    a, _, counts = _carnot_rule(strat, alpha, length)
     if a == strat.topological_dim:
-        warnings.warn(
-            "alpha equals the topological dimension: full tree, no thinning"
-        )
-        return (2,) * length
-    layer = _active_layer(strat, a)
-    return _carnot_rule_sequence(strat, a, length, layer)
+        warnings.warn("alpha equals the topological dimension: full tree, no thinning")
+    return counts
 
 
 def carnot_cmsc_verify(strat: StratificationData, alpha: float, depth: int) -> CmscReport:
@@ -227,26 +216,14 @@ def carnot_cmsc_verify(strat: StratificationData, alpha: float, depth: int) -> C
     ``n_k^{(l+1) m_{l+1}} * 2^{sum_{j<=l} j m_j}``, and verifies the
     window at ``t = beta_minus(alpha)`` with ``C = 2^{2 (l+1) m_{l+1}}``.
     """
-    a = Fraction(alpha)
-    if not 0 < a <= strat.topological_dim:
-        raise DomainError(
-            "alpha must lie in (0, %d], got %r" % (strat.topological_dim, alpha)
-        )
-    note = ""
-    if a == strat.topological_dim:
-        layer = strat.steps - 1
-        seq = (2,) * depth
-        note = "top breakpoint: full tree over all layers, no thinning"
-    else:
-        layer = _active_layer(strat, a)
-        seq = _carnot_rule_sequence(strat, a, depth, layer)
+    a, layer, seq = _carnot_rule(strat, alpha, depth)
+    top = a == strat.topological_dim
+    note = "top breakpoint: full tree over all layers, no thinning" if top else ""
     m_next = strat.layer_dims[layer]
-    lower_weight = sum(
-        j * m for j, m in enumerate(strat.layer_dims[:layer], start=1)
-    )
+    lower_weight = sum(j * m for j, m in enumerate(strat.layer_dims[:layer], start=1))
     alphabet_size = 2 ** (lower_weight + (layer + 1) * m_next)
     counts = tuple(n ** ((layer + 1) * m_next) * 2**lower_weight for n in seq)
-    model = LevelModel.from_level_ratios(lambda n: 0.5, alphabet_size)
+    model = LevelModel(lambda n: 0.5, alphabet_size)
     t = beta_minus(strat, float(a))
     C = float(2 ** (2 * (layer + 1) * m_next))
     return verify_cmsc(model, SubTree(counts), t, C, depth, note=note)

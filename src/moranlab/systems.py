@@ -273,14 +273,24 @@ class ContractionSystem:
             point = self.maps[s].apply(point)
         return point
 
-    def next_level(self, level: Sequence) -> list:
-        """Each map in order applied to every point of ``level`` in order.
+    def levels(self, seeds: Sequence) -> Iterator:
+        """Levels 1, 2, ... of ``seeds``, each its ``points`` and their ``rows``.
 
-        If ``level`` holds ``phi_v(x)`` in lexicographic order of ``v``, the
-        result holds ``phi_{sv}(x)`` in lexicographic order of ``sv``, made
-        by the same map applications as :meth:`apply_word`.
+        Level ``n`` holds ``apply_word(w, x)`` for the length-``n`` words ``w``
+        in lexicographic order, then ``x`` in seed order, with the values
+        and types of :meth:`apply_word`; ``rows`` is
+        ``space.coordinates(points)`` bit for bit, built when it is read.
+        Exact affine systems run on integer numerators
+        (:func:`_integer_levels`); any other applies each map in order to
+        every point of the level before.
         """
-        return [m.apply(p) for m in self.maps for p in level]
+        levels = _integer_levels(self, seeds)
+        if levels is not None:
+            yield from levels  # endless: the maps below never run
+        points = tuple(seeds)
+        while True:
+            points = tuple([m.apply(p) for m in self.maps for p in points])
+            yield _MappedLevel(self.space, points)
 
     @cached_property
     def map_lip_bounds(self) -> tuple[tuple[float, float] | None, ...]:
@@ -375,13 +385,14 @@ class ContractionSystem:
         resolution = 2.0 * max(row_minima(space, X, X, np.arange(len(X))).tolist())
 
         def check(depth: int) -> tuple[bool, str]:
-            for k, m in enumerate(self.maps):
-                images = space.coordinates([m.apply(p) for p in sub])
-                if (row_minima(space, X, images) > max(resolution, 1e-9)).any():
-                    return False, (
-                        "map %d sends a sample farther than the sampled set "
-                        "resolution %.3g" % (k, resolution)
-                    )
+            # level 1 of the samples: map k's images are block k
+            far = row_minima(space, X, next(self.levels(sub)).rows) > max(resolution, 1e-9)
+            out = far.reshape(len(self.maps), -1).any(axis=1)
+            if out.any():
+                return False, (
+                    "map %d sends a sample farther than the sampled set "
+                    "resolution %.3g" % (int(out.argmax()), resolution)
+                )
             return True, "sampled containment of each branch image within resolution %.3g" % (
                 resolution,
             )
@@ -417,14 +428,8 @@ def attractor_cloud(system: ContractionSystem, depth: int, samples_per_leaf: int
     _check_enum(count, "attractor cloud at depth %d" % depth, (system.alphabet.size,) * depth)
     seeds = system.seed_points[:samples_per_leaf]
     shape = (system.space, depth, system.alphabet.size, len(seeds))
-    levels = _integer_levels(system, seeds)
-    if levels is not None:
-        level = next(itertools.islice(levels, depth - 1, None))
-        return PointCloud(*shape, _LevelPoints(level), level.coordinates())
-    points = seeds
-    for _ in range(depth):
-        points = system.next_level(points)
-    return PointCloud(*shape, tuple(points))
+    level = next(itertools.islice(system.levels(seeds), depth - 1, None))
+    return PointCloud(*shape, level.points, level.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +464,13 @@ class _IntegerLevel(NamedTuple):
     b: list | None
     d: int
 
-    def coordinates(self) -> np.ndarray:
+    @property
+    def points(self) -> "_LevelPoints":
+        """The exact points, each built when it is first read."""
+        return _LevelPoints(self)
+
+    @property
+    def rows(self) -> np.ndarray:
         """``float(exact)`` bit for bit: ints divide with correct rounding,
         and quadratic numbers convert as ``float(a) + float(b) * sqrt(d)``."""
         cols = [(a / self.den).astype(float) for a in self.a]
@@ -475,6 +486,17 @@ class _IntegerLevel(NamedTuple):
             return tuple(Fraction(a[k], den) for a in self.a)
         return tuple(QuadraticNumber(Fraction(a[k], den), Fraction(b[k], den), d)
                      for a, b in zip(self.a, self.b))
+
+
+class _MappedLevel(NamedTuple):
+    """A level of points that the maps made one by one."""
+
+    space: MetricSpace
+    points: tuple
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.space.coordinates(self.points)
 
 
 class _LevelPoints(Sequence):
@@ -510,8 +532,8 @@ def _integer_levels(system: ContractionSystem, seeds: Sequence) -> Iterator[_Int
     ``d``, and every offset and seed coordinate is an exact scalar of that
     field, with as many coordinates as the space.  Then ``apply_word``
     gives ``Fraction`` (resp. ``QuadraticNumber``) coordinates only, and
-    the levels hold the same values and point order as
-    :meth:`ContractionSystem.next_level`.  Otherwise returns ``None``.
+    the levels hold the values and point order of
+    :meth:`ContractionSystem.levels`.  Otherwise returns ``None``.
     """
     forms = [m.exact_affine() for m in system.maps]
     if any(f is None for f in forms):
@@ -548,7 +570,7 @@ def _integer_levels(system: ContractionSystem, seeds: Sequence) -> Iterator[_Int
 def _iterate_levels(maps, den: int, d: int, level: _IntegerLevel) -> Iterator[_IntegerLevel]:
     """``maps[k] = (a, b)``: numerators over ``den`` of map k's ratio (index
     0) and offsets (index ``j + 1``); each level is every map applied to
-    every point of the previous one, maps outermost as in ``next_level``."""
+    every point of the previous one, maps outermost."""
     while True:
         D, A, B = level.den, level.a, level.b
         if B is None:
@@ -783,16 +805,11 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
         x = tuple(x)
     words: list[Word] = list(system.alphabet.words_up_to(depth))
     space = system.space
-    levels = _integer_levels(system, (x,))
-    if levels is not None:
-        # float(exact) bit for bit
-        X = np.concatenate([lv.coordinates() for lv in itertools.islice(levels, depth)])
+    levels = list(itertools.islice(system.levels((x,)), depth))
+    if space.coordinate_dim is None:  # words of every level in rows of one width
+        X = space.coordinates([p for lv in levels for p in lv.points])
     else:
-        level, points = (x,), []
-        for _ in range(depth):
-            level = system.next_level(level)
-            points.extend(level)
-        X = space.coordinates(points)
+        X = np.concatenate([lv.rows for lv in levels])
     # lower bounds a level at a time, each the parent's times the last map's
     # (the left-to-right products of ``word_lip_bounds``), then libm's pow per
     # element on the snowflake; words with an affine map or a map without

@@ -220,6 +220,11 @@ BAD_SPECS = [
     # int() made this map a copy of maps[0]: two identical branches, exit 0
     ("comb shift of one half", _set("comb", ("maps", 1, "shift"), 0.5),
      ["generate", "--depth", "2"], "maps[1]: shift must be an integer"),
+    # the level model took the seed's log first: "model: math domain error"
+    ("level seed diameter of zero", _set("nsq", ("seed_diameter",), 0),
+     ["pressure", "--zero"], "model: seed diameter must be positive"),
+    ("level seed diameter below zero", _set("supercantor", ("seed_diameter",), -1.0),
+     ["validate"], "model: seed diameter must be positive"),
 ]
 
 

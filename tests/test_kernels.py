@@ -21,6 +21,7 @@ from moranlab import (
     GOLDEN_RATIO,
     Affine2DMap,
     Alphabet,
+    CarnotMap,
     CombMap,
     CombSpace,
     ContractionSystem,
@@ -290,10 +291,8 @@ def eager_cloud(system, depth, samples_per_leaf):
     labels = tuple(w for w in system.alphabet.words(depth) for _ in seeds)
     levels = _integer_levels(system, seeds)
     if levels is None:
-        points = seeds
-        for _ in range(depth):
-            points = system.next_level(points)
-        return labels, tuple(points)
+        words = system.alphabet.words(depth)
+        return labels, tuple(system.apply_word(w, p) for w in words for p in seeds)
     level = next(islice(levels, depth - 1, None))
     den, d = level.den, level.d
     if level.b is None:
@@ -688,13 +687,10 @@ def float_bits(points):
 
 
 def per_point_epsilon(system, x, depth):
-    """The exact-point path: levels of exact points, then their float rows;
-    one kernel call per word, as ``separation_epsilon`` made before blocks."""
+    """The exact-point path: each word's point by ``apply_word``, then their
+    float rows; one kernel call per word, as ``separation_epsilon`` made before blocks."""
     words = list(system.alphabet.words_up_to(depth))
-    level, points = (tuple(x),), []
-    for _ in range(depth):
-        level = system.next_level(level)
-        points.extend(level)
+    points = [system.apply_word(w, tuple(x)) for w in words]
     try:
         sep = np.array([system.word_lip_bounds(w)[0] for w in words])
     except DomainError:
@@ -753,19 +749,19 @@ def test_integer_numerators_outgrow_int64():
     check_integer_levels(system, 8)
 
 
-@pytest.mark.parametrize(
-    "maps, seeds",
-    [
-        # rational and quadratic ratios in one system
-        ((CombMap(Fraction(1, 2), 0), CombMap(GOLDEN_RATIO, 1)), ((0, Fraction(1, 2)),)),
-        # rational ratios, a quadratic seed coordinate
-        ((CombMap(Fraction(1, 2), 0), CombMap(Fraction(1, 3), 1)), ((GOLDEN_RATIO, 1),)),
-        # exact maps, a float seed
-        ((CombMap(Fraction(1, 2), 0), CombMap(Fraction(1, 3), 1)), ((0.5, 1),)),
-        # a float ratio
-        ((CombMap(0.5, 0), CombMap(Fraction(1, 3), 1)), ((0, 1),)),
-    ],
-)
+MIXED_FIELDS = [
+    # rational and quadratic ratios in one system
+    ((CombMap(Fraction(1, 2), 0), CombMap(GOLDEN_RATIO, 1)), ((0, Fraction(1, 2)),)),
+    # rational ratios, a quadratic seed coordinate
+    ((CombMap(Fraction(1, 2), 0), CombMap(Fraction(1, 3), 1)), ((GOLDEN_RATIO, 1),)),
+    # exact maps, a float seed
+    ((CombMap(Fraction(1, 2), 0), CombMap(Fraction(1, 3), 1)), ((0.5, 1),)),
+    # a float ratio
+    ((CombMap(0.5, 0), CombMap(Fraction(1, 3), 1)), ((0, 1),)),
+]
+
+
+@pytest.mark.parametrize("maps, seeds", MIXED_FIELDS)
 def test_mixed_systems_fall_back_to_exact_scalars(maps, seeds):
     system = ContractionSystem(EuclideanSpace(2), maps, seeds)
     assert _integer_levels(system, seeds) is None
@@ -791,6 +787,55 @@ def test_ragged_seeds_still_raise():
     assert _integer_levels(system, system.seed_points) is None
     with pytest.raises(DomainError, match="2-dimensional"):
         attractor_cloud(system, 3, samples_per_leaf=2).coordinates
+
+
+# -- the one level builder against apply_word, for every kind of map ------------------
+
+
+@st.composite
+def affine_systems(draw):
+    """Two or three float affine maps of the plane."""
+    entry, offset = st.floats(-0.45, 0.45), st.floats(-2, 2)
+    maps = [
+        Affine2DMap(((draw(entry), draw(entry)), (draw(entry), draw(entry))),
+                    (draw(offset), draw(offset)))
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+    seeds = draw(st.lists(st.tuples(offset, offset), min_size=1, max_size=2))
+    return ContractionSystem(EuclideanSpace(2), maps, seeds), draw(st.integers(1, 5))
+
+
+@st.composite
+def carnot_systems(draw):
+    """Two to four gauge-halving maps of the Heisenberg group at float anchors."""
+    point = st.tuples(*[st.floats(-3, 3)] * 3)
+    maps = [CarnotMap(draw(point)) for _ in range(draw(st.integers(2, 4)))]
+    seeds = draw(st.lists(point, min_size=1, max_size=2))
+    return ContractionSystem(HeisenbergSpace(), maps, seeds), draw(st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.one_of(
+    rational_similitudes(),
+    comb_systems(),
+    st.sampled_from(MIXED_FIELDS).map(
+        lambda case: (ContractionSystem(EuclideanSpace(2), *case), 4)
+    ),
+    affine_systems(),
+    carnot_systems(),
+    symbol_systems().map(lambda system: (system, 4)),
+))
+def test_levels_equal_apply_word_over_the_words(case):
+    system, depth = case
+    seeds, space = system.seed_points, system.space
+    types = lambda pts: [type(c) for p in pts for c in p]  # noqa: E731
+    for n, level in zip(range(1, min(depth, 6) + 1), system.levels(seeds)):
+        want = tuple(system.apply_word(w, p) for w in system.alphabet.words(n) for p in seeds)
+        assert tuple(level.points) == want
+        assert types(level.points) == types(want)
+        rows, want_rows = level.rows, space.coordinates(want)
+        assert (rows.dtype, rows.shape) == (want_rows.dtype, want_rows.shape)
+        assert rows.tobytes() == want_rows.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -890,9 +935,10 @@ def exact_collisions(r, depth):
         for c in product((-1, 0, 1), repeat=m):
             if c[-1] == 0 or next(x for x in c if x) < 0:
                 continue
-            total = r * 0
-            for k, x in enumerate(c):
-                total = total + x * r**k
+            # sum c_k r^k, the powers by repeated multiplication
+            total, power = r * 0, r * 0 + 1
+            for x in c:
+                total, power = total + x * power, power * r
             if total == 0:
                 u = tuple(int(x > 0) for x in c)
                 v = tuple(int(x < 0) for x in c)
@@ -1130,6 +1176,38 @@ def test_failed_containment_matches_the_per_point_loop():
     maps = [SimilitudeMap(Fraction(1, 3), (0,)), SimilitudeMap(Fraction(1, 3), (5,))]
     other = ContractionSystem(EuclideanSpace(1), maps, ((0,),))
     assert other._containment_check(cloud)(3)[0] is loop_containment(other, cloud) is False
+
+
+def per_map_containment(system, cloud):
+    """The W1 check as it mapped its samples itself: one map at a time, the
+    first map with a sample out of reach named."""
+    stride = max(1, len(cloud) // 128)
+    sub, X = cloud.points[: 32 * stride : stride], cloud.coordinates[::stride]
+    space = system.space
+    resolution = 2.0 * max(row_minima(space, X, X, np.arange(len(X))).tolist())
+    for k, m in enumerate(system.maps):
+        images = space.coordinates([m.apply(p) for p in sub])
+        if (row_minima(space, X, images) > max(resolution, 1e-9)).any():
+            return False, (
+                "map %d sends a sample farther than the sampled set resolution %.3g"
+                % (k, resolution)
+            )
+    return True, "sampled containment of each branch image within resolution %.3g" % resolution
+
+
+@pytest.mark.parametrize("name", SHIPPED_SYSTEMS + ("second-map-out",))
+def test_w1_verdict_and_note_equal_the_per_map_loop(name):
+    if name == "second-map-out":
+        # map 0 keeps the cantor samples, map 1 sends them towards 5
+        cloud = attractor_cloud(shipped_system("cantor"), 6)
+        maps = [SimilitudeMap(Fraction(1, 3), (0,)), SimilitudeMap(Fraction(1, 3), (5,))]
+        system = ContractionSystem(EuclideanSpace(1), maps, ((0,),))
+    else:
+        system = shipped_system(name)
+        cloud = attractor_cloud(system, 2 if name == "heisenberg" else 6)
+    got = system._containment_check(cloud)(3)
+    assert got == per_map_containment(system, cloud)
+    assert got[0] is (name != "second-map-out")
 
 
 @pytest.mark.parametrize("name, depth", [("cantor", 10), ("symbolifs", 6)])

@@ -35,12 +35,12 @@ def cantor_model():
 
 def supercantor_model():
     # diam(level n) = prod_k 2^(-2 + 1/k): slightly slower than 4^-n.
-    return LevelModel.from_level_ratios(lambda n: 2.0 ** (-2 + 1 / n), 2)
+    return LevelModel(lambda n: 2.0 ** (-2 + 1 / n), 2)
 
 
 def nsq_model():
     # diam(level n) = 2^(-n^2)
-    return LevelModel.from_level_ratios(lambda n: 2.0 ** (-(2 * n - 1)), 2)
+    return LevelModel(lambda n: 2.0 ** (-(2 * n - 1)), 2)
 
 
 # -- model values and aggregates ----------------------------------------------
@@ -148,7 +148,7 @@ def test_multiplicative_model_refuses_a_negative_depth():
 
 
 def test_level_model_refuses_a_negative_depth():
-    model = LevelModel.from_level_ratios(lambda n: 0.5, 2, seed_diameter=2.0)
+    model = LevelModel(lambda n: 0.5, 2, seed_diameter=2.0)
     model.level_log_sum(0.7, 5)  # depth -1 once read the last level cached
     assert_depths_checked(model)
 
@@ -207,6 +207,23 @@ def test_super_fast_decay_violates_two_sided_control():
     report = validate_cmc(nsq_model(), 12)
     assert not report.passed
     assert report.check("C1").status == "violated"
+
+
+def test_violated_notes_are_pinned_byte_for_byte():
+    """One verdict rule behind W3, W4 and C1; each keeps its own note."""
+    # diam(level n) = 2^(-8 sqrt(n)): the split fit grows by 2.25 from depth 3 to 4
+    concave = LevelModel(lambda n: 2.0 ** (8 * (math.sqrt(n - 1) - math.sqrt(n))), 2)
+    assert validate_wcmc(concave, 4).check("W3").note == (
+        "fitted constant grew by 2.25 between depths"
+    )
+    assert validate_wcmc(nsq_model(), 20).check("W4").note == (
+        "minimal witnessed child/parent ratio 1.81899e-12; "
+        "fitted constant grew by 4 between depths (diverging)"
+    )
+    assert validate_cmc(nsq_model(), 12).check("C1").note == (
+        "two-sided split ratio within [2.11758e-22, 0.25]; "
+        "fitted constant grew by 4.1e+03 between depths (diverging)"
+    )
 
 
 def test_axiom_report_plumbing():
@@ -314,7 +331,7 @@ def test_level_scans_match_the_reference(shape, data):
     ratios = data.draw(
         st.lists(st.sampled_from([0.5, 0.25, 0.3, 2.0**-0.5]), min_size=depth, max_size=depth)
     )
-    model = LevelModel.from_level_ratios(lambda n: ratios[n - 1], a)
+    model = LevelModel(lambda n: ratios[n - 1], a)
     assert_scans_match_the_reference(model, depth)
 
 
@@ -368,7 +385,7 @@ def test_split_blocks_match_the_per_split_scan_on_ties(shape, ratios, data):
     seed = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
     for model in (
         GeneralModel(lambda w: sum(logs[s] for s in w), Alphabet(a), seed),
-        LevelModel.from_level_ratios(lambda n: level[n - 1], a),
+        LevelModel(lambda n: level[n - 1], a),
         RectangleModel(side, side),
     ):
         assert model.split_ratio_extremes(depth) == per_split_ratio_extremes(model, depth)

@@ -33,11 +33,11 @@ def cantor_model():
 
 
 def supercantor_model():
-    return LevelModel.from_level_ratios(lambda n: 2.0 ** (-2 + 1 / n), 2)
+    return LevelModel(lambda n: 2.0 ** (-2 + 1 / n), 2)
 
 
 def nsq_model():
-    return LevelModel.from_level_ratios(lambda n: 2.0 ** (-(2 * n - 1)), 2)
+    return LevelModel(lambda n: 2.0 ** (-(2 * n - 1)), 2)
 
 
 def harmonic(n):
@@ -130,7 +130,7 @@ def test_square_exponent_zero_extrapolates_to_nought():
 
 
 def test_zero_absent_when_levels_do_not_contract():
-    model = LevelModel.from_level_ratios(lambda n: 1.5, 2)
+    model = LevelModel(lambda n: 1.5, 2)
     with pytest.raises(DomainError):
         pressure_zero(model, 8)
     # 0.6**t underflows long before t = 2**40: the level sum falls back to
@@ -306,7 +306,7 @@ def test_multiplicative_zeros_are_the_bisection_zeros(ratios, seed, depth, tol):
 def test_level_zeros_above_one_are_the_bisection_zeros(size, ratios, depth, tol):
     """The zero, ``log(size)`` over the mean of ``-log(ratio)``, is above 1
     here, often far above: the doubling phase brackets it first."""
-    model = LevelModel.from_level_ratios(lambda n: ratios[(n - 1) % len(ratios)], size)
+    model = LevelModel(lambda n: ratios[(n - 1) % len(ratios)], size)
     assert_zeros_match_bisection(model, depth, tol)
 
 
@@ -362,7 +362,7 @@ def test_zero_beyond_a_float_grid_of_tol_ends():
     """Above 2**13 the floats are further apart than 1e-12, so bisection's
     halving stalls between two neighbours and never ends; the grid search
     counts cells in integers and ends next to the zero."""
-    model = LevelModel.from_level_ratios(lambda n: 0.99995, 2)
+    model = LevelModel(lambda n: 0.99995, 2)
     assert pressure_zero(model, 1).value == pytest.approx(
         math.log(2) / -math.log(0.99995), rel=1e-15
     )

@@ -181,3 +181,31 @@ def test_records_are_named_tuples():
             ):
                 offenders.add(node.name)
     assert offenders <= set(PROTOCOLS_BY_DESIGN), sorted(offenders - set(PROTOCOLS_BY_DESIGN))
+
+
+# The functions that may run a map's ``apply``: the word map, the one level
+# builder (with any helper nested in it) and the exhaustive cylinder check.
+APPLY_CALLERS = (
+    "ContractionSystem.apply_word",
+    "ContractionSystem.levels",
+    "proper_semiconformality_check_symbolic",
+)
+
+
+def test_maps_are_applied_only_by_the_level_builder():
+    """Clouds, the epsilon and the W1 check read ``levels``; none maps points itself."""
+    strays = []
+    for path in (PKG_ROOT / "src" / "moranlab").glob("*.py"):
+        stack = [(ast.parse(path.read_text()), "")]
+        while stack:
+            node, owner = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                name = owner
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    name = "%s.%s" % (owner, child.name) if owner else child.name
+                elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                      and child.func.attr == "apply"
+                      and not any((owner + ".").startswith(a + ".") for a in APPLY_CALLERS)):
+                    strays.append("%s: %s" % (path.name, owner or "<module>"))
+                stack.append((child, name))
+    assert not strays, sorted(strays)

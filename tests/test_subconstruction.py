@@ -1,6 +1,7 @@
 """Dimension-prescribing subconstructions and the window check."""
 
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moranlab import subconstruction
 from moranlab import (
     DomainError,
     EnumerationCapError,
@@ -245,7 +247,7 @@ def multiplicative_models(draw):
 @st.composite
 def level_models(draw):
     ratios = draw(st.lists(st.floats(0.05, 0.95), min_size=6, max_size=6))
-    return LevelModel.from_level_ratios(
+    return LevelModel(
         lambda n: ratios[n - 1], draw(st.integers(2, 4)), draw(st.sampled_from([0.5, 2.0]))
     )
 
@@ -319,7 +321,7 @@ def test_window_matches_the_reference_on_a_greedy_tree():
 
 def test_closed_form_window_witnesses_are_leftmost_prefixes():
     tree = cantor_branch_sequence(0.4, 8)
-    for model in (ternary_model(), LevelModel.from_level_ratios(lambda n: 1 / 3, 3)):
+    for model in (ternary_model(), LevelModel(lambda n: 1 / 3, 3)):
         assert model.window_ratios(0.4, 5, tree)[3][:, 1].shape == (1,)
         report = verify_cmsc(model, tree, 0.4, 4.0, 8)
         for word, n in (report.witness_low, report.witness_high):
@@ -401,6 +403,29 @@ def test_carnot_window_check_across_the_breakpoints():
     assert report.t == pytest.approx(4.0)
     assert report.c_witnessed == pytest.approx(1.0, abs=1e-12)
     assert "top breakpoint" in report.note
+
+
+@pytest.mark.parametrize("alpha", [Fraction(k, 4) for k in range(1, 13)], ids=str)
+def test_carnot_window_counts_follow_the_branch_sequence(monkeypatch, alpha):
+    """Both Carnot entry points apply one rule: the window's subtree is the
+    branch sequence raised to ``(l+1) m_{l+1}`` (2 on both Heisenberg layers)
+    times ``2^{sum_{j<=l} j m_j}`` (1, or 4 past the layer boundary 2)."""
+    windows = []
+    check = subconstruction.verify_cmsc
+    monkeypatch.setattr(subconstruction, "verify_cmsc",
+                        lambda model, subtree, *args, **kw: windows.append(subtree)
+                        or check(model, subtree, *args, **kw))
+    top = alpha == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = carnot_cmsc_verify(HEISENBERG, alpha, 8)
+        assert not caught  # the window check notes the top breakpoint instead
+        seq = carnot_branch_sequence(HEISENBERG, alpha, 8)
+    warned = ["alpha equals the topological dimension: full tree, no thinning"] if top else []
+    assert [str(w.message) for w in caught] == warned
+    lower = 1 if alpha <= 2 else 4
+    assert windows[0].branch_counts == tuple(n * n * lower for n in seq)
+    assert report.note == ("top breakpoint: full tree over all layers, no thinning" if top else "")
 
 
 def test_carnot_window_alpha_range():

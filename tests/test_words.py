@@ -206,7 +206,7 @@ def test_stopping_set_boundary_is_inclusive():
 
 def test_stopping_set_level_dependent_ratios():
     # diameters 1/2, 2^(-2.5), ... : r = 0.25 stops at level 2.
-    model = LevelModel.from_level_ratios(lambda n: 2.0 ** (-2 + 1 / n), 2)
+    model = LevelModel(lambda n: 2.0 ** (-2 + 1 / n), 2)
     words = stopping_set(model, 0.25)
     assert words == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
