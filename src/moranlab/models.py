@@ -217,7 +217,7 @@ class MultiplicativeModel(DiameterModel):
             raise DomainError("need at least two contraction ratios")
         if any(not 0.0 < r < 1.0 for r in ratios):
             raise DomainError("ratios must lie in (0, 1): %r" % (ratios,))
-        if seed_diameter <= 0:
+        if not seed_diameter > 0:  # NaN too
             raise DomainError("seed diameter must be positive")
         super().__init__()
         self.ratios = ratios
@@ -288,7 +288,7 @@ class LevelModel(DiameterModel):
     depends only on the word length."""
 
     def __init__(self, ratio: Callable[[int], float], branches: int, seed_diameter: float = 1.0):
-        if seed_diameter <= 0:
+        if not seed_diameter > 0:  # NaN too
             raise DomainError("seed diameter must be positive")
         super().__init__()
         self._ratio = ratio
@@ -343,7 +343,7 @@ class GeneralModel(DiameterModel):
         alphabet: Alphabet,
         seed_diameter: float = 1.0,
     ):
-        if seed_diameter <= 0:
+        if not seed_diameter > 0:  # NaN too
             raise DomainError("seed diameter must be positive")
         super().__init__()
         self._log_diam_fn = log_diam_fn

@@ -207,10 +207,9 @@ class SymbolSpace(MetricSpace):
         """Row ``k`` is ``len(w), w[0], w[1], ...`` padded with zeros."""
         width = max((len(w) for w in points), default=0)
         dtype = np.min_scalar_type(max(width, self.alphabet.size - 1))
-        # one flat buffer, filled in one pass (bytes while every value fits one)
+        # one flat buffer, filled in one pass
         flat = chain.from_iterable((len(w), *w, *(0,) * (width - len(w))) for w in points)
-        X = np.frombuffer(bytearray(flat), dtype) if dtype == np.uint8 else np.fromiter(flat, dtype)
-        return X.reshape(len(points), width + 1)
+        return np.fromiter(flat, dtype).reshape(len(points), width + 1)
 
     def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
         m = min(X.shape[1], Q.shape[1]) - 1

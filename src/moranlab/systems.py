@@ -154,7 +154,20 @@ class SymbolMap(ContractionMap):
         self.table = table
 
     def apply(self, word: Word) -> Word:
-        if len(word) == 0:
+        """``table[word[0]] + word``; on an array of ``SymbolSpace.coordinates``
+        rows, the rows of the images, as wide as the longest."""
+        if isinstance(word, np.ndarray) and word[:, 0].all():
+            first, width = word[:, 1], word.shape[1]
+            lengths = word[:, 0] + np.array([len(t) for t in self.table])[first]
+            dtype = np.promote_types(word.dtype, np.min_scalar_type(lengths.max()))
+            out = np.zeros((len(word), width + max(map(len, self.table))), dtype)
+            out[:, 0] = lengths
+            for s, t in enumerate(self.table):
+                at = np.flatnonzero(first == s)
+                out[at, 1 : 1 + len(t)] = t
+                out[at, 1 + len(t) : len(t) + width] = word[at, 1:]
+            return out[:, : lengths.max() + 1]
+        if isinstance(word, np.ndarray) or len(word) == 0:
             raise DomainError("symbol maps need a non-empty prefix to inspect")
         return self.table[word[0]] + tuple(word)
 
@@ -277,20 +290,34 @@ class ContractionSystem:
         """Levels 1, 2, ... of ``seeds``, each its ``points`` and their ``rows``.
 
         Level ``n`` holds ``apply_word(w, x)`` for the length-``n`` words ``w``
-        in lexicographic order, then ``x`` in seed order, with the values
-        and types of :meth:`apply_word`; ``rows`` is
-        ``space.coordinates(points)`` bit for bit, built when it is read.
-        Exact affine systems run on integer numerators
-        (:func:`_integer_levels`); any other applies each map in order to
-        every point of the level before.
+        in lexicographic order, then ``x`` in seed order, with the values and
+        types of :meth:`apply_word`, each point built when it is read; ``rows``
+        is ``space.coordinates(points)`` bit for bit.  Exact affine systems run
+        on integer numerators (:func:`_integer_levels`); any other level stays
+        in the kernel's layout and each map's ``apply`` runs once on it, maps
+        outermost, on its rows of words or its tuple of coordinate columns:
+        the scalars themselves, float64 once all are floats (the four map kinds
+        below compute on float64 what they do on floats, whatever their parameters).
         """
         levels = _integer_levels(self, seeds)
         if levels is not None:
             yield from levels  # endless: the maps below never run
-        points = tuple(seeds)
+        if self.space.coordinate_dim is None:
+            X = self.space.coordinates(seeds)
+            while True:
+                X = _stack_rows([m.apply(X) for m in self.maps])
+                yield _RowLevel(X, True)
+        if any(len(p) != self.space.coordinate_dim for p in seeds):
+            raise DomainError("points are not all %d-dimensional" % self.space.coordinate_dim)
+        floats = all(type(m) in (SimilitudeMap, Affine2DMap, CombMap, CarnotMap) for m in self.maps)
+        X = np.array(seeds, dtype=object)
         while True:
-            points = tuple([m.apply(p) for m in self.maps for p in points])
-            yield _MappedLevel(self.space, points)
+            if floats and X.dtype == object and all(type(v) is float for v in X.ravel().tolist()):
+                X = X.astype(float)
+            with np.errstate(all="ignore"):  # overflow to inf and NaN pass silently, as on floats
+                images = [m.apply(tuple(X.T)) for m in self.maps]
+            X = np.array([np.concatenate(c) for c in zip(*images)]).T  # column-major
+            yield _RowLevel(X, False)
 
     @cached_property
     def map_lip_bounds(self) -> tuple[tuple[float, float] | None, ...]:
@@ -466,8 +493,7 @@ class _IntegerLevel(NamedTuple):
 
     @property
     def points(self) -> "_LevelPoints":
-        """The exact points, each built when it is first read."""
-        return _LevelPoints(self)
+        return _LevelPoints(self.point, len(self.a[0]))
 
     @property
     def rows(self) -> np.ndarray:
@@ -488,26 +514,43 @@ class _IntegerLevel(NamedTuple):
                      for a, b in zip(self.a, self.b))
 
 
-class _MappedLevel(NamedTuple):
-    """A level of points that the maps made one by one."""
+class _RowLevel(NamedTuple):
+    """A level as ``space.coordinates`` rows (float64, or letters of ``words``),
+    or as rows of :meth:`ContractionSystem.apply_word`'s own scalars."""
 
-    space: MetricSpace
-    points: tuple
+    array: np.ndarray
+    words: bool
+
+    @property
+    def points(self) -> "_LevelPoints":
+        return _LevelPoints(self.point, len(self.array))
 
     @property
     def rows(self) -> np.ndarray:
-        return self.space.coordinates(self.points)
+        return self.array.astype(float) if self.array.dtype == object else self.array
+
+    def point(self, k: int) -> tuple:
+        row = self.array[k].tolist()
+        return tuple(row[1 : 1 + row[0]] if self.words else row)
+
+
+def _stack_rows(blocks: list) -> np.ndarray:
+    """The row blocks one after another (float rows stay column-major),
+    narrower symbol rows zero-padded to the widest, in the widest dtype."""
+    width = max(b.shape[1] for b in blocks)
+    return np.concatenate([np.hstack([b, np.zeros((len(b), width - b.shape[1]), b.dtype)])
+                           if b.shape[1] < width else b for b in blocks])
 
 
 class _LevelPoints(Sequence):
-    """A level's exact points, read as a tuple; each is built on first read
+    """A level's points, read as a tuple; ``point(k)`` is built on first read
     and kept, so overlapping slices (``points[i + 1 :]``) build it once."""
 
-    __slots__ = ("level", "built")
+    __slots__ = ("point", "built")
 
-    def __init__(self, level: _IntegerLevel):
-        self.level = level
-        self.built: list = [None] * len(level.a[0])
+    def __init__(self, point, n: int):
+        self.point = point
+        self.built: list = [None] * n
 
     def __len__(self) -> int:
         return len(self.built)
@@ -520,7 +563,7 @@ class _LevelPoints(Sequence):
             return tuple(got)
         p = self.built[k]
         if p is None:
-            p = self.built[k] = self.level.point(k)
+            p = self.built[k] = self.point(k)
         return p
 
 
@@ -805,11 +848,7 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
         x = tuple(x)
     words: list[Word] = list(system.alphabet.words_up_to(depth))
     space = system.space
-    levels = list(itertools.islice(system.levels((x,)), depth))
-    if space.coordinate_dim is None:  # words of every level in rows of one width
-        X = space.coordinates([p for lv in levels for p in lv.points])
-    else:
-        X = np.concatenate([lv.rows for lv in levels])
+    X = _stack_rows([lv.rows for lv in itertools.islice(system.levels((x,)), depth)])
     # lower bounds a level at a time, each the parent's times the last map's
     # (the left-to-right products of ``word_lip_bounds``), then libm's pow per
     # element on the snowflake; words with an affine map or a map without

@@ -12,6 +12,7 @@ the bugs it guards against.
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,11 @@ BAD_SPECS = [
      ["pressure", "--zero"], "model: seed diameter must be positive"),
     ("level seed diameter below zero", _set("supercantor", ("seed_diameter",), -1.0),
      ["validate"], "model: seed diameter must be positive"),
+    # NaN passed every ``<= 0`` check: validate died in numpy, pressure found a zero
+    ("level seed diameter NaN", _set("nsq", ("seed_diameter",), math.nan),
+     ["validate"], "model: seed diameter must be positive"),
+    ("system seed diameter NaN", _set("cantor", ("seed_diameter",), math.nan),
+     ["pressure", "--zero"], "seed_diameter: seed diameter must be positive"),
 ]
 
 

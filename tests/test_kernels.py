@@ -7,6 +7,8 @@ exact systems against exact scalar arithmetic.
 """
 
 import math
+import warnings
+from collections import Counter
 from fractions import Fraction
 from bisect import bisect_left
 from itertools import combinations, islice, product
@@ -55,6 +57,7 @@ from moranlab.spaces import row_minima
 from moranlab.systems import (
     ContractionMap,
     _IntegerLevel,
+    _RowLevel,
     _integer_levels,
     _sampled_diameter,
 )
@@ -792,29 +795,68 @@ def test_ragged_seeds_still_raise():
 # -- the one level builder against apply_word, for every kind of map ------------------
 
 
+# seed coordinates: int ones take one level as scalars before the columns go float64
+int_or_float = st.one_of(st.integers(-3, 3), st.floats(-2, 2))
+
+
 @st.composite
 def affine_systems(draw):
-    """Two or three float affine maps of the plane."""
+    """Two or three float affine maps of the plane, at int or float seeds."""
     entry, offset = st.floats(-0.45, 0.45), st.floats(-2, 2)
     maps = [
         Affine2DMap(((draw(entry), draw(entry)), (draw(entry), draw(entry))),
                     (draw(offset), draw(offset)))
         for _ in range(draw(st.integers(2, 3)))
     ]
-    seeds = draw(st.lists(st.tuples(offset, offset), min_size=1, max_size=2))
+    seeds = draw(st.lists(st.tuples(int_or_float, int_or_float), min_size=1, max_size=2))
     return ContractionSystem(EuclideanSpace(2), maps, seeds), draw(st.integers(1, 5))
 
 
 @st.composite
 def carnot_systems(draw):
-    """Two to four gauge-halving maps of the Heisenberg group at float anchors."""
+    """Two to four gauge-halving maps of the Heisenberg group at float anchors,
+    at int or float seeds."""
     point = st.tuples(*[st.floats(-3, 3)] * 3)
     maps = [CarnotMap(draw(point)) for _ in range(draw(st.integers(2, 4)))]
-    seeds = draw(st.lists(point, min_size=1, max_size=2))
+    seeds = draw(st.lists(st.tuples(*[int_or_float] * 3), min_size=1, max_size=2))
     return ContractionSystem(HeisenbergSpace(), maps, seeds), draw(st.integers(1, 4))
 
 
-@settings(max_examples=80, deadline=None)
+@st.composite
+def scalar_similitudes(draw, ratio):
+    """Two or three similitudes of the line or plane, or comb branches, with ratios
+    drawn from ``ratio`` and int, float or rational offsets, at int or float seeds."""
+    offset = st.one_of(int_or_float, offsets)
+    size = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 2))
+        maps = [SimilitudeMap(draw(ratio), draw(st.tuples(*[offset] * dim))) for _ in range(size)]
+    else:
+        dim, maps = 2, [CombMap(draw(ratio), shift) for shift in range(size)]
+    seeds = draw(st.lists(st.tuples(*[int_or_float] * dim), min_size=1, max_size=2))
+    return ContractionSystem(EuclideanSpace(dim), maps, seeds), draw(st.integers(1, 6))
+
+
+float_ratios = st.floats(0.05, 0.95)
+# float and exact parameters in one system: columns of floats meet exact scalars
+mixed_ratios = st.one_of(float_ratios, ratios, st.just(GOLDEN_RATIO))
+
+
+@st.composite
+def uneven_symbol_systems(draw):
+    """Prefix-rewriting maps whose prefixes differ in length (rows widen unevenly),
+    at seeds of one to three letters, or the empty word, which no map can read."""
+    space = SymbolSpace(Alphabet(draw(st.integers(2, 3))))
+    letters = st.integers(0, space.alphabet.size - 1)
+    prefix = st.lists(letters, max_size=3).map(tuple)
+    tables = st.lists(prefix, min_size=space.alphabet.size, max_size=space.alphabet.size)
+    maps = [SymbolMap(tuple(draw(tables))) for _ in range(draw(st.integers(2, 3)))]
+    word = st.lists(letters, min_size=draw(st.sampled_from([0, 1, 1, 1])), max_size=3)
+    seeds = draw(st.lists(word.map(tuple), min_size=1, max_size=2))
+    return ContractionSystem(space, maps, seeds), 5
+
+
+@settings(max_examples=120, deadline=None)
 @given(case=st.one_of(
     rational_similitudes(),
     comb_systems(),
@@ -824,18 +866,83 @@ def carnot_systems(draw):
     affine_systems(),
     carnot_systems(),
     symbol_systems().map(lambda system: (system, 4)),
+    scalar_similitudes(float_ratios),
+    scalar_similitudes(mixed_ratios),
+    uneven_symbol_systems(),
 ))
 def test_levels_equal_apply_word_over_the_words(case):
-    system, depth = case
+    check_levels(*case)
+
+
+# where the columns switch to float64, and where they must not
+FLOAT_SWITCH = [
+    # an int parameter meets an int seed: the first coordinate stays an int, never a float
+    ((Affine2DMap(((0, 0), (0.5, 0.25)), (1, 0)), Affine2DMap(((0.5, 0.0), (0.0, 0.5)), (0.5, 0.5))),
+     ((1, 2),)),
+    # an int parameter beyond 2**53 meets float64 columns as it meets floats
+    ((SimilitudeMap(0.5, (3**40,)), SimilitudeMap(0.25, (0.0,))), ((0.5,),)),
+]
+
+
+@pytest.mark.parametrize("maps, seeds", FLOAT_SWITCH, ids=["int-meets-int", "big-int"])
+def test_levels_go_float64_only_where_floats_compute_alike(maps, seeds):
+    check_levels(ContractionSystem(EuclideanSpace(len(seeds[0])), maps, seeds), 4)
+
+
+def check_levels(system, depth):
+    """Levels 1 to ``min(depth, 6)`` against :meth:`apply_word` over the words:
+    points with their types, rows bit for bit in the kernel's layout."""
     seeds, space = system.seed_points, system.space
     types = lambda pts: [type(c) for p in pts for c in p]  # noqa: E731
-    for n, level in zip(range(1, min(depth, 6) + 1), system.levels(seeds)):
-        want = tuple(system.apply_word(w, p) for w in system.alphabet.words(n) for p in seeds)
+    levels = system.levels(seeds)
+    for n in range(1, min(depth, 6) + 1):
+        try:
+            want = tuple(system.apply_word(w, p) for w in system.alphabet.words(n) for p in seeds)
+        except DomainError as exc:  # the level raises what the word map raises
+            with pytest.raises(DomainError) as level_exc:
+                next(levels)
+            assert str(level_exc.value) == str(exc)
+            return
+        level = next(levels)
         assert tuple(level.points) == want
         assert types(level.points) == types(want)
         rows, want_rows = level.rows, space.coordinates(want)
-        assert (rows.dtype, rows.shape) == (want_rows.dtype, want_rows.shape)
+        layout = lambda X: (X.dtype, X.shape, X.flags.f_contiguous)  # noqa: E731
+        assert layout(rows) == layout(want_rows)
         assert rows.tobytes() == want_rows.tobytes()
+
+
+def test_level_overflow_passes_silently_as_on_floats():
+    """inf and NaN come out of the float64 columns as out of Python floats, with no
+    numpy warning (the CLI would print one as a ``warning:`` line)."""
+    maps = (CarnotMap((1e300, 1e300, 0.0)), CarnotMap((0.0, 1.0, 0.0)))
+    system = ContractionSystem(HeisenbergSpace(), maps, ((1e300, -1e300, 0.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = [level.rows for level in islice(system.levels(system.seed_points), 3)]
+    assert not np.isfinite(rows[-1]).all()
+    for n, X in enumerate(rows, 1):
+        want = [system.apply_word(w, system.seed_points[0]) for w in system.alphabet.words(n)]
+        assert X.tobytes() == system.space.coordinates(want).tobytes()
+
+
+@pytest.mark.parametrize("name, depth", [("heisenberg", 3), ("selfaffine", 10), ("symbolifs", 12)])
+def test_clouds_apply_each_map_once_per_level_and_build_points_when_read(monkeypatch, name, depth):
+    """No per-point path: each map's ``apply`` runs once per level, on the whole
+    level, and a cloud's size and rows build no point."""
+    system = shipped_system(name)
+    calls, built = [], []
+    for cls in {type(m) for m in system.maps}:
+        monkeypatch.setattr(cls, "apply", lambda m, x, apply=cls.apply: calls.append(m) or apply(m, x))
+    point = _RowLevel.point
+    monkeypatch.setattr(_RowLevel, "point", lambda lv, k: built.append(k) or point(lv, k))
+    cloud = attractor_cloud(system, depth)
+    assert Counter(calls) == {m: depth for m in system.maps}
+    assert len(cloud) == len(cloud.coordinates) == system.alphabet.size**depth
+    assert built == []
+    k = len(cloud) // 3
+    assert cloud.points[k] == system.apply_word(cloud.labels[k], system.seed_points[0])
+    assert built == [k]
 
 
 @settings(max_examples=40, deadline=None)

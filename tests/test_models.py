@@ -91,6 +91,22 @@ def test_multiplicative_input_validation():
         MultiplicativeModel((0.5, 0.5), seed_diameter=0.0)
 
 
+# a NaN seed diameter passed every ``seed_diameter <= 0`` check
+def test_multiplicative_model_rejects_a_nan_seed_diameter():
+    with pytest.raises(DomainError, match="seed diameter must be positive"):
+        MultiplicativeModel((0.5, 0.5), seed_diameter=math.nan)
+
+
+def test_level_model_rejects_a_nan_seed_diameter():
+    with pytest.raises(DomainError, match="seed diameter must be positive"):
+        LevelModel(lambda n: 0.5, 2, seed_diameter=math.nan)
+
+
+def test_general_model_rejects_a_nan_seed_diameter():
+    with pytest.raises(DomainError, match="seed diameter must be positive"):
+        GeneralModel(lambda w: -float(len(w)), Alphabet(2), seed_diameter=math.nan)
+
+
 def test_level_model_values():
     model = supercantor_model()
     assert model.diam((0,)) == pytest.approx(0.5, rel=1e-15)
