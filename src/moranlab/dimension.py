@@ -51,7 +51,8 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
         true covering number.
     ``grid``
         count occupied cells of the axis-aligned grid of mesh ``r``
-        anchored at the coordinate-wise minimum.  A coordinate within a
+        anchored at the coordinate-wise minimum (coordinate spaces
+        only: symbol clouds raise ``DomainError``).  A coordinate within a
         relative 1e-9 below a cell boundary is counted to the upper cell
         so that float dust cannot split one construction piece over two
         cells.
@@ -64,6 +65,8 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
     if method == "greedy":
         return len(_greedy_centers(cloud.space, cloud.coordinates, r))
     if method == "grid":
+        if cloud.space.coordinate_dim is None:
+            raise DomainError("grid counts need coordinate rows; use the greedy count")
         pts = cloud.coordinates
         mins = pts.min(axis=0)
         cells = np.floor((pts - mins) / r + 1e-9).astype(np.int64)

@@ -197,7 +197,9 @@ def _extreme(x: np.ndarray, lowest: bool) -> tuple[float, int]:
     """
     gap = x - x.min(axis=-1, keepdims=True) if lowest else x.max(axis=-1, keepdims=True) - x
     near = np.flatnonzero(gap <= 1e-12)
-    logs = np.unique(x.ravel()[near])
+    # distinct sorted logs, as np.unique gives them (which imports numpy.ma)
+    logs = np.sort(x.ravel()[near])
+    logs = np.concatenate((logs[:1], logs[1:][logs[1:] != logs[:-1]]))
     exps = np.array([math.exp(v) for v in logs.tolist()])
     best = float(exps.min() if lowest else exps.max())
     return best, int((near[np.isin(x.ravel()[near], logs[exps == best])] % x.shape[-1]).min())

@@ -17,10 +17,11 @@ rows.  The kernel uses the scalar path's operand order and float operations
 (squares are products, the gauge's fourth root is two square roots, the
 snowflake exponent is libm's ``pow``), so on float coordinates it returns
 the scalar values bit for bit.  Exact coordinates enter as ``float(exact)``.
-Float rows are column-major, one contiguous array per coordinate, as the
-greedy cover reads them (README lists the cover variants measured slower).
-Symbol rows stay row-major; their kernel keeps the padded rows' first
-differing letter if it lies inside the pair's common length.
+Rows are column-major in every space, one contiguous array per coordinate
+or letter position, as the greedy cover reads them (README lists the cover
+variants measured slower).  The symbol kernel compares letter columns and
+finds each pair's first differing letter with one max-reduce; it counts if
+it lies inside the pair's common length.
 """
 
 from __future__ import annotations
@@ -204,21 +205,22 @@ class SymbolSpace(MetricSpace):
         return d2(u[:m], v[:m])
 
     def coordinates(self, points: Sequence) -> np.ndarray:
-        """Row ``k`` is ``len(w), w[0], w[1], ...`` padded with zeros."""
+        """Row ``k`` is ``len(w), w[0], w[1], ...`` padded with zeros, column-major."""
         width = max((len(w) for w in points), default=0)
         dtype = np.min_scalar_type(max(width, self.alphabet.size - 1))
         # one flat buffer, filled in one pass
         flat = chain.from_iterable((len(w), *w, *(0,) * (width - len(w))) for w in points)
-        return np.fromiter(flat, dtype).reshape(len(points), width + 1)
+        return np.asfortranarray(np.fromiter(flat, dtype).reshape(len(points), width + 1))
 
     def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
         m = min(X.shape[1], Q.shape[1]) - 1
-        if m == 0:
-            return np.zeros((len(Q), len(X)))
-        differ = X[:, 1 : m + 1] != Q[:, None, 1 : m + 1]
-        first = differ.argmax(axis=2)
-        inside = differ.any(axis=2) & (first < np.minimum(X[:, 0], Q[:, :1]))
-        return np.where(inside, np.ldexp(1.0, -first), 0.0)
+        # letter k weighs m - k, so the largest differing weight is m minus the
+        # first differing letter (0 if none differs: first = m, past every length)
+        w = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None, None]
+        differ = X.T[1 : m + 1, None, :] != Q.T[1 : m + 1, :, None]
+        first = m - np.maximum.reduce(differ * w, axis=0, initial=0)
+        powers = np.ldexp(1.0, -np.arange(m + 1))
+        return np.where(first < np.minimum(X[:, 0], Q[:, :1]), powers.take(first), 0.0)
 
 
 # ---------------------------------------------------------------------------

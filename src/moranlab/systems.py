@@ -160,12 +160,13 @@ class SymbolMap(ContractionMap):
             first, width = word[:, 1], word.shape[1]
             lengths = word[:, 0] + np.array([len(t) for t in self.table])[first]
             dtype = np.promote_types(word.dtype, np.min_scalar_type(lengths.max()))
-            out = np.zeros((len(word), width + max(map(len, self.table))), dtype)
+            out = np.zeros((len(word), width + max(map(len, self.table))), dtype, order="F")
             out[:, 0] = lengths
             for s, t in enumerate(self.table):
-                at = np.flatnonzero(first == s)
-                out[at, 1 : 1 + len(t)] = t
-                out[at, 1 + len(t) : len(t) + width] = word[at, 1:]
+                # whole columns, masked to the rows starting with ``s``
+                at = (first == s)[:, None]
+                np.copyto(out[:, 1 : 1 + len(t)], np.array(t, dtype), where=at)
+                np.copyto(out[:, 1 + len(t) : len(t) + width], word[:, 1:], where=at)
             return out[:, : lengths.max() + 1]
         if isinstance(word, np.ndarray) or len(word) == 0:
             raise DomainError("symbol maps need a non-empty prefix to inspect")
@@ -535,11 +536,13 @@ class _RowLevel(NamedTuple):
 
 
 def _stack_rows(blocks: list) -> np.ndarray:
-    """The row blocks one after another (float rows stay column-major),
-    narrower symbol rows zero-padded to the widest, in the widest dtype."""
-    width = max(b.shape[1] for b in blocks)
-    return np.concatenate([np.hstack([b, np.zeros((len(b), width - b.shape[1]), b.dtype)])
-                           if b.shape[1] < width else b for b in blocks])
+    """The row blocks one after another, column-major, narrower symbol rows
+    zero-padded to the widest, in the widest dtype."""
+    out = np.zeros((sum(map(len, blocks)), max(b.shape[1] for b in blocks)),
+                   np.result_type(*blocks), order="F")
+    for b, a in zip(blocks, itertools.accumulate(map(len, blocks), initial=0)):
+        out[a : a + len(b), : b.shape[1]] = b
+    return out
 
 
 class _LevelPoints(Sequence):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from moranlab import (
+    Alphabet,
     ContractionSystem,
     DomainError,
     EuclideanSpace,
@@ -14,6 +15,8 @@ from moranlab import (
     SimilitudeMap,
     SnowflakeSpace,
     SubTree,
+    SymbolMap,
+    SymbolSpace,
     attractor_cloud,
     box_count,
     maximal_packing,
@@ -64,6 +67,19 @@ def test_box_count_degenerate_cases():
         box_count(cloud, 0.0)
     with pytest.raises(DomainError):
         box_count(cloud, 0.1, method="octree")
+
+
+def test_grid_counts_refuse_symbol_clouds():
+    # padded letter rows are no coordinates: their grid cells count nothing
+    maps = (SymbolMap(((1, 0), (1,), (1,))), SymbolMap(((2, 0), (2,), (2,))))
+    tree = SymbolSpace(Alphabet(3))
+    for space in (tree, SnowflakeSpace(tree, 0.5)):
+        system = ContractionSystem(space, maps, ((0, 0, 0, 0),), seed_diameter=1.0)
+        cloud = attractor_cloud(system, 6)
+        assert box_count(cloud, 0.1) > 1
+        for r in (0.1, 2.0):
+            with pytest.raises(DomainError, match="greedy"):
+                box_count(cloud, r, method="grid")
 
 
 def test_box_count_is_nonincreasing_in_r():

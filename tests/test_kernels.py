@@ -11,12 +11,12 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from bisect import bisect_left
-from itertools import combinations, islice, product
+from itertools import combinations, cycle, islice, product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moranlab import (
@@ -480,10 +480,8 @@ def test_shipped_clouds_store_float_coordinates_column_major(name):
         clouds.append(attractor_cloud(snowflake_cantor(), 3))
     for cloud in clouds:
         X = cloud.coordinates
-        if isinstance(cloud.space, SymbolSpace):
-            assert X.flags.c_contiguous and X.dtype.kind == "u"
-        else:
-            assert X.flags.f_contiguous and X.dtype == float and X.shape[1] > 0
+        assert X.flags.f_contiguous and X.shape[1] > 0
+        assert X.dtype.kind == "u" if isinstance(cloud.space, SymbolSpace) else X.dtype == float
 
 
 # -- the symbol tree: rows and kernel against the builders they replaced -------------
@@ -513,13 +511,16 @@ def masked_symbol_distances(X, Q):
 @st.composite
 def symbol_words(draw):
     """An alphabet (300 letters need two-byte rows), words and query words,
-    each list with its own largest length, so queries are wider or narrower."""
+    each list with its own largest length, so queries are wider or narrower
+    (words past 255 letters need two-byte rows and letter weights)."""
     size = draw(st.sampled_from([2, 3, 300]))
     letters = st.integers(0, size - 1)
 
     def word_lists(min_size):
-        longest = draw(st.sampled_from([0, 1, 3, 8]))
-        word = st.lists(letters, max_size=longest).map(tuple)
+        longest = draw(st.sampled_from([0, 1, 3, 8, 300]))
+        # a short word repeated to its length, so long words come cheap
+        word = st.tuples(st.lists(letters, min_size=1, max_size=8), st.integers(0, longest))
+        word = word.map(lambda c: tuple(islice(cycle(c[0]), c[1])))
         return draw(st.lists(word, min_size=min_size, max_size=12))
 
     return SymbolSpace(Alphabet(size)), word_lists(0), word_lists(1)
@@ -527,6 +528,8 @@ def symbol_words(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=symbol_words())
+@example(case=(SymbolSpace(Alphabet(300)), [tuple(range(300)), (0,) * 290],
+               [tuple(range(280)) + (5,) * 20, (299,) * 299]))  # letter weights past 255
 def test_symbol_rows_and_kernel_equal_the_masked_reference(case):
     space, points, queries = case
     for ws in (points, queries):
@@ -539,6 +542,13 @@ def test_symbol_rows_and_kernel_equal_the_masked_reference(case):
     assert np.array_equal(got, masked_symbol_distances(X, Q))
     assert np.array_equal(space.distances(Q, X), masked_symbol_distances(Q, X))
     assert got.tolist() == [scalar_distances(space, points, q) for q in queries]
+    # the same floats on C or F rows, row slices and gathers
+    C, F = np.ascontiguousarray, np.asfortranarray
+    idx = list(range(len(X)))[::-2]
+    for x, q in product((C, F), repeat=2):
+        assert np.array_equal(space.distances(x(X), q(Q)), got)
+        assert np.array_equal(space.distances(x(X)[1:], q(Q)[:1]), got[:1, 1:])
+        assert np.array_equal(space.distances(x(X)[idx], q(Q)[::-1]), got[::-1][:, idx])
 
 
 # -- probes against scalar references --------------------------------------------------
