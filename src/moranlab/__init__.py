@@ -56,8 +56,8 @@ _EXPORTS = {
         "separation_epsilon",
     ),
     "words": (
-        "Alphabet", "SubTree", "antichain_cover_cost", "d2", "local_stopping_set",
-        "stopping_set", "word_str",
+        "Alphabet", "SubTree", "antichain_cover_cost", "local_stopping_set", "stopping_set",
+        "word_str",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .words import Alphabet, Word, d2
+from .words import Alphabet, Word, d2_with_resolution
 
 
 def _delta(a, b) -> float:
@@ -202,7 +202,7 @@ class SymbolSpace(MetricSpace):
 
     def distance(self, u: Word, v: Word) -> float:
         m = min(len(u), len(v))
-        return d2(u[:m], v[:m])
+        return d2_with_resolution(u[:m], v[:m])[0]
 
     def coordinates(self, points: Sequence) -> np.ndarray:
         """Row ``k`` is ``len(w), w[0], w[1], ...`` padded with zeros, column-major."""

@@ -127,16 +127,23 @@ def _real(value) -> float:
     return float(parse_scalar(value))
 
 
+def _integer(data: dict, key: str) -> int:
+    """``data[key]``, which must be a JSON integer (not a bool, float or string)."""
+    if type(data[key]) is not int:
+        raise SpecError("%s must be an integer, got %r" % (key, data[key]))
+    return data[key]
+
+
 def space_from_json(data: dict) -> MetricSpace:
     if not isinstance(data, dict):
         raise DomainError("a space must be a JSON object, got %r" % (data,))
     kind = data.get("kind")
     if kind == "euclidean":
-        return EuclideanSpace(int(data["dim"]))
+        return EuclideanSpace(_integer(data, "dim"))
     if kind == "snowflake":
         return SnowflakeSpace(space_from_json(data["base"]), float(data["p"]))
     if kind == "symbol":
-        return SymbolSpace(Alphabet(int(data["alphabet"])))
+        return SymbolSpace(Alphabet(_integer(data, "alphabet")))
     if kind == "comb":
         return CombSpace(parse_scalar(data["r"]))
     if kind == "heisenberg":
@@ -153,9 +160,7 @@ def map_from_dict(data: dict):
         matrix = _sized(data["matrix"], 2, "matrix", lambda row: _sized(row, 2, "a row", _real))
         return Affine2DMap(matrix, _sized(data["translation"], 2, "translation", _real))
     if kind == "comb":
-        if type(data["shift"]) is not int:
-            raise SpecError("shift must be an integer, got %r" % (data["shift"],))
-        return CombMap(parse_scalar(data["r"]), data["shift"])
+        return CombMap(parse_scalar(data["r"]), _integer(data, "shift"))
     if kind == "symbol":
         return SymbolMap(tuple(tuple(w) for w in data["table"]))
     if kind == "carnot":
@@ -211,7 +216,7 @@ def model_from_dict(data: dict) -> DiameterModel:
             )
         return LevelModel(
             LEVEL_RULES[rule],
-            int(data["branches"]),
+            _integer(data, "branches"),
             seed_diameter=float(data.get("seed_diameter", 1.0)),
         )
     if kind == "rectangle":

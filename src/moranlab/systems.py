@@ -546,28 +546,20 @@ def _stack_rows(blocks: list) -> np.ndarray:
 
 
 class _LevelPoints(Sequence):
-    """A level's points, read as a tuple; ``point(k)`` is built on first read
-    and kept, so overlapping slices (``points[i + 1 :]``) build it once."""
+    """A level's points, read as a tuple; ``point(k)`` is built on each read
+    and not kept."""
 
-    __slots__ = ("point", "built")
+    __slots__ = ("point", "n")
 
     def __init__(self, point, n: int):
-        self.point = point
-        self.built: list = [None] * n
+        self.point, self.n = point, n
 
     def __len__(self) -> int:
-        return len(self.built)
+        return self.n
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            got = self.built[k]
-            if None in got:
-                got = [self[i] for i in range(*k.indices(len(self.built)))]
-            return tuple(got)
-        p = self.built[k]
-        if p is None:
-            p = self.built[k] = self.point(k)
-        return p
+        rows = range(self.n)[k]
+        return tuple(map(self.point, rows)) if isinstance(k, slice) else self.point(rows)
 
 
 def _integer_levels(system: ContractionSystem, seeds: Sequence) -> Iterator[_IntegerLevel] | None:

@@ -3,8 +3,8 @@
 Words index the pieces of a Moran construction: the word ``(i1, ..., in)``
 names the piece reached by following branch ``i1`` at level 1, ``i2`` at
 level 2, and so on.  Everything here is exact combinatorics -- the only
-metric content is the dyadic tree metric ``d2`` and the diameter values
-supplied by a caller's model.
+metric content is the dyadic tree metric :func:`d2_with_resolution` and
+the diameter values supplied by a caller's model.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class Alphabet:
     __slots__ = ("size",)
 
     def __init__(self, size: int) -> None:
-        if size < 2:
-            raise ValueError("alphabet needs at least two symbols, got %d" % size)
+        if type(size) is not int or size < 2:
+            raise ValueError("alphabet needs at least two symbols, got %r" % (size,))
         self.size = size
 
     def symbols(self) -> range:
@@ -125,55 +125,40 @@ def d2_with_resolution(u: Word, v: Word) -> tuple[float, bool]:
     return 0.0, False
 
 
-def d2(u: Word, v: Word) -> float:
-    """The tree metric value; see :func:`d2_with_resolution`."""
-    return d2_with_resolution(u, v)[0]
-
-
 # ---------------------------------------------------------------------------
 # sub-trees
 # ---------------------------------------------------------------------------
 
 
-class SubTree:
+class SubTree(tuple):
     """A level-wise pruned tree: keep the first ``b_k`` branches at level k.
 
-    ``branch_counts[k-1]`` is the number of children retained at level k;
-    the retained words of length n are exactly those with ``i_k < b_k`` for
-    every k <= n.  This is the shape produced by the greedy branch-sequence
-    constructions, where at each level either the full branch set or a
-    deterministic initial segment of it survives.
-
-    Sub-trees are immutable and compare and hash by their counts: models
-    key their cached level arrays by ``(n, subtree)``.
+    The tuple ``(b_1, ..., b_d)`` of branch counts: the retained words of
+    length n are exactly those with ``i_k < b_k`` for every k <= n.  This is
+    the shape produced by the greedy branch-sequence constructions, where at
+    each level either the full branch set or a deterministic initial segment
+    of it survives.  Being a tuple, a sub-tree is immutable and compares and
+    hashes by its counts: models key their cached level arrays by
+    ``(n, subtree)``.
     """
 
-    __slots__ = ("branch_counts",)
+    __slots__ = ()
 
-    def __init__(self, branch_counts: Sequence[int]) -> None:
-        counts = tuple(int(b) for b in branch_counts)
+    def __new__(cls, branch_counts: Sequence[int]) -> SubTree:
+        counts = super().__new__(cls, branch_counts)
         for k, b in enumerate(counts, start=1):
+            if type(b) is not int:
+                raise DomainError("branch count at level %d must be an integer, got %r" % (k, b))
             if b < 1:
                 raise DomainError("branch count at level %d must be >= 1, got %d" % (k, b))
-        object.__setattr__(self, "branch_counts", counts)
+        return counts
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SubTree is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SubTree):
-            return NotImplemented
-        return self.branch_counts == other.branch_counts
-
-    def __hash__(self) -> int:
-        return hash(self.branch_counts)
-
-    @property
-    def depth(self) -> int:
-        return len(self.branch_counts)
+    #: the counts as a plain tuple, and the number of levels they declare
+    branch_counts = property(tuple)
+    depth = property(len)
 
     def check_alphabet(self, alphabet: Alphabet) -> None:
-        for k, b in enumerate(self.branch_counts, start=1):
+        for k, b in enumerate(self, start=1):
             if b > alphabet.size:
                 raise DomainError(
                     "branch count %d at level %d exceeds alphabet size %d"
@@ -181,22 +166,9 @@ class SubTree:
                 )
 
     def branch(self, level: int) -> int:
-        if not 1 <= level <= self.depth:
-            raise DomainError("level %d outside declared depth %d" % (level, self.depth))
-        return self.branch_counts[level - 1]
-
-    def count(self, level: int) -> int:
-        """Number of retained words of length ``level``."""
-        out = 1
-        for k in range(1, level + 1):
-            out *= self.branch(k)
-        return out
-
-    def words(self, length: int) -> Iterator[Word]:
-        if not 0 <= length <= self.depth:
-            raise DomainError("length %d outside declared depth %d" % (length, self.depth))
-        _check_enum(self.count(length), "sub-tree level %d" % length, self.branch_counts[:length])
-        return itertools.product(*(range(self.branch(k)) for k in range(1, length + 1)))
+        if not 1 <= level <= len(self):
+            raise DomainError("level %d outside declared depth %d" % (level, len(self)))
+        return self[level - 1]
 
 
 # ---------------------------------------------------------------------------

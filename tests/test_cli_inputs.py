@@ -83,6 +83,12 @@ def test_probe_points_of_the_wrong_width_exit_3(monkeypatch, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_subtree_of_an_empty_level_exits_3(monkeypatch):
+    monkeypatch.chdir(PKG_ROOT)
+    argv = ["validate", "specs/cantor.json", "--axioms", "cmsc", "--t", "0.4", "--subtree", "2,0"]
+    assert run_main(argv) == (3, "", "error: branch count at level 2 must be >= 1, got 0\n")
+
+
 @pytest.mark.parametrize("deltas", ["-1", "0", "0.5,0"])
 def test_ball_probe_non_positive_deltas_exit_3(monkeypatch, deltas):
     monkeypatch.chdir(PKG_ROOT)
@@ -221,6 +227,16 @@ BAD_SPECS = [
     # int() made this map a copy of maps[0]: two identical branches, exit 0
     ("comb shift of one half", _set("comb", ("maps", 1, "shift"), 0.5),
      ["generate", "--depth", "2"], "maps[1]: shift must be an integer"),
+    # int() read these: a 1-D cloud, three letters, the zero for two branches,
+    # and "alphabet needs at least two symbols, got 1"
+    ("euclidean dim of one and a half", _set("cantor", ("space", "dim"), 1.5),
+     ["generate", "--depth", "2"], "space: dim must be an integer, got 1.5"),
+    ("symbol alphabet of 3.9", _set("symbolifs", ("space", "alphabet"), 3.9),
+     ["generate", "--depth", "2"], "space: alphabet must be an integer, got 3.9"),
+    ("level branches of 2.5", _set("nsq", ("branches",), 2.5),
+     ["pressure", "--zero"], "model: branches must be an integer, got 2.5"),
+    ("level branches true", _set("nsq", ("branches",), True),
+     ["pressure", "--zero"], "model: branches must be an integer, got True"),
     # the level model took the seed's log first: "model: math domain error"
     ("level seed diameter of zero", _set("nsq", ("seed_diameter",), 0),
      ["pressure", "--zero"], "model: seed diameter must be positive"),

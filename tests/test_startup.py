@@ -167,9 +167,8 @@ def test_every_public_name_has_a_caller():
 PROTOCOLS_BY_DESIGN = {
     "CollisionScan": "iterates and counts its collision triples (acceptance criterion 6)",
     "PointCloud": "a sequence of rows: len is its point count",
-    "_LevelPoints": "the lazy exact rows of a cloud, a Sequence",
+    "_LevelPoints": "the exact rows of a cloud, a Sequence that builds a point on each read",
     "QuadraticNumber": "a number: equal values compare equal across types",
-    "SubTree": "validates its counts on construction and keys the models' level caches",
 }
 
 

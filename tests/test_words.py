@@ -24,13 +24,7 @@ from moranlab import (
 from moranlab import spaces
 from moranlab.models import GeneralModel, LevelModel
 from moranlab.spaces import BLOCK_ELEMENTS
-from moranlab.words import (
-    d2,
-    d2_with_resolution,
-    incomparable,
-    local_stopping_set,
-    word_str,
-)
+from moranlab.words import d2_with_resolution, incomparable, local_stopping_set, word_str
 
 
 def cantor_system():
@@ -64,6 +58,15 @@ def test_alphabet_validates_symbols_and_size():
         Alphabet(1)
 
 
+@pytest.mark.parametrize("size", [2.5, 2.9, 3.0, True, "3"])
+def test_alphabet_refuses_sizes_that_are_not_integers(size):
+    # a size of 2.9 once gave a level model's pressure zero log 2.9 / log 2
+    with pytest.raises(ValueError, match=r"^alphabet needs at least two symbols, got "):
+        Alphabet(size)
+    with pytest.raises(ValueError, match=r"^alphabet needs at least two symbols, got "):
+        LevelModel(lambda n: 0.5, size)
+
+
 def test_words_enumerate_in_lexicographic_order():
     abc = Alphabet(2)
     assert list(abc.words(2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -93,8 +96,9 @@ def test_enumeration_cap_names_the_largest_depth_that_fits(monkeypatch):
     calls = [
         (lambda: Alphabet(2).words(7), "level 7 would enumerate 128 words (cap 100)", 6),
         (lambda: Alphabet(3).words(9), "level 9 would enumerate 19683 words (cap 100)", 4),
-        (lambda: SubTree((3, 3, 3, 4)).words(4),
-         "sub-tree level 4 would enumerate 108 words (cap 100)", 3),
+        (lambda: GeneralModel(lambda w: -len(w), Alphabet(4)).level_log_sum(
+            1.0, 4, SubTree((3, 3, 3, 4))),
+         "level 4 of a GeneralModel would enumerate 108 words (cap 100)", 3),
         (lambda: antichain_cover_cost(Alphabet(2), lambda w: 1.0, 1, 7),
          "cover tree of depth 7 would enumerate 128 words (cap 100)", 6),
         (lambda: halves.level_log_sum(1.0, 8),
@@ -132,9 +136,9 @@ def test_bad_enumeration_cap_is_reported(monkeypatch):
 
 def test_d2_values():
     """Distance is 2^(1-k) when the words first disagree at index k."""
-    assert d2((0, 1), (1, 1)) == 1.0
-    assert d2((0, 1, 0), (0, 1, 1)) == 0.25
-    assert d2((0, 0, 1, 0), (0, 0, 0, 0)) == 0.25
+    assert d2_with_resolution((0, 1), (1, 1)) == (1.0, True)
+    assert d2_with_resolution((0, 1, 0), (0, 1, 1)) == (0.25, True)
+    assert d2_with_resolution((0, 0, 1, 0), (0, 0, 0, 0)) == (0.25, True)
 
 
 def test_d2_unresolved_prefixes():
@@ -148,7 +152,7 @@ def test_d2_unresolved_prefixes():
 
 def test_d2_requires_equal_declared_depth():
     with pytest.raises(DomainError):
-        d2((0,), (0, 1))
+        d2_with_resolution((0,), (0, 1))
 
 
 words_of_depth_5 = st.lists(
@@ -158,6 +162,9 @@ words_of_depth_5 = st.lists(
 
 @given(u=words_of_depth_5, v=words_of_depth_5, w=words_of_depth_5)
 def test_d2_is_an_ultrametric(u, v, w):
+    def d2(a, b):
+        return d2_with_resolution(a, b)[0]
+
     assert d2(u, v) <= max(d2(u, w), d2(w, v))
     assert d2(u, v) == d2(v, u)
     if u != v:
@@ -167,23 +174,47 @@ def test_d2_is_an_ultrametric(u, v, w):
 # -- sub-trees ---------------------------------------------------------------
 
 
-def test_subtree_counts_and_membership():
-    tree = SubTree((2, 1, 2))
-    assert tree.depth == 3
-    assert tree.count(1) == 2
-    assert tree.count(2) == 2
-    assert tree.count(3) == 4
-    assert list(tree.words(2)) == [(0, 0), (1, 0)]
+def test_subtree_is_a_tuple_of_branch_counts():
+    tree = SubTree([2, 1, 2])
+    assert tree.depth == 3 and tree.branch_counts == (2, 1, 2)
+    assert [tree.branch(k) for k in (1, 2, 3)] == [2, 1, 2]
+    assert tree == SubTree((2, 1, 2)) and hash(tree) == hash(SubTree((2, 1, 2)))
+    with pytest.raises(AttributeError):
+        tree.branch_counts = (1,)
 
 
 def test_subtree_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"^branch count at level 2 must be >= 1, got 0$"):
         SubTree((2, 0))
-    with pytest.raises(DomainError):
-        SubTree((2, 2)).words(3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^level 3 outside declared depth 2$"):
+        SubTree((2, 2)).branch(3)
+    with pytest.raises(DomainError, match=r"^branch count 3 at level 1 exceeds alphabet size 2$"):
         SubTree((3, 2)).check_alphabet(Alphabet(2))
     SubTree((2, 2)).check_alphabet(Alphabet(2))
+
+
+@pytest.mark.parametrize("counts", [(2.5, 1), (2, 1.0), (True, 1), ("2", 1)])
+def test_subtree_refuses_counts_that_are_not_integers(counts):
+    # int() once turned (2.5, 1) into (2, 1)
+    with pytest.raises(DomainError, match=r"^branch count at level \d must be an integer, got "):
+        SubTree(counts)
+
+
+@pytest.mark.parametrize("model", [
+    MultiplicativeModel((1 / 3, 1 / 3)),
+    LevelModel(lambda n: 0.5, 2),
+    GeneralModel(lambda w: -0.7 * len(w), Alphabet(2)),
+], ids=["multiplicative", "level", "general"])
+def test_levels_past_a_subtree_name_the_first_missing_level(model):
+    with pytest.raises(DomainError, match=r"^level 3 outside declared depth 2$"):
+        model.level_log_sum(0.5, 5, SubTree((2, 1)))
+
+
+def test_equal_subtrees_share_one_level_cache_entry():
+    model = GeneralModel(lambda w: -0.7 * len(w), Alphabet(2))
+    first = model.level_log_sum(0.5, 2, SubTree((2, 1)))
+    assert model.level_log_sum(0.5, 2, SubTree([2, 1])) == first
+    assert list(model._ld_cache) == [(2, SubTree((2, 1)))]
 
 
 # -- stopping sets ------------------------------------------------------------
