@@ -15,7 +15,9 @@ resource error (out-of-range parameter, enumeration cap).
 ``main`` is the one dispatch path: it parses the flags, loads the spec
 once (every subcommand but ``beta`` takes one), calls the subcommand's
 handler ``(spec, args) -> (text, exit code)``, maps errors to exit codes
-and is the only writer of stdout.  ``probe`` looks its probes up in
+and is the only writer of stdout.  It is also the only renderer: records
+carry values, and the handlers turn their fields into CSV (:func:`_csv`),
+SVG, PPM or JSON (:func:`_json`) text.  ``probe`` looks its probes up in
 :data:`PROBES`.  Each handler imports the modules its subcommand needs,
 so a call loads only those (``beta`` loads no numpy).
 """
@@ -43,6 +45,12 @@ def _clean(obj):
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     return obj
+
+
+def _csv(header: str, rows) -> str:
+    """The one CSV rendering: ``header``, then a line per row, floats to 12 digits."""
+    lines = [",".join("%.12g" % v if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join([header] + lines) + "\n"
 
 
 def _json(obj) -> str:
@@ -87,7 +95,9 @@ def _cmd_pressure(spec, args):
 
     model = _spec_model(spec)
     if not args.zero:
-        return pressure_curve(model, _parse_grid(args.t_grid), args.depth).to_csv(), 0
+        curve = pressure_curve(model, _parse_grid(args.t_grid), args.depth)
+        rows = ((t, p, curve.depth) for t, p in zip(curve.t_values, curve.p_values))
+        return _csv("t,pressure,depth", rows), 0
     z = pressure_zero(model, args.depth)
     note = (
         "stable at this depth"
@@ -172,14 +182,26 @@ def _cmd_validate(spec, args):
 
         if args.t is None:
             raise SpecError("cmsc validation needs --t")
+        from .words import word_str
+
         subtree = _parse_subtree(args.subtree, args.t, args.depth)
-        report = verify_cmsc(model, subtree, args.t, args.constant, args.depth)
-        return _json(report.to_json()), 0 if report.holds else 1
+        r = verify_cmsc(model, subtree, args.t, args.constant, args.depth)
+        (low, n_low), (high, n_high) = r.witness_low, r.witness_high
+        cmsc = {
+            "t": r.t, "C": r.c_declared, "depth": r.depth, "holds": r.holds,
+            "c_witnessed": r.c_witnessed, "ratio_min": r.ratio_min, "ratio_max": r.ratio_max,
+            "witness_low": {"word": word_str(low), "n": n_low},
+            "witness_high": {"word": word_str(high), "n": n_high},
+            "note": r.note,
+        }
+        return _json(cmsc), 0 if r.holds else 1
     from .models import validate_cmc, validate_wcmc
 
     validate = validate_wcmc if args.axioms == "wcmc" else validate_cmc
-    report = validate(model, args.depth)
-    return _json(report.to_json()), 0 if report.passed else 1
+    r = validate(model, args.depth)
+    report = {"scheme": r.scheme, "depth": r.depth, "passed": r.passed, "constant": r.constant,
+              "checks": [c._asdict() for c in r.checks]}
+    return _json(report), 0 if r.passed else 1
 
 
 def _plane_box(cloud):
@@ -229,14 +251,29 @@ def _cmd_generate(spec, args):
         raise DomainError("--pixels must be at least 1, got %d" % args.pixels)
     cloud = attractor_cloud(system, args.depth, args.samples)
     if args.out == "csv":
-        return cloud.to_csv(), 0
+        return _cloud_csv(cloud), 0
     if args.out == "svg":
         return _svg(cloud), 0
     return _ppm(cloud, args.pixels), 0
 
 
+def _cloud_csv(cloud) -> str:
+    """A row per point: its word, then its coordinates, or its letters on the symbol tree."""
+    from .words import word_str
+
+    labels = map(word_str, cloud.labels)
+    if cloud.space.coordinate_dim is None:
+        return _csv("word,point", ([w, word_str(tuple(p))] for w, p in zip(labels, cloud.points)))
+    dim = cloud.coordinates.shape[1]
+    names = ["x", "y", "z"][:dim] if dim <= 3 else ["c%d" % i for i in range(dim)]
+    rows = ([w, *x] for w, x in zip(labels, cloud.coordinates.tolist()))
+    return _csv(",".join(["word", *names]), rows)
+
+
 def _default_scales(cloud) -> list[float]:
-    span = max(max(col) - min(col) for col in zip(*cloud.float_rows()))
+    # float coordinates, or the letters of the points on the symbol tree
+    rows = cloud.points if cloud.space.coordinate_dim is None else cloud.coordinates.tolist()
+    span = max(max(col) - min(col) for col in zip(*rows))
     if span <= 0:
         raise DomainError("degenerate cloud; supply --scales")
     return [span * 2.0**-k for k in range(2, 7)]

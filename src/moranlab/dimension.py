@@ -51,8 +51,10 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
         true covering number.
     ``grid``
         count occupied cells of the axis-aligned grid of mesh ``r``
-        anchored at the coordinate-wise minimum (coordinate spaces
-        only: symbol clouds raise ``DomainError``).  A coordinate within a
+        anchored at the coordinate-wise minimum.  Euclidean clouds only:
+        the cells are ``r`` wide in the rows' own units, which measure
+        neither symbol, snowflake, comb nor Heisenberg distances, so any
+        other space raises ``DomainError``.  A coordinate within a
         relative 1e-9 below a cell boundary is counted to the upper cell
         so that float dust cannot split one construction piece over two
         cells.
@@ -65,8 +67,8 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
     if method == "greedy":
         return len(_greedy_centers(cloud.space, cloud.coordinates, r))
     if method == "grid":
-        if cloud.space.coordinate_dim is None:
-            raise DomainError("grid counts need coordinate rows; use the greedy count")
+        if not isinstance(cloud.space, EuclideanSpace):
+            raise DomainError("grid counts need a Euclidean space; use the greedy count")
         pts = cloud.coordinates
         mins = pts.min(axis=0)
         cells = np.floor((pts - mins) / r + 1e-9).astype(np.int64)
@@ -113,8 +115,8 @@ def minkowski_estimate(
     number of points and silently flatten the slope, so the call is
     rejected instead.
 
-    ``method`` defaults to the axis-grid count on Euclidean clouds and
-    to the greedy cover elsewhere.
+    ``method`` defaults to the axis-grid count on Euclidean clouds, the
+    only ones it accepts, and to the greedy cover elsewhere.
     """
     if not 0 < r_min < r_max:
         raise DomainError("need 0 < r_min < r_max")

@@ -40,15 +40,13 @@ _DIVERGING = "; fitted constant grew by %.3g between depths (diverging)"
 class DiameterModel:
     """Base class: word-indexed diameters with aggregate helpers.
 
-    Subclasses must call ``super().__init__()``, set ``alphabet`` and
-    ``seed_diameter`` and implement ``log_diam``.  ``diam``, the
-    level aggregates, the window ratios and the ratio scans have generic
-    (enumerating) fallbacks that structured subclasses override with exact
-    closed forms.
+    Subclasses call ``super().__init__(alphabet, seed_diameter)``, which
+    refuses a seed diameter that is not positive (NaN too), and implement
+    ``log_diam``.  ``diam``, the level aggregates, the window ratios and the
+    ratio scans have generic (enumerating) fallbacks that structured
+    subclasses override with exact closed forms.
     """
 
-    alphabet: Alphabet
-    seed_diameter: float
     #: ``log D`` where every diameter is ``D`` times a product over the word,
     #: 0 where no such constant is known; ``pressure_at`` divides it out
     log_scale: float = 0.0
@@ -58,7 +56,11 @@ class DiameterModel:
     #: optional geometric nesting check (set by system-induced models)
     containment_check: Optional[Callable[[int], tuple[bool, str]]] = None
 
-    def __init__(self) -> None:
+    def __init__(self, alphabet: Alphabet, seed_diameter: float) -> None:
+        if not seed_diameter > 0:  # NaN too
+            raise DomainError("seed diameter must be positive")
+        self.alphabet = alphabet
+        self.seed_diameter = float(seed_diameter)
         self._ld_cache: dict[tuple[int, SubTree | None], np.ndarray] = {}
         # the deepest ratio scans so far: running extremes, so every shallower
         # depth reads its scan as a prefix of these
@@ -219,14 +221,10 @@ class MultiplicativeModel(DiameterModel):
             raise DomainError("need at least two contraction ratios")
         if any(not 0.0 < r < 1.0 for r in ratios):
             raise DomainError("ratios must lie in (0, 1): %r" % (ratios,))
-        if not seed_diameter > 0:  # NaN too
-            raise DomainError("seed diameter must be positive")
-        super().__init__()
+        super().__init__(Alphabet(len(ratios)), seed_diameter)
         self.ratios = ratios
         self.log_ratios = tuple(math.log(r) for r in ratios)
-        self.seed_diameter = float(seed_diameter)
         self.log_scale = math.log(self.seed_diameter)
-        self.alphabet = Alphabet(len(ratios))
         if len(set(ratios)) == 1:
             self.scale_ratio = ratios[0]
 
@@ -290,12 +288,8 @@ class LevelModel(DiameterModel):
     depends only on the word length."""
 
     def __init__(self, ratio: Callable[[int], float], branches: int, seed_diameter: float = 1.0):
-        if not seed_diameter > 0:  # NaN too
-            raise DomainError("seed diameter must be positive")
-        super().__init__()
+        super().__init__(Alphabet(branches), seed_diameter)
         self._ratio = ratio
-        self.seed_diameter = float(seed_diameter)
-        self.alphabet = Alphabet(branches)
         # cumulative log-diameters of levels 0, 1, ..., extended on demand
         self._lld = [math.log(self.seed_diameter)]
 
@@ -345,12 +339,8 @@ class GeneralModel(DiameterModel):
         alphabet: Alphabet,
         seed_diameter: float = 1.0,
     ):
-        if not seed_diameter > 0:  # NaN too
-            raise DomainError("seed diameter must be positive")
-        super().__init__()
+        super().__init__(alphabet, seed_diameter)
         self._log_diam_fn = log_diam_fn
-        self.alphabet = alphabet
-        self.seed_diameter = float(seed_diameter)
 
     def log_diam(self, word: Word) -> float:
         if len(word) == 0:
@@ -370,11 +360,9 @@ class RectangleModel(DiameterModel):
             raise DomainError("need matching contraction lists of length >= 2")
         if any(not 0 < v < 1 for v in tuple(a) + tuple(b)):
             raise DomainError("contractions must lie in (0, 1)")
-        super().__init__()
+        super().__init__(Alphabet(len(a)), math.hypot(1.0, 1.0))
         self.a = tuple(float(v) for v in a)
         self.b = tuple(float(v) for v in b)
-        self.alphabet = Alphabet(len(a))
-        self.seed_diameter = math.hypot(1.0, 1.0)
         self._la = np.log(self.a)
         self._lb = np.log(self.b)
 
@@ -424,15 +412,6 @@ class AxiomReport(NamedTuple):
             if c.axiom == axiom:
                 return c
         raise KeyError(axiom)
-
-    def to_json(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "depth": self.depth,
-            "passed": self.passed,
-            "constant": self.constant,
-            "checks": [c._asdict() for c in self.checks],
-        }
 
 
 def _fitted(axiom: str, fit: float, fit_prev: float, witness: Word, note: str,

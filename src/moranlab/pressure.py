@@ -101,9 +101,6 @@ class PressureZero(NamedTuple):
     def extrapolated(self) -> float:
         return 2.0 * self.value - self.reference_value
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def pressure_zero(model: DiameterModel, depth: int, tol: float = 1e-12) -> PressureZero:
     """Unique zero of the depth-``depth`` pressure, to within ``tol`` in t.
@@ -184,12 +181,6 @@ class PressureCurve(NamedTuple):
     depth: int
     t_values: tuple[float, ...]
     p_values: tuple[float, ...]
-
-    def to_csv(self) -> str:
-        lines = ["t,pressure,depth"]
-        for t, p in zip(self.t_values, self.p_values):
-            lines.append("%.12g,%.12g,%d" % (t, p, self.depth))
-        return "\n".join(lines) + "\n"
 
 
 def pressure_curve(model: DiameterModel, t_values: Sequence[float], depth: int) -> PressureCurve:

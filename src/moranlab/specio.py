@@ -141,7 +141,7 @@ def space_from_json(data: dict) -> MetricSpace:
     if kind == "euclidean":
         return EuclideanSpace(_integer(data, "dim"))
     if kind == "snowflake":
-        return SnowflakeSpace(space_from_json(data["base"]), float(data["p"]))
+        return SnowflakeSpace(space_from_json(data["base"]), _real(data["p"]))
     if kind == "symbol":
         return SymbolSpace(Alphabet(_integer(data, "alphabet")))
     if kind == "comb":
@@ -205,8 +205,8 @@ def model_from_dict(data: dict) -> DiameterModel:
     kind = _object(data).get("kind")
     if kind == "multiplicative":
         return MultiplicativeModel(
-            [float(parse_scalar(r)) for r in data["ratios"]],
-            seed_diameter=float(data.get("seed_diameter", 1.0)),
+            [_real(r) for r in data["ratios"]],
+            seed_diameter=_real(data.get("seed_diameter", 1.0)),
         )
     if kind == "level":
         rule = data.get("rule")
@@ -217,13 +217,10 @@ def model_from_dict(data: dict) -> DiameterModel:
         return LevelModel(
             LEVEL_RULES[rule],
             _integer(data, "branches"),
-            seed_diameter=float(data.get("seed_diameter", 1.0)),
+            seed_diameter=_real(data.get("seed_diameter", 1.0)),
         )
     if kind == "rectangle":
-        return RectangleModel(
-            [float(parse_scalar(v)) for v in data["a"]],
-            [float(parse_scalar(v)) for v in data["b"]],
-        )
+        return RectangleModel([_real(v) for v in data["a"]], [_real(v) for v in data["b"]])
     raise SpecError("unknown model kind %r" % kind)
 
 
@@ -265,7 +262,7 @@ def spec_from_dict(data: dict) -> LoadedSpec:
             raise SpecError("system spec missing key %s" % exc) from exc
         seeds = tuple(_entry("seed_points[%d]" % k, _seed_point, p, space) for k, p in points)
         seed_diam = data.get("seed_diameter")
-        seed_diam = None if seed_diam is None else float(seed_diam)
+        seed_diam = None if seed_diam is None else _entry("seed_diameter", _real, seed_diam)
         if seed_diam is not None and not seed_diam > 0:  # NaN too
             raise SpecError("seed_diameter: seed diameter must be positive")
         system = ContractionSystem(space, maps, seeds, seed_diameter=seed_diam)

@@ -26,7 +26,7 @@ from .errors import DomainError
 from .models import DiameterModel, LevelModel
 from .stratification import StratificationData, beta_minus
 from .systems import CarnotMap
-from .words import SubTree, Word, word_str
+from .words import SubTree, Word
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 
@@ -59,23 +59,9 @@ class CmscReport(NamedTuple):
     def c_witnessed(self) -> float:
         return max(self.ratio_max, 1.0 / self.ratio_min)
 
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "C": self.c_declared,
-            "depth": self.depth,
-            "holds": self.holds,
-            "c_witnessed": self.c_witnessed,
-            "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max,
-            "witness_low": {"word": word_str(self.witness_low[0]), "n": self.witness_low[1]},
-            "witness_high": {"word": word_str(self.witness_high[0]), "n": self.witness_high[1]},
-            "note": self.note,
-        }
-
 
 def verify_cmsc(
-    model: DiameterModel, subtree: SubTree, t: float, C: float, depth: int, note: str = ""
+    model: DiameterModel, subtree: SubTree, t: float, C: float, depth: int
 ) -> CmscReport:
     """Exhaustively check the subconstruction window on the finite tree.
 
@@ -112,9 +98,7 @@ def verify_cmsc(
             ratio_max, wit_high = float(R.flat[hi]), _window_witness(hi, R, counts)
 
     holds = (1.0 / C < ratio_min) and (ratio_max < C)
-    return CmscReport(
-        float(t), float(C), depth, ratio_min, ratio_max, wit_low, wit_high, holds, note
-    )
+    return CmscReport(float(t), float(C), depth, ratio_min, ratio_max, wit_low, wit_high, holds)
 
 
 def _window_witness(k: int, R: np.ndarray, prefix_counts: tuple[int, ...]) -> tuple[Word, int]:
@@ -226,7 +210,7 @@ def carnot_cmsc_verify(strat: StratificationData, alpha: float, depth: int) -> C
     model = LevelModel(lambda n: 0.5, alphabet_size)
     t = beta_minus(strat, float(a))
     C = float(2 ** (2 * (layer + 1) * m_next))
-    return verify_cmsc(model, SubTree(counts), t, C, depth, note=note)
+    return verify_cmsc(model, SubTree(counts), t, C, depth)._replace(note=note)
 
 
 # ---------------------------------------------------------------------------

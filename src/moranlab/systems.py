@@ -228,9 +228,6 @@ class PointCloud:
         words = itertools.product(range(self.size), repeat=self.depth)
         return tuple(w for w in words for _ in range(self.samples))
 
-    def items(self) -> Iterator[tuple[Word, object]]:
-        return zip(self.labels, self.points)
-
     def piece(self, word: Word) -> slice:
         """Index range of the samples whose label starts with ``word``."""
         index = 0
@@ -239,27 +236,6 @@ class PointCloud:
         width = self.size ** max(0, self.depth - len(word)) * self.samples
         # a word longer than every label gets the empty range after its prefix
         return slice((index + (len(word) > self.depth)) * width, (index + 1) * width)
-
-    def float_rows(self) -> list[list[float]]:
-        """``[[float(c) for c in p] for p in points]``, read off ``coordinates``
-        where those are float rows (every space but the symbol tree)."""
-        if self.coordinates.dtype == float:
-            return self.coordinates.tolist()
-        return [[float(c) for c in p] for p in self.points]
-
-    def to_csv(self) -> str:
-        if self.space.coordinate_dim is None:
-            header = "word,point"
-            rows = ["%s,%s" % (word_str(w), word_str(tuple(p))) for w, p in self.items()]
-        else:
-            dim = self.coordinates.shape[1]
-            names = ["x", "y", "z"][:dim] if dim <= 3 else ["c%d" % i for i in range(dim)]
-            header = "word," + ",".join(names)
-            rows = [
-                "%s,%s" % (word_str(w), ",".join("%.12g" % c for c in x))
-                for w, x in zip(self.labels, self.float_rows())
-            ]
-        return "\n".join([header] + rows) + "\n"
 
 
 class ContractionSystem:
@@ -701,32 +677,23 @@ def _word_bounds(system: ContractionSystem, words, pair_samples: int = 64) -> It
 # ---------------------------------------------------------------------------
 
 
-class CollisionScan:
-    """Result of :func:`osc_collision_scan`.
+class CollisionScan(tuple):
+    """Result of :func:`osc_collision_scan`: a tuple of triples ``(u, v, gap)``.
 
-    ``collisions`` holds triples ``(u, v, gap)``: canonical incomparable
-    pairs (larger word first, no common trailing zeros) whose anchors
-    coincide -- exactly (gap 0.0) when ``r`` was given as an exact scalar,
-    within ``tol`` otherwise.  ``min_nonzero_gap`` is the smallest
-    non-collision anchor difference seen across the whole scan.
+    Each triple is a canonical incomparable pair (larger word first, no
+    common trailing zeros) whose anchors coincide -- exactly (gap 0.0) when
+    ``r`` was given as an exact scalar, within ``tol`` otherwise.
+    ``min_nonzero_gap`` is the smallest non-collision anchor difference
+    seen across the whole scan.
     """
 
-    __slots__ = ("collisions", "min_nonzero_gap", "exact", "depth", "tol")
+    def __new__(cls, collisions, min_nonzero_gap: float, exact: bool, depth: int, tol: float):
+        scan = super().__new__(cls, collisions)
+        scan.min_nonzero_gap, scan.exact, scan.depth, scan.tol = min_nonzero_gap, exact, depth, tol
+        return scan
 
-    def __init__(
-        self, collisions: tuple, min_nonzero_gap: float, exact: bool, depth: int, tol: float
-    ):
-        self.collisions = collisions
-        self.min_nonzero_gap = min_nonzero_gap
-        self.exact = exact
-        self.depth = depth
-        self.tol = tol
-
-    def __iter__(self):
-        return iter(self.collisions)
-
-    def __len__(self) -> int:
-        return len(self.collisions)
+    #: the triples as a plain tuple
+    collisions = property(tuple)
 
 
 def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
@@ -818,7 +785,7 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
     rows = (x[order].tolist() for x in (u, v, m, gaps))
     triples = [(tuple(a[:k]), tuple(b[:k]), gap) for a, b, k, gap in zip(*rows)]
     min_gap = float(np.concatenate(near_gaps).min(initial=np.inf))
-    return CollisionScan(tuple(triples), min_gap, r_exact is not None, depth, tol)
+    return CollisionScan(triples, min_gap, r_exact is not None, depth, tol)
 
 
 # ---------------------------------------------------------------------------

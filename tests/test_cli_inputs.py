@@ -247,6 +247,15 @@ BAD_SPECS = [
      ["validate"], "model: seed diameter must be positive"),
     ("system seed diameter NaN", _set("cantor", ("seed_diameter",), math.nan),
      ["pressure", "--zero"], "seed_diameter: seed diameter must be positive"),
+    # float() read true as 1.0: exit 0
+    ("system seed diameter true", _set("cantor", ("seed_diameter",), True),
+     ["pressure", "--zero"], "seed_diameter: booleans are not numeric scalars"),
+    ("level seed diameter true", _set("nsq", ("seed_diameter",), True),
+     ["pressure", "--zero"], "model: booleans are not numeric scalars"),
+    ("snowflake p true",
+     _set("cantor", ("space",), {"kind": "snowflake", "base": {"kind": "euclidean", "dim": 1},
+                                 "p": True}),
+     ["generate", "--depth", "2"], "space: booleans are not numeric scalars"),
 ]
 
 
@@ -258,6 +267,17 @@ def test_malformed_specs_exit_2_naming_the_entry(tmp_path, data, argv, message):
     code, out, err = run_main([argv[0], str(path), *argv[1:]])
     assert (code, out) == (2, ""), (code, out, err)
     assert err.startswith("error: ") and message in err, err
+
+
+# float() refused the "p/q" strings that every other scalar entry takes
+@pytest.mark.parametrize("name", ["cantor", "nsq"])
+def test_rational_seed_diameters_read_as_their_value(tmp_path, name):
+    runs = []
+    for seed in ("1/2", 0.5):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_set(name, ("seed_diameter",), seed)))
+        runs.append(run_main(["validate", str(path), "--depth", "6"]))
+    assert runs[0] == runs[1] and runs[0][0] in (0, 1) and runs[0][1], runs
 
 
 # found by the fuzz test below: valid shapes whose arithmetic fails downstream

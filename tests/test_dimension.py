@@ -1,6 +1,7 @@
 """Box counting, Minkowski slopes, cover sums, and packings."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -24,14 +25,16 @@ from moranlab import (
     packing_growth_check,
 )
 from moranlab.dimension import hausdorff_upper_sum
+from moranlab.specio import load_spec
 
 T_STAR = math.log(2) / math.log(3)
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
-def cantor_cloud(depth=8):
+def cantor_cloud(depth=8, space=EuclideanSpace(1)):
     maps = (SimilitudeMap(1 / 3, (0.0,)), SimilitudeMap(1 / 3, (1.0,)))
     system = ContractionSystem(
-        EuclideanSpace(1), maps, ((0.0,), (1.0,)), seed_diameter=1.0
+        space, maps, ((0.0,), (1.0,)), seed_diameter=1.0
     )
     return attractor_cloud(system, depth)
 
@@ -69,13 +72,20 @@ def test_box_count_degenerate_cases():
         box_count(cloud, 0.1, method="octree")
 
 
-def test_grid_counts_refuse_symbol_clouds():
-    # padded letter rows are no coordinates: their grid cells count nothing
+def test_grid_counts_refuse_non_euclidean_clouds():
+    # grid cells are r wide in the rows' own units: padded letter rows are no
+    # coordinates, a snowflake r-ball is r**(1/p) wide (depth-10 cantor, p = 1/2,
+    # r = 0.1: greedy 32, grid 8) and Heisenberg rows are not gauge distances
+    # (depth 3, r = 0.2: greedy 1024, grid 398)
     maps = (SymbolMap(((1, 0), (1,), (1,))), SymbolMap(((2, 0), (2,), (2,))))
     tree = SymbolSpace(Alphabet(3))
-    for space in (tree, SnowflakeSpace(tree, 0.5)):
-        system = ContractionSystem(space, maps, ((0, 0, 0, 0),), seed_diameter=1.0)
-        cloud = attractor_cloud(system, 6)
+    clouds = [
+        attractor_cloud(ContractionSystem(space, maps, ((0, 0, 0, 0),), seed_diameter=1.0), 6)
+        for space in (tree, SnowflakeSpace(tree, 0.5))
+    ]
+    clouds.append(cantor_cloud(6, SnowflakeSpace(EuclideanSpace(1), 0.5)))
+    clouds.append(attractor_cloud(load_spec(SPECS / "heisenberg.json").require_system(), 2))
+    for cloud in clouds:
         assert box_count(cloud, 0.1) > 1
         for r in (0.1, 2.0):
             with pytest.raises(DomainError, match="greedy"):

@@ -1,5 +1,6 @@
 """Diameter models, their level aggregates and scans, and the axiom fits."""
 
+import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -22,9 +23,9 @@ from moranlab import (
     validate_cmc,
     validate_wcmc,
 )
-from moranlab import models
+from moranlab import cli, models
 from moranlab.spaces import BLOCK_ELEMENTS
-from moranlab.specio import load_spec
+from moranlab.specio import LoadedSpec, load_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -92,19 +93,15 @@ def test_multiplicative_input_validation():
 
 
 # a NaN seed diameter passed every ``seed_diameter <= 0`` check
-def test_multiplicative_model_rejects_a_nan_seed_diameter():
+@pytest.mark.parametrize("seed", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("build", [
+    lambda seed: MultiplicativeModel((0.5, 0.5), seed_diameter=seed),
+    lambda seed: LevelModel(lambda n: 0.5, 2, seed_diameter=seed),
+    lambda seed: GeneralModel(lambda w: -float(len(w)), Alphabet(2), seed_diameter=seed),
+], ids=["multiplicative", "level", "general"])
+def test_models_reject_a_seed_diameter_that_is_not_positive(build, seed):
     with pytest.raises(DomainError, match="seed diameter must be positive"):
-        MultiplicativeModel((0.5, 0.5), seed_diameter=math.nan)
-
-
-def test_level_model_rejects_a_nan_seed_diameter():
-    with pytest.raises(DomainError, match="seed diameter must be positive"):
-        LevelModel(lambda n: 0.5, 2, seed_diameter=math.nan)
-
-
-def test_general_model_rejects_a_nan_seed_diameter():
-    with pytest.raises(DomainError, match="seed diameter must be positive"):
-        GeneralModel(lambda w: -float(len(w)), Alphabet(2), seed_diameter=math.nan)
+        build(seed)
 
 
 def test_level_model_values():
@@ -246,7 +243,12 @@ def test_axiom_report_plumbing():
     report = validate_wcmc(cantor_model(), 6)
     with pytest.raises(KeyError):
         report.check("C9")
-    data = report.to_json()
+    # the CLI renders the report: its validate handler on the same model
+    args = cli.build_parser().parse_args(["validate", "model.json", "--depth", "6"])
+    text, code = args.func(LoadedSpec("cantor", model=cantor_model()), args)
+    data = json.loads(text)
+    assert code == 0 and list(data) == ["scheme", "depth", "passed", "constant", "checks"]
+    assert data["checks"] == json.loads(json.dumps([c._asdict() for c in report.checks]))
     assert data["scheme"] == "wcmc"
     assert data["passed"] is True
     assert {c["axiom"] for c in data["checks"]} == {"W1", "W2", "W3", "W4"}

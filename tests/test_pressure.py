@@ -16,13 +16,13 @@ from moranlab import (
     RectangleModel,
     moran_dimension,
     pressure_at,
-    pressure_curve,
     pressure_zero,
     self_affine_dimension,
     self_affine_pressure,
 )
+from moranlab import cli
 from moranlab.pressure import _bisect_zero
-from moranlab.specio import load_spec
+from moranlab.specio import LoadedSpec, load_spec
 
 T_STAR = math.log(2) / math.log(3)
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -98,7 +98,6 @@ def test_cantor_zero_is_stable():
     assert zero.value == pytest.approx(T_STAR, abs=1e-11)
     assert zero.stable
     assert zero.drift == pytest.approx(0.0, abs=1e-11)
-    assert float(zero) == zero.value
 
 
 def test_drifting_zeros_of_the_slow_level_model():
@@ -232,9 +231,12 @@ def test_self_affine_feasibility():
 
 
 def test_pressure_curve_csv_layout():
-    curve = pressure_curve(cantor_model(), (0.5, T_STAR), 10)
-    text = curve.to_csv()
+    # the CLI renders the curve: its pressure handler on the same model
+    argv = ["pressure", "model.json", "--t-grid", "0.5,%r" % T_STAR, "--depth", "10"]
+    args = cli.build_parser().parse_args(argv)
+    text, code = args.func(LoadedSpec("cantor", model=cantor_model()), args)
     lines = text.splitlines()
+    assert code == 0
     assert lines[0] == "t,pressure,depth"
     assert lines[1] == "0.5,0.143841036226,10"
     assert len(lines) == 3

@@ -165,7 +165,6 @@ def test_every_public_name_has_a_caller():
 # Classes that may define their own sequence or equality protocol, each with its reason;
 # every other result record is a ``typing.NamedTuple``, which brings both.
 PROTOCOLS_BY_DESIGN = {
-    "CollisionScan": "iterates and counts its collision triples (acceptance criterion 6)",
     "PointCloud": "a sequence of rows: len is its point count",
     "_LevelPoints": "the exact rows of a cloud, a Sequence that builds a point on each read",
     "QuadraticNumber": "a number: equal values compare equal across types",
@@ -183,6 +182,20 @@ def test_records_are_named_tuples():
             ):
                 offenders.add(node.name)
     assert offenders <= set(PROTOCOLS_BY_DESIGN), sorted(offenders - set(PROTOCOLS_BY_DESIGN))
+
+
+def test_only_the_cli_renders_output():
+    """The 12-digit format and the CSV and JSON shapes live in ``cli`` alone."""
+    offenders = set()
+    for path in (PKG_ROOT / "src" / "moranlab").glob("*.py"):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in ("to_csv", "to_json"):
+                offenders.add("%s: def %s" % (path.name, node.name))
+            elif isinstance(node, ast.Constant) and "%.12g" in str(node.value):
+                offenders.add("%s: %r" % (path.name, node.value))
+    assert not offenders, sorted(offenders)
 
 
 # The functions that may run a map's ``apply``: the word map, the one level

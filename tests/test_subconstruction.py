@@ -1,6 +1,7 @@
 """Dimension-prescribing subconstructions and the window check."""
 
 import itertools
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moranlab import subconstruction
+from moranlab import cli, subconstruction
 from moranlab import (
     DomainError,
     EnumerationCapError,
@@ -31,7 +32,7 @@ from moranlab import (
     verify_cmsc,
 )
 from moranlab.spaces import heisenberg_gauge, heisenberg_inverse, heisenberg_multiply
-from moranlab.specio import load_spec
+from moranlab.specio import LoadedSpec, load_spec
 from moranlab.words import Alphabet
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -133,8 +134,17 @@ def test_window_holds_for_the_greedy_subtree():
     assert report.ratio_max == pytest.approx(16 / 9, rel=1e-12)
     assert report.witness_low == (((0,), 3))
     assert report.witness_high == ((0, 0, 0, 0), 5)
-    data = report.to_json()
+    # the CLI renders the report: its validate handler on the same model and greedy tree
+    argv = ["validate", "model.json", "--axioms", "cmsc", "--t", "0.4", "--depth", "10"]
+    args = cli.build_parser().parse_args(argv)
+    text, code = args.func(LoadedSpec("ternary", model=ternary_model()), args)
+    data = json.loads(text)
+    assert code == 0 and list(data) == [
+        "t", "C", "depth", "holds", "c_witnessed", "ratio_min", "ratio_max",
+        "witness_low", "witness_high", "note",
+    ]
     assert data["holds"] is True
+    assert data["witness_low"] == {"word": "0", "n": 3}
     assert data["witness_high"] == {"word": "0-0-0-0", "n": 5}
 
 

@@ -27,6 +27,7 @@ from moranlab import (
     semiconformal_bounds,
     separation_epsilon,
 )
+from moranlab.cli import _cloud_csv
 from moranlab.specio import load_spec
 from moranlab.systems import ContractionMap
 
@@ -77,7 +78,7 @@ def test_cantor_cloud_at_depth_two():
     assert cloud.labels == ((0, 0), (0, 1), (1, 0), (1, 1))
     xs = [p[0] for p in cloud.points]
     assert xs == pytest.approx([0.0, 2 / 9, 2 / 3, 8 / 9], abs=1e-15)
-    assert cloud.to_csv().splitlines()[0] == "word,x"
+    assert _cloud_csv(cloud).splitlines()[0] == "word,x"
 
 
 def test_cloud_sampling_options():
@@ -95,7 +96,7 @@ def test_comb_cloud_points_follow_the_anchor_formula():
     maps = (CombMap(r, 0), CombMap(r, 1))
     system = ContractionSystem(space, maps, ((0.0, 0.5),))
     cloud = attractor_cloud(system, 3)
-    for word, (x, y) in cloud.items():
+    for word, (x, y) in zip(cloud.labels, cloud.points):
         anchor = sum(s * r**k for k, s in enumerate(word))  # x_w = sum(w_k r**(k-1))
         assert x == pytest.approx(anchor, abs=1e-15)
         assert y == pytest.approx(r**3 * 0.5, abs=1e-15)
