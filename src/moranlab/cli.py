@@ -66,22 +66,6 @@ def _json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _spec_model(spec):
-    """Spec's model; induces one from a generated cloud when required."""
-    from .systems import attractor_cloud
-
-    try:
-        return spec.get_model()
-    except DomainError:
-        system = spec.require_system()
-        # the largest cloud of at most 512 points: (8, 2) for two maps
-        samples = min(2, len(system.seed_points))
-        depth = 1
-        while system.alphabet.size ** (depth + 1) * samples <= 512:
-            depth += 1
-        return spec.get_model(attractor_cloud(system, depth, samples))
-
-
 def _cloud_model(spec, args):
     """The ``--depth``/``--samples`` cloud of the spec's system and its model."""
     from .systems import attractor_cloud
@@ -93,7 +77,7 @@ def _cloud_model(spec, args):
 def _cmd_pressure(spec, args):
     from .pressure import pressure_curve, pressure_zero
 
-    model = _spec_model(spec)
+    model = spec.get_model()
     if not args.zero:
         curve = pressure_curve(model, _parse_grid(args.t_grid), args.depth)
         rows = ((t, p, curve.depth) for t, p in zip(curve.t_values, curve.p_values))
@@ -176,7 +160,7 @@ def _parse_subtree(text: str | None, t: float | None, depth: int):
 
 
 def _cmd_validate(spec, args):
-    model = _spec_model(spec)
+    model = spec.get_model()
     if args.axioms == "cmsc":
         from .subconstruction import verify_cmsc
 

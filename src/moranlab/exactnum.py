@@ -109,9 +109,6 @@ class QuadraticNumber:
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
-    def __repr__(self) -> str:
-        return "QuadraticNumber(%s + %s*sqrt(%d))" % (self.a, self.b, self.d)
-
 
 #: The golden section (sqrt(5) - 1) / 2, the canonical overlap-producing ratio.
 GOLDEN_RATIO = QuadraticNumber(Fraction(-1, 2), Fraction(1, 2), 5)

@@ -194,7 +194,7 @@ def _entry(name: str, build, *args):
     """``build(*args)``; bad input in it becomes a :class:`SpecError` naming the entry."""
     try:
         return build(*args)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         why = "missing key %s" % exc if isinstance(exc, KeyError) else exc
         raise SpecError("%s: %s" % (name, why)) from exc
 
@@ -238,11 +238,7 @@ class LoadedSpec(NamedTuple):
 
     def get_model(self, cloud=None) -> DiameterModel:
         """Declared model if present, else the system's induced model."""
-        if self.model is not None:
-            return self.model
-        if self.system is not None:
-            return self.system.induced_model(cloud)
-        raise SpecError("spec %r declares neither model nor system" % self.name)
+        return self.model if self.model is not None else self.require_system().induced_model(cloud)
 
 
 def spec_from_dict(data: dict) -> LoadedSpec:

@@ -105,11 +105,8 @@ class Affine2DMap(ContractionMap):
         tx, ty = self.translation
         return (a * x + b * y + tx, c * x + d * y + ty)
 
-    def _array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=float)
-
     def lip_bounds(self):
-        s = np.linalg.svd(self._array(), compute_uv=False)
+        s = np.linalg.svd(np.array(self.matrix, dtype=float), compute_uv=False)
         return (float(s[-1]), float(s[0]))
 
 
@@ -301,63 +298,101 @@ class ContractionSystem:
         """``lip_bounds()`` of each map, computed once per system."""
         return tuple(m.lip_bounds() for m in self.maps)
 
-    def word_lip_bounds(self, word: Word) -> tuple[float, float, bool]:
-        """Two-sided contraction bounds of ``phi_w`` and whether they are exact.
+    def word_lip_bounds(self, word: Word) -> SemiconformalBounds:
+        """Distortion bounds ``lower <= d(phi_w x, phi_w y)/d(x, y) <= upper``.
 
         Products of per-map bounds are always valid; when every map along
         the word is an axis/rigid similitude (lower == upper) the product
         is the exact distortion.  For chains of planar affine maps the
         singular values of the product matrix are used instead (exact).
         Map bounds are stated in the coordinate metric; the space turns
-        them into bounds in its own metric.
+        them into bounds in its own metric.  A word through a map without
+        exact bounds is sampled where the space's points are words: the
+        ratio runs over every resolved pair of :attr:`_pair_pool`, where
+        prefix-rewriting maps attain their extremes already, and the result
+        is flagged inexact (one-sided).  On any other space such a word
+        raises :class:`DomainError`.
         """
         bound = self.space.metric_bound
         if all(isinstance(self.maps[s], Affine2DMap) for s in word) and len(word) > 0:
             prod = np.eye(2)
             for s in word:
-                prod = prod @ self.maps[s]._array()
+                prod = prod @ np.array(self.maps[s].matrix, dtype=float)
             sv = np.linalg.svd(prod, compute_uv=False)
-            return bound(float(sv[-1])), bound(float(sv[0])), True
-        lo, hi = 1.0, 1.0
-        exact = True
+            return SemiconformalBounds(bound(float(sv[-1])), bound(float(sv[0])), True)
+        lo, hi, exact = 1.0, 1.0, True
         for s in word:
             b = self.map_lip_bounds[s]
             if b is None:
-                raise DomainError(
-                    "map %d has no exact contraction bounds; sample with "
-                    "semiconformal_bounds instead" % s
-                )
+                break
             lo *= b[0]
             hi *= b[1]
             exact = exact and (b[0] == b[1])
-        return bound(lo), bound(hi), exact
+        else:
+            return SemiconformalBounds(bound(lo), bound(hi), exact)
+        if self.space.coordinate_dim is not None:
+            raise DomainError("map %d has no exact contraction bounds" % s)
+        pool, blocks = self._pair_pool
+        I = self.space.coordinates([self.apply_word(word, u) for u in pool])
+        lo, hi = math.inf, 0.0
+        for rows, resolved, duv in blocks:
+            r = self.space.distances(I, I[rows])[resolved] / duv
+            if r.size:
+                lo, hi = min(lo, float(r.min())), max(hi, float(r.max()))
+        if hi == 0.0:
+            raise DomainError("no resolved pair in the sampling pool")
+        return SemiconformalBounds(lo, hi, False)
+
+    @cached_property
+    def _pair_pool(self) -> tuple[list[Word], list[tuple]]:
+        """The words of the space's tree at the least depth ``>= 3`` with at
+        least 64 pairs, and their distances in row blocks ``(rows, resolved,
+        d)``: ``d`` holds the distances from the pool to the words
+        ``pool[rows]`` where ``resolved`` (non-zero).  Built once per system."""
+        # the maps act on branches of the space's tree, which may be wider
+        # than the index alphabet of the system itself
+        space, pool_depth = self.space, 3
+        while math.comb(space.alphabet.size**pool_depth, 2) < 64:
+            pool_depth += 1
+        pool = list(space.alphabet.words(pool_depth))
+        P, step, blocks = space.coordinates(pool), block_rows(len(pool)), []
+        for a in range(0, len(pool), step):
+            # every ordered pair: the tree metric is symmetric, bit for bit
+            duv = space.distances(P, P[a : a + step])
+            resolved = duv != 0.0
+            blocks.append((slice(a, a + step), resolved, duv[resolved]))
+        return pool, blocks
 
     # -- induced diameter model -------------------------------------------
-
-    def _estimated_seed_diameter(self, cloud: PointCloud | None) -> float:
-        if self.seed_diameter is not None:
-            return self.seed_diameter
-        if cloud is None or len(cloud) < 2:
-            raise DomainError("system has no declared seed diameter; supply a cloud to estimate it")
-        return _sampled_diameter(self.space, cloud.coordinates[:: max(1, len(cloud) // 256)])
 
     def induced_model(self, cloud: PointCloud | None = None):
         """Diameter model of the pieces ``X_w = phi_w(E)``.
 
         Exact multiplicative when every map has tight contraction bounds
         (similitudes, comb branches, Carnot halvings); otherwise sampled
-        from the cloud, with the usual one-sided caveat.
+        from the cloud, with the usual one-sided caveat.  Without a declared
+        seed diameter the cloud's samples estimate it.  When the model needs
+        samples and no cloud is given, the system samples itself: the
+        largest cloud of at most 512 points with ``min(2, #seeds)`` samples
+        per piece, at depth ``>= 1``.
         """
         from .models import GeneralModel, MultiplicativeModel
 
         bounds = self.map_lip_bounds
-        seed = self._estimated_seed_diameter(cloud)
-        if all(b is not None and b[0] == b[1] for b in bounds):
+        tight = all(b is not None and b[0] == b[1] for b in bounds)
+        if cloud is None and (self.seed_diameter is None or not tight):
+            # (8, 2) for two maps
+            samples, depth = min(2, len(self.seed_points)), 1
+            while self.alphabet.size ** (depth + 1) * samples <= 512:
+                depth += 1
+            cloud = attractor_cloud(self, depth, samples)
+        seed = self.seed_diameter
+        if seed is None:
+            seed = _sampled_diameter(self.space, cloud.coordinates[:: max(1, len(cloud) // 256)])
+        if tight:
             ratios = [self.space.metric_bound(b[0]) for b in bounds]
             model = MultiplicativeModel(ratios, seed_diameter=seed)
         else:
-            if cloud is None:
-                raise DomainError("sampled diameter model needs a cloud")
             cache: dict[Word, float] = {}
 
             def log_diam(word: Word) -> float:
@@ -413,7 +448,7 @@ def _sampled_diameter(space: MetricSpace, X: np.ndarray) -> float:
         d = space.distances(X[: b - 1], X[a:b])
         d[np.arange(b - 1) >= np.arange(a, b)[:, None]] = -np.inf
         row_max.extend(d.max(axis=1).tolist())
-    return max(row_max)
+    return max(row_max, default=0.0)  # one row has no pair: a seed no model takes
 
 
 def attractor_cloud(system: ContractionSystem, depth: int, samples_per_leaf: int = 1) -> PointCloud:
@@ -619,57 +654,10 @@ class SemiconformalBounds(NamedTuple):
     exact: bool
 
 
-def semiconformal_bounds(
-    system: ContractionSystem, word: Word, pair_samples: int = 64
-) -> SemiconformalBounds:
-    """Distortion bounds ``s_lower <= d(phi_w x, phi_w y)/d(x, y) <= s_upper``.
-
-    Exact for chains with known per-map distortion (similitudes, comb
-    branches, planar affine chains, Carnot halvings).  For symbolic
-    systems the ratio is evaluated over at least ``pair_samples`` pairs
-    drawn from a deterministic pool of short prefixes; prefix-rewriting
-    maps attain their extremes on such pairs already, but the result is
-    flagged as sampled (one-sided).
-    """
-    return SemiconformalBounds(*next(_word_bounds(system, (word,), pair_samples)))
-
-
-def _word_bounds(system: ContractionSystem, words, pair_samples: int = 64) -> Iterator[tuple]:
-    """``(lower, upper, exact)`` of :func:`semiconformal_bounds` for each word.
-
-    The sampling pool, its rows and its pair distances are the same for
-    every word: they are built once, when the first symbolic word needs them.
-    """
-    if pair_samples < 2:
-        raise DomainError("need at least two sampled pairs")
-    symbolic = {s for s, m in enumerate(system.maps) if isinstance(m, SymbolMap)}
-    space, blocks = system.space, None
-    for word in words:
-        if symbolic.isdisjoint(word):
-            yield system.word_lip_bounds(word)
-            continue
-        if blocks is None:
-            # the maps act on branches of the space's tree, which may be wider
-            # than the index alphabet of the system itself
-            alphabet, pool_depth = space.alphabet, 3
-            while math.comb(alphabet.size**pool_depth, 2) < pair_samples:
-                pool_depth += 1
-            pool = list(alphabet.words(pool_depth))
-            P, step, blocks = space.coordinates(pool), block_rows(len(pool)), []
-            for a in range(0, len(pool), step):
-                # every ordered pair: the tree metric is symmetric, bit for bit
-                duv = space.distances(P, P[a : a + step])
-                resolved = duv != 0.0
-                blocks.append((slice(a, a + step), resolved, duv[resolved]))
-        I = space.coordinates([system.apply_word(word, u) for u in pool])
-        lo, hi = math.inf, 0.0
-        for rows, resolved, duv in blocks:
-            r = space.distances(I, I[rows])[resolved] / duv
-            if r.size:
-                lo, hi = min(lo, float(r.min())), max(hi, float(r.max()))
-        if hi == 0.0:
-            raise DomainError("no resolved pair in the sampling pool")
-        yield lo, hi, False
+def semiconformal_bounds(system: ContractionSystem, word: Word) -> SemiconformalBounds:
+    """``system.word_lip_bounds(word)``, the one bounds path, called as a
+    function of the system."""
+    return system.word_lip_bounds(word)
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +811,7 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
     prod = np.concatenate(prods[1:])
     sep = np.fromiter(map(space.metric_bound, prod.tolist()), float, len(prod))
     other = np.flatnonzero(np.isnan(prod))
-    sep[other] = [b[0] for b in _word_bounds(system, [words[i] for i in other])]
+    sep[other] = [system.word_lip_bounds(words[i]).lower for i in other]
     size = system.alphabet.size
 
     # word k covers the depth-``depth`` index range [lo[k], hi[k]); the words
@@ -860,8 +848,10 @@ def finite_clustering_sup(
     ``x`` ranges over an evenly strided deterministic subsample of the
     cloud and ``r`` over the grid.  The result lower-bounds the true
     finite clustering supremum: both the probe points and the piece
-    samples are finite.  Radii outside ``(0, seed diameter)`` or too
-    fine for the cloud depth are skipped with a warning.
+    samples are finite, and a piece whose samples all miss the ball only
+    lowers the count, so the error is one-sided in the safe direction.
+    Radii outside ``(0, seed diameter)`` or too fine for the cloud depth
+    are skipped with a warning.
     """
     if x_samples < 1:
         raise DomainError("need at least one probe point")
@@ -900,7 +890,10 @@ def ball_condition_probe(
     Pieces are visited in order of decreasing diameter; candidate centers
     are the piece's sampled points in cloud order; the first candidate
     compatible with the already chosen centers wins (greedy first fit).
-    Sampled candidates make the reported ``delta`` a lower bound.
+    Sampled centers only make the placement harder, but a piece whose
+    samples all miss the ball is left out, which makes it easier: ``delta``
+    is no certified lower bound (``specs/cantor.json`` at depth 6, ``r =
+    0.173``, ``x = 0.95`` gives 1; see the ball-probe item of ROADMAP.md).
     """
     if not delta_grid or not all(d > 0 for d in delta_grid):
         raise DomainError("delta grid must be non-empty and positive, got %r" % (delta_grid,))

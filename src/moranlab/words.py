@@ -219,13 +219,12 @@ class LocalStoppingSet(NamedTuple):
 
     ``words`` is the (sample-based, hence possibly under-reported) set of
     stopping words whose piece meets the open ball; ``candidates`` is the
-    full stopping set at this radius, and ``sample_counts[i]`` records how
-    many cloud points witnessed ``candidates[i]``.
+    full stopping set at this radius.  The samples of ``candidates[i]`` are
+    the rows ``cloud.piece(candidates[i])``.
     """
 
     words: tuple[Word, ...]
     candidates: tuple[Word, ...]
-    sample_counts: tuple[int, ...]
 
 
 def local_stopping_set(model, cloud, x, r: float) -> LocalStoppingSet:
@@ -254,13 +253,12 @@ def local_stopping_sets(model, cloud, xs: Sequence, r: float) -> list[LocalStopp
     from .spaces import block_rows
 
     pieces = [cloud.piece(w) for w in candidates]
-    counts = tuple(piece.stop - piece.start for piece in pieces)
     space, X, out = cloud.space, cloud.coordinates, []
     Q, step = space.coordinates(xs), block_rows(len(X))
     for a in range(0, len(Q), step):
         for inside in space.distances(X, Q[a : a + step]) < r:
             words = tuple(w for w, piece in zip(candidates, pieces) if inside[piece].any())
-            out.append(LocalStoppingSet(words, tuple(candidates), counts))
+            out.append(LocalStoppingSet(words, tuple(candidates)))
     return out
 
 

@@ -256,6 +256,14 @@ BAD_SPECS = [
      _set("cantor", ("space",), {"kind": "snowflake", "base": {"kind": "euclidean", "dim": 1},
                                  "p": True}),
      ["generate", "--depth", "2"], "space: booleans are not numeric scalars"),
+    # integers beyond the float range: OverflowError, a traceback and exit 1
+    ("system seed diameter of 401 digits", _set("cantor", ("seed_diameter",), 10**400),
+     ["pressure", "--zero"], "seed_diameter: int too large to convert to float"),
+    ("similitude ratio of 401 digits", _set("cantor", ("maps", 0, "ratio"), 10**400),
+     ["pressure", "--zero"], "maps[0]: int too large to convert to float"),
+    ("model ratio of 401 digits",
+     {"type": "model", "name": "huge", "kind": "multiplicative", "ratios": [10**400, 0.5]},
+     ["pressure", "--zero"], "model: int too large to convert to float"),
 ]
 
 

@@ -113,20 +113,56 @@ def test_induced_model_is_exact_for_similitudes():
     assert system.induced_model(attractor_cloud(system, 5)).containment_check is not None
 
 
-def test_induced_model_of_affine_maps_needs_a_cloud():
+def affine_system():
     maps = (
         Affine2DMap(((1 / 2, 0.0), (0.0, 1 / 4)), (0.0, 0.0)),
         Affine2DMap(((1 / 4, 0.0), (0.0, 1 / 2)), (1 / 2, 1 / 2)),
     )
-    system = ContractionSystem(
+    return ContractionSystem(
         EuclideanSpace(2), maps, ((0.0, 0.0), (1.0, 1.0)), seed_diameter=math.sqrt(2)
     )
-    with pytest.raises(DomainError):
-        system.induced_model()
+
+
+def test_induced_model_of_affine_maps_samples_a_default_cloud():
+    system = affine_system()
+    # two maps, two seeds: the depth-8 cloud of 512 points
+    default = system.induced_model()
+    assert isinstance(default, GeneralModel)
+    assert default.diam((0, 1)) == system.induced_model(attractor_cloud(system, 8, 2)).diam((0, 1))
     cloud = attractor_cloud(system, 4, samples_per_leaf=2)
     model = system.induced_model(cloud)
     assert isinstance(model, GeneralModel)
     assert model.diam((0,)) <= model.seed_diameter
+
+
+@pytest.mark.parametrize("name", ["comb", "heisenberg", "symbolifs", "affine"])
+def test_induced_model_without_a_cloud_samples_the_documented_default(name):
+    """No seed diameter or inexact bounds: ``min(2, #seeds)`` samples per
+    piece, at the largest depth >= 1 with at most 512 points."""
+    system = affine_system() if name == "affine" else load_spec(SPECS / (name + ".json")).system
+    samples = min(2, len(system.seed_points))
+    depth = max([1] + [n for n in range(1, 10) if system.alphabet.size**n * samples <= 512])
+    default = system.induced_model()
+    given = system.induced_model(attractor_cloud(system, depth, samples))
+    assert default.seed_diameter == given.seed_diameter
+    for w in system.alphabet.words_up_to(3):
+        assert default.log_diam(w) == given.log_diam(w)
+    # the W1 verdict and its note
+    assert default.containment_check(3) == given.containment_check(3)
+
+
+def test_symbolic_word_bounds_sample_one_pool_per_system(monkeypatch):
+    system = load_spec(SPECS / "symbolifs.json").system
+    calls = []
+    coordinates = SymbolSpace.coordinates
+    monkeypatch.setattr(
+        SymbolSpace, "coordinates", lambda sp, points: calls.append(sp) or coordinates(sp, points)
+    )
+    words = list(system.alphabet.words_up_to(3))
+    for w in words:
+        assert system.word_lip_bounds(w) == semiconformal_bounds(system, w)
+    # the pool's rows once, then the images of the pool once per call
+    assert len(calls) == 1 + 2 * len(words)
 
 
 def test_containment_check_accepts_a_genuine_attractor():
@@ -177,11 +213,6 @@ def test_symbolic_distortion_lands_on_powers_of_two():
         assert bounds.lower == 2.0 ** (-len(word) - 1)
         assert bounds.upper == 2.0 ** (-len(word))
         assert not bounds.exact
-
-
-def test_semiconformal_pair_budget_validated():
-    with pytest.raises(DomainError):
-        semiconformal_bounds(symbol_system(), (0,), pair_samples=1)
 
 
 def test_symbolic_cylinder_check_passes_for_prefix_rewriters():

@@ -300,7 +300,7 @@ def test_local_stopping_set_near_the_left_end():
     local = local_stopping_set(model, cloud, (0.0,), 0.33)
     assert local.words == ((0, 0), (0, 1))
     assert local.candidates == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert local.sample_counts == (16, 16, 16, 16)
+    assert [len(cloud.coordinates[cloud.piece(w)]) for w in local.candidates] == [16] * 4
     assert len(local.words) == 2
 
 
