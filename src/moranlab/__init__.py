@@ -24,7 +24,7 @@ _EXPORTS = {
         "maximal_packing", "minkowski_estimate", "packing_growth_check",
     ),
     "errors": ("DomainError", "EnumerationCapError", "SpecError"),
-    "exactnum": ("GOLDEN_RATIO", "QuadraticNumber"),
+    "exactnum": ("GOLDEN_RATIO", "QuadraticNumber", "parse_scalar"),
     "models": (
         "AxiomCheck", "AxiomReport", "DiameterModel", "GeneralModel", "LevelModel",
         "MultiplicativeModel", "RectangleModel", "validate_cmc", "validate_wcmc",
@@ -40,7 +40,7 @@ _EXPORTS = {
     ),
     "specio": (
         "LoadedSpec", "load_spec", "map_from_dict", "model_from_dict",
-        "parse_scalar", "space_from_json", "spec_from_dict",
+        "space_from_json", "spec_from_dict",
     ),
     "stratification": ("HEISENBERG", "StratificationData", "beta_minus", "beta_plus"),
     "subconstruction": (

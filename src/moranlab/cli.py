@@ -99,7 +99,7 @@ def _cmd_pressure(spec, args):
 
 def _number(text: str, flag: str):
     """One finite number of ``flag`` (int, float or ``p/q``), exact where written so."""
-    from .specio import parse_scalar
+    from .exactnum import parse_scalar
 
     value = parse_scalar(text)
     try:
@@ -112,8 +112,11 @@ def _number(text: str, flag: str):
 
 
 def _numbers(text: str, flag: str) -> list[float]:
-    """A comma list of finite numbers, as floats."""
-    return [float(_number(v, flag)) for v in text.split(",") if v]
+    """A non-empty comma list of finite numbers, as floats."""
+    values = [float(_number(v, flag)) for v in text.split(",") if v]
+    if not values:
+        raise SpecError("%s needs at least one number" % flag)
+    return values
 
 
 def _integers(text: str, flag: str) -> tuple[int, ...]:
@@ -141,10 +144,7 @@ def _parse_grid(text: str) -> list[float]:
         if n < 2 or not a < b:
             raise SpecError("grid needs start < stop and count >= 2")
         return [a + (b - a) * k / (n - 1) for k in range(n)]
-    values = _numbers(text, "--t-grid")
-    if not values:
-        raise SpecError("empty grid")
-    return values
+    return _numbers(text, "--t-grid")
 
 
 def _parse_subtree(text: str | None, t: float | None, depth: int):
@@ -160,16 +160,18 @@ def _parse_subtree(text: str | None, t: float | None, depth: int):
 
 
 def _cmd_validate(spec, args):
+    t = None if args.t is None else float(_number(args.t, "--t"))
+    C = float(_number(args.constant, "-C"))
     model = spec.get_model()
     if args.axioms == "cmsc":
         from .subconstruction import verify_cmsc
 
-        if args.t is None:
+        if t is None:
             raise SpecError("cmsc validation needs --t")
         from .words import word_str
 
-        subtree = _parse_subtree(args.subtree, args.t, args.depth)
-        r = verify_cmsc(model, subtree, args.t, args.constant, args.depth)
+        subtree = _parse_subtree(args.subtree, t, args.depth)
+        r = verify_cmsc(model, subtree, t, C, args.depth)
         (low, n_low), (high, n_high) = r.witness_low, r.witness_high
         cmsc = {
             "t": r.t, "C": r.c_declared, "depth": r.depth, "holds": r.holds,
@@ -280,7 +282,7 @@ def _probe_clustering(spec, args):
     from .systems import finite_clustering_sup
 
     cloud, model = _cloud_model(spec, args)
-    radii = _numbers(args.scales, "--scales") if args.scales else _default_scales(cloud)
+    radii = _default_scales(cloud) if args.scales is None else _numbers(args.scales, "--scales")
     return {
         "clustering_sup": finite_clustering_sup(model, cloud, args.x_samples, radii),
         "depth": args.depth,
@@ -382,7 +384,8 @@ def _cmd_beta(spec, args):
     from .stratification import StratificationData, beta_minus, beta_plus
 
     strat = StratificationData(_integers(args.layers, "--layers"))
-    beta = {"beta_minus": beta_minus(strat, args.alpha), "beta_plus": beta_plus(strat, args.alpha)}
+    alpha = float(_number(args.alpha, "--alpha"))
+    beta = {"beta_minus": beta_minus(strat, alpha), "beta_plus": beta_plus(strat, alpha)}
     return _json(beta), 0
 
 
@@ -414,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("validate", _cmd_validate, "check construction axioms")
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--axioms", choices=("wcmc", "cmc", "cmsc"), default="wcmc")
-    p.add_argument("--t", type=float, default=None, help="exponent for cmsc")
-    p.add_argument("-C", "--constant", type=float, default=4.0, help="cmsc window")
+    p.add_argument("--t", default=None, help="exponent for cmsc (number or p/q)")
+    p.add_argument("-C", "--constant", default="4", help="cmsc window")
     p.add_argument("--subtree", default=None, help="'greedy' or comma branch counts (cmsc)")
 
     p = command("generate", _cmd_generate, "attractor cloud as csv/svg/ppm")
@@ -441,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("beta", _cmd_beta, "Carnot dimension comparison functions", spec=False)
     p.add_argument("--layers", required=True, help="layer dims, e.g. 2,1")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", required=True, help="Euclidean dimension (number or p/q)")
 
     return parser
 

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import DomainError
+from .errors import DomainError, SpecError
 
 
 def _issquare(n: int) -> bool:
@@ -125,3 +125,35 @@ def exact_value(x):
     if isinstance(x, Rational):
         return Fraction(x)
     return None
+
+
+def parse_scalar(value):
+    """Parse a spec's JSON scalar or a flag's text into int, float, Fraction or QuadraticNumber."""
+    if isinstance(value, bool):
+        raise SpecError("booleans are not numeric scalars")
+    if isinstance(value, (int, float)):
+        return value
+    if isinstance(value, str):
+        if "/" in value:
+            num, _, den = value.partition("/")
+            try:
+                return Fraction(int(num), int(den))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise SpecError("bad rational %r: %s" % (value, exc)) from exc
+        try:
+            return float(value)
+        except ValueError as exc:
+            raise SpecError("bad numeric string %r" % value) from exc
+    if isinstance(value, dict):
+        try:
+            if "fraction" in value:
+                num, den = value["fraction"]
+                return Fraction(num, den)
+            if "sqrt" in value:
+                spec = value["sqrt"]
+                return QuadraticNumber(Fraction(*spec["a"]), Fraction(*spec["b"]), int(spec["d"]))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+            raise SpecError("bad exact scalar %r: %s" % (value, why)) from exc
+        raise SpecError("unknown scalar object with keys %s" % sorted(value))
+    raise SpecError("cannot parse scalar %r" % (value,))

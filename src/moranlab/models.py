@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .words import Alphabet, SubTree, Word, _check_enum
+from .words import Alphabet, SubTree, Word, _check_enum, word_at
 
 # Fitted constants that grow by more than this factor between consecutive
 # depths are flagged as diverging (axiom violated rather than held).
@@ -54,7 +54,7 @@ class DiameterModel:
     #: every map shares it, 1/2 otherwise
     scale_ratio: float = 0.5
     #: optional geometric nesting check (set by system-induced models)
-    containment_check: Optional[Callable[[int], tuple[bool, str]]] = None
+    containment_check: Optional[Callable[[], tuple[bool, str]]] = None
 
     def __init__(self, alphabet: Alphabet, seed_diameter: float) -> None:
         if not seed_diameter > 0:  # NaN too
@@ -166,7 +166,7 @@ class DiameterModel:
                 lo = min(lo, (v, n, i))
                 v, i = _extreme(x, lowest=False)
                 hi = min(hi, (-v, n, i))
-            out.append((lo[0], -hi[0], _word_at(lo[2], a, lo[1]), _word_at(hi[2], a, hi[1])))
+            out.append((lo[0], -hi[0], word_at(lo[2], (a,) * lo[1]), word_at(hi[2], (a,) * hi[1])))
         return out
 
     def child_ratio_min(self, depth: int) -> list:
@@ -187,7 +187,7 @@ class DiameterModel:
         for n in range(1, depth + 1):
             v, i = _extreme((L[n].reshape(-1, a) - L[n - 1][:, None]).ravel(), lowest=True)
             lo = min(lo, (v, n, i))
-            out.append((lo[0], _word_at(lo[2], a, lo[1])))
+            out.append((lo[0], word_at(lo[2], (a,) * lo[1])))
         return out
 
 
@@ -205,11 +205,6 @@ def _extreme(x: np.ndarray, lowest: bool) -> tuple[float, int]:
     exps = np.array([math.exp(v) for v in logs.tolist()])
     best = float(exps.min() if lowest else exps.max())
     return best, int((near[np.isin(x.ravel()[near], logs[exps == best])] % x.shape[-1]).min())
-
-
-def _word_at(index: int, size: int, length: int) -> Word:
-    """The ``index``-th word of ``length`` symbols in lexicographic order."""
-    return tuple(int(s) for s in np.unravel_index(index, (size,) * length))
 
 
 class MultiplicativeModel(DiameterModel):
@@ -425,14 +420,14 @@ def _fitted(axiom: str, fit: float, fit_prev: float, witness: Word, note: str,
     return AxiomCheck(axiom, VIOLATED, fit, witness, stab, note + grew % stab)
 
 
-def _w1_check(model: DiameterModel, depth: int) -> AxiomCheck:
+def _w1_check(model: DiameterModel) -> AxiomCheck:
     if model.containment_check is None:
         return AxiomCheck(
             "W1",
             NOT_CHECKABLE,
             note="nesting needs backing geometry; diameter-only models cannot witness it",
         )
-    ok, note = model.containment_check(depth)
+    ok, note = model.containment_check()
     return AxiomCheck("W1", HOLDS if ok else VIOLATED, note=note)
 
 
@@ -481,7 +476,7 @@ def validate_wcmc(model: DiameterModel, depth: int) -> AxiomReport:
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    w1 = _w1_check(model, depth)
+    w1 = _w1_check(model)
     w3 = _w3_check(model, depth)
     w4 = _w4_check(model, depth)
     D = max(1.0, w3.constant or 1.0, w4.constant or 1.0)
@@ -496,7 +491,7 @@ def validate_cmc(model: DiameterModel, depth: int) -> AxiomReport:
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    w1 = _w1_check(model, depth)
+    w1 = _w1_check(model)
     if depth < 2:
         c1 = AxiomCheck("C1", NOT_CHECKABLE, note="depth < 2 exposes no splits")
         D = 1.0

@@ -10,18 +10,19 @@ exactly before the final float conversion, so an exact zero stays zero.
 Spaces do not read or write spec files.
 
 Each space also has one vectorised kernel: ``coordinates(points)`` turns
-points into array rows and ``distances(X, Q)`` takes a block of query rows
-in that layout and returns ``D[i, j] = distance(X[j], Q[i])``; one point is
-a one-row block, and loops over many points pass blocks of :func:`block_rows`
-rows.  The kernel uses the scalar path's operand order and float operations
-(squares are products, the gauge's fourth root is two square roots, the
-snowflake exponent is libm's ``pow``), so on float coordinates it returns
-the scalar values bit for bit.  Exact coordinates enter as ``float(exact)``.
-Rows are column-major in every space, one contiguous array per coordinate
-or letter position, as the greedy cover reads them (README lists the cover
-variants measured slower).  The symbol kernel compares letter columns and
-finds each pair's first differing letter with one max-reduce; it counts if
-it lies inside the pair's common length.
+points into array rows (float rows from one builder, on :class:`MetricSpace`;
+letter rows on the symbol space) and ``distances(X, Q)`` takes a block of
+query rows in that layout and returns ``D[i, j] = distance(X[j], Q[i])``; one
+point is a one-row block, and loops over many points pass blocks of
+:func:`block_rows` rows.  The kernel uses the scalar path's operand order and
+float operations (squares are products, the gauge's fourth root is two square
+roots, the snowflake exponent is libm's ``pow``), so on float coordinates it
+returns the scalar values bit for bit.  Exact coordinates enter as
+``float(exact)``.  Rows are column-major in every space, one contiguous array
+per coordinate or letter position, as the greedy cover reads them (README
+lists the cover variants measured slower).  The symbol kernel compares letter
+columns and finds each pair's first differing letter with one max-reduce; it
+counts if it lies inside the pair's common length.
 """
 
 from __future__ import annotations
@@ -75,17 +76,9 @@ def row_minima(space: "MetricSpace", X: np.ndarray, Q: np.ndarray, skip=None) ->
     return np.concatenate(out)
 
 
-def _float_rows(points: Sequence, dim: int) -> np.ndarray:
-    """``float`` coordinates of ``dim``-dimensional points, one row each, column-major."""
-    try:
-        return np.array(points, dtype=float, order="F").reshape(len(points), dim)
-    except ValueError as exc:
-        raise DomainError("points are not all %d-dimensional" % dim) from exc
-
-
 class MetricSpace:
-    """Base class; subclasses implement ``distance`` and the kernel pair
-    ``coordinates`` / ``distances``."""
+    """Base class; subclasses implement ``distance`` and ``distances``, and
+    spaces whose points are not ``coordinate_dim`` numbers ``coordinates``."""
 
     __slots__ = ()
 
@@ -99,8 +92,13 @@ class MetricSpace:
         raise NotImplementedError
 
     def coordinates(self, points: Sequence) -> np.ndarray:
-        """The points as the rows of the array that :meth:`distances` reads."""
-        raise NotImplementedError
+        """The points as the rows of the array that :meth:`distances` reads:
+        ``float`` of their ``coordinate_dim`` numbers each, column-major."""
+        dim = self.coordinate_dim
+        try:
+            return np.array(points, dtype=float, order="F").reshape(len(points), dim)
+        except ValueError as exc:
+            raise DomainError("points are not all %d-dimensional" % dim) from exc
 
     def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """``D[i, j] = distance(X[j], Q[i])`` over rows of :meth:`coordinates`."""
@@ -125,9 +123,6 @@ class EuclideanSpace(MetricSpace):
 
     def distance(self, p, q) -> float:
         return euclidean_distance(p, q)
-
-    def coordinates(self, points: Sequence) -> np.ndarray:
-        return _float_rows(points, self.coordinate_dim)
 
     def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
         if Q.shape[1] != X.shape[1]:
@@ -248,7 +243,6 @@ class CombSpace(MetricSpace):
     coordinate_dim = 2
 
     distance = EuclideanSpace.distance
-    coordinates = EuclideanSpace.coordinates
     distances = EuclideanSpace.distances
 
 
@@ -300,9 +294,6 @@ class HeisenbergSpace(MetricSpace):
 
     def distance(self, p: HeisenbergPoint, q: HeisenbergPoint) -> float:
         return heisenberg_gauge(heisenberg_multiply(heisenberg_inverse(p), q))
-
-    def coordinates(self, points: Sequence) -> np.ndarray:
-        return _float_rows(points, self.coordinate_dim)
 
     def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
         x2, y2, t2 = Q[:, 0, None], Q[:, 1, None], Q[:, 2, None]

@@ -26,12 +26,11 @@ way into map arithmetic.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, SpecError
-from .exactnum import QuadraticNumber
+from .exactnum import parse_scalar
 from .spaces import (
     CombSpace,
     EuclideanSpace,
@@ -52,38 +51,6 @@ from .words import Alphabet
 
 if TYPE_CHECKING:  # models load on first use: clouds of a system do not need them
     from .models import DiameterModel
-
-
-def parse_scalar(value):
-    """Parse a JSON scalar into int, float, Fraction, or QuadraticNumber."""
-    if isinstance(value, bool):
-        raise SpecError("booleans are not numeric scalars")
-    if isinstance(value, (int, float)):
-        return value
-    if isinstance(value, str):
-        if "/" in value:
-            num, _, den = value.partition("/")
-            try:
-                return Fraction(int(num), int(den))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SpecError("bad rational %r: %s" % (value, exc)) from exc
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise SpecError("bad numeric string %r" % value) from exc
-    if isinstance(value, dict):
-        try:
-            if "fraction" in value:
-                num, den = value["fraction"]
-                return Fraction(num, den)
-            if "sqrt" in value:
-                spec = value["sqrt"]
-                return QuadraticNumber(Fraction(*spec["a"]), Fraction(*spec["b"]), int(spec["d"]))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
-            raise SpecError("bad exact scalar %r: %s" % (value, why)) from exc
-        raise SpecError("unknown scalar object with keys %s" % sorted(value))
-    raise SpecError("cannot parse scalar %r" % (value,))
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +83,13 @@ def _object(data) -> dict:
     return data
 
 
-def _sized(values, width: int, name: str, parse=parse_scalar) -> tuple:
-    """``parse`` of each entry of ``values``, which must have ``width`` of them."""
-    if len(values) != width:
+def _sized(values, name: str, width: int | None = None, parse=parse_scalar) -> tuple:
+    """``parse`` of each entry of the JSON list ``values`` (``width`` of them if given)."""
+    if not isinstance(values, list):
+        raise SpecError("%s must be a JSON list, got %r" % (name, values))
+    if width is not None and len(values) != width:
         raise SpecError("%s needs %d entries, got %r" % (name, width, values))
-    return tuple(parse(v) for v in values)
+    return tuple(map(parse, values))
 
 
 def _real(value) -> float:
@@ -154,17 +123,17 @@ def space_from_json(data: dict) -> MetricSpace:
 def map_from_dict(data: dict):
     kind = _object(data).get("kind")
     if kind == "similitude":
-        fixed_point = tuple(parse_scalar(c) for c in data["fixed_point"])
+        fixed_point = _sized(data["fixed_point"], "fixed_point")
         return SimilitudeMap(parse_scalar(data["ratio"]), fixed_point)
     if kind == "affine2d":
-        matrix = _sized(data["matrix"], 2, "matrix", lambda row: _sized(row, 2, "a row", _real))
-        return Affine2DMap(matrix, _sized(data["translation"], 2, "translation", _real))
+        matrix = _sized(data["matrix"], "matrix", 2, lambda row: _sized(row, "a row", 2, _real))
+        return Affine2DMap(matrix, _sized(data["translation"], "translation", 2, _real))
     if kind == "comb":
         return CombMap(parse_scalar(data["r"]), _integer(data, "shift"))
     if kind == "symbol":
-        return SymbolMap(tuple(tuple(w) for w in data["table"]))
+        return SymbolMap(_sized(data["table"], "table", parse=tuple))
     if kind == "carnot":
-        return CarnotMap(_sized(data["anchor"], 3, "anchor", _real))
+        return CarnotMap(_sized(data["anchor"], "anchor", 3, _real))
     raise SpecError("unknown map kind %r" % kind)
 
 
@@ -180,14 +149,14 @@ def _system_map(data, space):
     if acts_on != width:
         raise SpecError("a %s map acts on points of width %s, not %s" % (kind, acts_on, width))
     if width is None:
-        _sized(m.table, space.alphabet.size, "the table", space.alphabet.check_word)
+        _sized(data["table"], "the table", space.alphabet.size, space.alphabet.check_word)
     return m
 
 
 def _seed_point(point, space):
     if space.coordinate_dim is None:
-        return space.alphabet.check_word(point)
-    return _sized(point, space.coordinate_dim, "a seed point")
+        return space.alphabet.check_word(_sized(point, "a seed point", parse=lambda s: s))
+    return _sized(point, "a seed point", space.coordinate_dim)
 
 
 def _entry(name: str, build, *args):
@@ -205,7 +174,7 @@ def model_from_dict(data: dict) -> DiameterModel:
     kind = _object(data).get("kind")
     if kind == "multiplicative":
         return MultiplicativeModel(
-            [_real(r) for r in data["ratios"]],
+            _sized(data["ratios"], "ratios", parse=_real),
             seed_diameter=_real(data.get("seed_diameter", 1.0)),
         )
     if kind == "level":
@@ -220,7 +189,7 @@ def model_from_dict(data: dict) -> DiameterModel:
             seed_diameter=_real(data.get("seed_diameter", 1.0)),
         )
     if kind == "rectangle":
-        return RectangleModel([_real(v) for v in data["a"]], [_real(v) for v in data["b"]])
+        return RectangleModel(*(_sized(data[key], key, parse=_real) for key in "ab"))
     raise SpecError("unknown model kind %r" % kind)
 
 
@@ -253,7 +222,7 @@ def spec_from_dict(data: dict) -> LoadedSpec:
             space = _entry("space", space_from_json, data["space"])
             maps = [_entry("maps[%d]" % k, _system_map, m, space)
                     for k, m in enumerate(data["maps"])]
-            points = enumerate(data["seed_points"])
+            points = enumerate(_sized(data["seed_points"], "seed_points", parse=lambda p: p))
         except KeyError as exc:
             raise SpecError("system spec missing key %s" % exc) from exc
         seeds = tuple(_entry("seed_points[%d]" % k, _seed_point, p, space) for k, p in points)

@@ -20,10 +20,6 @@ class StratificationData:
         self.layer_dims = tuple(int(m) for m in layer_dims)
 
     @property
-    def steps(self) -> int:
-        return len(self.layer_dims)
-
-    @property
     def topological_dim(self) -> int:
         return sum(self.layer_dims)
 

@@ -20,13 +20,11 @@ import warnings
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError
 from .models import DiameterModel, LevelModel
 from .stratification import StratificationData, beta_minus
 from .systems import CarnotMap
-from .words import SubTree, Word
+from .words import SubTree, Word, word_at
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 
@@ -91,24 +89,16 @@ def verify_cmsc(
     # entry m, rows: the length-m subtree words (or one row); columns: n = 1 .. depth - m
     for m, R in enumerate(model.window_ratios(t, depth, subtree)):
         lo, hi = int(R.argmin()), int(R.argmax())
-        counts = subtree.branch_counts[:m]
+        digits = (*subtree.branch_counts[:m], R.shape[1])  # the row's word i, then n - 1
         if R.flat[lo] < ratio_min:
-            ratio_min, wit_low = float(R.flat[lo]), _window_witness(lo, R, counts)
+            *i, n = word_at(lo, digits)
+            ratio_min, wit_low = float(R.flat[lo]), (tuple(i), n + 1)
         if R.flat[hi] > ratio_max:
-            ratio_max, wit_high = float(R.flat[hi]), _window_witness(hi, R, counts)
+            *i, n = word_at(hi, digits)
+            ratio_max, wit_high = float(R.flat[hi]), (tuple(i), n + 1)
 
     holds = (1.0 / C < ratio_min) and (ratio_max < C)
     return CmscReport(float(t), float(C), depth, ratio_min, ratio_max, wit_low, wit_high, holds)
-
-
-def _window_witness(k: int, R: np.ndarray, prefix_counts: tuple[int, ...]) -> tuple[Word, int]:
-    """``(i, n)`` of the flat index ``k`` into the window ratios ``R``.
-
-    Row ``r`` of ``R`` is the ``r``-th word with ``i_j < prefix_counts[j]``
-    in lexicographic order, column ``c`` the suffix length ``n = c + 1``.
-    """
-    row, col = divmod(k, R.shape[1])
-    return tuple(int(s) for s in np.unravel_index(row, prefix_counts)), col + 1
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,8 @@ class CombMap(ContractionMap):
     __slots__ = ("r", "shift")
 
     def __init__(self, r, shift: int):
+        if not 0.0 < float(r) < 1.0:
+            raise DomainError("comb ratio must lie in (0, 1)")
         self.r = r
         self.shift = shift
 
@@ -417,24 +419,20 @@ class ContractionSystem:
     def _containment_check(self, cloud: PointCloud | None):
         if cloud is None or len(cloud) < 2:
             return None
-        stride = max(1, len(cloud) // 128)
-        sub, X = cloud.points[: 32 * stride : stride], cloud.coordinates[::stride]
-        space = self.space
-        # each sample's nearest other sample, folded as ``max`` does
-        resolution = 2.0 * max(row_minima(space, X, X, np.arange(len(X))).tolist())
 
-        def check(depth: int) -> tuple[bool, str]:
+        def check() -> tuple[bool, str]:
+            stride, space = max(1, len(cloud) // 128), self.space
+            sub, X = cloud.points[: 32 * stride : stride], cloud.coordinates[::stride]
+            # each sample's nearest other sample, folded as ``max`` does
+            resolution = 2.0 * max(row_minima(space, X, X, np.arange(len(X))).tolist())
             # level 1 of the samples: map k's images are block k
             far = row_minima(space, X, next(self.levels(sub)).rows) > max(resolution, 1e-9)
             out = far.reshape(len(self.maps), -1).any(axis=1)
+            within = "resolution %.3g" % resolution
             if out.any():
-                return False, (
-                    "map %d sends a sample farther than the sampled set "
-                    "resolution %.3g" % (int(out.argmax()), resolution)
-                )
-            return True, "sampled containment of each branch image within resolution %.3g" % (
-                resolution,
-            )
+                k = int(out.argmax())
+                return False, "map %d sends a sample farther than the sampled set %s" % (k, within)
+            return True, "sampled containment of each branch image within %s" % within
 
         return check
 
@@ -468,7 +466,7 @@ def attractor_cloud(system: ContractionSystem, depth: int, samples_per_leaf: int
     seeds = system.seed_points[:samples_per_leaf]
     shape = (system.space, depth, system.alphabet.size, len(seeds))
     level = next(itertools.islice(system.levels(seeds), depth - 1, None))
-    return PointCloud(*shape, level.points, level.rows)
+    return PointCloud(*shape, _LevelPoints(level.point, count), level.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +502,6 @@ class _IntegerLevel(NamedTuple):
     d: int
 
     @property
-    def points(self) -> "_LevelPoints":
-        return _LevelPoints(self.point, len(self.a[0]))
-
-    @property
     def rows(self) -> np.ndarray:
         """``float(exact)`` bit for bit: ints divide with correct rounding,
         and quadratic numbers convert as ``float(a) + float(b) * sqrt(d)``."""
@@ -532,10 +526,6 @@ class _RowLevel(NamedTuple):
 
     array: np.ndarray
     words: bool
-
-    @property
-    def points(self) -> "_LevelPoints":
-        return _LevelPoints(self.point, len(self.array))
 
     @property
     def rows(self) -> np.ndarray:
@@ -644,9 +634,11 @@ def _iterate_levels(maps, den: int, d: int, level: _IntegerLevel) -> Iterator[_I
 class SemiconformalBounds(NamedTuple):
     """Witnessed distortion interval of a word map.
 
-    When ``exact`` is false the interval was sampled from finitely many
-    point pairs: the true lower bound can only be smaller, the true upper
-    bound only larger.
+    When ``exact`` is false, either the interval was sampled from finitely
+    many point pairs (a word through a map without exact bounds), and the
+    true lower bound can only be smaller, the true upper only larger; or it
+    is a product of valid per-map bounds that are not tight (a word mixing
+    ``Affine2DMap`` with other maps), and the true bounds lie inside it.
     """
 
     lower: float
@@ -856,11 +848,11 @@ def finite_clustering_sup(
     if x_samples < 1:
         raise DomainError("need at least one probe point")
     stride = max(1, len(cloud) // x_samples)
-    probes = cloud.points[: x_samples * stride : stride]
+    Q = cloud.coordinates[: x_samples * stride : stride]
     sups = []
     for r in r_grid:
         try:
-            sups.append(max(len(s.words) for s in local_stopping_sets(model, cloud, probes, r)))
+            sups.append(max(len(s.words) for s in local_stopping_sets(model, cloud, Q, r)))
         except DomainError as exc:
             warnings.warn("skipping r=%r: %s" % (r, exc))
     if not sups:

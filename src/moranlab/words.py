@@ -103,6 +103,16 @@ def word_str(word: Word) -> str:
     return "-".join(str(s) for s in word) if word else "()"
 
 
+def word_at(index: int, counts: Sequence[int]) -> Word:
+    """The ``index``-th word in lexicographic order of those with ``i_k < counts[k]``
+    (``counts[k]`` branches at level ``k + 1``), read as mixed-radix digits."""
+    word: Word = ()
+    for b in reversed(counts):
+        index, s = divmod(index, b)
+        word = (s,) + word
+    return word
+
+
 # ---------------------------------------------------------------------------
 # the dyadic tree metric
 # ---------------------------------------------------------------------------
@@ -229,17 +239,17 @@ class LocalStoppingSet(NamedTuple):
 
 def local_stopping_set(model, cloud, x, r: float) -> LocalStoppingSet:
     """Stopping words whose sampled piece meets the open ball ``B(x, r)``."""
-    return local_stopping_sets(model, cloud, (x,), r)[0]
+    return local_stopping_sets(model, cloud, cloud.space.coordinates([x]), r)[0]
 
 
-def local_stopping_sets(model, cloud, xs: Sequence, r: float) -> list[LocalStoppingSet]:
-    """The local stopping set at radius ``r`` of each point of ``xs``.
+def local_stopping_sets(model, cloud, Q, r: float) -> list[LocalStoppingSet]:
+    """The local stopping set at radius ``r`` of each query row ``x`` of ``Q``.
 
     A piece ``X_i`` is approximated by the cloud points whose label starts
-    with ``i``; it is kept when some sample point lies at distance
-    strictly less than ``r`` from ``x``.  The approximation is one-sided:
-    sampling can only miss intersections, never invent them.  All points
-    share one stopping set, walked once and no deeper than the cloud.
+    with ``i``; it is kept when some sample lies at distance strictly less
+    than ``r`` from ``x``, a row of ``cloud.space.coordinates``.  Sampling
+    can only miss intersections, never invent them.  All rows share one
+    stopping set, walked once and no deeper than the cloud.
     """
     candidates, wide = _stopping_walk(model, r, cloud.depth)
     if wide:  # the first deeper stopping word in order: letters 0 below wide[0]
@@ -253,8 +263,7 @@ def local_stopping_sets(model, cloud, xs: Sequence, r: float) -> list[LocalStopp
     from .spaces import block_rows
 
     pieces = [cloud.piece(w) for w in candidates]
-    space, X, out = cloud.space, cloud.coordinates, []
-    Q, step = space.coordinates(xs), block_rows(len(X))
+    space, X, out, step = cloud.space, cloud.coordinates, [], block_rows(len(cloud))
     for a in range(0, len(Q), step):
         for inside in space.distances(X, Q[a : a + step]) < r:
             words = tuple(w for w, piece in zip(candidates, pieces) if inside[piece].any())

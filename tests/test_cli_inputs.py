@@ -117,6 +117,46 @@ def test_integer_list_flags_exit_2(monkeypatch, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+# --t, -C and --alpha were argparse floats: "p/q" was a usage error and nan or
+# inf reached the library (exit 3); empty number lists reached it too
+BAD_NUMBERS = [
+    (["validate", "specs/cantor.json", "--axioms", "cmsc", "--t", "nan"],
+     "--t takes finite numbers, got 'nan'"),
+    (["validate", "specs/cantor.json", "--axioms", "cmsc", "--t", "0.4", "-C", "inf"],
+     "-C takes finite numbers, got 'inf'"),
+    (["beta", "--layers", "2,1", "--alpha", "nan"], "--alpha takes finite numbers, got 'nan'"),
+    (["probe", "specs/cantor.json", "--probe", "clustering", "--scales", ","],
+     "--scales needs at least one number"),
+    (["probe", "specs/cantor.json", "--probe", "ball", "--r", "0.3", "--deltas", ","],
+     "--deltas needs at least one number"),
+    (["pressure", "specs/cantor.json", "--t-grid", ","], "--t-grid needs at least one number"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
+def test_number_flags_exit_2(monkeypatch, argv, message):
+    monkeypatch.chdir(PKG_ROOT)
+    code, out, err = run_main(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+RATIONAL_FLAGS = [
+    (["validate", "specs/cantor.json", "--axioms", "cmsc", "--depth", "6"], "--t", "1/2", "0.5"),
+    (["validate", "specs/cantor.json", "--axioms", "cmsc", "--depth", "6", "--t", "0.6"],
+     "-C", "9/2", "4.5"),
+    (["beta", "--layers", "2,1"], "--alpha", "5/2", "2.5"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,rational,decimal", RATIONAL_FLAGS,
+                         ids=[a[1] for a in RATIONAL_FLAGS])
+def test_number_flags_read_p_over_q_as_their_value(monkeypatch, argv, flag, rational, decimal):
+    monkeypatch.chdir(PKG_ROOT)
+    got, want = (run_main([*argv, flag, v]) for v in (rational, decimal))
+    assert got == want and got[0] in (0, 1) and got[1], got
+
+
 # -- argv fuzz --------------------------------------------------------------------
 
 NUMBERS = st.sampled_from([
@@ -264,6 +304,33 @@ BAD_SPECS = [
     ("model ratio of 401 digits",
      {"type": "model", "name": "huge", "kind": "multiplicative", "ratios": [10**400, 0.5]},
      ["pressure", "--zero"], "model: int too large to convert to float"),
+    # strings and objects were read as coordinate arrays: "0" as (0.0,), "01"
+    # as two seed points, {"0": 5} as (0.0,); each exit 0
+    ("seed point a string", _set("cantor", ("seed_points",), ["0", [1]]),
+     ["generate", "--depth", "2"], "seed_points[0]: a seed point must be a JSON list, got '0'"),
+    ("seed point an object", _set("cantor", ("seed_points", 0), {"0": 5}),
+     ["generate", "--depth", "2"], "seed_points[0]: a seed point must be a JSON list"),
+    ("seed points a string", _set("cantor", ("seed_points",), "01"),
+     ["generate", "--depth", "2"], "seed_points must be a JSON list, got '01'"),
+    ("similitude fixed point a string", _set("cantor", ("maps", 1, "fixed_point"), "1"),
+     ["generate", "--depth", "2"], "maps[1]: fixed_point must be a JSON list"),
+    ("affine2d translation a string", _set("selfaffine", ("maps", 1, "translation"), "00"),
+     ["generate", "--depth", "2"], "maps[1]: translation must be a JSON list"),
+    ("affine2d matrix row a string", _set("selfaffine", ("maps", 0, "matrix", 1), "01"),
+     ["generate", "--depth", "2"], "maps[0]: a row must be a JSON list"),
+    ("carnot anchor a string", _set("heisenberg", ("maps", 1, "anchor"), "010"),
+     ["generate", "--depth", "2"], "maps[1]: anchor must be a JSON list"),
+    ("symbol table a string", _set("symbolifs", ("maps", 0, "table"), "100"),
+     ["generate", "--depth", "2"], "maps[0]: table must be a JSON list"),
+    ("rectangle sides a string", _set("selfaffine", ("model", "a"), "11"),
+     ["pressure", "--zero"], "model: a must be a JSON list"),
+    # read as (5.0, 5.0): "ratios must lie in (0, 1)"
+    ("model ratios a string",
+     {"type": "model", "name": "digits", "kind": "multiplicative", "ratios": "55"},
+     ["pressure", "--zero"], "model: ratios must be a JSON list, got '55'"),
+    # a comb map took any ratio: a non-attractor printed with exit 0
+    ("comb ratio of two", _set("comb", ("maps", 0, "r"), 2),
+     ["generate", "--depth", "2"], "maps[0]: comb ratio must lie in (0, 1)"),
 ]
 
 

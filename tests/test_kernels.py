@@ -422,15 +422,15 @@ def test_exact_clouds_build_only_the_rows_a_call_returns_or_samples(built_rows):
     assert built_rows == rows + rows
     built_rows.clear()
     model = system.induced_model(cloud)
+    assert built_rows == []
+    # W1 maps 32 sampled points, when it runs
+    assert model.containment_check()[0]
     stride = n // 128
-    sampled = list(range(0, 32 * stride, stride))
-    assert built_rows == sampled
-    assert model.containment_check(8)[0]
-    assert len(built_rows) == 32
+    assert built_rows == list(range(0, 32 * stride, stride))
     built_rows.clear()
+    # the probes query the cloud's rows
     assert finite_clustering_sup(model, cloud, 20, [0.2, 0.05]) >= 1
-    # the probe points; row 0 was sampled above, and is built again
-    assert built_rows == list(range(0, 20 * (n // 20), n // 20)) and built_rows[0] in sampled
+    assert built_rows == []
 
 
 # -- memory layouts ------------------------------------------------------------------
@@ -919,8 +919,9 @@ def check_levels(system, depth):
             assert str(level_exc.value) == str(exc)
             return
         level = next(levels)
-        assert tuple(level.points) == want
-        assert types(level.points) == types(want)
+        points = tuple(map(level.point, range(len(want))))
+        assert points == want
+        assert types(points) == types(want)
         rows, want_rows = level.rows, space.coordinates(want)
         layout = lambda X: (X.dtype, X.shape, X.flags.f_contiguous)  # noqa: E731
         assert layout(rows) == layout(want_rows)
@@ -1270,7 +1271,7 @@ def test_cloud_loops_match_the_per_query_loops(name, depth):
             assert model.log_diam(w) == want
     sub = X[:: max(1, n // 128)]
     nearest = per_query_row_minima(space, sub, sub, range(len(sub)))
-    _, note = model.containment_check(depth)
+    _, note = model.containment_check()
     assert note.endswith("%.3g" % (2.0 * max(nearest)))
 
 
@@ -1290,14 +1291,14 @@ def loop_containment(system, cloud):
 def test_containment_verdicts_match_the_per_point_loop(name):
     system = shipped_system(name)
     cloud = attractor_cloud(system, 2 if name == "heisenberg" else 6)
-    assert system._containment_check(cloud)(3)[0] is loop_containment(system, cloud) is True
+    assert system._containment_check(cloud)()[0] is loop_containment(system, cloud) is True
 
 
 def test_failed_containment_matches_the_per_point_loop():
     cloud = attractor_cloud(shipped_system("cantor"), 6)
     maps = [SimilitudeMap(Fraction(1, 3), (0,)), SimilitudeMap(Fraction(1, 3), (5,))]
     other = ContractionSystem(EuclideanSpace(1), maps, ((0,),))
-    assert other._containment_check(cloud)(3)[0] is loop_containment(other, cloud) is False
+    assert other._containment_check(cloud)()[0] is loop_containment(other, cloud) is False
 
 
 def per_map_containment(system, cloud):
@@ -1327,7 +1328,7 @@ def test_w1_verdict_and_note_equal_the_per_map_loop(name):
     else:
         system = shipped_system(name)
         cloud = attractor_cloud(system, 2 if name == "heisenberg" else 6)
-    got = system._containment_check(cloud)(3)
+    got = system._containment_check(cloud)()
     assert got == per_map_containment(system, cloud)
     assert got[0] is (name != "second-map-out")
 
@@ -1339,7 +1340,7 @@ def test_local_stopping_sets_match_the_per_point_loop(name, depth):
     model = system.induced_model(cloud)
     probes = cloud.points[:: max(1, len(cloud) // 300)]
     for r in (0.2 * model.seed_diameter, 0.05 * model.seed_diameter):
-        got = local_stopping_sets(model, cloud, probes, r)
+        got = local_stopping_sets(model, cloud, cloud.space.coordinates(probes), r)
         candidates = stopping_set(model, r)
         pieces = [cloud.piece(w) for w in candidates]
         assert len(got) == len(probes)

@@ -381,8 +381,8 @@ def per_split_ratio_extremes(model, depth):
             lo = min(lo, (v, n, i))
             v, i = per_split_extreme(x, lowest=False)
             hi = min(hi, (-v, n, i))
-        word_at = models._word_at
-        out.append((lo[0], -hi[0], word_at(lo[2], a, lo[1]), word_at(hi[2], a, hi[1])))
+        word_at = lambda i, n: tuple(int(s) for s in np.unravel_index(i, (a,) * n))  # noqa: E731
+        out.append((lo[0], -hi[0], word_at(lo[2], lo[1]), word_at(hi[2], hi[1])))
     return out
 
 

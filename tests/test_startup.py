@@ -198,6 +198,20 @@ def test_only_the_cli_renders_output():
     assert not offenders, sorted(offenders)
 
 
+def test_one_float_row_builder():
+    """``MetricSpace.coordinates`` builds every space's float rows; only the
+    symbol space (letter rows) and the snowflake (its base's rows) differ."""
+    owners = set()
+    for node in ast.parse((PKG_ROOT / "src" / "moranlab" / "spaces.py").read_text()).body:
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            # ``def coordinates`` or ``coordinates = ...`` in the class body
+            names = [item.name] if isinstance(item, ast.FunctionDef) else [
+                t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)]
+            if "coordinates" in names:
+                owners.add(node.name)
+    assert owners == {"MetricSpace", "SymbolSpace", "SnowflakeSpace"}, sorted(owners)
+
+
 # The functions that may run a map's ``apply``: the word map, the one level
 # builder (with any helper nested in it) and the exhaustive cylinder check.
 APPLY_CALLERS = (

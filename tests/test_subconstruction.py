@@ -44,7 +44,7 @@ T_STAR = math.log(2) / math.log(3)
 
 def test_heisenberg_stratification():
     assert HEISENBERG.layer_dims == (2, 1)
-    assert HEISENBERG.steps == 2
+    assert len(HEISENBERG.layer_dims) == 2
     assert HEISENBERG.topological_dim == 3
     assert HEISENBERG.homogeneous_dim == 4
 

@@ -148,7 +148,7 @@ def test_induced_model_without_a_cloud_samples_the_documented_default(name):
     for w in system.alphabet.words_up_to(3):
         assert default.log_diam(w) == given.log_diam(w)
     # the W1 verdict and its note
-    assert default.containment_check(3) == given.containment_check(3)
+    assert default.containment_check() == given.containment_check()
 
 
 def test_symbolic_word_bounds_sample_one_pool_per_system(monkeypatch):
@@ -169,7 +169,7 @@ def test_containment_check_accepts_a_genuine_attractor():
     system = cantor_system()
     cloud = attractor_cloud(system, 7)
     model = system.induced_model(cloud)
-    ok, note = model.containment_check(7)
+    ok, note = model.containment_check()
     assert ok
 
 

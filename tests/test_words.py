@@ -24,7 +24,7 @@ from moranlab import (
 from moranlab import spaces
 from moranlab.models import GeneralModel, LevelModel
 from moranlab.spaces import BLOCK_ELEMENTS
-from moranlab.words import d2_with_resolution, incomparable, local_stopping_set, word_str
+from moranlab.words import d2_with_resolution, incomparable, local_stopping_set, word_at, word_str
 
 
 def cantor_system():
@@ -78,6 +78,13 @@ def test_words_enumerate_in_lexicographic_order():
         (1, 0),
         (1, 1),
     ]
+
+
+@given(st.lists(st.integers(1, 4), max_size=5))
+def test_word_at_counts_in_mixed_radix(counts):
+    """Index ``k`` names the ``k``-th word with ``i_j < counts[j]``, in lexicographic order."""
+    words = list(itertools.product(*map(range, counts)))
+    assert [word_at(k, counts) for k in range(len(words))] == words
 
 
 def test_enumeration_cap_is_enforced(monkeypatch):
