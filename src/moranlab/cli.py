@@ -147,12 +147,10 @@ def _parse_grid(text: str) -> list[float]:
     return _numbers(text, "--t-grid")
 
 
-def _parse_subtree(text: str | None, t: float | None, depth: int):
+def _parse_subtree(text: str | None, t: float, depth: int):
     if text is None or text == "greedy":
         from .subconstruction import cantor_branch_sequence
 
-        if t is None:
-            raise SpecError("subconstruction checks need --t")
         return cantor_branch_sequence(t, depth)
     from .words import SubTree
 
@@ -281,8 +279,9 @@ def _cmd_dimension(spec, args):
 def _probe_clustering(spec, args):
     from .systems import finite_clustering_sup
 
+    radii = None if args.scales is None else _numbers(args.scales, "--scales")
     cloud, model = _cloud_model(spec, args)
-    radii = _default_scales(cloud) if args.scales is None else _numbers(args.scales, "--scales")
+    radii = radii or _default_scales(cloud)
     return {
         "clustering_sup": finite_clustering_sup(model, cloud, args.x_samples, radii),
         "depth": args.depth,
@@ -296,12 +295,12 @@ def _probe_ball(spec, args):
     from .systems import ball_condition_probe
     from .words import word_str
 
-    cloud, model = _cloud_model(spec, args)
     if args.r is None:
         raise SpecError("ball probe needs --r")
     r = float(_number(args.r, "--r"))
     deltas = _numbers(args.deltas, "--deltas")
     x = _probe_point(spec.require_system(), args.x)
+    cloud, model = _cloud_model(spec, args)
     probe = ball_condition_probe(model, cloud, x, r, deltas)
     return {
         "delta": probe.delta,

@@ -37,20 +37,12 @@ from .errors import DomainError
 from .words import Alphabet, Word, d2_with_resolution
 
 
-def _delta(a, b) -> float:
-    """``float(a - b)`` with exact subtraction when the types allow it."""
-    try:
-        return float(a - b)
-    except TypeError:
-        return float(a) - float(b)
-
-
 def euclidean_distance(p: Sequence, q: Sequence) -> float:
     if len(p) != len(q):
         raise DomainError("points of different dimension: %r vs %r" % (p, q))
     total = 0.0
     for a, b in zip(p, q):
-        d = _delta(a, b)
+        d = float(a - b)  # exact subtraction where the types allow it
         total += d * d
     return math.sqrt(total)
 

@@ -131,7 +131,8 @@ def map_from_dict(data: dict):
     if kind == "comb":
         return CombMap(parse_scalar(data["r"]), _integer(data, "shift"))
     if kind == "symbol":
-        return SymbolMap(_sized(data["table"], "table", parse=tuple))
+        word = lambda w: _sized(w, "a table word", parse=lambda s: s)  # noqa: E731
+        return SymbolMap(_sized(data["table"], "table", parse=word))
     if kind == "carnot":
         return CarnotMap(_sized(data["anchor"], "anchor", 3, _real))
     raise SpecError("unknown map kind %r" % kind)

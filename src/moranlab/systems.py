@@ -59,9 +59,9 @@ class ContractionMap:
         """Exact ``(lower, upper)`` metric distortion, or ``None`` if unknown."""
         return None
 
-    def exact_affine(self) -> tuple[object, tuple] | None:
-        """``(r, c)`` with ``apply(x)[j] == r * x[j] + c[j]`` exactly, ``r``
-        the map's own exact ratio; ``None`` unless every parameter is exact."""
+    def affine(self) -> tuple[object, tuple] | None:
+        """``(r, c)`` with ``apply(x)[j] == r * x[j] + c[j]`` in the map's own
+        scalars; ``None`` for a map of any other shape."""
         return None
 
 
@@ -83,11 +83,9 @@ class SimilitudeMap(ContractionMap):
     def lip_bounds(self):
         return (float(self.ratio), float(self.ratio))
 
-    def exact_affine(self):
-        r, f = self.ratio, self.fixed_point
-        if exact_value(r) is None or any(exact_value(c) is None for c in f):
-            return None
-        return r, tuple(c - r * c for c in f)
+    def affine(self):
+        r = self.ratio
+        return r, tuple(c - r * c for c in self.fixed_point)
 
 
 class Affine2DMap(ContractionMap):
@@ -133,9 +131,7 @@ class CombMap(ContractionMap):
     def lip_bounds(self):
         return (float(self.r), float(self.r))
 
-    def exact_affine(self):
-        if exact_value(self.r) is None or exact_value(self.shift) is None:
-            return None
+    def affine(self):
         return self.r, (self.shift, 0)
 
 
@@ -247,9 +243,7 @@ class ContractionSystem:
             raise DomainError("a contraction system needs at least one seed point")
         self.space = space
         self.maps = tuple(maps)
-        self.seed_points = tuple(
-            tuple(p) if isinstance(p, (list, tuple)) else p for p in seed_points
-        )
+        self.seed_points = tuple(map(tuple, seed_points))
         self.seed_diameter = seed_diameter
 
     @property
@@ -275,16 +269,17 @@ class ContractionSystem:
         the scalars themselves, float64 once all are floats (the four map kinds
         below compute on float64 what they do on floats, whatever their parameters).
         """
+        n = self.space.coordinate_dim
+        if n is not None and any(len(p) != n for p in seeds):
+            raise DomainError("points are not all %d-dimensional" % n)
         levels = _integer_levels(self, seeds)
         if levels is not None:
             yield from levels  # endless: the maps below never run
-        if self.space.coordinate_dim is None:
+        if n is None:
             X = self.space.coordinates(seeds)
             while True:
                 X = _stack_rows([m.apply(X) for m in self.maps])
                 yield _RowLevel(X, True)
-        if any(len(p) != self.space.coordinate_dim for p in seeds):
-            raise DomainError("points are not all %d-dimensional" % self.space.coordinate_dim)
         floats = all(type(m) in (SimilitudeMap, Affine2DMap, CombMap, CarnotMap) for m in self.maps)
         X = np.array(seeds, dtype=object)
         while True:
@@ -566,15 +561,15 @@ class _LevelPoints(Sequence):
 def _integer_levels(system: ContractionSystem, seeds: Sequence) -> Iterator[_IntegerLevel] | None:
     """Levels 1, 2, ... of ``seeds`` under ``system`` on integer numerators.
 
-    Applies when every map has an exact affine form whose ratio is a
-    ``Fraction`` (rational systems) or a quadratic number of one radicand
-    ``d``, and every offset and seed coordinate is an exact scalar of that
-    field, with as many coordinates as the space.  Then ``apply_word``
+    The one test of exactness: applies when every map has an affine form
+    whose ratio is a ``Fraction`` (rational systems) or a quadratic number
+    of one radicand ``d``, and every offset (one per coordinate) and seed
+    coordinate is an exact scalar of that field.  Then ``apply_word``
     gives ``Fraction`` (resp. ``QuadraticNumber``) coordinates only, and
     the levels hold the values and point order of
     :meth:`ContractionSystem.levels`.  Otherwise returns ``None``.
     """
-    forms = [m.exact_affine() for m in system.maps]
+    forms = [m.affine() for m in system.maps]
     if any(f is None for f in forms):
         return None
     ratios = [r for r, _ in forms]
@@ -586,13 +581,9 @@ def _integer_levels(system: ContractionSystem, seeds: Sequence) -> Iterator[_Int
         return None
     n = system.space.coordinate_dim
     scalars = [c for _, cs in forms for c in cs] + [c for p in seeds for c in p]
-    if not (
-        all(len(cs) == n for _, cs in forms)
-        and all(isinstance(p, tuple) and len(p) == n for p in seeds)
-        and all(
-            type(c) in (int, Fraction) or (isinstance(c, QuadraticNumber) and c.d == d)
-            for c in scalars
-        )
+    if any(len(cs) != n for _, cs in forms) or not all(
+        type(c) in (int, Fraction) or (isinstance(c, QuadraticNumber) and c.d == d)
+        for c in scalars
     ):
         return None
     # map k: x_j -> ((p + q sqrt d) x_j + (u_j + v_j sqrt d)) / den over one den
@@ -786,8 +777,7 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    if isinstance(x, (list, tuple)):
-        x = tuple(x)
+    x = tuple(x)
     words: list[Word] = list(system.alphabet.words_up_to(depth))
     space = system.space
     X = _stack_rows([lv.rows for lv in itertools.islice(system.levels((x,)), depth)])

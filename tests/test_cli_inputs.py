@@ -130,6 +130,15 @@ BAD_NUMBERS = [
     (["probe", "specs/cantor.json", "--probe", "ball", "--r", "0.3", "--deltas", ","],
      "--deltas needs at least one number"),
     (["pressure", "specs/cantor.json", "--t-grid", ","], "--t-grid needs at least one number"),
+    # an int beyond the float range over 3: an OverflowError in ``math.isfinite``
+    (["validate", "specs/cantor.json", "--axioms", "cmsc", "--t", "1" + "0" * 400 + "/3"],
+     "--t takes finite numbers"),
+    # the probes built the depth-30 cloud before reading their flags: exit 3 at the cap
+    (["probe", "specs/cantor.json", "--probe", "clustering", "--depth", "30", "--scales", ","],
+     "--scales needs at least one number"),
+    (["probe", "specs/cantor.json", "--probe", "ball", "--depth", "30"], "ball probe needs --r"),
+    (["probe", "specs/cantor.json", "--probe", "ball", "--depth", "30", "--r", "0.3",
+      "--deltas", ","], "--deltas needs at least one number"),
 ]
 
 
@@ -322,6 +331,12 @@ BAD_SPECS = [
      ["generate", "--depth", "2"], "maps[1]: anchor must be a JSON list"),
     ("symbol table a string", _set("symbolifs", ("maps", 0, "table"), "100"),
      ["generate", "--depth", "2"], "maps[0]: table must be a JSON list"),
+    # read as its characters: "symbol '1' outside alphabet of size 3"
+    ("symbol table word a string", _set("symbolifs", ("maps", 0, "table"), ["10", [1], [1]]),
+     ["generate", "--depth", "2"], "maps[0]: a table word must be a JSON list, got '10'"),
+    # "'int' object is not iterable"
+    ("symbol table word a number", _set("symbolifs", ("maps", 0, "table"), [1, [1], [1]]),
+     ["generate", "--depth", "2"], "maps[0]: a table word must be a JSON list, got 1"),
     ("rectangle sides a string", _set("selfaffine", ("model", "a"), "11"),
      ["pressure", "--zero"], "model: a must be a JSON list"),
     # read as (5.0, 5.0): "ratios must lie in (0, 1)"
@@ -331,6 +346,8 @@ BAD_SPECS = [
     # a comb map took any ratio: a non-attractor printed with exit 0
     ("comb ratio of two", _set("comb", ("maps", 0, "r"), 2),
      ["generate", "--depth", "2"], "maps[0]: comb ratio must lie in (0, 1)"),
+    ("similitude ratio of two", _set("cantor", ("maps", 0, "ratio"), 2),
+     ["generate", "--depth", "2"], "maps[0]: similitude ratio must lie in (0, 1)"),
 ]
 
 

@@ -802,7 +802,6 @@ def test_two_radicands_still_raise():
 def test_ragged_seeds_still_raise():
     maps = [SimilitudeMap(Fraction(1, 3), (0, k)) for k in (0, 1)]
     system = ContractionSystem(EuclideanSpace(2), maps, ((0, 1), (0,)))
-    assert _integer_levels(system, system.seed_points) is None
     with pytest.raises(DomainError, match="2-dimensional"):
         attractor_cloud(system, 3, samples_per_leaf=2).coordinates
 

@@ -258,6 +258,13 @@ def test_axiom_report_plumbing():
         validate_cmc(cantor_model(), 0)
 
 
+def test_cmc_at_depth_1_cannot_check_c1(capsys):
+    """Depth 1 exposes no split: C1 is not checkable, and nothing fails."""
+    code = cli.main(["validate", str(SPECS / "cantor.json"), "--axioms", "cmc", "--depth", "1"])
+    c1 = json.loads(capsys.readouterr().out)["checks"][-1]
+    assert (code, c1["axiom"], c1["status"]) == (0, "C1", "not-checkable")
+
+
 def test_shipped_model_specs_reproduce_the_fits():
     nsq = load_spec(SPECS / "nsq.json").get_model()
     report = validate_wcmc(nsq, 20)

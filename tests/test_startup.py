@@ -212,6 +212,18 @@ def test_one_float_row_builder():
     assert owners == {"MetricSpace", "SymbolSpace", "SnowflakeSpace"}, sorted(owners)
 
 
+def test_exactness_is_decided_once():
+    """``_integer_levels`` decides exactness from the maps' affine forms; in
+    ``systems.py`` only ``osc_collision_scan`` tests a value with ``exact_value``."""
+    readers = set()
+    for node in ast.parse((PKG_ROOT / "src" / "moranlab" / "systems.py").read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any(getattr(n, "id", getattr(n, "attr", None)) == "exact_value" for n in ast.walk(node)):
+            readers.add(getattr(node, "name", "<module>"))
+    assert readers == {"osc_collision_scan"}, sorted(readers)
+
+
 # The functions that may run a map's ``apply``: the word map, the one level
 # builder (with any helper nested in it) and the exhaustive cylinder check.
 APPLY_CALLERS = (
