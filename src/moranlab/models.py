@@ -75,6 +75,15 @@ class DiameterModel:
     def diam(self, word: Word) -> float:
         return math.exp(self.log_diam(word))
 
+    def child_diams(self, carry, words: Callable[[], list[Word]]):
+        """One level of a stopping walk: the diameters of the frontier's children,
+        ``a`` per frontier word in order, as ``diam`` computes them, and a row per
+        child that the next call gets as ``carry`` (``None`` at the root), cut to
+        the new frontier.  ``words()`` lists the children.  Generic: ``diam`` per word.
+        """
+        d = np.array([self.diam(w) for w in words()], dtype=float)
+        return d, d
+
     # -- level aggregates ----------------------------------------------------
 
     def _branches(self, levels: range, subtree: SubTree | None) -> list[int]:
@@ -231,6 +240,11 @@ class MultiplicativeModel(DiameterModel):
         for s in word:
             d *= self.ratios[s]
         return d
+
+    def child_diams(self, carry, words):
+        # diam's left-to-right product, carried
+        d = np.multiply.outer(self.seed_diameter if carry is None else carry, self.ratios).ravel()
+        return d, d
 
     def _branch_log_terms(self, t: float, b: int) -> tuple[float, ...]:
         """The terms that add ``log(sum(r**t))`` over the first ``b`` ratios to a running sum."""

@@ -65,13 +65,12 @@ class Alphabet:
             raise ValueError("alphabet needs at least two symbols, got %r" % (size,))
         self.size = size
 
-    def symbols(self) -> range:
-        return range(self.size)
-
     def check_word(self, word: Sequence[int]) -> Word:
         w = tuple(word)
         for s in w:
-            if type(s) is not int or not 0 <= s < self.size:
+            if type(s) is not int:
+                raise DomainError("letters must be integers, got %r" % (s,))
+            if not 0 <= s < self.size:
                 raise DomainError("symbol %r outside alphabet of size %d" % (s, self.size))
         return w
 
@@ -186,42 +185,74 @@ class SubTree(tuple):
 # ---------------------------------------------------------------------------
 
 
-def stopping_set(model, r: float, max_depth: int = 64) -> list[Word]:
+#: the deepest level a stopping walk goes to
+_MAX_DEPTH = 64
+
+
+def stopping_set(model, r: float, max_depth: int = _MAX_DEPTH) -> list[Word]:
     """Words whose piece first drops to diameter ``<= r``.
 
     Returns the antichain ``{i : diam(X_i) <= r < diam(X_parent(i))}`` in
-    lexicographic order.  ``model`` is any object with ``alphabet``,
-    ``seed_diameter`` and ``diam(word)``.
+    lexicographic order.  ``model`` is a ``DiameterModel``: the walk reads its
+    ``alphabet``, ``seed_diameter`` and ``child_diams``, which maps a level's
+    diameters to the next level's with the floats of ``diam``.
 
     The boundary is inclusive on the word itself: at ``r == diam(X_i)``
     the word ``i`` belongs to the stopping set.  The walk goes level by
     level; the words kept plus the next level count against :func:`enum_cap`.
     """
     out, wide = _stopping_walk(model, r, max_depth)
-    if wide:
+    if wide is not None:
         raise DomainError(
             "piece diameters did not drop below r=%r within depth %d" % (r, max_depth)
         )
     return out
 
 
-def _stopping_walk(model, r: float, max_depth: int) -> tuple[list[Word], list[Word]]:
-    """Stopping words up to ``max_depth``, sorted; the wider words left there, in order."""
+def _stopping_walk(model, r: float, max_depth: int) -> tuple[list[Word], Word | None]:
+    """Stopping words up to ``max_depth``, sorted; the first word still wider
+    than ``r`` there, else ``None``.
+
+    A level is held as arrays: the children's diameters (``a`` per frontier word,
+    in order), the stopping mask and the kept children's positions.  Child ``c``
+    is letter ``c % a`` below frontier word ``c // a``: the kept positions rebuild words.
+    """
+    import numpy as np
+
     if not 0 < r < model.seed_diameter:
         raise DomainError(
             "stopping radius must lie in (0, seed diameter); got r=%r, seed=%r"
             % (r, model.seed_diameter)
         )
-    symbols = model.alphabet.symbols()
-    out: list[Word] = []
-    frontier: list[Word] = [()]
-    while frontier and len(frontier[0]) < max_depth:
-        _check_enum(len(out) + len(frontier) * len(symbols), "stopping set at r=%r" % r)
-        children = [w + (s,) for w in frontier for s in symbols]
-        frontier = []
-        for w in children:
-            (out if model.diam(w) <= r else frontier).append(w)
-    return sorted(out), frontier  # an antichain sorts into depth-first order
+    a, found, keeps = model.alphabet.size, [], []
+    carry, count, stopped = None, 1, 0
+    while count and len(keeps) < max_depth:
+        _check_enum(stopped + count * a, "stopping set at r=%r" % r)
+        children = lambda: list(zip(*_letters(keeps, a, np.arange(count * a)).T.tolist()))  # noqa
+        diams, carry = model.child_diams(carry, children)
+        low = diams <= r
+        stop, keep = np.flatnonzero(low), np.flatnonzero(~low)
+        if len(stop):
+            found.append(_letters(keeps, a, stop))
+        keeps.append(keep)
+        carry, count, stopped = carry[keep], len(keep), stopped + len(stop)
+    # an antichain sorts into depth-first order
+    out = sorted(itertools.chain.from_iterable(zip(*w.T.tolist()) for w in found))
+    if not count:
+        return out, None
+    return out, tuple(_letters(keeps[:-1], a, keeps[-1][:1])[0].tolist()) if keeps else ()
+
+
+def _letters(keeps: list, a: int, children):
+    """Letter rows of the ``children`` (positions) of the frontier that ``keeps`` left."""
+    import numpy as np
+
+    out = np.empty((len(children), len(keeps) + 1), dtype=np.intp, order="F")
+    out[:, -1] = children % a
+    for n in range(len(keeps) - 1, -1, -1):
+        children = keeps[n][children // a]
+        out[:, n] = children % a
+    return out
 
 
 class LocalStoppingSet(NamedTuple):
@@ -251,22 +282,29 @@ def local_stopping_sets(model, cloud, Q, r: float) -> list[LocalStoppingSet]:
     can only miss intersections, never invent them.  All rows share one
     stopping set, walked once and no deeper than the cloud.
     """
+    import numpy as np
+
+    from .spaces import block_rows
+
     candidates, wide = _stopping_walk(model, r, cloud.depth)
-    if wide:  # the first deeper stopping word in order: letters 0 below wide[0]
-        w = wide[0] + (0,)
-        while model.diam(w) > r and len(w) < 64:
+    if wide is not None:  # the first deeper stopping word in order: letters 0 below wide
+        w = wide + (0,)
+        while model.diam(w) > r and len(w) < _MAX_DEPTH:
             w += (0,)
         raise DomainError(
             "stopping word %s is deeper than the cloud (depth %d); "
             "regenerate the cloud at depth >= %d" % (word_str(w), cloud.depth, len(w))
         )
-    from .spaces import block_rows
-
-    pieces = [cloud.piece(w) for w in candidates]
     space, X, out, step = cloud.space, cloud.coordinates, [], block_rows(len(cloud))
+    # each piece's rows, cut to the cloud (letters the cloud lacks: no rows)
+    lo, hi = np.array([cloud.piece(w).indices(len(X))[:2] for w in candidates]).T
     for a in range(0, len(Q), step):
-        for inside in space.distances(X, Q[a : a + step]) < r:
-            words = tuple(w for w, piece in zip(candidates, pieces) if inside[piece].any())
+        inside = space.distances(X, Q[a : a + step]) < r
+        # samples inside before each row: a piece meets the ball iff its count grows
+        before = np.zeros((len(inside), len(X) + 1), dtype=np.intp)
+        np.cumsum(inside, axis=1, out=before[:, 1:])
+        for hit in (before[:, hi] > before[:, lo]).tolist():
+            words = tuple(itertools.compress(candidates, hit))
             out.append(LocalStoppingSet(words, tuple(candidates)))
     return out
 

@@ -270,9 +270,14 @@ BAD_SPECS = [
     ("symbol seed beyond the alphabet", _set("symbolifs", ("seed_points", 1), [1, 3]),
      ["generate", "--depth", "2"], "seed_points[1]: symbol 3 outside alphabet of size 3"),
     ("symbol seed of fractional letters", _set("symbolifs", ("seed_points", 0), [0.9, 1.7]),
-     ["generate", "--depth", "2"], "seed_points[0]: symbol 0.9 outside alphabet of size 3"),
+     ["generate", "--depth", "2"], "seed_points[0]: letters must be integers, got 0.9"),
     ("symbol table of fractional letters", _set("symbolifs", ("maps", 1, "table", 0), [2.5]),
-     ["generate", "--depth", "2"], "maps[1]: symbol 2.5 outside alphabet of size 3"),
+     ["generate", "--depth", "2"], "maps[1]: letters must be integers, got 2.5"),
+    # a letter in the alphabet, written as a string: "symbol '1' outside alphabet of size 3"
+    ("symbol seed letter a string", _set("symbolifs", ("seed_points", 0), ["1", 0, 0, 0]),
+     ["generate", "--depth", "2"], "seed_points[0]: letters must be integers, got '1'"),
+    ("symbol table letter a string", _set("symbolifs", ("maps", 0, "table", 0), ["1"]),
+     ["generate", "--depth", "2"], "maps[0]: letters must be integers, got '1'"),
     # int() made this map a copy of maps[0]: two identical branches, exit 0
     ("comb shift of one half", _set("comb", ("maps", 1, "shift"), 0.5),
      ["generate", "--depth", "2"], "maps[1]: shift must be an integer"),

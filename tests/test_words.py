@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -15,6 +17,7 @@ from moranlab import (
     EnumerationCapError,
     EuclideanSpace,
     MultiplicativeModel,
+    RectangleModel,
     SimilitudeMap,
     SubTree,
     antichain_cover_cost,
@@ -24,7 +27,9 @@ from moranlab import (
 from moranlab import spaces
 from moranlab.models import GeneralModel, LevelModel
 from moranlab.spaces import BLOCK_ELEMENTS
-from moranlab.words import d2_with_resolution, incomparable, local_stopping_set, word_at, word_str
+from moranlab.words import (
+    _check_enum, d2_with_resolution, incomparable, local_stopping_set, word_at, word_str,
+)
 
 
 def cantor_system():
@@ -50,7 +55,6 @@ def test_word_str_forms():
 
 def test_alphabet_validates_symbols_and_size():
     abc = Alphabet(3)
-    assert list(abc.symbols()) == [0, 1, 2]
     assert abc.check_word([2, 0, 1]) == (2, 0, 1)
     with pytest.raises(DomainError):
         abc.check_word((0, 3))
@@ -281,10 +285,10 @@ def _recursive_stopping_set(model, r):
         if model.diam(word) <= r:
             out.append(word)
             return
-        for s in model.alphabet.symbols():
+        for s in range(model.alphabet.size):
             visit(word + (s,))
 
-    for s in model.alphabet.symbols():
+    for s in range(model.alphabet.size):
         visit((s,))
     return out
 
@@ -298,6 +302,135 @@ def test_stopping_set_matches_the_depth_first_walk(ratios, r):
     # repeated ratios put whole families of words exactly on the boundary
     model = MultiplicativeModel(ratios)
     assert stopping_set(model, r) == _recursive_stopping_set(model, r)
+
+
+def _tuple_stopping_walk(model, r, max_depth):
+    """The walk the level arrays replaced: a tuple and a ``diam`` call per word.
+    Returns the sorted stopping words and the words still wider than ``r``."""
+    if not 0 < r < model.seed_diameter:
+        raise DomainError(
+            "stopping radius must lie in (0, seed diameter); got r=%r, seed=%r"
+            % (r, model.seed_diameter)
+        )
+    symbols = range(model.alphabet.size)
+    out, frontier = [], [()]
+    while frontier and len(frontier[0]) < max_depth:
+        _check_enum(len(out) + len(frontier) * len(symbols), "stopping set at r=%r" % r)
+        children = [w + (s,) for w in frontier for s in symbols]
+        frontier = []
+        for w in children:
+            (out if model.diam(w) <= r else frontier).append(w)
+    return sorted(out), frontier
+
+
+def _tuple_stopping_set(model, r, max_depth=64):
+    out, wide = _tuple_stopping_walk(model, r, max_depth)
+    if wide:
+        raise DomainError(
+            "piece diameters did not drop below r=%r within depth %d" % (r, max_depth)
+        )
+    return out
+
+
+def _tuple_local_stopping_set(model, cloud, x, r):
+    """``local_stopping_set`` on the tuple walk, with ``cloud.piece`` per candidate."""
+    candidates, wide = _tuple_stopping_walk(model, r, cloud.depth)
+    if wide:
+        w = wide[0] + (0,)
+        while model.diam(w) > r and len(w) < 64:
+            w += (0,)
+        raise DomainError(
+            "stopping word %s is deeper than the cloud (depth %d); "
+            "regenerate the cloud at depth >= %d" % (word_str(w), cloud.depth, len(w))
+        )
+    inside = cloud.space.distances(cloud.coordinates, cloud.space.coordinates([x]))[0] < r
+    return tuple(w for w in candidates if inside[cloud.piece(w)].any()), tuple(candidates)
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and text of the error it raises."""
+    try:
+        return call(*args)
+    except (DomainError, EnumerationCapError) as exc:
+        return type(exc), str(exc)
+
+
+WALK_RATIOS = st.sampled_from([0.2, 0.25, 1 / 3, 0.5, 0.6])
+
+
+@st.composite
+def walk_models(draw):
+    """A multiplicative, rectangle, level or general model on two or three letters."""
+    k = draw(st.integers(2, 3))
+    ratios = draw(st.lists(WALK_RATIOS, min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["multiplicative", "rectangle", "level", "general"]))
+    if kind == "multiplicative":
+        return MultiplicativeModel(ratios, draw(st.sampled_from([1.0, 0.5, 3.0])))
+    if kind == "rectangle":
+        return RectangleModel(ratios, draw(st.lists(WALK_RATIOS, min_size=k, max_size=k)))
+    if kind == "level":
+        return LevelModel(lambda n: ratios[n % k], k, draw(st.sampled_from([1.0, 2.0])))
+    logs = [math.log(q) for q in ratios]
+    # not a product, and not symmetric: a word whose first letter is the larger is wider
+    return GeneralModel(lambda w: sum(logs[s] for s in w) + 0.1 * (w[0] > w[-1]), Alphabet(k))
+
+
+@st.composite
+def walk_radii(draw, model):
+    """A piece diameter (a product of ratios: the inclusive boundary) or a share of the seed's."""
+    word = draw(st.lists(st.integers(0, model.alphabet.size - 1), min_size=1, max_size=5))
+    r = model.diam(tuple(word))
+    if r < model.seed_diameter and draw(st.booleans()):
+        return r
+    return model.seed_diameter * draw(st.floats(0.01, 0.99))
+
+
+@given(st.data(), walk_models(), st.sampled_from([1, 3, 40, 2**12]), st.integers(1, 12))
+@settings(deadline=None, max_examples=300)
+def test_array_walk_equals_the_tuple_walk(data, model, cap, max_depth):
+    """Words, the depth ``DomainError`` and the cap message are the tuple walk's."""
+    r = data.draw(walk_radii(model))
+    with mock.patch.dict(os.environ, {"MORANLAB_ENUM_CAP": str(cap)}):
+        for depth in (max_depth, 64):
+            want = _outcome(_tuple_stopping_set, model, r, depth)
+            assert _outcome(stopping_set, model, r, depth) == want
+
+
+def test_rectangle_walk_decides_on_libm_exp():
+    """At ``r = diam(w)`` and one float below it for every short word: ``np.exp``
+    differs from ``math.exp`` by an ulp on some of these log-diameters, so the
+    walk must decide on ``diam``'s own floats to keep the tuple walk's boundary."""
+    model = RectangleModel((1 / 3, 0.25), (0.4, 0.45))
+    for n in range(1, 7):
+        for w in itertools.product(range(2), repeat=n):
+            for r in (model.diam(w), math.nextafter(model.diam(w), 0.0)):
+                assert stopping_set(model, r) == _tuple_stopping_set(model, r), (w, r)
+
+
+@given(st.data(), walk_models(), st.integers(1, 4))
+@settings(deadline=None, max_examples=150)
+def test_local_array_walk_equals_the_tuple_walk(data, model, depth):
+    """Candidates, words and the deeper-than-the-cloud message are the tuple walk's."""
+    r = data.draw(walk_radii(model))
+    k = model.alphabet.size
+    maps = tuple(SimilitudeMap(1 / (k + 1), (float(s),)) for s in range(k))
+    cloud = attractor_cloud(ContractionSystem(EuclideanSpace(1), maps, ((0.0,), (1.0,))), depth, 2)
+    x = (data.draw(st.floats(-0.5, k)),)
+    want = _outcome(_tuple_local_stopping_set, model, cloud, x, r)
+    assert _outcome(lambda: tuple(local_stopping_set(model, cloud, x, r))) == want
+
+
+def test_stopping_walk_memory_stays_bounded_up_to_the_cap(monkeypatch):
+    """2^18 frontier words at the cap: the tuple walk peaked at 73 MB here."""
+    monkeypatch.setenv("MORANLAB_ENUM_CAP", str(2**18))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError, match=r"would enumerate 524288 words \(cap 262144\)$"):
+            stopping_set(MultiplicativeModel([39 / 40, 39 / 40]), 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def test_local_stopping_set_near_the_left_end():
@@ -407,7 +540,7 @@ def recursive_cover_cost(alphabet, psi, n, max_depth):
     def cost(word):
         if len(word) == max_depth:
             return psi(word)
-        kids = sum(cost(word + (s,)) for s in alphabet.symbols())
+        kids = sum(cost(word + (s,)) for s in range(alphabet.size))
         if len(word) >= n:
             return min(psi(word), kids)
         return kids
