@@ -69,16 +69,10 @@ class QuadraticNumber:
         return QuadraticNumber(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return float(self) - other if isinstance(other, float) else NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return other - float(self) if isinstance(other, float) else NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -112,19 +106,6 @@ class QuadraticNumber:
 
 #: The golden section (sqrt(5) - 1) / 2, the canonical overlap-producing ratio.
 GOLDEN_RATIO = QuadraticNumber(Fraction(-1, 2), Fraction(1, 2), 5)
-
-
-def exact_value(x):
-    """Return ``x`` if it already supports exact arithmetic, else ``None``.
-
-    Accepted exact types are :class:`QuadraticNumber` and rationals
-    (``int`` / ``fractions.Fraction``).  Floats are not exact.
-    """
-    if isinstance(x, QuadraticNumber):
-        return x
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return None
 
 
 def parse_scalar(value):

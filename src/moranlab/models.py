@@ -41,9 +41,9 @@ class DiameterModel:
     """Base class: word-indexed diameters with aggregate helpers.
 
     Subclasses call ``super().__init__(alphabet, seed_diameter)``, which
-    refuses a seed diameter that is not positive (NaN too), and implement
-    ``log_diam``.  ``diam``, the level aggregates, the window ratios and the
-    ratio scans have generic (enumerating) fallbacks that structured
+    refuses a seed diameter that is not positive and finite (NaN too), and
+    implement ``log_diam``.  ``diam``, the level aggregates, the window ratios
+    and the ratio scans have generic (enumerating) fallbacks that structured
     subclasses override with exact closed forms.
     """
 
@@ -57,8 +57,8 @@ class DiameterModel:
     containment_check: Optional[Callable[[], tuple[bool, str]]] = None
 
     def __init__(self, alphabet: Alphabet, seed_diameter: float) -> None:
-        if not seed_diameter > 0:  # NaN too
-            raise DomainError("seed diameter must be positive")
+        if not 0 < seed_diameter < math.inf:  # NaN too
+            raise DomainError("seed diameter must be positive and finite")
         self.alphabet = alphabet
         self.seed_diameter = float(seed_diameter)
         self._ld_cache: dict[tuple[int, SubTree | None], np.ndarray] = {}

@@ -110,8 +110,6 @@ def pressure_zero(model: DiameterModel, depth: int, tol: float = 1e-12) -> Press
     (typical for weakly controlled models, where per-level contraction
     rates change with the level).
     """
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     value = _bisect_zero(lambda t: pressure_at(model, t, depth), tol)

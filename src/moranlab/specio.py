@@ -229,8 +229,8 @@ def spec_from_dict(data: dict) -> LoadedSpec:
         seeds = tuple(_entry("seed_points[%d]" % k, _seed_point, p, space) for k, p in points)
         seed_diam = data.get("seed_diameter")
         seed_diam = None if seed_diam is None else _entry("seed_diameter", _real, seed_diam)
-        if seed_diam is not None and not seed_diam > 0:  # NaN too
-            raise SpecError("seed_diameter: seed diameter must be positive")
+        if seed_diam is not None and not 0 < seed_diam < float("inf"):  # NaN too
+            raise SpecError("seed_diameter: seed diameter must be positive and finite")
         system = ContractionSystem(space, maps, seeds, seed_diameter=seed_diam)
         model = _entry("model", model_from_dict, data["model"]) if "model" in data else None
         return LoadedSpec(name, system=system, model=model)

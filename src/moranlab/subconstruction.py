@@ -82,7 +82,6 @@ def verify_cmsc(
             "subtree provides %d levels but depth %d was requested"
             % (subtree.depth, depth)
         )
-    subtree.check_alphabet(model.alphabet)
 
     ratio_min, ratio_max = math.inf, -math.inf
     wit_low = wit_high = ((), 0)

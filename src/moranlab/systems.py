@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .exactnum import QuadraticNumber, exact_value
+from .exactnum import QuadraticNumber
 from .spaces import (
     MetricSpace,
     SymbolSpace,
@@ -479,9 +479,18 @@ def _integer_parts(x) -> tuple[int, int, int]:
     return x.denominator, x.numerator, 0
 
 
-def _over(parts: list[tuple[int, int, int]], den: int) -> tuple[list[int], list[int]]:
-    """Numerators ``a``, ``b`` of ``parts`` over the common denominator ``den``."""
-    return [a * (den // q) for q, a, _ in parts], [b * (den // q) for q, _, b in parts]
+def _field(x) -> int | None:
+    """The one test of exactness: ``d`` when ``x`` is an exact scalar of Q(sqrt d),
+    1 for an ``int`` or ``Fraction``, ``x.d`` for a quadratic number; else ``None``."""
+    return 1 if type(x) in (int, Fraction) else x.d if isinstance(x, QuadraticNumber) else None
+
+
+def _over(xs) -> tuple[int, list[int], list[int]]:
+    """``(den, A, B)`` with ``xs[k] == (A[k] + B[k]*sqrt(d)) / den`` over one
+    common denominator, for exact scalars ``xs``."""
+    parts = [_integer_parts(x) for x in xs]
+    den = math.lcm(*(q for q, _, _ in parts))
+    return den, [a * (den // q) for q, a, _ in parts], [b * (den // q) for q, _, b in parts]
 
 
 class _IntegerLevel(NamedTuple):
@@ -561,38 +570,30 @@ class _LevelPoints(Sequence):
 def _integer_levels(system: ContractionSystem, seeds: Sequence) -> Iterator[_IntegerLevel] | None:
     """Levels 1, 2, ... of ``seeds`` under ``system`` on integer numerators.
 
-    The one test of exactness: applies when every map has an affine form
-    whose ratio is a ``Fraction`` (rational systems) or a quadratic number
-    of one radicand ``d``, and every offset (one per coordinate) and seed
-    coordinate is an exact scalar of that field.  Then ``apply_word``
+    Applies when every map has an affine form, the ratios share one field
+    Q(sqrt d) of :func:`_field`, and every offset (one per coordinate) and
+    seed coordinate has field 1 or ``d``.  Then ``apply_word``
     gives ``Fraction`` (resp. ``QuadraticNumber``) coordinates only, and
     the levels hold the values and point order of
     :meth:`ContractionSystem.levels`.  Otherwise returns ``None``.
     """
-    forms = [m.affine() for m in system.maps]
+    try:
+        forms = [m.affine() for m in system.maps]
+    except DomainError:  # an offset of two radicands: ``apply_word`` may still give floats
+        return None
     if any(f is None for f in forms):
         return None
-    ratios = [r for r, _ in forms]
-    if all(type(r) is Fraction for r in ratios):
-        d = 1
-    elif all(isinstance(r, QuadraticNumber) and r.d == ratios[0].d for r in ratios):
-        d = ratios[0].d
-    else:
-        return None
-    n = system.space.coordinate_dim
-    scalars = [c for _, cs in forms for c in cs] + [c for p in seeds for c in p]
-    if any(len(cs) != n for _, cs in forms) or not all(
-        type(c) in (int, Fraction) or (isinstance(c, QuadraticNumber) and c.d == d)
-        for c in scalars
-    ):
+    n, d = system.space.coordinate_dim, _field(forms[0][0])
+    seed_coords = [c for p in seeds for c in p]
+    scalars = [c for _, cs in forms for c in cs] + seed_coords
+    if (d is None or any(_field(r) != d or len(cs) != n for r, cs in forms)
+            or any(_field(c) not in (1, d) for c in scalars)):
         return None
     # map k: x_j -> ((p + q sqrt d) x_j + (u_j + v_j sqrt d)) / den over one den
-    parts = [[_integer_parts(r), *map(_integer_parts, cs)] for r, cs in forms]
-    den = math.lcm(*(q for row in parts for q, _, _ in row))
-    maps = [_over(row, den) for row in parts]
-    seed_parts = [_integer_parts(c) for p in seeds for c in p]
-    level_den = math.lcm(*(q for q, _, _ in seed_parts))
-    a, b = (np.array(v, dtype=object).reshape(-1, n).T for v in _over(seed_parts, level_den))
+    den, A, B = _over([c for r, cs in forms for c in (r, *cs)])
+    maps = [(A[k : k + n + 1], B[k : k + n + 1]) for k in range(0, len(A), n + 1)]
+    level_den, A, B = _over(seed_coords)
+    a, b = (np.array(v, dtype=object).reshape(-1, n).T for v in (A, B))
     seed_level = _IntegerLevel(level_den, list(a), list(b) if d > 1 else None, d)
     return _iterate_levels(maps, den, d, seed_level)
 
@@ -686,7 +687,7 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
         raise DomainError("depth must be >= 1")
     if depth > 14:
         raise DomainError("collision scan depth capped at 14")
-    r_exact = exact_value(r)
+    exact = _field(r) is not None
     rf = float(r)
     if not 0.5 < rf < 1.0:
         raise DomainError("ratio must lie in (1/2, 1), got %r" % rf)
@@ -734,12 +735,10 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
     # row sums added column by column from 0, as ``sum`` adds floats before Python 3.12
     gaps = np.abs(sum(canon[:, k] * p for k, p in enumerate(pows)))
 
-    if r_exact is not None:
+    if exact:
         # r^k = (A_k + B_k sqrt d) / den with integers A_k, B_k; as sqrt d is
         # irrational, sum c_k r^k = 0 iff both integer sums vanish
-        powers = itertools.accumulate([r_exact] * (depth - 1), lambda p, q: p * q, initial=1)
-        parts = [_integer_parts(p) for p in powers]
-        A, B = _over(parts, math.lcm(*(q for q, _, _ in parts)))
+        _, A, B = _over(itertools.accumulate([r] * (depth - 1), lambda p, q: p * q, initial=1))
         # int64 sums when none can overflow, Python ints otherwise
         dtype = np.int64 if max(map(abs, A + B)) * depth < 2**63 else object
         C = canon.astype(dtype)
@@ -756,7 +755,7 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
     rows = (x[order].tolist() for x in (u, v, m, gaps))
     triples = [(tuple(a[:k]), tuple(b[:k]), gap) for a, b, k, gap in zip(*rows)]
     min_gap = float(np.concatenate(near_gaps).min(initial=np.inf))
-    return CollisionScan(triples, min_gap, r_exact is not None, depth, tol)
+    return CollisionScan(triples, min_gap, exact, depth, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ import itertools
 import os
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import DomainError, EnumerationCapError
 
 #: A finite word: a tuple of symbol indices.
@@ -217,8 +219,6 @@ def _stopping_walk(model, r: float, max_depth: int) -> tuple[list[Word], Word | 
     in order), the stopping mask and the kept children's positions.  Child ``c``
     is letter ``c % a`` below frontier word ``c // a``: the kept positions rebuild words.
     """
-    import numpy as np
-
     if not 0 < r < model.seed_diameter:
         raise DomainError(
             "stopping radius must lie in (0, seed diameter); got r=%r, seed=%r"
@@ -245,8 +245,6 @@ def _stopping_walk(model, r: float, max_depth: int) -> tuple[list[Word], Word | 
 
 def _letters(keeps: list, a: int, children):
     """Letter rows of the ``children`` (positions) of the frontier that ``keeps`` left."""
-    import numpy as np
-
     out = np.empty((len(children), len(keeps) + 1), dtype=np.intp, order="F")
     out[:, -1] = children % a
     for n in range(len(keeps) - 1, -1, -1):
@@ -282,8 +280,6 @@ def local_stopping_sets(model, cloud, Q, r: float) -> list[LocalStoppingSet]:
     can only miss intersections, never invent them.  All rows share one
     stopping set, walked once and no deeper than the cloud.
     """
-    import numpy as np
-
     from .spaces import block_rows
 
     candidates, wide = _stopping_walk(model, r, cloud.depth)

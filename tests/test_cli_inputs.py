@@ -301,6 +301,12 @@ BAD_SPECS = [
      ["validate"], "model: seed diameter must be positive"),
     ("system seed diameter NaN", _set("cantor", ("seed_diameter",), math.nan),
      ["pressure", "--zero"], "seed_diameter: seed diameter must be positive"),
+    # json reads 1e400 as inf: pressure printed the zero 4.5e-13 with exit 0,
+    # validate died in numpy on an empty array
+    ("system seed diameter infinite", _set("cantor", ("seed_diameter",), math.inf),
+     ["pressure", "--zero"], "seed_diameter: seed diameter must be positive and finite"),
+    ("level seed diameter infinite", _set("nsq", ("seed_diameter",), math.inf),
+     ["validate"], "model: seed diameter must be positive and finite"),
     # float() read true as 1.0: exit 0
     ("system seed diameter true", _set("cantor", ("seed_diameter",), True),
      ["pressure", "--zero"], "seed_diameter: booleans are not numeric scalars"),
@@ -383,6 +389,10 @@ FAILING_ARITHMETIC = [
      ["probe", "--probe", "epsilon", "--depth", "2"], "the result is not finite"),
     ("two radicands", _set("comb", ("maps", 1, "r", "sqrt", "d"), 7),
      ["generate", "--depth", "2"], "mixed radicands 5 and 7"),
+    # the sampled seed diameter overflows to inf: a ZeroDivisionError traceback
+    ("sampled seed diameter overflows",
+     {**_set("cantor", ("maps", 1, "fixed_point"), [1e308]), "seed_diameter": None},
+     ["validate", "--axioms", "cmc"], "seed diameter must be positive and finite"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Ring arithmetic for quadratic irrationals."""
 
+import struct
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from moranlab import GOLDEN_RATIO, QuadraticNumber
-from moranlab.exactnum import exact_value
 
 
 def test_golden_ratio_satisfies_its_minimal_polynomial():
@@ -77,17 +77,41 @@ def test_equality_with_rationals_needs_zero_irrational_part():
     assert QuadraticNumber(Fraction(3, 4), 1, 7) != Fraction(3, 4)
 
 
-def test_exact_value_accepts_exact_types_only():
-    assert exact_value(GOLDEN_RATIO) is GOLDEN_RATIO
-    assert exact_value(3) == Fraction(3)
-    assert exact_value(Fraction(2, 5)) == Fraction(2, 5)
-    assert exact_value(0.5) is None
-    assert exact_value("1/2") is None
-
-
 fractions = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
+
+
+def sub_formula(q, x):
+    """``q - x`` as ``__sub__`` computed it before it went through ``__add__``."""
+    if isinstance(x, float):
+        return float(q) - x
+    return q + (-(x if isinstance(x, QuadraticNumber) else QuadraticNumber(x, 0, q.d)))
+
+
+def rsub_formula(q, x):
+    """``x - q`` as ``__rsub__`` computed it before it went through ``__add__``."""
+    if isinstance(x, float):
+        return x - float(q)
+    return QuadraticNumber(x, 0, q.d) + (-q)
+
+
+def same(got, want):
+    """Equal values of one type; floats bit for bit (the sign of zero too)."""
+    if isinstance(want, float):
+        return type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+    return type(got) is type(want) and got == want
+
+
+@given(a=fractions, b=fractions, d=st.sampled_from((2, 3, 5)), data=st.data())
+def test_subtraction_through_addition_keeps_every_result(a, b, d, data):
+    q = QuadraticNumber(a, b, d)
+    x = data.draw(st.floats(allow_nan=False) | st.integers() | fractions
+                  | st.builds(QuadraticNumber, fractions, fractions, st.just(d)))
+    assert same(q - x, sub_formula(q, x))
+    # ``x - q`` of a quadratic ``x`` is ``x.__sub__(q)``
+    want = sub_formula(x, q) if isinstance(x, QuadraticNumber) else rsub_formula(q, x)
+    assert same(x - q, want)
 
 
 @given(a=fractions, b=fractions, c=fractions, e=fractions)

@@ -12,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from bisect import bisect_left
 from itertools import combinations, cycle, islice, product
+from numbers import Rational
 from pathlib import Path
 
 import numpy as np
@@ -799,6 +800,104 @@ def test_two_radicands_still_raise():
         attractor_cloud(system, 2)
 
 
+# -- one exactness test: ``_field`` against the type tests it replaced ------------
+
+# two values of each scalar type a spec or a caller may hand the maps and seeds
+SCALARS = [
+    0, 2, Fraction(1, 3), Fraction(-2, 5), 0.5, -0.25, np.int64(0), np.int64(3),
+    np.float64(0.5), np.float64(0.75), False, True,
+    GOLDEN_RATIO, QuadraticNumber(Fraction(1, 4), Fraction(-1, 3), 5),
+    QuadraticNumber(0, Fraction(1, 2), 2), QuadraticNumber(Fraction(1, 4), Fraction(1, 4), 2),
+]
+# the ones a map takes as its ratio, in (0, 1)
+RATIOS = [x for x in SCALARS if 0 < float(x) < 1]
+# drawn as often again for fixed points and seeds, so that more systems run on integers
+EXACT = [x for x in SCALARS if type(x) in (int, Fraction, QuadraticNumber)]
+
+
+def typed_levels(system, seeds):
+    """Whether the levels ran on integers under the type tests before ``_field``:
+    every ratio a ``Fraction``, or every ratio a quadratic number of one radicand
+    ``d``; every offset and seed coordinate an ``int``, a ``Fraction`` or a
+    quadratic number of radicand ``d``.  A fixed point of another radicand
+    than its ratio has no offset in either field: ``affine`` raises, and the
+    levels, which raised with it, now fall back to ``apply``."""
+    try:
+        forms = [m.affine() for m in system.maps]
+    except DomainError:
+        return False
+    if any(f is None for f in forms):
+        return False
+    ratios = [r for r, _ in forms]
+    if all(type(r) is Fraction for r in ratios):
+        d = 1
+    elif all(isinstance(r, QuadraticNumber) and r.d == ratios[0].d for r in ratios):
+        d = ratios[0].d
+    else:
+        return False
+    return all(type(c) in (int, Fraction) or (isinstance(c, QuadraticNumber) and c.d == d)
+               for c in [c for _, cs in forms for c in cs] + [c for p in seeds for c in p])
+
+
+@st.composite
+def typed_systems(draw):
+    """Similitudes of the line or comb branches of the plane, with ratios,
+    fixed points and seed coordinates of every type in ``SCALARS``."""
+    scalar = st.sampled_from(SCALARS) | st.sampled_from(EXACT)
+    ratios = draw(st.lists(st.sampled_from(RATIOS), min_size=2, max_size=3))
+    if draw(st.booleans()):
+        n, maps = 2, [CombMap(r, k) for k, r in enumerate(ratios)]
+    else:
+        n, maps = 1, [SimilitudeMap(r, (draw(scalar),)) for r in ratios]
+    seeds = draw(st.lists(st.tuples(*[scalar] * n), min_size=1, max_size=2))
+    return ContractionSystem(EuclideanSpace(n), maps, seeds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=typed_systems())
+def test_field_decides_the_integer_levels_as_the_type_tests_did(system):
+    seeds = system.seed_points
+    try:
+        want = [system.apply_word(w, p) for w in system.alphabet.words(3) for p in seeds]
+    except DomainError:  # two radicands meet: the level builder raises it too
+        with pytest.raises(DomainError, match="mixed radicands"):
+            list(islice(system.levels(seeds), 3))
+        return
+    assert (_integer_levels(system, seeds) is not None) == typed_levels(system, seeds)
+    level = next(islice(system.levels(seeds), 2, None))
+    got = [level.point(k) for k in range(len(want))]
+    assert got == want
+    assert level.rows.tobytes() == system.space.coordinates(want).tobytes()
+    types = [[type(c) for p in pts for c in p] for pts in (got, want)]
+    if not typed_levels(system, seeds):
+        # a level of floats is read off float64 rows as Python floats, where
+        # ``apply_word`` keeps the type of a numpy float64 parameter
+        types = [[float if issubclass(t, float) else t for t in ts] for ts in types]
+    assert types[0] == types[1]
+
+
+# the levels raised "mixed radicands 5 and 2" on these maps, whose points
+# ``apply_word`` gives as floats
+def test_an_offset_of_two_radicands_falls_back_to_the_maps():
+    sqrt2 = QuadraticNumber(0, Fraction(1, 2), 2)
+    maps = (SimilitudeMap(Fraction(1, 3), (0,)), SimilitudeMap(GOLDEN_RATIO, (sqrt2,)))
+    system = ContractionSystem(EuclideanSpace(1), maps, ((0.5,),))
+    assert _integer_levels(system, system.seed_points) is None
+    cloud = attractor_cloud(system, 3)
+    want = tuple(system.apply_word(w, (0.5,)) for w in system.alphabet.words(3))
+    assert tuple(cloud.points) == want
+    assert cloud.coordinates.tobytes() == float_bits(want)
+
+
+# ``_field`` gives 1 for an ``int`` where the ratio test asked for a ``Fraction``:
+# no map takes an int-typed ratio, so the two rules agree on every system
+@pytest.mark.parametrize("r", [0, 1, 2, np.int64(1), True, False])
+def test_no_map_takes_an_int_typed_ratio(r):
+    for build in (lambda: SimilitudeMap(r, (0,)), lambda: CombMap(r, 0)):
+        with pytest.raises(DomainError):
+            build()
+
+
 def test_ragged_seeds_still_raise():
     maps = [SimilitudeMap(Fraction(1, 3), (0, k)) for k in (0, 1)]
     system = ContractionSystem(EuclideanSpace(2), maps, ((0, 1), (0,)))
@@ -1395,13 +1494,20 @@ def test_epsilon_of_an_exact_overlap_is_zero_and_stops_there(monkeypatch):
     assert len(calls) == 1
 
 
+def loop_exact(r):
+    """The ratio the loop re-decided candidates with: ``r`` itself when it is a
+    quadratic number, ``Fraction(r)`` for any ``numbers.Rational``, else ``None``."""
+    if isinstance(r, QuadraticNumber):
+        return r
+    return Fraction(r) if isinstance(r, Rational) else None
+
+
 def loop_collision_scan(r, depth, tol=1e-9):
     """The ``osc_collision_scan`` loop that the numpy passes replaced:
     ``(collisions, min_nonzero_gap)``."""
-    from moranlab.exactnum import exact_value
     from moranlab.systems import _integer_parts
 
-    r_exact, rf, half = exact_value(r), float(r), depth // 2
+    r_exact, rf, half = loop_exact(r), float(r), depth // 2
     pows = [rf**k for k in range(depth)]
 
     def half_sums(positions):
@@ -1482,6 +1588,18 @@ def test_collision_scan_matches_the_loop(r):
         for tol in (1e-9, 0.5) if depth <= 6 else (1e-9,):
             scan = osc_collision_scan(r, depth, tol)
             assert (scan.collisions, scan.min_nonzero_gap) == loop_collision_scan(r, depth, tol)
+
+
+# the scan decides exactness with ``_field``: on its ratios in (1/2, 1) that
+# accepts what the loop's rule accepts, a ``Fraction`` or a quadratic number
+@pytest.mark.parametrize(
+    "r", [Fraction(3, 5), GOLDEN_RATIO, QuadraticNumber(0, Fraction(1, 2), 2), 0.6, np.float64(0.6)],
+    ids=["fraction", "golden", "sqrt2", "float", "float64"],
+)
+def test_collision_scan_is_exact_where_the_loop_was(r):
+    scan = osc_collision_scan(r, 8)
+    assert scan.exact is (loop_exact(r) is not None)
+    assert (scan.collisions, scan.min_nonzero_gap) == loop_collision_scan(r, 8)
 
 
 class NanLine(EuclideanSpace):

@@ -92,8 +92,8 @@ def test_multiplicative_input_validation():
         MultiplicativeModel((0.5, 0.5), seed_diameter=0.0)
 
 
-# a NaN seed diameter passed every ``seed_diameter <= 0`` check
-@pytest.mark.parametrize("seed", [0.0, -1.0, math.nan])
+# a NaN seed diameter passed every ``seed_diameter <= 0`` check, an infinite one ``> 0``
+@pytest.mark.parametrize("seed", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("build", [
     lambda seed: MultiplicativeModel((0.5, 0.5), seed_diameter=seed),
     lambda seed: LevelModel(lambda n: 0.5, 2, seed_diameter=seed),

@@ -212,16 +212,33 @@ def test_one_float_row_builder():
     assert owners == {"MetricSpace", "SymbolSpace", "SnowflakeSpace"}, sorted(owners)
 
 
+EXACT_TYPES = {"Fraction", "QuadraticNumber"}
+
+
 def test_exactness_is_decided_once():
-    """``_integer_levels`` decides exactness from the maps' affine forms; in
-    ``systems.py`` only ``osc_collision_scan`` tests a value with ``exact_value``."""
+    """``_field`` alone tests a value against the exact types in ``systems.py``
+    (``_integer_parts``, which splits a scalar already decided exact, aside),
+    and ``exactnum`` has no second test."""
+    import moranlab.exactnum
+
     readers = set()
-    for node in ast.parse((PKG_ROOT / "src" / "moranlab" / "systems.py").read_text()).body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+    for func in ast.walk(ast.parse((PKG_ROOT / "src" / "moranlab" / "systems.py").read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if any(getattr(n, "id", getattr(n, "attr", None)) == "exact_value" for n in ast.walk(node)):
-            readers.add(getattr(node, "name", "<module>"))
-    assert readers == {"osc_collision_scan"}, sorted(readers)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                tested = node.args[1:]
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(n, ast.Call) and getattr(n.func, "id", None) == "type"
+                for n in [node.left, *node.comparators]
+            ):
+                tested = [node.left, *node.comparators]
+            else:
+                continue
+            if EXACT_TYPES & {getattr(n, "id", None) for t in tested for n in ast.walk(t)}:
+                readers.add(func.name)
+    assert readers == {"_field", "_integer_parts"}, sorted(readers)
+    assert not hasattr(moranlab.exactnum, "exact_value")
 
 
 # The functions that may run a map's ``apply``: the word map, the one level
