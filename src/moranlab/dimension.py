@@ -36,7 +36,7 @@ def _greedy_centers(space, X, sep: float) -> list[int]:
     while i < len(X):
         centers.append(i)
         # rows before i are centers or covered already
-        covered[i + 1 : -1] |= space.distances(X[i + 1 :], X[i : i + 1])[0] <= sep
+        covered[i + 1 : -1] |= space.within(X[i + 1 :], X[i : i + 1], sep)[0]
         i += 1 + int(np.argmin(covered[i + 1 :]))
     return centers
 
@@ -59,7 +59,7 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
         so that float dust cannot split one construction piece over two
         cells.
     """
-    if r <= 0:
+    if not r > 0:
         raise DomainError("radius must be positive")
     if not len(cloud):
         warnings.warn("empty cloud: covering number reported as 0", stacklevel=2)
@@ -174,14 +174,14 @@ def maximal_packing(space, center, R: float, r: float, candidates) -> list:
     packing/covering sandwich.  ``r >= R`` is allowed and degenerates to
     a single ball: the window has diameter at most ``2R <= 2r``.
     """
-    if r <= 0 or R <= 0:
+    if not (r > 0 and R > 0):
         raise DomainError("radii must be positive; got r=%r, R=%r" % (r, R))
     if isinstance(candidates, PointCloud):
         pts, X = candidates.points, candidates.coordinates
     else:
         pts = list(candidates)
         X = space.coordinates(pts)
-    window = np.flatnonzero(space.distances(X, space.coordinates([center]))[0] <= R)
+    window = np.flatnonzero(space.within(X, space.coordinates([center]), R)[0])
     if not window.size:
         warnings.warn("no candidates inside B(center, R): empty packing", stacklevel=2)
         return []

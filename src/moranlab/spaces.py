@@ -23,11 +23,17 @@ per coordinate or letter position, as the greedy cover reads them (README
 lists the cover variants measured slower).  The symbol kernel compares letter
 columns and finds each pair's first differing letter with one max-reduce; it
 counts if it lies inside the pair's common length.
+
+``within(X, Q, r)`` is the ball test, ``distances(X, Q) <= r`` bit for bit.
+The Euclidean (and comb) and Heisenberg kernels have a pre-root part, the sums
+of squares or ``(a^2+b^2)^2 + c^2``, that ``distances`` finishes with one or two
+square roots; their ``within`` compares it with :func:`ball_bound` instead.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import chain, repeat
 from typing import Sequence
 
@@ -37,16 +43,6 @@ from .errors import DomainError
 from .words import Alphabet, Word, d2_with_resolution
 
 
-def euclidean_distance(p: Sequence, q: Sequence) -> float:
-    if len(p) != len(q):
-        raise DomainError("points of different dimension: %r vs %r" % (p, q))
-    total = 0.0
-    for a, b in zip(p, q):
-        d = float(a - b)  # exact subtraction where the types allow it
-        total += d * d
-    return math.sqrt(total)
-
-
 #: float64 elements per temporary of a block-query loop (64 KiB)
 BLOCK_ELEMENTS = 2**13
 
@@ -54,6 +50,42 @@ BLOCK_ELEMENTS = 2**13
 def block_rows(n_rows: int) -> int:
     """Query rows per kernel call against ``n_rows`` rows."""
     return max(1, BLOCK_ELEMENTS // max(1, n_rows))
+
+
+@lru_cache(maxsize=64)
+def ball_bound(r: float, roots: int) -> float:
+    """The largest float ``s`` whose ``roots``-fold square root is ``<= r``,
+    ``-inf`` if there is none.  IEEE ``sqrt`` is correctly rounded, hence
+    monotone, so for ``s >= 0`` (or NaN) ``root(s) <= r`` holds exactly when
+    ``s <= ball_bound(r, roots)``: a ball test need not take the roots."""
+    if not r >= 0:
+        return -math.inf
+
+    def root(s: float) -> float:
+        for _ in range(roots):
+            s = math.sqrt(s)
+        return s
+
+    s = float(r)
+    for _ in range(roots):
+        s *= s
+    # r**(2**roots) lies a few floats from the bound
+    while root(s) > r:
+        s = math.nextafter(s, 0.0)
+    while s < math.inf and root(math.nextafter(s, math.inf)) <= r:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+def _squares(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The Euclidean kernel before its square root: the sums of squares."""
+    if Q.shape[1] != X.shape[1]:
+        raise DomainError("query rows of width %d vs rows of %d" % (Q.shape[1], X.shape[1]))
+    total = np.zeros((len(Q), len(X)))
+    for k in range(X.shape[1]):
+        d = X[:, k] - Q[:, k, None]
+        total += np.multiply(d, d, out=d)
+    return total
 
 
 def row_minima(space: "MetricSpace", X: np.ndarray, Q: np.ndarray, skip=None) -> np.ndarray:
@@ -96,6 +128,10 @@ class MetricSpace:
         """``D[i, j] = distance(X[j], Q[i])`` over rows of :meth:`coordinates`."""
         raise NotImplementedError
 
+    def within(self, X: np.ndarray, Q: np.ndarray, r: float) -> np.ndarray:
+        """The ball test ``distances(X, Q) <= r``, bit for bit."""
+        return self.distances(X, Q) <= r
+
     def metric_bound(self, s: float) -> float:
         """Lipschitz bound in this metric of a map with coordinate-metric bound ``s``."""
         return s
@@ -113,17 +149,21 @@ class EuclideanSpace(MetricSpace):
     def coordinate_dim(self) -> int:
         return self.dim
 
-    def distance(self, p, q) -> float:
-        return euclidean_distance(p, q)
+    def distance(self, p: Sequence, q: Sequence) -> float:
+        if len(p) != len(q):
+            raise DomainError("points of different dimension: %r vs %r" % (p, q))
+        total = 0.0
+        for a, b in zip(p, q):
+            d = float(a - b)  # exact subtraction where the types allow it
+            total += d * d
+        return math.sqrt(total)
 
     def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        if Q.shape[1] != X.shape[1]:
-            raise DomainError("query rows of width %d vs rows of %d" % (Q.shape[1], X.shape[1]))
-        total = np.zeros((len(Q), len(X)))
-        for k in range(X.shape[1]):
-            d = X[:, k] - Q[:, k, None]
-            total += d * d
-        return np.sqrt(total)
+        s = _squares(X, Q)
+        return np.sqrt(s, out=s)
+
+    def within(self, X: np.ndarray, Q: np.ndarray, r: float) -> np.ndarray:
+        return _squares(X, Q) <= ball_bound(r, 1)
 
 
 class SnowflakeSpace(MetricSpace):
@@ -231,11 +271,11 @@ class CombSpace(MetricSpace):
             raise DomainError("comb contraction must lie in (0, 1), got %r" % rf)
         self.r = r
 
-    ultrametric = False
     coordinate_dim = 2
 
     distance = EuclideanSpace.distance
     distances = EuclideanSpace.distances
+    within = EuclideanSpace.within
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +321,32 @@ class HeisenbergSpace(MetricSpace):
     stopping-set and packing machinery needs.
     """
 
-    ultrametric = False
     coordinate_dim = 3  # (x, y, t); the gauge is not the Euclidean distance of these rows
 
     def distance(self, p: HeisenbergPoint, q: HeisenbergPoint) -> float:
         return heisenberg_gauge(heisenberg_multiply(heisenberg_inverse(p), q))
 
-    def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _fourth_powers(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """The gauge kernel before its two square roots: ``(a^2+b^2)^2 + c^2``."""
         x2, y2, t2 = Q[:, 0, None], Q[:, 1, None], Q[:, 2, None]
         x, y, t = X.T
         # heisenberg_multiply(heisenberg_inverse(x), q), then heisenberg_gauge; bit
-        # for bit, -x * y2 - -y * x2 is y * x2 - x * y2 and a, b only change sign
-        a, b, c = x - x2, y - y2, (t2 - t) + 0.5 * (y * x2 - x * y2)
-        s = np.square(a, out=a) + np.square(b, out=b)
-        np.add(np.square(s, out=s), np.square(c, out=c), out=s)
+        # for bit, -x * y2 - -y * x2 is y * x2 - x * y2, a and b only change sign,
+        # and the in-place steps only swap the operands of + and *
+        a, b, c = x - x2, y - y2, y * x2
+        c -= x * y2
+        c *= 0.5
+        c += t2 - t
+        a *= a
+        a += np.multiply(b, b, out=b)
+        a *= a
+        a += np.multiply(c, c, out=c)
+        return a
+
+    def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        s = self._fourth_powers(X, Q)
         return np.sqrt(np.sqrt(s, out=s), out=s)
+
+    def within(self, X: np.ndarray, Q: np.ndarray, r: float) -> np.ndarray:
+        return self._fourth_powers(X, Q) <= ball_bound(r, 2)

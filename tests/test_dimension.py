@@ -66,8 +66,9 @@ def test_box_count_degenerate_cases():
     empty = PointCloud(EuclideanSpace(1), 0, 1, 0, ())
     with pytest.warns(UserWarning):
         assert box_count(empty, 0.1) == 0
-    with pytest.raises(DomainError):
-        box_count(cloud, 0.0)
+    for r in (0.0, -0.1, math.nan):
+        with pytest.raises(DomainError):
+            box_count(cloud, r)
     with pytest.raises(DomainError):
         box_count(cloud, 0.1, method="octree")
 
@@ -206,8 +207,9 @@ def test_packing_accepts_clouds_and_validates_radii():
     cloud = cantor_cloud(6)
     pack = maximal_packing(cloud.space, (0.0,), 2.0, 0.4, cloud)
     assert len(pack) == 2
-    with pytest.raises(DomainError):
-        maximal_packing(cloud.space, (0.0,), 0.5, 0.0, cloud)
+    for R, r in ((0.5, 0.0), (0.5, math.nan), (math.nan, 0.4), (-0.5, 0.4)):
+        with pytest.raises(DomainError):
+            maximal_packing(cloud.space, (0.0,), R, r, cloud)
     with pytest.warns(UserWarning):
         assert maximal_packing(cloud.space, (50.0,), 0.5, 0.1, cloud) == []
 

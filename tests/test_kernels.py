@@ -52,9 +52,9 @@ from moranlab import (
     stopping_set,
 )
 from moranlab.cli import _cloud_csv, _default_scales
-from moranlab.dimension import _nearest_neighbor_gap
+from moranlab.dimension import _greedy_centers, _nearest_neighbor_gap
 from moranlab.models import GeneralModel
-from moranlab.spaces import row_minima
+from moranlab.spaces import ball_bound, row_minima
 from moranlab.systems import (
     ContractionMap,
     _IntegerLevel,
@@ -200,6 +200,63 @@ def test_comb_kernel_on_quadratic_coordinates(points):
     assert got[0] == 0.0
 
 
+# -- ball tests against the kernel ----------------------------------------------------
+
+
+@st.composite
+def ball_cases(draw):
+    """A space, its rows and query rows, and radii at and around realised distances."""
+    if draw(st.booleans()):
+        space, X, Q = draw(float_row_blocks())
+    else:
+        space, points = draw(float_clouds())
+        X = space.coordinates(points)
+        Q = space.coordinates(draw(st.lists(st.sampled_from(points), min_size=1, max_size=4)))
+    with np.errstate(all="ignore"):
+        d = draw(st.sampled_from(space.distances(X, Q).ravel().tolist()))
+    around = [d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf)]
+    return space, X, Q, around + [0.0, -0.0, 5e-324, math.inf, math.nan]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(max_examples=200, deadline=None)
+@given(case=ball_cases())
+def test_ball_test_is_the_kernel_compared_with_r(case):
+    space, X, Q, radii = case
+    with np.errstate(all="ignore"):
+        D = space.distances(X, Q)
+        for r in radii:
+            assert np.array_equal(space.within(X, Q, r), D <= r), r
+
+
+def nested_sqrt(s, roots):
+    for _ in range(roots):
+        s = math.sqrt(s)
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(min_value=5e-324, max_value=1e300), roots=st.sampled_from([1, 2]))
+@example(r=5e-324, roots=2)
+@example(r=1e-160, roots=1)
+@example(r=1e-80, roots=2)
+@example(r=1e300, roots=2)
+@example(r=0.25, roots=2)
+def test_ball_bound_is_the_last_float_inside_the_ball(r, roots):
+    bound = ball_bound(r, roots)
+    assert nested_sqrt(bound, roots) <= r < nested_sqrt(math.nextafter(bound, math.inf), roots)
+
+
+def test_ball_bound_at_the_edges_of_the_radii():
+    for roots in (1, 2):
+        assert ball_bound(0.0, roots) == ball_bound(-0.0, roots) == 0.0
+        assert ball_bound(math.inf, roots) == math.inf
+        for r in (-5e-324, -1.0, -math.inf, math.nan):
+            assert ball_bound(r, roots) == -math.inf
+    # a rational radius is compared exactly, as numpy compares a float with it
+    assert ball_bound(Fraction(1, 10), 1) < 0.01 <= ball_bound(0.1, 1)
+
+
 def test_kernels_reject_mismatched_dimensions():
     with pytest.raises(DomainError):
         EuclideanSpace(2).coordinates([(0.0, 1.0), (2.0,)])
@@ -256,6 +313,28 @@ def test_greedy_cover_on_shipped_clouds_matches_the_scan(name):
         assert maximal_packing(space, pts[0], diam, r, cloud) == scalar_packing(
             space, pts[0], diam, r, pts
         ), r
+
+
+def dyadic_comb():
+    """A comb of ratio 1/2: every coordinate and many distances are dyadic."""
+    half = Fraction(1, 2)
+    maps = (CombMap(half, 0), CombMap(half, 1))
+    return ContractionSystem(CombSpace(half), maps, ((0, half), (Fraction(1, 4), 1)))
+
+
+@pytest.mark.parametrize("system, depth, radii", [
+    (lambda: shipped_system("heisenberg"), 3, (0.5, 0.25)),
+    (dyadic_comb, 7, (0.25, 0.5, 1.0)),
+], ids=["heisenberg", "dyadic comb"])
+def test_greedy_centers_equal_the_scan_at_tied_radii(system, depth, radii):
+    """At a radius that is an exact pairwise distance, a ball bound one float
+    below ``r**2`` (or ``r**4``) drops the tied pairs and moves a centre; the
+    centres are those of the scalar scan."""
+    cloud = attractor_cloud(system(), depth)
+    space, X, pts = cloud.space, cloud.coordinates, cloud.points
+    for r in radii:
+        assert np.any(space.distances(X, X[:16]) == r), r
+        assert [pts[k] for k in _greedy_centers(space, X, r)] == scalar_centers(space, pts, r), r
 
 
 # -- level-by-level clouds against apply_word ----------------------------------------

@@ -241,6 +241,19 @@ def test_exactness_is_decided_once():
     assert not hasattr(moranlab.exactnum, "exact_value")
 
 
+def test_ball_membership_is_read_through_within():
+    """``dimension`` orders no ``distances(...)`` result against a radius:
+    its covers and packings ask ``space.within``, the one ball test."""
+    orders = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    offenders = []
+    for node in ast.walk(ast.parse((PKG_ROOT / "src" / "moranlab" / "dimension.py").read_text())):
+        if isinstance(node, ast.Compare) and any(isinstance(op, orders) for op in node.ops):
+            if any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "distances"
+                   for side in [node.left, *node.comparators] for n in ast.walk(side)):
+                offenders.append(node.lineno)
+    assert not offenders, offenders
+
+
 # The functions that may run a map's ``apply``: the word map, the one level
 # builder (with any helper nested in it) and the exhaustive cylinder check.
 APPLY_CALLERS = (
