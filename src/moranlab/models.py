@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .words import Alphabet, SubTree, Word, _check_enum, word_at
+from .words import Alphabet, SubTree, Word, _check_enum, level_step, word_at
 
 # Fitted constants that grow by more than this factor between consecutive
 # depths are flagged as diverging (axiom violated rather than held).
@@ -78,7 +78,7 @@ class DiameterModel:
     def child_diams(self, carry, words: Callable[[], list[Word]]):
         """One level of a stopping walk: the diameters of the frontier's children,
         ``a`` per frontier word in order, as ``diam`` computes them, and a row per
-        child that the next call gets as ``carry`` (``None`` at the root), cut to
+        child that the next call gets as ``carry`` (``[seed_diameter]`` at the root), cut to
         the new frontier.  ``words()`` lists the children.  Generic: ``diam`` per word.
         """
         d = np.array([self.diam(w) for w in words()], dtype=float)
@@ -117,7 +117,8 @@ class DiameterModel:
         """``log(sum(diam(i)**t for i in level n))``, subtree-restricted if given."""
         vals = t * self._level_log_diams(n, subtree)
         m = float(np.max(vals))
-        return m + math.log(float(np.sum(np.exp(vals - m))))
+        vals -= m
+        return m + math.log(float(np.sum(np.exp(vals, out=vals))))
 
     def window_ratios(self, t: float, depth: int, subtree: SubTree) -> list[np.ndarray]:
         """``sum_j (diam(ij) / diam(i))**t`` over the length-``n`` suffixes ``j``.
@@ -204,16 +205,19 @@ def _extreme(x: np.ndarray, lowest: bool) -> tuple[float, int]:
     """Least (or greatest) ``math.exp(v)`` over the rows of ``x`` and the first column attaining it.
 
     Only distinct logs within 1e-12 of their row's extreme are exponentiated:
-    two ratios round to one float only if their logs differ by ~1e-16.
+    two ratios round to one float only if their logs differ by ~1e-16.  A row
+    with a NaN has a NaN extreme, so no NaN is near.
     """
     gap = x - x.min(axis=-1, keepdims=True) if lowest else x.max(axis=-1, keepdims=True) - x
     near = np.flatnonzero(gap <= 1e-12)
+    vals = x.ravel()[near]
     # distinct sorted logs, as np.unique gives them (which imports numpy.ma)
-    logs = np.sort(x.ravel()[near])
-    logs = np.concatenate((logs[:1], logs[1:][logs[1:] != logs[:-1]]))
-    exps = np.array([math.exp(v) for v in logs.tolist()])
-    best = float(exps.min() if lowest else exps.max())
-    return best, int((near[np.isin(x.ravel()[near], logs[exps == best])] % x.shape[-1]).min())
+    logs = np.sort(vals)
+    logs = np.concatenate((logs[:1], logs[1:][logs[1:] != logs[:-1]])).tolist()
+    exps = [math.exp(v) for v in logs]
+    best = min(exps) if lowest else max(exps)
+    hit = np.logical_or.reduce([vals == v for v, e in zip(logs, exps) if e == best])
+    return best, int((near[hit] % x.shape[-1]).min())
 
 
 class MultiplicativeModel(DiameterModel):
@@ -243,7 +247,7 @@ class MultiplicativeModel(DiameterModel):
 
     def child_diams(self, carry, words):
         # diam's left-to-right product, carried
-        d = np.multiply.outer(self.seed_diameter if carry is None else carry, self.ratios).ravel()
+        d = level_step(carry, self.ratios, np.multiply)
         return d, d
 
     def _branch_log_terms(self, t: float, b: int) -> tuple[float, ...]:
@@ -372,8 +376,7 @@ class RectangleModel(DiameterModel):
         super().__init__(Alphabet(len(a)), math.hypot(1.0, 1.0))
         self.a = tuple(float(v) for v in a)
         self.b = tuple(float(v) for v in b)
-        self._la = np.log(self.a)
-        self._lb = np.log(self.b)
+        self._la, self._lb = np.log(self.a), np.log(self.b)
 
     def log_diam(self, word: Word) -> float:
         la = sum(self._la[s] for s in word)
@@ -381,11 +384,12 @@ class RectangleModel(DiameterModel):
         return 0.5 * np.logaddexp(2 * la, 2 * lb)
 
     def _log_diams(self, branches: list[int]) -> np.ndarray:
-        la = lb = np.zeros(1)
+        la, lb = np.zeros(1), np.zeros(1)
         for b in branches:
-            la = (la[:, None] + self._la[:b]).ravel()
-            lb = (lb[:, None] + self._lb[:b]).ravel()
-        return 0.5 * np.logaddexp(2 * la, 2 * lb)
+            la, lb = level_step(la, self._la[:b]), level_step(lb, self._lb[:b])
+        # log_diam's ``0.5 * logaddexp(2 * la, 2 * lb)``, in place
+        np.logaddexp(np.multiply(la, 2, out=la), np.multiply(lb, 2, out=lb), out=la)
+        return np.multiply(la, 0.5, out=la)
 
 
 # ---------------------------------------------------------------------------

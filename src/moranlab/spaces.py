@@ -52,12 +52,17 @@ def block_rows(n_rows: int) -> int:
     return max(1, BLOCK_ELEMENTS // max(1, n_rows))
 
 
-@lru_cache(maxsize=64)
 def ball_bound(r: float, roots: int) -> float:
     """The largest float ``s`` whose ``roots``-fold square root is ``<= r``,
     ``-inf`` if there is none.  IEEE ``sqrt`` is correctly rounded, hence
     monotone, so for ``s >= 0`` (or NaN) ``root(s) <= r`` holds exactly when
-    ``s <= ball_bound(r, roots)``: a ball test need not take the roots."""
+    ``s <= ball_bound(r, roots)``: a ball test need not take the roots.  A 0-d
+    array radius is read as its item, so an exact radius in one stays exact."""
+    return _ball_bound(r.item() if isinstance(r, np.ndarray) else r, roots)
+
+
+@lru_cache(maxsize=64)
+def _ball_bound(r: float, roots: int) -> float:
     if not r >= 0:
         return -math.inf
 

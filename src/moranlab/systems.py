@@ -36,6 +36,7 @@ from .words import (
     Alphabet,
     Word,
     _check_enum,
+    level_step,
     local_stopping_set,
     local_stopping_sets,
     word_str,
@@ -701,7 +702,7 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
         rows of every ``c`` in ``{-1, 0, 1}**positions``, last digit fastest."""
         sums, rows = np.zeros(1), np.zeros((1, 0), dtype=np.int8)
         for p in positions:
-            sums = (sums[:, None] + digits * pows[p]).ravel()
+            sums = level_step(sums, digits * pows[p])
             rows = np.column_stack([np.repeat(rows, 3, axis=0), np.tile(digits, len(rows))])
         return sums, rows
 
@@ -788,7 +789,7 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
              for m, b in zip(system.maps, system.map_lip_bounds)]
     prods = [np.ones(1)]
     for _ in range(depth):
-        prods.append((prods[-1][:, None] * lower).ravel())
+        prods.append(level_step(prods[-1], lower, np.multiply))
     prod = np.concatenate(prods[1:])
     sep = np.fromiter(map(space.metric_bound, prod.tolist()), float, len(prod))
     other = np.flatnonzero(np.isnan(prod))

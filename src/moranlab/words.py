@@ -4,7 +4,8 @@ Words index the pieces of a Moran construction: the word ``(i1, ..., in)``
 names the piece reached by following branch ``i1`` at level 1, ``i2`` at
 level 2, and so on.  Everything here is exact combinatorics -- the only
 metric content is the dyadic tree metric :func:`d2_with_resolution` and
-the diameter values supplied by a caller's model.
+the diameter values supplied by a caller's model.  :func:`level_step` builds
+the next level of any word-indexed array.
 """
 
 from __future__ import annotations
@@ -112,6 +113,15 @@ def word_at(index: int, counts: Sequence[int]) -> Word:
         index, s = divmod(index, b)
         word = (s,) + word
     return word
+
+
+def level_step(parent: np.ndarray, steps, op=np.add) -> np.ndarray:
+    """The next level of a word-indexed array: child ``k*a + c`` is ``op(parent[k], steps[c])``,
+    as in ``(parent[:, None] op steps).ravel()``, but in one pass over the parent per letter."""
+    out = np.empty((len(parent), len(steps)), np.result_type(parent, np.asarray(steps)))
+    for c, s in enumerate(steps):
+        op(parent, s, out=out[:, c])
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +235,7 @@ def _stopping_walk(model, r: float, max_depth: int) -> tuple[list[Word], Word | 
             % (r, model.seed_diameter)
         )
     a, found, keeps = model.alphabet.size, [], []
-    carry, count, stopped = None, 1, 0
+    carry, count, stopped = np.array([model.seed_diameter]), 1, 0
     while count and len(keeps) < max_depth:
         _check_enum(stopped + count * a, "stopping set at r=%r" % r)
         children = lambda: list(zip(*_letters(keeps, a, np.arange(count * a)).T.tolist()))  # noqa
@@ -245,7 +255,7 @@ def _stopping_walk(model, r: float, max_depth: int) -> tuple[list[Word], Word | 
 
 def _letters(keeps: list, a: int, children):
     """Letter rows of the ``children`` (positions) of the frontier that ``keeps`` left."""
-    out = np.empty((len(children), len(keeps) + 1), dtype=np.intp, order="F")
+    out = np.empty((len(children), len(keeps) + 1), np.min_scalar_type(a - 1), order="F")
     out[:, -1] = children % a
     for n in range(len(keeps) - 1, -1, -1):
         children = keeps[n][children // a]

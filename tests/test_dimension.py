@@ -1,8 +1,10 @@
 """Box counting, Minkowski slopes, cover sums, and packings."""
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from moranlab import (
@@ -98,6 +100,9 @@ def test_box_count_is_nonincreasing_in_r():
     radii = [0.5 * 0.7**k for k in range(10)]
     counts = [box_count(cloud, r) for r in radii]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
+    # a 0-d array radius counts as its item (the cached ball bound is keyed on it)
+    for r in (0.1, np.array(0.1), np.float64(0.1), Fraction(1, 10), np.array(Fraction(1, 10))):
+        assert box_count(cloud, r) == 8
 
 
 # -- Minkowski slope -------------------------------------------------------------
@@ -207,6 +212,7 @@ def test_packing_accepts_clouds_and_validates_radii():
     cloud = cantor_cloud(6)
     pack = maximal_packing(cloud.space, (0.0,), 2.0, 0.4, cloud)
     assert len(pack) == 2
+    assert maximal_packing(cloud.space, (0.0,), np.array(2.0), np.array(0.4), cloud) == pack
     for R, r in ((0.5, 0.0), (0.5, math.nan), (math.nan, 0.4), (-0.5, 0.4)):
         with pytest.raises(DomainError):
             maximal_packing(cloud.space, (0.0,), R, r, cloud)

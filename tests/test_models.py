@@ -1,5 +1,6 @@
 """Diameter models, their level aggregates and scans, and the axiom fits."""
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -434,6 +435,111 @@ def test_split_blocks_past_the_block_size_hold_one_split(monkeypatch):
     assert sum(k for k, _ in blocks) == splits and len(blocks) < splits
     assert all(k <= max(1, BLOCK_ELEMENTS // width) for k, width in blocks)
     assert blocks[1 - depth :] == [(1, 2**depth)] * (depth - 1)
+
+
+# -- level arrays and tie-breaks against the broadcasts they replaced -----------
+
+
+def broadcast_rectangle_log_diams(model, branches):
+    """``RectangleModel._log_diams`` as two broadcasts per level and out-of-place doubling."""
+    la = lb = np.zeros(1)
+    for b in branches:
+        la = (la[:, None] + model._la[:b]).ravel()
+        lb = (lb[:, None] + model._lb[:b]).ravel()
+    return 0.5 * np.logaddexp(2 * la, 2 * lb)
+
+
+def three_temporaries_level_log_sum(model, t, n, subtree=None):
+    """``DiameterModel.level_log_sum`` shifting and exponentiating out of place."""
+    vals = t * model._level_log_diams(n, subtree)
+    m = float(np.max(vals))
+    return m + math.log(float(np.sum(np.exp(vals - m))))
+
+
+def isin_extreme(x, lowest):
+    """``models._extreme`` finding its witness with ``np.isin``."""
+    gap = x - x.min(axis=-1, keepdims=True) if lowest else x.max(axis=-1, keepdims=True) - x
+    near = np.flatnonzero(gap <= 1e-12)
+    logs = np.sort(x.ravel()[near])
+    logs = np.concatenate((logs[:1], logs[1:][logs[1:] != logs[:-1]]))
+    exps = np.array([math.exp(v) for v in logs.tolist()])
+    best = float(exps.min() if lowest else exps.max())
+    return best, int((near[np.isin(x.ravel()[near], logs[exps == best])] % x.shape[-1]).min())
+
+
+@st.composite
+def rectangles(draw):
+    """Random sides, or equal ratios per side as in ``specs/selfaffine.json``
+    (every word of a level ties)."""
+    a = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        side = st.lists(st.floats(1e-3, 0.999), min_size=a, max_size=a)
+        return RectangleModel(draw(side), draw(side))
+    ra, rb = draw(st.sampled_from([(1 / 3, 1 / 4), (0.5, 0.5), (0.3, 0.7), (0.9, 1e-3)]))
+    return RectangleModel([ra] * a, [rb] * a)
+
+
+@given(rectangles(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rectangle_levels_and_sums_are_the_broadcasts_bit_for_bit(model, data):
+    a = model.alphabet.size
+    branches = data.draw(st.lists(st.integers(1, a), max_size=12 if a == 2 else 6))
+    subtree = SubTree(branches) if data.draw(st.booleans()) else None
+    if subtree is None:
+        branches = [a] * len(branches)
+    n, t = len(branches), data.draw(st.floats(-40.0, 40.0))
+    got = model._level_log_diams(n, subtree)
+    want = broadcast_rectangle_log_diams(model, branches)
+    assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    want_sum = three_temporaries_level_log_sum(model, t, n, subtree)
+    assert model.level_log_sum(t, n, subtree) == want_sum
+    # the sum works on its own temporary: the cached level is untouched
+    assert np.array_equal(model._level_log_diams(n, subtree), want)
+
+
+@given(st.data(), st.sampled_from([0.25, 1 / 3, 0.1]), st.integers(2, 3))
+@settings(max_examples=40, deadline=None)
+def test_general_level_sums_are_the_three_temporaries_bit_for_bit(data, step, a):
+    """Log-diameters on a grid: many terms tie, and ``m`` is attained often."""
+    weight = data.draw(st.lists(st.integers(-6, -1), min_size=a, max_size=a))
+    model = GeneralModel(lambda w: step * sum(weight[s] for s in w), Alphabet(a))
+    n, t = data.draw(st.integers(0, 5)), data.draw(st.floats(-40.0, 40.0))
+    assert model.level_log_sum(t, n) == three_temporaries_level_log_sum(model, t, n)
+
+
+@given(rectangles(), st.integers(2, 7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_extreme_equals_the_isin_version(model, n, data):
+    """Split blocks of a level (equal-ratio rectangles tie everywhere), a row
+    per split, some rows NaN; and a child-ratio row."""
+    if model.alphabet.size > 2:
+        n = min(n, 4)
+    L, a = model._scan_levels(n)
+    ms = range(1, n)
+    x = np.stack([(L[n].reshape(a**m, -1) - L[m][:, None] - L[n - m]).ravel() for m in ms])
+    nan_rows = data.draw(st.sets(st.integers(0, len(ms) - 1)))
+    x[sorted(nan_rows)] = np.nan
+    blocks = [x, (L[n].reshape(-1, a) - L[n - 1][:, None]).ravel()]
+    for block, lowest in itertools.product(blocks, (True, False)):
+        if np.isnan(block).all():  # no row has an extreme: both refuse
+            for extreme in (models._extreme, isin_extreme):
+                with pytest.raises(ValueError):
+                    extreme(block, lowest)
+        else:
+            assert models._extreme(block, lowest) == isin_extreme(block, lowest)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_extreme_equals_the_isin_version_on_last_ulp_ties(data):
+    """Logs one or two ulps apart, so several distinct logs round to the best ratio."""
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 30))
+    base = data.draw(st.sampled_from([-1.0, -0.5, math.log(1 / 3), 0.7]))
+    ulps = data.draw(st.lists(st.integers(-2, 2), min_size=rows * cols, max_size=rows * cols))
+    x = np.array([base + k * math.ulp(base) for k in ulps]).reshape(rows, cols)
+    x[sorted(data.draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1)))] = np.nan
+    for lowest in (True, False):
+        assert models._extreme(x, lowest) == isin_extreme(x, lowest)
 
 
 def test_closed_form_scans():

@@ -7,6 +7,7 @@ end, so modules imported by earlier tests in this process do not count.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -251,6 +252,19 @@ def test_ball_membership_is_read_through_within():
             if any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "distances"
                    for side in [node.left, *node.comparators] for n in ast.walk(side)):
                 offenders.append(node.lineno)
+    assert not offenders, offenders
+
+
+def test_level_steps_go_through_level_step():
+    """No ``.outer(`` and no ``(p[:, None] + s).ravel()`` or ``* s`` broadcast in
+    ``src/``: a word-indexed array's next level is built by ``words.level_step``."""
+    step = re.compile(r"\.outer\(|\[:, None\] [+*].*\)\.ravel\(\)")
+    offenders = [
+        "%s:%d" % (path.name, k)
+        for path in sorted((PKG_ROOT / "src" / "moranlab").glob("*.py"))
+        for k, line in enumerate(path.read_text().splitlines(), start=1)
+        if step.search(line)
+    ]
     assert not offenders, offenders
 
 

@@ -6,8 +6,9 @@ import os
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moranlab import (
@@ -28,7 +29,8 @@ from moranlab import spaces
 from moranlab.models import GeneralModel, LevelModel
 from moranlab.spaces import BLOCK_ELEMENTS
 from moranlab.words import (
-    _check_enum, d2_with_resolution, incomparable, local_stopping_set, word_at, word_str,
+    _check_enum, d2_with_resolution, incomparable, level_step, local_stopping_set, word_at,
+    word_str,
 )
 
 
@@ -89,6 +91,33 @@ def test_word_at_counts_in_mixed_radix(counts):
     """Index ``k`` names the ``k``-th word with ``i_j < counts[j]``, in lexicographic order."""
     words = list(itertools.product(*map(range, counts)))
     assert [word_at(k, counts) for k in range(len(words))] == words
+
+
+def same_bits(x, y):
+    """Equal dtype, shape and bits, except that any NaN matches any NaN
+    (a NaN's payload depends on which operand the hardware keeps)."""
+    nan = np.isnan(x)
+    return (x.dtype == y.dtype and x.shape == y.shape and np.array_equal(nan, np.isnan(y))
+            and np.array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64)))
+
+
+# every special float: NaN, both infinities, both zeros, subnormals
+any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+special = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310])
+
+
+@given(st.lists(any_float | special, max_size=40),
+       st.lists(any_float | special, min_size=1, max_size=5))
+@example(parent=[], steps=[0.5, 2.0])
+def test_level_step_is_the_broadcast_bit_for_bit(parent, steps):
+    """Child ``k*a + c`` is ``op(parent[k], steps[c])``: the broadcasts it
+    replaced, ``(p[:, None] + s).ravel()`` and ``np.multiply.outer(p, s).ravel()``,
+    an empty parent included."""
+    p = np.array(parent, dtype=float)
+    with np.errstate(all="ignore"):
+        assert same_bits(level_step(p, steps), (p[:, None] + np.array(steps)).ravel())
+        assert same_bits(level_step(p, steps, np.multiply), np.multiply.outer(p, steps).ravel())
+        assert same_bits(level_step(p, tuple(steps), np.multiply), (p[:, None] * steps).ravel())
 
 
 def test_enumeration_cap_is_enforced(monkeypatch):
