@@ -36,8 +36,8 @@ def _greedy_centers(space, X, sep: float) -> list[int]:
     while i < len(X):
         centers.append(i)
         # rows before i are centers or covered already
-        covered[i + 1 : -1] |= space.within(X[i + 1 :], X[i : i + 1], sep)[0]
-        i += 1 + int(np.argmin(covered[i + 1 :]))
+        covered[i + 1 : -1] |= space.within(X[i + 1 :], X[i], sep)
+        i += 1 + int(covered[i + 1 :].argmin())
     return centers
 
 
@@ -71,7 +71,11 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
             raise DomainError("grid counts need a Euclidean space; use the greedy count")
         pts = cloud.coordinates
         mins = pts.min(axis=0)
-        cells = np.floor((pts - mins) / r + 1e-9).astype(np.int64)
+        with np.errstate(all="ignore"):
+            scaled = (pts - mins) / r + 1e-9
+        if not (scaled < 2.0**63).all():  # NaN, inf or past int64: the cast would wrap
+            raise DomainError("grid cells of r=%g overflow int64 on this cloud; use the greedy count" % r)
+        cells = np.floor(scaled, out=scaled).astype(np.int64)
         # distinct rows: sort them, then count the rows unlike their predecessor
         cells = cells[np.lexsort(cells.T)]
         return 1 + int(np.count_nonzero((cells[1:] != cells[:-1]).any(axis=1)))
@@ -181,7 +185,7 @@ def maximal_packing(space, center, R: float, r: float, candidates) -> list:
     else:
         pts = list(candidates)
         X = space.coordinates(pts)
-    window = np.flatnonzero(space.within(X, space.coordinates([center]), R)[0])
+    window = np.flatnonzero(space.within(X, space.coordinates([center])[0], R))
     if not window.size:
         warnings.warn("no candidates inside B(center, R): empty packing", stacklevel=2)
         return []

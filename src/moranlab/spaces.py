@@ -24,10 +24,13 @@ lists the cover variants measured slower).  The symbol kernel compares letter
 columns and finds each pair's first differing letter with one max-reduce; it
 counts if it lies inside the pair's common length.
 
-``within(X, Q, r)`` is the ball test, ``distances(X, Q) <= r`` bit for bit.
-The Euclidean (and comb) and Heisenberg kernels have a pre-root part, the sums
-of squares or ``(a^2+b^2)^2 + c^2``, that ``distances`` finishes with one or two
-square roots; their ``within`` compares it with :func:`ball_bound` instead.
+``within(X, q, r)`` is the ball test of one query row ``q`` (a cover's or a
+packing's centre), ``distances(X, q[None])[0] <= r`` bit for bit.  The
+Euclidean (and comb) and Heisenberg kernels have a pre-root part, the sums of
+squares or ``(a^2+b^2)^2 + c^2``, that ``distances`` finishes with one or two
+square roots and ``within`` compares with :func:`ball_bound` instead.  That
+part's helper takes the query as operands: a block's columns ``Q.T[:, :, None]``,
+each ``(B, 1)``, or the row ``q``, read as scalars; one expression serves both.
 """
 
 from __future__ import annotations
@@ -82,13 +85,15 @@ def _ball_bound(r: float, roots: int) -> float:
     return s
 
 
-def _squares(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def _squares(X: np.ndarray, q) -> np.ndarray:
     """The Euclidean kernel before its square root: the sums of squares."""
-    if Q.shape[1] != X.shape[1]:
-        raise DomainError("query rows of width %d vs rows of %d" % (Q.shape[1], X.shape[1]))
-    total = np.zeros((len(Q), len(X)))
-    for k in range(X.shape[1]):
-        d = X[:, k] - Q[:, k, None]
+    if len(q) != X.shape[1]:
+        raise DomainError("query rows of width %d vs rows of %d" % (len(q), X.shape[1]))
+    # the sum starts at the first square: 0.0 + d*d is d*d, as d*d is never -0.0
+    d = X[:, 0] - q[0]
+    total = np.multiply(d, d, out=d)
+    for k in range(1, X.shape[1]):
+        d = X[:, k] - q[k]
         total += np.multiply(d, d, out=d)
     return total
 
@@ -133,9 +138,9 @@ class MetricSpace:
         """``D[i, j] = distance(X[j], Q[i])`` over rows of :meth:`coordinates`."""
         raise NotImplementedError
 
-    def within(self, X: np.ndarray, Q: np.ndarray, r: float) -> np.ndarray:
-        """The ball test ``distances(X, Q) <= r``, bit for bit."""
-        return self.distances(X, Q) <= r
+    def within(self, X: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
+        """The ball test of the one query row ``q``: ``distances(X, q[None])[0] <= r``."""
+        return self.distances(X, q[None])[0] <= r
 
     def metric_bound(self, s: float) -> float:
         """Lipschitz bound in this metric of a map with coordinate-metric bound ``s``."""
@@ -164,11 +169,11 @@ class EuclideanSpace(MetricSpace):
         return math.sqrt(total)
 
     def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        s = _squares(X, Q)
+        s = _squares(X, Q.T[:, :, None])
         return np.sqrt(s, out=s)
 
-    def within(self, X: np.ndarray, Q: np.ndarray, r: float) -> np.ndarray:
-        return _squares(X, Q) <= ball_bound(r, 1)
+    def within(self, X: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
+        return _squares(X, q) <= ball_bound(r, 1)
 
 
 class SnowflakeSpace(MetricSpace):
@@ -332,9 +337,9 @@ class HeisenbergSpace(MetricSpace):
         return heisenberg_gauge(heisenberg_multiply(heisenberg_inverse(p), q))
 
     @staticmethod
-    def _fourth_powers(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    def _fourth_powers(X: np.ndarray, q) -> np.ndarray:
         """The gauge kernel before its two square roots: ``(a^2+b^2)^2 + c^2``."""
-        x2, y2, t2 = Q[:, 0, None], Q[:, 1, None], Q[:, 2, None]
+        x2, y2, t2 = q
         x, y, t = X.T
         # heisenberg_multiply(heisenberg_inverse(x), q), then heisenberg_gauge; bit
         # for bit, -x * y2 - -y * x2 is y * x2 - x * y2, a and b only change sign,
@@ -350,8 +355,8 @@ class HeisenbergSpace(MetricSpace):
         return a
 
     def distances(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        s = self._fourth_powers(X, Q)
+        s = self._fourth_powers(X, Q.T[:, :, None])
         return np.sqrt(np.sqrt(s, out=s), out=s)
 
-    def within(self, X: np.ndarray, Q: np.ndarray, r: float) -> np.ndarray:
-        return self._fourth_powers(X, Q) <= ball_bound(r, 2)
+    def within(self, X: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
+        return self._fourth_powers(X, q) <= ball_bound(r, 2)

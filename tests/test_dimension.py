@@ -95,6 +95,24 @@ def test_grid_counts_refuse_non_euclidean_clouds():
                 box_count(cloud, r, method="grid")
 
 
+def test_grid_counts_refuse_radii_past_int64_cells():
+    # from r = 1e-19 on, the depth-10 cantor cloud's cell indices pass 2**63, where an
+    # unchecked int64 cast wraps (it counted 873, 193 and 2 of 1024 at 1e-19, 1e-20, 1e-300)
+    cloud = cantor_cloud(10)
+    assert box_count(cloud, 1e-17, method="grid") == box_count(cloud, 1e-18, method="grid") == 1024
+    for r in (1e-19, 1e-20, 1e-300, 5e-324):
+        with pytest.raises(DomainError, match="r=%g .*greedy" % r):
+            box_count(cloud, r, method="grid")
+    for bad in (math.inf, math.nan):
+        cloud = PointCloud(EuclideanSpace(1), 0, 1, 2, ((0.0,), (bad,)))
+        with pytest.raises(DomainError, match="greedy"):
+            box_count(cloud, 0.5, method="grid")
+    # coinciding points make the sampled spacing 0, so the slope fit takes any r_min
+    doubled = PointCloud(EuclideanSpace(1), 0, 1, 64, tuple(cantor_cloud(5).points) * 2)
+    with pytest.raises(DomainError, match="greedy"):
+        minkowski_estimate(doubled, 1e-20, 1 / 3, 4)
+
+
 def test_box_count_is_nonincreasing_in_r():
     cloud = cantor_cloud(6)
     radii = [0.5 * 0.7**k for k in range(10)]

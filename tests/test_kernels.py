@@ -205,9 +205,12 @@ def test_comb_kernel_on_quadratic_coordinates(points):
 
 @st.composite
 def ball_cases(draw):
-    """A space, its rows and query rows, and radii at and around realised distances."""
+    """A space, its rows and query rows, and radii at and around realised distances;
+    float query rows may hold +-0.0, 5e-324, +-inf and NaN coordinates."""
     if draw(st.booleans()):
-        space, X, Q = draw(float_row_blocks())
+        space, X, _ = draw(float_row_blocks())
+        tiny = st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+        Q = space.coordinates(draw(tuples(st.one_of(tiny, awkward_floats), X.shape[1], max_size=4)))
     else:
         space, points = draw(float_clouds())
         X = space.coordinates(points)
@@ -222,11 +225,13 @@ def ball_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=ball_cases())
 def test_ball_test_is_the_kernel_compared_with_r(case):
+    """``within(X, q, r)`` on each query row ``q`` is that row of the kernel ``<= r``."""
     space, X, Q, radii = case
     with np.errstate(all="ignore"):
         D = space.distances(X, Q)
-        for r in radii:
-            assert np.array_equal(space.within(X, Q, r), D <= r), r
+        for q, row in zip(Q, D):
+            for r in radii:
+                assert np.array_equal(space.within(X, q, r), row <= r), r
 
 
 def nested_sqrt(s, roots):

@@ -255,6 +255,45 @@ def test_ball_membership_is_read_through_within():
     assert not offenders, offenders
 
 
+def call_name(call: ast.Call):
+    """``f`` for a call ``f(...)`` or ``obj.f(...)``."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def call_owners(is_target) -> set:
+    """``(file, owner)`` for each call in ``src/`` that ``is_target`` accepts, where
+    ``owner`` is the dotted name of the enclosing class and function, ``""`` at
+    module level."""
+    found = set()
+    for path in (PKG_ROOT / "src" / "moranlab").glob("*.py"):
+        stack = [(ast.parse(path.read_text()), "")]
+        while stack:
+            node, owner = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                name = owner
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    name = "%s.%s" % (owner, child.name) if owner else child.name
+                elif isinstance(child, ast.Call) and is_target(child):
+                    found.add((path.name, owner))
+                stack.append((child, name))
+    return found
+
+
+@pytest.mark.parametrize("space", ["EuclideanSpace", "HeisenbergSpace"])
+def test_distances_and_within_share_one_pre_root_helper(space):
+    """``distances`` and ``within`` call one pre-root helper, whatever the query's
+    shape, and nothing else in ``src/`` calls it: one kernel per space."""
+    tree = ast.parse((PKG_ROOT / "src" / "moranlab" / "spaces.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == space]
+    calls = {f.name: {call_name(n) for n in ast.walk(f) if isinstance(n, ast.Call)}
+             for f in cls.body if isinstance(f, ast.FunctionDef)}
+    shared = calls["distances"] & calls["within"]
+    assert len(shared) == 1, sorted(shared)
+    (helper,) = shared
+    callers = call_owners(lambda call: call_name(call) == helper)
+    assert callers == {("spaces.py", "%s.%s" % (space, m)) for m in ("distances", "within")}, sorted(callers)
+
+
 def test_level_steps_go_through_level_step():
     """No ``.outer(`` and no ``(p[:, None] + s).ravel()`` or ``* s`` broadcast in
     ``src/``: a word-indexed array's next level is built by ``words.level_step``."""
@@ -279,18 +318,7 @@ APPLY_CALLERS = (
 
 def test_maps_are_applied_only_by_the_level_builder():
     """Clouds, the epsilon and the W1 check read ``levels``; none maps points itself."""
-    strays = []
-    for path in (PKG_ROOT / "src" / "moranlab").glob("*.py"):
-        stack = [(ast.parse(path.read_text()), "")]
-        while stack:
-            node, owner = stack.pop()
-            for child in ast.iter_child_nodes(node):
-                name = owner
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    name = "%s.%s" % (owner, child.name) if owner else child.name
-                elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                      and child.func.attr == "apply"
-                      and not any((owner + ".").startswith(a + ".") for a in APPLY_CALLERS)):
-                    strays.append("%s: %s" % (path.name, owner or "<module>"))
-                stack.append((child, name))
+    applies = call_owners(lambda call: isinstance(call.func, ast.Attribute) and call.func.attr == "apply")
+    strays = {"%s: %s" % (path, owner or "<module>") for path, owner in applies
+              if not any((owner + ".").startswith(a + ".") for a in APPLY_CALLERS)}
     assert not strays, sorted(strays)
