@@ -32,14 +32,10 @@ import sys
 from .errors import DomainError, EnumerationCapError, SpecError
 
 
-def _round12(value: float) -> float:
-    return float("%.12g" % value)
-
-
 def _clean(obj):
     """Clamp every float to 12 significant digits, recursively."""
     if isinstance(obj, float):
-        return _round12(obj)
+        return float("%.12g" % obj)
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -66,12 +62,15 @@ def _json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cloud_model(spec, args):
-    """The ``--depth``/``--samples`` cloud of the spec's system and its model."""
+def _cloud(spec, args, points: int = 64):
+    """The spec system's ``--samples`` cloud at ``--depth``; without ``--depth``,
+    at the largest depth whose cloud holds at most ``points`` points."""
     from .systems import attractor_cloud
+    from .words import largest_depth
 
-    cloud = attractor_cloud(spec.require_system(), args.depth, args.samples)
-    return cloud, spec.get_model(cloud)
+    system = spec.require_system()
+    fits = largest_depth(system.alphabet.size, points // max(1, args.samples))
+    return attractor_cloud(system, fits if args.depth is None else args.depth, args.samples)
 
 
 def _cmd_pressure(spec, args):
@@ -226,14 +225,15 @@ def _ppm(cloud, pixels: int) -> str:
 
 
 def _cmd_generate(spec, args):
-    from .systems import attractor_cloud
+    from .words import _check_enum
 
-    system = spec.require_system()
-    if args.out != "csv" and system.space.coordinate_dim is None:
+    if args.out != "csv" and spec.require_system().space.coordinate_dim is None:
         raise SpecError("symbolic clouds have no plane rendering; use csv")
-    if args.out == "ppm" and args.pixels < 1:
-        raise DomainError("--pixels must be at least 1, got %d" % args.pixels)
-    cloud = attractor_cloud(system, args.depth, args.samples)
+    if args.out == "ppm":
+        if args.pixels < 1:
+            raise DomainError("--pixels must be at least 1, got %d" % args.pixels)
+        _check_enum(args.pixels**2, "a %dx%d ppm raster" % (args.pixels, args.pixels))
+    cloud = _cloud(spec, args)
     if args.out == "csv":
         return _cloud_csv(cloud), 0
     if args.out == "svg":
@@ -266,7 +266,8 @@ def _default_scales(cloud) -> list[float]:
 def _cmd_dimension(spec, args):
     from .dimension import minkowski_estimate
 
-    cloud, model = _cloud_model(spec, args)
+    cloud = _cloud(spec, args, 4096)
+    model = spec.get_model(cloud)
     rho = model.scale_ratio
     diam = float(model.seed_diameter)
     est = minkowski_estimate(cloud, diam * rho**args.scales, diam * rho, args.scales)
@@ -280,11 +281,12 @@ def _probe_clustering(spec, args):
     from .systems import finite_clustering_sup
 
     radii = None if args.scales is None else _numbers(args.scales, "--scales")
-    cloud, model = _cloud_model(spec, args)
+    cloud = _cloud(spec, args)
+    model = spec.get_model(cloud)
     radii = radii or _default_scales(cloud)
     return {
         "clustering_sup": finite_clustering_sup(model, cloud, args.x_samples, radii),
-        "depth": args.depth,
+        "depth": cloud.depth,
         "radii": radii,
         "x_samples": args.x_samples,
         "note": "lower bound: finite probe points and radii",
@@ -300,8 +302,8 @@ def _probe_ball(spec, args):
     r = float(_number(args.r, "--r"))
     deltas = _numbers(args.deltas, "--deltas")
     x = _probe_point(spec.require_system(), args.x)
-    cloud, model = _cloud_model(spec, args)
-    probe = ball_condition_probe(model, cloud, x, r, deltas)
+    cloud = _cloud(spec, args)
+    probe = ball_condition_probe(spec.get_model(cloud), cloud, x, r, deltas)
     return {
         "delta": probe.delta,
         "satisfied": probe.satisfied,
@@ -315,14 +317,15 @@ def _probe_epsilon(spec, args):
 
     system = spec.require_system()
     x = _probe_point(system, args.x)
-    return {"epsilon": separation_epsilon(system, x, args.depth), "depth": args.depth}
+    depth = 6 if args.depth is None else args.depth
+    return {"epsilon": separation_epsilon(system, x, depth), "depth": depth}
 
 
 def _probe_osc_collisions(spec, args):
     from .systems import osc_collision_scan
     from .words import word_str
 
-    scan = osc_collision_scan(_probe_ratio(spec, args), args.depth)
+    scan = osc_collision_scan(_probe_ratio(spec, args), 6 if args.depth is None else args.depth)
     return {
         "collisions": [
             {"a": word_str(u), "b": word_str(v), "gap": gap} for u, v, gap in scan.collisions
@@ -421,19 +424,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subtree", default=None, help="'greedy' or comma branch counts (cmsc)")
 
     p = command("generate", _cmd_generate, "attractor cloud as csv/svg/ppm")
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=int, help="default: a cloud of at most 64 points")
     p.add_argument("--samples", type=int, default=1, help="seed points per word")
     p.add_argument("--out", choices=("csv", "svg", "ppm"), default="csv")
     p.add_argument("--pixels", type=int, default=64, help="ppm raster size")
 
     p = command("dimension", _cmd_dimension, "box-count slope of a generated cloud")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=int, help="default: a cloud of at most 4096 points")
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--scales", type=int, default=6, help="number of geometric scales")
 
     p = command("probe", _cmd_probe, "separation-condition diagnostics")
     p.add_argument("--probe", choices=tuple(PROBES), required=True)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=int, help="default: 6, or a cloud of at most 64 points")
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--r", default=None, help="radius / ratio (number or p/q)")
     p.add_argument("--x", default=None, help="probe point, comma coordinates")

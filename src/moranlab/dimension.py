@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .spaces import EuclideanSpace, row_minima
+from .spaces import EuclideanSpace, spacing
 from .systems import PointCloud
 
 
@@ -92,16 +92,6 @@ class MinkowskiEstimate(NamedTuple):
     counts: tuple[int, ...]
 
 
-def _nearest_neighbor_gap(cloud, max_probes: int = 256) -> float:
-    """Largest nearest-neighbor distance over a strided probe sample."""
-    X, n = cloud.coordinates, len(cloud)
-    if n < 2:
-        return math.inf
-    probes = np.arange(0, n, max(1, n // max_probes))
-    # NaN distances are passed over, as a running ``max(worst, d)`` from 0 does
-    return max(0.0, float(np.fmax.reduce(row_minima(cloud.space, X, X[probes], probes))))
-
-
 def minkowski_estimate(
     cloud,
     r_min: float,
@@ -114,10 +104,10 @@ def minkowski_estimate(
     Counts ``N(r)`` at ``n_scales`` radii running geometrically from
     ``r_max`` down to ``r_min`` and returns the least-squares slope of
     ``log N`` against ``-log r`` with its regression quality.  The cloud
-    must resolve the finest scale: if its sampled nearest-neighbor
-    spacing is not below ``r_min / 10`` the counts would saturate at the
-    number of points and silently flatten the slope, so the call is
-    rejected instead.
+    must resolve the finest scale: if its sample spacing (over 256 strided
+    probes; repeated points do not count as neighbours) is not below
+    ``r_min / 10`` the counts would saturate at the number of distinct points
+    and silently flatten the slope, so the call is rejected instead.
 
     ``method`` defaults to the axis-grid count on Euclidean clouds, the
     only ones it accepts, and to the greedy cover elsewhere.
@@ -133,7 +123,8 @@ def minkowski_estimate(
     reach = float(cloud.space.distances(cloud.coordinates, cloud.coordinates[:1]).max())
     if r_max > 2 * reach:
         raise DomainError("r_max=%g exceeds the cloud diameter (at most %g)" % (r_max, 2 * reach))
-    gap = _nearest_neighbor_gap(cloud)
+    probes = np.arange(0, len(cloud), max(1, len(cloud) // 256))
+    gap = spacing(cloud.space, cloud.coordinates, probes)
     if not gap < r_min / 10:
         raise DomainError(
             "cloud (depth %d) does not resolve r_min=%g: sample spacing ~%g "

@@ -127,9 +127,6 @@ def parse_scalar(value):
             raise SpecError("bad numeric string %r" % value) from exc
     if isinstance(value, dict):
         try:
-            if "fraction" in value:
-                num, den = value["fraction"]
-                return Fraction(num, den)
             if "sqrt" in value:
                 spec = value["sqrt"]
                 return QuadraticNumber(Fraction(*spec["a"]), Fraction(*spec["b"]), int(spec["d"]))

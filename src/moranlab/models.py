@@ -75,14 +75,12 @@ class DiameterModel:
     def diam(self, word: Word) -> float:
         return math.exp(self.log_diam(word))
 
-    def child_diams(self, carry, words: Callable[[], list[Word]]):
+    def child_diams(self, parent: np.ndarray, words: Callable[[], list[Word]]) -> np.ndarray:
         """One level of a stopping walk: the diameters of the frontier's children,
-        ``a`` per frontier word in order, as ``diam`` computes them, and a row per
-        child that the next call gets as ``carry`` (``[seed_diameter]`` at the root), cut to
-        the new frontier.  ``words()`` lists the children.  Generic: ``diam`` per word.
-        """
-        d = np.array([self.diam(w) for w in words()], dtype=float)
-        return d, d
+        ``a`` per frontier word in order, as ``diam`` computes them, from the frontier's
+        own (``parent``; ``[seed_diameter]`` at the root); ``words()`` lists the children.
+        Generic: ``diam`` per word."""
+        return np.array([self.diam(w) for w in words()], dtype=float)
 
     # -- level aggregates ----------------------------------------------------
 
@@ -245,10 +243,9 @@ class MultiplicativeModel(DiameterModel):
             d *= self.ratios[s]
         return d
 
-    def child_diams(self, carry, words):
+    def child_diams(self, parent, words):
         # diam's left-to-right product, carried
-        d = level_step(carry, self.ratios, np.multiply)
-        return d, d
+        return level_step(parent, self.ratios, np.multiply)
 
     def _branch_log_terms(self, t: float, b: int) -> tuple[float, ...]:
         """The terms that add ``log(sum(r**t))`` over the first ``b`` ratios to a running sum."""

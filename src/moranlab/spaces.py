@@ -98,16 +98,26 @@ def _squares(X: np.ndarray, q) -> np.ndarray:
     return total
 
 
-def row_minima(space: "MetricSpace", X: np.ndarray, Q: np.ndarray, skip=None) -> np.ndarray:
-    """``min(distance(x, q) for x in X)`` (NaN if one is NaN) per query row ``q``
-    of ``Q``; query ``i`` passes over row ``skip[i]`` of ``X`` if given."""
+def row_minima(space: "MetricSpace", X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``min(distance(x, q) for x in X)`` (NaN if one is NaN) per query row ``q`` of ``Q``."""
     out, step = [np.empty(0)], block_rows(len(X))
     for a in range(0, len(Q), step):
-        d = space.distances(X, Q[a : a + step])
-        if skip is not None:
-            d[np.arange(len(d)), skip[a : a + step]] = np.inf
-        out.append(d.min(axis=1))
+        out.append(space.distances(X, Q[a : a + step]).min(axis=1))
     return np.concatenate(out)
+
+
+def spacing(space: "MetricSpace", X: np.ndarray, rows: np.ndarray) -> float:
+    """The sample spacing: the largest, over the rows ``X[rows]``, of the distance to
+    the nearest row at a positive distance (``inf`` if none); a NaN minimum counts as 0.0."""
+    Q, m, step = X[rows], np.empty(len(rows)), block_rows(len(X))
+    for a in range(0, len(rows), step):
+        d = space.distances(X, Q[a : a + step])
+        d[np.arange(len(d)), rows[a : a + step]] = np.inf  # the row itself
+        d.min(axis=1, out=m[a : a + step])
+    for k in np.flatnonzero(m == 0):  # a repeated row: its nearest at a positive distance
+        d = space.distances(X, X[rows[k]][None])
+        m[k] = d.min(initial=np.inf, where=d > 0)
+    return max(0.0, float(np.fmax.reduce(m)))
 
 
 class MetricSpace:

@@ -104,9 +104,7 @@ def _integer(data: dict, key: str) -> int:
 
 
 def space_from_json(data: dict) -> MetricSpace:
-    if not isinstance(data, dict):
-        raise DomainError("a space must be a JSON object, got %r" % (data,))
-    kind = data.get("kind")
+    kind = _object(data).get("kind")
     if kind == "euclidean":
         return EuclideanSpace(_integer(data, "dim"))
     if kind == "snowflake":

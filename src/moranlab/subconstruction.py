@@ -77,10 +77,9 @@ def verify_cmsc(
         raise DomainError("the window constant must be finite and exceed 1, got %r" % C)
     if not math.isfinite(t):
         raise DomainError("the exponent must be finite, got %r" % t)
-    if subtree.depth < depth:
+    if len(subtree) < depth:
         raise DomainError(
-            "subtree provides %d levels but depth %d was requested"
-            % (subtree.depth, depth)
+            "subtree provides %d levels but depth %d was requested" % (len(subtree), depth)
         )
 
     ratio_min, ratio_max = math.inf, -math.inf
@@ -88,7 +87,7 @@ def verify_cmsc(
     # entry m, rows: the length-m subtree words (or one row); columns: n = 1 .. depth - m
     for m, R in enumerate(model.window_ratios(t, depth, subtree)):
         lo, hi = int(R.argmin()), int(R.argmax())
-        digits = (*subtree.branch_counts[:m], R.shape[1])  # the row's word i, then n - 1
+        digits = (*subtree[:m], R.shape[1])  # the row's word i, then n - 1
         if R.flat[lo] < ratio_min:
             *i, n = word_at(lo, digits)
             ratio_min, wit_low = float(R.flat[lo]), (tuple(i), n + 1)

@@ -28,6 +28,7 @@ from .spaces import (
     SymbolSpace,
     block_rows,
     row_minima,
+    spacing,
     heisenberg_dilate,
     heisenberg_inverse,
     heisenberg_multiply,
@@ -36,6 +37,7 @@ from .words import (
     Alphabet,
     Word,
     _check_enum,
+    largest_depth,
     level_step,
     local_stopping_set,
     local_stopping_sets,
@@ -246,10 +248,7 @@ class ContractionSystem:
         self.maps = tuple(maps)
         self.seed_points = tuple(map(tuple, seed_points))
         self.seed_diameter = seed_diameter
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(len(self.maps))
+        self.alphabet = Alphabet(len(self.maps))
 
     def apply_word(self, word: Word, point):
         """``phi_w(point)`` with ``phi_w = phi_{w1} o ... o phi_{wn}``."""
@@ -379,11 +378,8 @@ class ContractionSystem:
         bounds = self.map_lip_bounds
         tight = all(b is not None and b[0] == b[1] for b in bounds)
         if cloud is None and (self.seed_diameter is None or not tight):
-            # (8, 2) for two maps
-            samples, depth = min(2, len(self.seed_points)), 1
-            while self.alphabet.size ** (depth + 1) * samples <= 512:
-                depth += 1
-            cloud = attractor_cloud(self, depth, samples)
+            samples = min(2, len(self.seed_points))  # depth 8 for two maps
+            cloud = attractor_cloud(self, largest_depth(len(self.maps), 512 // samples), samples)
         seed = self.seed_diameter
         if seed is None:
             seed = _sampled_diameter(self.space, cloud.coordinates[:: max(1, len(cloud) // 256)])
@@ -419,8 +415,7 @@ class ContractionSystem:
         def check() -> tuple[bool, str]:
             stride, space = max(1, len(cloud) // 128), self.space
             sub, X = cloud.points[: 32 * stride : stride], cloud.coordinates[::stride]
-            # each sample's nearest other sample, folded as ``max`` does
-            resolution = 2.0 * max(row_minima(space, X, X, np.arange(len(X))).tolist())
+            resolution = 2.0 * spacing(space, X, np.arange(len(X)))
             # level 1 of the samples: map k's images are block k
             far = row_minima(space, X, next(self.levels(sub)).rows) > max(resolution, 1e-9)
             out = far.reshape(len(self.maps), -1).any(axis=1)
@@ -639,10 +634,7 @@ class SemiconformalBounds(NamedTuple):
     exact: bool
 
 
-def semiconformal_bounds(system: ContractionSystem, word: Word) -> SemiconformalBounds:
-    """``system.word_lip_bounds(word)``, the one bounds path, called as a
-    function of the system."""
-    return system.word_lip_bounds(word)
+semiconformal_bounds = ContractionSystem.word_lip_bounds  # (system, word)
 
 
 # ---------------------------------------------------------------------------
@@ -922,16 +914,8 @@ class SymbolicConformalityReport(NamedTuple):
     max_distance_error: float
 
     @property
-    def cylinder_ok(self) -> bool:
-        return not self.cylinder_violations
-
-    @property
-    def distance_ok(self) -> bool:
-        return self.max_distance_error == 0.0
-
-    @property
     def passed(self) -> bool:
-        return self.cylinder_ok and self.distance_ok
+        return not self.cylinder_violations and self.max_distance_error == 0.0
 
 
 def proper_semiconformality_check_symbolic(

@@ -21,9 +21,6 @@ from .errors import DomainError, EnumerationCapError
 #: A finite word: a tuple of symbol indices.
 Word = tuple[int, ...]
 
-#: A weight on words, e.g. ``diam(piece)**t``.
-WeightFunction = Callable[[Word], float]
-
 _DEFAULT_ENUM_CAP = 2**24
 
 
@@ -115,6 +112,14 @@ def word_at(index: int, counts: Sequence[int]) -> Word:
     return word
 
 
+def largest_depth(size: int, count: int) -> int:
+    """The largest depth ``n >= 1`` with ``size**n <= count`` (1 if there is none)."""
+    depth = 1
+    while size ** (depth + 1) <= count:
+        depth += 1
+    return depth
+
+
 def level_step(parent: np.ndarray, steps, op=np.add) -> np.ndarray:
     """The next level of a word-indexed array: child ``k*a + c`` is ``op(parent[k], steps[c])``,
     as in ``(parent[:, None] op steps).ravel()``, but in one pass over the parent per letter."""
@@ -174,8 +179,7 @@ class SubTree(tuple):
                 raise DomainError("branch count at level %d must be >= 1, got %d" % (k, b))
         return counts
 
-    #: the counts as a plain tuple, and the number of levels they declare
-    branch_counts = property(tuple)
+    #: the number of levels the counts declare
     depth = property(len)
 
     def check_alphabet(self, alphabet: Alphabet) -> None:
@@ -235,17 +239,17 @@ def _stopping_walk(model, r: float, max_depth: int) -> tuple[list[Word], Word | 
             % (r, model.seed_diameter)
         )
     a, found, keeps = model.alphabet.size, [], []
-    carry, count, stopped = np.array([model.seed_diameter]), 1, 0
+    diams, count, stopped = np.array([model.seed_diameter]), 1, 0
     while count and len(keeps) < max_depth:
         _check_enum(stopped + count * a, "stopping set at r=%r" % r)
         children = lambda: list(zip(*_letters(keeps, a, np.arange(count * a)).T.tolist()))  # noqa
-        diams, carry = model.child_diams(carry, children)
+        diams = model.child_diams(diams, children)
         low = diams <= r
         stop, keep = np.flatnonzero(low), np.flatnonzero(~low)
         if len(stop):
             found.append(_letters(keeps, a, stop))
         keeps.append(keep)
-        carry, count, stopped = carry[keep], len(keep), stopped + len(stop)
+        diams, count, stopped = diams[keep], len(keep), stopped + len(stop)
     # an antichain sorts into depth-first order
     out = sorted(itertools.chain.from_iterable(zip(*w.T.tolist()) for w in found))
     if not count:
@@ -320,7 +324,7 @@ def local_stopping_sets(model, cloud, Q, r: float) -> list[LocalStoppingSet]:
 # ---------------------------------------------------------------------------
 
 
-def antichain_cover_cost(alphabet: Alphabet, psi: WeightFunction, n: int, max_depth: int) -> float:
+def antichain_cover_cost(alphabet: Alphabet, psi: Callable, n: int, max_depth: int) -> float:
     """Cheapest antichain cover of the whole branch space, exactly.
 
     Minimises ``sum(psi(i) for i in C)`` over all covers ``C`` of the full
@@ -351,9 +355,7 @@ def antichain_cover_cost(alphabet: Alphabet, psi: WeightFunction, n: int, max_de
         raise DomainError("need 1 <= n <= max_depth, got n=%d, max_depth=%d" % (n, max_depth))
     size = alphabet.size
     _check_enum(size**max_depth, "cover tree of depth %d" % max_depth, (size,) * max_depth)
-    step = 1
-    while size ** (step + 1) <= BLOCK_ELEMENTS:
-        step += 1
+    step = largest_depth(size, BLOCK_ELEMENTS)
 
     def cost(prefix: Word) -> float:
         top = len(prefix)

@@ -236,3 +236,46 @@ def test_snowflaked_symbol_tree_prints_the_symbol_csv(tmp_path):
     assert flaked.returncode == plain.returncode == 0
     assert flaked.stdout == plain.stdout
     assert flaked.stdout.startswith("word,point\n")
+
+
+# -- repeated points and default depths ---------------------------------------------
+
+
+def _doubled_cantor_spec(tmp_path) -> str:
+    """``specs/cantor.json`` with each map listed twice: four maps, each point 64 times at depth 6."""
+    data = json.loads((SPECS / "cantor.json").read_text())
+    data["maps"] *= 2
+    path = tmp_path / "doubled_cantor.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_repeated_points_do_not_resolve_fine_radii(tmp_path):
+    # a zero spacing on repeated points let this fit 30 radii through counts flat
+    # at 64 with exit 0 (slope 0.055); without --depth it built 4^12 = 2^24 points
+    spec = _doubled_cantor_spec(tmp_path)
+    for depth in (["--depth", "6"], []):
+        result = run_cli("dimension", spec, *depth, "--scales", "30")
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith(
+            "error: cloud (depth 6) does not resolve r_min=4.85694e-15: sample spacing ~0.00274348 "
+        )
+    assert run_cli("dimension", spec, "--scales", "2").stdout == (
+        '{"slope":0.630929753571,"r_squared":1.0,"radii":[0.333333333333,0.111111111111],'
+        '"counts":[2,4]}\n'
+    )
+
+
+def test_default_depths_follow_the_number_of_maps(tmp_path):
+    """Without --depth a cloud holds at most 64 points (4096 for dimension):
+    depth 3 on four maps, 1 on heisenberg's sixteen (its former depth 6 was 2^24 points)."""
+    spec = _doubled_cantor_spec(tmp_path)
+    assert run_cli("generate", spec).stdout.count("\n") == 1 + 4**3
+    assert run_cli("generate", "specs/heisenberg.json").stdout.count("\n") == 1 + 16
+    assert json.loads(run_cli("probe", spec, "--probe", "clustering").stdout)["depth"] == 3
+    result = run_cli("dimension", "specs/heisenberg.json")  # 16^3 points
+    assert result.stderr.startswith("error: cloud (depth 3) does not resolve")
+    # two maps: depth 6 (64 points), as before
+    args = ["probe", "specs/cantor.json", "--probe", "clustering", "--x-samples", "50",
+            "--scales", "0.2,0.1"]
+    assert run_cli(*args).stdout == (GOLDEN / "probe_clustering_cantor.json").read_text()

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,30 @@ def test_subtree_of_an_empty_level_exits_3(monkeypatch):
     monkeypatch.chdir(PKG_ROOT)
     argv = ["validate", "specs/cantor.json", "--axioms", "cmsc", "--t", "0.4", "--subtree", "2,0"]
     assert run_main(argv) == (3, "", "error: branch count at level 2 must be >= 1, got 0\n")
+
+
+def test_ppm_raster_is_capped_before_the_cloud(monkeypatch):
+    """``--pixels N`` counts N^2 cells against the enumeration cap before anything is built."""
+    monkeypatch.chdir(PKG_ROOT)
+    monkeypatch.delenv("MORANLAB_ENUM_CAP", raising=False)
+    argv = ["generate", "specs/comb.json", "--out", "ppm", "--depth", "2"]
+    run_main(argv + ["--pixels", "1"])  # imports outside the traced call
+    tracemalloc.start()
+    try:
+        code, out, err = run_main(argv + ["--pixels", "100000"])  # 10^10 cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: a 100000x100000 ppm raster would enumerate 10000000000 words (cap 16777216)\n"
+    )
+    assert peak < 2**20
+    # the cap is the bound: 16^2 cells fit a cap of 256, 17^2 do not
+    monkeypatch.setenv("MORANLAB_ENUM_CAP", "256")
+    golden = (PKG_ROOT / "tests" / "golden" / "generate_comb_d2.ppm").read_text()
+    assert run_main(argv + ["--pixels", "16"]) == (0, golden, "")
+    assert run_main(argv + ["--pixels", "17"])[0] == 3
 
 
 @pytest.mark.parametrize("deltas", ["-1", "0", "0.5,0"])
@@ -248,8 +273,11 @@ TWO_LETTERS = {
 }
 
 BAD_SPECS = [
-    ("fraction zero denominator", _set("cantor", ("maps", 0, "ratio"), {"fraction": [1, 0]}),
-     ["generate", "--depth", "2"], "maps[0]: bad exact scalar"),
+    ("fraction zero denominator", _set("cantor", ("maps", 0, "ratio"), "1/0"),
+     ["generate", "--depth", "2"], "maps[0]: bad rational '1/0'"),
+    # {"fraction": [p, q]} was a second spelling of "p/q" that no spec used
+    ("fraction object", _set("cantor", ("maps", 0, "ratio"), {"fraction": [1, 3]}),
+     ["generate", "--depth", "2"], "maps[0]: unknown scalar object with keys ['fraction']"),
     ("sqrt zero denominator",
      _set("comb", ("maps", 1, "r"), {"sqrt": {"a": [1, 0], "b": [1, 2], "d": 5}}),
      ["pressure", "--zero"], "maps[1]: bad exact scalar"),

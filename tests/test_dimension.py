@@ -107,9 +107,10 @@ def test_grid_counts_refuse_radii_past_int64_cells():
         cloud = PointCloud(EuclideanSpace(1), 0, 1, 2, ((0.0,), (bad,)))
         with pytest.raises(DomainError, match="greedy"):
             box_count(cloud, 0.5, method="grid")
-    # coinciding points make the sampled spacing 0, so the slope fit takes any r_min
+    # coinciding points are no neighbours: the slope fit refuses r_min below the
+    # distinct points' spacing, so it no longer reaches the grid's int64 limit
     doubled = PointCloud(EuclideanSpace(1), 0, 1, 64, tuple(cantor_cloud(5).points) * 2)
-    with pytest.raises(DomainError, match="greedy"):
+    with pytest.raises(DomainError, match="does not resolve r_min=1e-20"):
         minkowski_estimate(doubled, 1e-20, 1 / 3, 4)
 
 
@@ -147,6 +148,21 @@ def test_unresolved_clouds_are_rejected():
     cloud = cantor_cloud(4)  # spacing 3^-4
     with pytest.raises(DomainError, match="depth"):
         minkowski_estimate(cloud, 3.0**-6, 1 / 3, 4)
+
+
+def test_repeated_points_do_not_resolve_radii_below_their_spacing():
+    # each map listed twice: 4^6 points, 64 distinct; their spacing once read 0,
+    # so the fit ran to r_min = 3^-30 through counts flat at 64 (slope 0.055)
+    maps = (SimilitudeMap(Fraction(1, 3), (0,)), SimilitudeMap(Fraction(1, 3), (1,))) * 2
+    doubled = attractor_cloud(ContractionSystem(EuclideanSpace(1), maps, ((0,),)), 6)
+    single = attractor_cloud(ContractionSystem(EuclideanSpace(1), maps[:2], ((0,),)), 6)
+    assert len(doubled) == 4096 and len(set(doubled.points)) == len(single) == 64
+    with pytest.raises(DomainError, match=r"r_min=4.85694e-15: sample spacing ~0.00274348 "):
+        minkowski_estimate(doubled, 3.0**-30, 1 / 3, 30)
+    for method in ("grid", "greedy"):
+        assert minkowski_estimate(doubled, 3.0**-2, 1 / 3, 2, method) == minkowski_estimate(
+            single, 3.0**-2, 1 / 3, 2, method
+        )
 
 
 def test_minkowski_argument_checks():

@@ -52,9 +52,9 @@ from moranlab import (
     stopping_set,
 )
 from moranlab.cli import _cloud_csv, _default_scales
-from moranlab.dimension import _greedy_centers, _nearest_neighbor_gap
+from moranlab.dimension import _greedy_centers
 from moranlab.models import GeneralModel
-from moranlab.spaces import ball_bound, row_minima
+from moranlab.spaces import ball_bound, row_minima, spacing
 from moranlab.systems import (
     ContractionMap,
     _IntegerLevel,
@@ -1392,14 +1392,22 @@ def test_symbol_block_kernel_takes_rows_of_mixed_lengths(points, queries):
     assert got.tolist() == [scalar_distances(space, points, q) for q in queries]
 
 
-def per_query_row_minima(space, X, Q, skip=None):
-    rows = []
-    for i, q in enumerate(Q):
-        d = space.distances(X, q[None])[0]
-        if skip is not None:
-            d[skip[i]] = np.inf
-        rows.append(float(d.min()))
-    return rows
+def per_query_row_minima(space, X, Q):
+    return [float(space.distances(X, q[None])[0].min()) for q in Q]
+
+
+def loop_spacing(space, X, rows):
+    """``spacing`` as a loop: one kernel call per row, its own index passed over,
+    and the nearest positive distance where the nearest distance is 0."""
+    worst = 0.0
+    for i in rows:
+        d = space.distances(X, X[i][None])[0]
+        d[i] = np.inf
+        nearest = float(d.min())
+        if nearest == 0.0:
+            nearest = float(d[d > 0].min(initial=np.inf))
+        worst = max(worst, nearest)  # a NaN is passed over: ``worst`` starts at 0.0
+    return worst
 
 
 def loop_sampled_diameter(space, X):
@@ -1408,41 +1416,74 @@ def loop_sampled_diameter(space, X):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=float_clouds(), data2=float_clouds(), skip_self=st.booleans())
-def test_row_minima_and_diameters_match_the_per_query_loops(data, data2, skip_self):
+@given(data=float_clouds(), data2=float_clouds())
+def test_row_minima_and_diameters_match_the_per_query_loops(data, data2):
     space, points = data
     X = space.coordinates(points)
-    if skip_self:
-        rows = np.arange(len(X))
-        assert row_minima(space, X, X, rows).tolist() == per_query_row_minima(space, X, X, rows)
-    else:
-        assert row_minima(space, X, X).tolist() == per_query_row_minima(space, X, X)
+    assert row_minima(space, X, X).tolist() == per_query_row_minima(space, X, X)
     if len(X) > 1:
         assert _sampled_diameter(space, X) == loop_sampled_diameter(space, X)
-        cloud = PointCloud(space, 0, 1, len(points), tuple(points))
-        for max_probes in (256, 3):
-            assert _nearest_neighbor_gap(cloud, max_probes) == loop_nearest_gap(cloud, max_probes)
+        for stride in (1, 3):
+            rows = np.arange(0, len(X), stride)
+            assert spacing(space, X, rows) == loop_spacing(space, X, rows)
+            if not repeats(space, X):
+                assert spacing(space, X, rows) == index_skip_gap(space, X, rows)
 
 
-def loop_nearest_gap(cloud, max_probes):
-    """``_nearest_neighbor_gap`` as a loop: one kernel call per probe."""
-    X, n, worst = cloud.coordinates, len(cloud), 0.0
-    for i in range(0, n, max(1, n // max_probes)):
-        d = cloud.space.distances(X, X[i][None])[0]
+def repeats(space, X):
+    """Whether two rows lie at distance 0 (on the symbol tree, also two words that
+    agree on their common length)."""
+    D = space.distances(X, X)
+    np.fill_diagonal(D, np.inf)
+    return bool((D == 0).any())
+
+
+def index_skip_gap(space, X, rows):
+    """The slope fit's spacing before repeated rows were passed over: each row's
+    own index skipped, a zero distance to a repeated row kept."""
+    worst = 0.0
+    for i in rows:
+        d = space.distances(X, X[i][None])[0]
         d[i] = np.inf
         worst = max(worst, float(d.min()))
     return worst
 
 
+def probes(n):
+    """The rows that :func:`minkowski_estimate` samples for the spacing."""
+    return np.arange(0, n, max(1, n // 256))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=float_clouds(), copies=st.integers(2, 3), nan=st.booleans())
+def test_spacing_passes_over_repeated_rows(data, copies, nan):
+    """Repeated rows count no neighbour at distance 0, NaN rows are passed over."""
+    space, points = data
+    X = space.coordinates(list(points) * copies)
+    if nan and space.coordinate_dim is not None:
+        X = np.asfortranarray(np.vstack([X, np.full((1, X.shape[1]), np.nan)]))
+    rows = np.arange(len(X))
+    got = spacing(space, X, rows)
+    assert got == loop_spacing(space, X, rows)
+    distinct = space.coordinates(list(dict.fromkeys(points)))
+    if not nan and len(distinct) > 1:  # the spacing of the distinct rows
+        assert got == loop_spacing(space, distinct, np.arange(len(distinct)))
+
+
 @pytest.mark.parametrize("name, depth", [("cantor", 10), ("selfaffine", 8), ("symbolifs", 6)])
 def test_cloud_loops_match_the_per_query_loops(name, depth):
-    """Clouds large enough for many blocks: nearest-neighbour gap, the seed
+    """Clouds large enough for many blocks: the sample spacing, the seed
     diameter, the sampled piece diameters and the containment resolution."""
     system = shipped_system(name)
     cloud = attractor_cloud(system, depth)
     space, X, n = cloud.space, cloud.coordinates, len(cloud)
-    for max_probes in (256, 7):
-        assert _nearest_neighbor_gap(cloud, max_probes) == loop_nearest_gap(cloud, max_probes)
+    for rows in (probes(n), np.arange(0, n, max(1, n // 7))):
+        assert spacing(space, X, rows) == loop_spacing(space, X, rows)
+        assert spacing(space, X, rows) == index_skip_gap(space, X, rows)
+    # each point twice: every row repeats one, and the spacing is the distinct rows'
+    doubled = np.asfortranarray(np.vstack([X, X]))
+    assert spacing(space, doubled, probes(2 * n)) == loop_spacing(space, doubled, probes(2 * n))
+    assert spacing(space, doubled, np.arange(n)) == spacing(space, X, np.arange(n))
     sub = X[:: max(1, n // 256)]
     unset = ContractionSystem(system.space, system.maps, system.seed_points)
     model = unset.induced_model(cloud)
@@ -1452,16 +1493,15 @@ def test_cloud_loops_match_the_per_query_loops(name, depth):
             want = math.log(loop_sampled_diameter(space, X[cloud.piece(w)]))
             assert model.log_diam(w) == want
     sub = X[:: max(1, n // 128)]
-    nearest = per_query_row_minima(space, sub, sub, range(len(sub)))
     _, note = model.containment_check()
-    assert note.endswith("%.3g" % (2.0 * max(nearest)))
+    assert note.endswith("%.3g" % (2.0 * loop_spacing(space, sub, range(len(sub)))))
 
 
 def loop_containment(system, cloud):
     """The containment verdict as a loop: one kernel call per image point."""
     stride = max(1, len(cloud) // 128)
     sub, X = cloud.points[::stride], cloud.coordinates[::stride]
-    resolution = 2.0 * max(per_query_row_minima(cloud.space, X, X, range(len(X))))
+    resolution = 2.0 * loop_spacing(cloud.space, X, range(len(X)))
     for m in system.maps:
         for p in sub[:32]:
             if one_query(system.space, X, m.apply(p)).min() > max(resolution, 1e-9):
@@ -1489,7 +1529,7 @@ def per_map_containment(system, cloud):
     stride = max(1, len(cloud) // 128)
     sub, X = cloud.points[: 32 * stride : stride], cloud.coordinates[::stride]
     space = system.space
-    resolution = 2.0 * max(row_minima(space, X, X, np.arange(len(X))).tolist())
+    resolution = 2.0 * loop_spacing(space, X, range(len(X)))
     for k, m in enumerate(system.maps):
         images = space.coordinates([m.apply(p) for p in sub])
         if (row_minima(space, X, images) > max(resolution, 1e-9)).any():
@@ -1717,11 +1757,9 @@ def test_block_loops_pass_over_nan_rows_as_the_loops_did():
     eps = separation_epsilon(nan, x, depth)
     assert eps == per_point_epsilon(nan, x, depth) > separation_epsilon(plain, x, depth)
     space, rows = nan.space, np.arange(len(X))
-    assert np.array_equal(
-        row_minima(space, X, X, rows), per_query_row_minima(space, X, X, rows), equal_nan=True
-    )
-    cloud = PointCloud(space, 0, 1, len(rows), tuple(map(tuple, X.tolist())))
-    assert _nearest_neighbor_gap(cloud, 4096) == loop_nearest_gap(cloud, 4096) > 0.0
+    assert np.array_equal(row_minima(space, X, X), per_query_row_minima(space, X, X), equal_nan=True)
+    assert spacing(space, X, rows) == loop_spacing(space, X, rows) > 0.0
+    assert spacing(space, X, rows) == index_skip_gap(space, X, rows)
     # a NaN in the first row sticks to ``max``; one in a later row is passed over
     for row in (1, len(X) - 1):
         first = NanLine(X[0, 0], X[row, 0])

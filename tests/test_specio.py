@@ -32,7 +32,6 @@ def test_parse_scalar_forms():
     assert parse_scalar("1/3") == Fraction(1, 3)
     assert parse_scalar("-2/6") == Fraction(-1, 3)
     assert parse_scalar("0.75") == 0.75
-    assert parse_scalar({"fraction": [2, 5]}) == Fraction(2, 5)
     golden = parse_scalar({"sqrt": {"a": [-1, 2], "b": [1, 2], "d": 5}})
     assert golden == GOLDEN_RATIO
     assert isinstance(golden, QuadraticNumber)
@@ -47,6 +46,8 @@ def test_parse_scalar_rejections():
         parse_scalar("one third")
     with pytest.raises(SpecError):
         parse_scalar({"cbrt": 2})
+    with pytest.raises(SpecError, match="unknown scalar object"):
+        parse_scalar({"fraction": [2, 5]})  # "2/5" is the one rational spelling
     with pytest.raises(SpecError):
         parse_scalar({"sqrt": {"a": [1, 2]}})
     with pytest.raises(SpecError):
@@ -59,7 +60,7 @@ def test_scalar_literals_keep_their_exact_type():
         ('7', 7, int),
         ('0.125', 0.125, float),
         ('"3/7"', Fraction(3, 7), Fraction),
-        ('{"fraction": [6, 14]}', Fraction(3, 7), Fraction),
+        ('"6/14"', Fraction(3, 7), Fraction),
         ('{"sqrt": {"a": [-1, 2], "b": [1, 2], "d": 5}}', GOLDEN_RATIO, QuadraticNumber),
     ]
     for text, value, kind in literals:

@@ -95,9 +95,9 @@ def test_beta_endpoints_hit_the_homogeneous_dimension():
 
 
 def test_cantor_sequence_examples():
-    assert cantor_branch_sequence(0.4, 5).branch_counts == (2, 1, 2, 1, 2)
-    assert cantor_branch_sequence(0.01, 6).branch_counts == (2, 1, 1, 1, 1, 1)
-    assert cantor_branch_sequence(0.63, 8).branch_counts == (2, 1, 2, 2, 2, 2, 2, 2)
+    assert cantor_branch_sequence(0.4, 5) == (2, 1, 2, 1, 2)
+    assert cantor_branch_sequence(0.01, 6) == (2, 1, 1, 1, 1, 1)
+    assert cantor_branch_sequence(0.63, 8) == (2, 1, 2, 2, 2, 2, 2, 2)
 
 
 def test_cantor_sequence_traps_the_level_product():
@@ -105,7 +105,7 @@ def test_cantor_sequence_traps_the_level_product():
     for t in (0.1, 0.4, 0.6):
         tree = cantor_branch_sequence(t, 20)
         count = 1
-        for n, b in enumerate(tree.branch_counts, start=1):
+        for n, b in enumerate(tree, start=1):
             count *= b
             assert 0.5 <= count * 3.0 ** (-t * n) <= 2.0
 
@@ -436,7 +436,7 @@ def test_carnot_window_counts_follow_the_branch_sequence(monkeypatch, alpha):
     warned = ["alpha equals the topological dimension: full tree, no thinning"] if top else []
     assert [str(w.message) for w in caught] == warned
     lower = 1 if alpha <= 2 else 4
-    assert windows[0].branch_counts == tuple(n * n * lower for n in seq)
+    assert windows[0] == tuple(n * n * lower for n in seq)
     assert report.note == ("top breakpoint: full tree over all layers, no thinning" if top else "")
 
 

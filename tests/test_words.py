@@ -29,7 +29,8 @@ from moranlab import spaces
 from moranlab.models import GeneralModel, LevelModel
 from moranlab.spaces import BLOCK_ELEMENTS
 from moranlab.words import (
-    _check_enum, d2_with_resolution, incomparable, level_step, local_stopping_set, word_at,
+    _check_enum, d2_with_resolution, incomparable, largest_depth, level_step, local_stopping_set,
+    word_at,
     word_str,
 )
 
@@ -216,11 +217,17 @@ def test_d2_is_an_ultrametric(u, v, w):
 
 def test_subtree_is_a_tuple_of_branch_counts():
     tree = SubTree([2, 1, 2])
-    assert tree.depth == 3 and tree.branch_counts == (2, 1, 2)
+    assert tree.depth == 3 and tree == (2, 1, 2)
     assert [tree.branch(k) for k in (1, 2, 3)] == [2, 1, 2]
     assert tree == SubTree((2, 1, 2)) and hash(tree) == hash(SubTree((2, 1, 2)))
-    with pytest.raises(AttributeError):
-        tree.branch_counts = (1,)
+    with pytest.raises(TypeError):
+        tree[0] = 1
+
+
+def test_largest_depth_fits_the_count():
+    assert [largest_depth(2, c) for c in (0, 3, 4, 64, 4095, 4096)] == [1, 1, 2, 6, 11, 12]
+    # the CLI's default clouds: 4096 points for dimension, 64 otherwise
+    assert (largest_depth(4, 4096), largest_depth(4, 64), largest_depth(16, 64)) == (6, 3, 1)
 
 
 def test_subtree_validation():
