@@ -51,13 +51,13 @@ def box_count(cloud, r: float, method: str = "greedy") -> int:
         true covering number.
     ``grid``
         count occupied cells of the axis-aligned grid of mesh ``r``
-        anchored at the coordinate-wise minimum.  Euclidean clouds only:
-        the cells are ``r`` wide in the rows' own units, which measure
-        neither symbol, snowflake, comb nor Heisenberg distances, so any
-        other space raises ``DomainError``.  A coordinate within a
-        relative 1e-9 below a cell boundary is counted to the upper cell
-        so that float dust cannot split one construction piece over two
-        cells.
+        anchored at the coordinate-wise minimum.  Euclidean clouds only
+        (the comb's metric is the Euclidean one): the cells are ``r`` wide
+        in the rows' own units, which measure neither symbol, snowflake nor
+        Heisenberg distances, so any other space raises ``DomainError``.
+        A coordinate within a relative 1e-9 below a cell boundary is
+        counted to the upper cell so that float dust cannot split one
+        construction piece over two cells.
     """
     if not r > 0:
         raise DomainError("radius must be positive")

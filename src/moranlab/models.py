@@ -134,10 +134,9 @@ class DiameterModel:
             for m in range(depth)
         ]
 
-    def level_extremes(self, n: int) -> tuple[float, float]:
-        """(min, max) diameter over level ``n``."""
-        ld = self._level_log_diams(n)
-        return math.exp(float(np.min(ld))), math.exp(float(np.max(ld)))
+    def level_max(self, n: int) -> float:
+        """The largest diameter over level ``n``."""
+        return math.exp(float(np.max(self._level_log_diams(n))))
 
     # -- ratio scans ---------------------------------------------------------
 
@@ -278,11 +277,8 @@ class MultiplicativeModel(DiameterModel):
             out.append(np.array([row]))
         return out
 
-    def level_extremes(self, n: int) -> tuple[float, float]:
-        return (
-            self.seed_diameter * min(self.ratios) ** n,
-            self.seed_diameter * max(self.ratios) ** n,
-        )
+    def level_max(self, n: int) -> float:
+        return self.seed_diameter * max(self.ratios) ** n
 
     def split_ratio_extremes(self, depth: int) -> list:
         v = 1.0 / self.seed_diameter
@@ -331,9 +327,8 @@ class LevelModel(DiameterModel):
             out.append(np.array([row]))
         return out
 
-    def level_extremes(self, n: int) -> tuple[float, float]:
-        d = math.exp(self.level_log_diam(n))
-        return d, d
+    def level_max(self, n: int) -> float:
+        return math.exp(self.level_log_diam(n))
 
     def _scan_levels(self, depth: int) -> tuple[list[np.ndarray], int]:
         # every word of a level has the level's diameter: scan a one-letter tree
@@ -448,7 +443,7 @@ def _w1_check(model: DiameterModel) -> AxiomCheck:
 
 def _w2_check(model: DiameterModel, depth: int, D: float) -> AxiomCheck:
     for n in range(1, depth + 1):
-        _, hi = model.level_extremes(n)
+        hi = model.level_max(n)
         if hi < 1.0 / D:
             return AxiomCheck(
                 "W2",

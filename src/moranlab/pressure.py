@@ -21,6 +21,8 @@ from typing import Callable, NamedTuple, Sequence
 from .errors import DomainError
 from .models import DiameterModel
 
+#: the zeros' bisection width in ``t``
+_TOL = 1e-12
 _STABILITY_TOL = 1e-6
 
 
@@ -77,8 +79,8 @@ def _bisect_zero(f: Callable[[float], float], tol: float) -> float:
 class PressureZero(NamedTuple):
     """A finite-depth pressure zero with a two-depth stability diagnostic.
 
-    ``drift`` is ``value - reference_value``; when it exceeds the stability
-    tolerance the model's zeros are still moving with depth and
+    ``drift`` is ``value - reference_value``; when it exceeds
+    ``_STABILITY_TOL`` the model's zeros are still moving with depth and
     ``extrapolated`` (the linear Richardson guess ``2*value - reference``)
     hints where they are headed.
     """
@@ -87,7 +89,6 @@ class PressureZero(NamedTuple):
     depth: int
     reference_value: float
     reference_depth: int
-    tol: float
 
     @property
     def drift(self) -> float:
@@ -95,33 +96,31 @@ class PressureZero(NamedTuple):
 
     @property
     def stable(self) -> bool:
-        return abs(self.drift) <= max(_STABILITY_TOL, 10 * self.tol)
+        return abs(self.drift) <= _STABILITY_TOL
 
     @property
     def extrapolated(self) -> float:
         return 2.0 * self.value - self.reference_value
 
 
-def pressure_zero(model: DiameterModel, depth: int, tol: float = 1e-12) -> PressureZero:
-    """Unique zero of the depth-``depth`` pressure, to within ``tol`` in t.
+def pressure_zero(model: DiameterModel, depth: int) -> PressureZero:
+    """Unique zero of the depth-``depth`` pressure, to within ``_TOL`` in t.
 
     Also solves at half the depth and reports the drift between the two
     zeros; a drifting zero means the finite-depth value has not converged
     (typical for weakly controlled models, where per-level contraction
     rates change with the level).
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    value = _bisect_zero(lambda t: pressure_at(model, t, depth), tol)
+    value = _bisect_zero(lambda t: pressure_at(model, t, depth), _TOL)
     ref_depth = max(1, depth // 2)
     if ref_depth == depth:
         ref = value
     else:
-        ref = _bisect_zero(lambda t: pressure_at(model, t, ref_depth), tol)
-    return PressureZero(value, depth, ref, ref_depth, tol)
+        ref = _bisect_zero(lambda t: pressure_at(model, t, ref_depth), _TOL)
+    return PressureZero(value, depth, ref, ref_depth)
 
 
-def moran_dimension(ratios: Sequence[float], tol: float = 1e-12) -> float:
+def moran_dimension(ratios: Sequence[float]) -> float:
     """The unique ``t >= 0`` with ``sum(r**t) == 1``.
 
     For similarity maps with these contraction ratios (and separated
@@ -136,7 +135,7 @@ def moran_dimension(ratios: Sequence[float], tol: float = 1e-12) -> float:
     def f(t: float) -> float:
         return sum(r**t for r in ratios) - 1.0
 
-    return _bisect_zero(f, tol)
+    return _bisect_zero(f, _TOL)
 
 
 def self_affine_pressure(a0: float, a1: float, b0: float, b1: float, t: float) -> float:

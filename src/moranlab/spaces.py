@@ -26,7 +26,7 @@ counts if it lies inside the pair's common length.
 
 ``within(X, q, r)`` is the ball test of one query row ``q`` (a cover's or a
 packing's centre), ``distances(X, q[None])[0] <= r`` bit for bit.  The
-Euclidean (and comb) and Heisenberg kernels have a pre-root part, the sums of
+Euclidean and Heisenberg kernels have a pre-root part, the sums of
 squares or ``(a^2+b^2)^2 + c^2``, that ``distances`` finishes with one or two
 square roots and ``within`` compares with :func:`ball_bound` instead.  That
 part's helper takes the query as operands: a block's columns ``Q.T[:, :, None]``,
@@ -113,10 +113,9 @@ def spacing(space: "MetricSpace", X: np.ndarray, rows: np.ndarray) -> float:
     for a in range(0, len(rows), step):
         d = space.distances(X, Q[a : a + step])
         d[np.arange(len(d)), rows[a : a + step]] = np.inf  # the row itself
-        d.min(axis=1, out=m[a : a + step])
-    for k in np.flatnonzero(m == 0):  # a repeated row: its nearest at a positive distance
-        d = space.distances(X, X[rows[k]][None])
-        m[k] = d.min(initial=np.inf, where=d > 0)
+        if not d.min(axis=1, out=m[a : a + step]).all():  # a repeat: every zero goes
+            d[d == 0] = np.inf
+            d.min(axis=1, out=m[a : a + step])
     return max(0.0, float(np.fmax.reduce(m)))
 
 
@@ -275,27 +274,21 @@ class SymbolSpace(MetricSpace):
 # ---------------------------------------------------------------------------
 
 
-class CombSpace(MetricSpace):
+class CombSpace(EuclideanSpace):
     """The planar comb with contraction ``r``: spine, base tooth, and teeth.
 
     The spine is ``[0, 1/(1-r)] x {0}``; the base tooth is ``{0} x [0, 1]``;
     the word ``i`` of length ``m`` carries a tooth of height ``r**m``
     anchored at ``x_i = sum(i_k * r**(k-1))``.  The metric is the ambient
-    Euclidean one.  ``r`` may be an exact scalar (Fraction or quadratic
-    irrational).
+    Euclidean one: the space is ``EuclideanSpace(2)``, and ``r`` (which may
+    be an exact scalar, Fraction or quadratic irrational) is only checked.
     """
 
     def __init__(self, r):
         rf = float(r)
         if not 0.0 < rf < 1.0:
             raise DomainError("comb contraction must lie in (0, 1), got %r" % rf)
-        self.r = r
-
-    coordinate_dim = 2
-
-    distance = EuclideanSpace.distance
-    distances = EuclideanSpace.distances
-    within = EuclideanSpace.within
+        super().__init__(2)
 
 
 # ---------------------------------------------------------------------------

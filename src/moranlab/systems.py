@@ -16,7 +16,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -387,22 +387,19 @@ class ContractionSystem:
             ratios = [self.space.metric_bound(b[0]) for b in bounds]
             model = MultiplicativeModel(ratios, seed_diameter=seed)
         else:
-            cache: dict[Word, float] = {}
-
+            @cache
             def log_diam(word: Word) -> float:
-                if word not in cache:
-                    X = cloud.coordinates[cloud.piece(word)]
-                    if len(X) < 2:
-                        raise DomainError(
-                            "the depth-%d cloud resolves no pair of samples inside %s; "
-                            "regenerate the cloud at depth >= %d"
-                            % (cloud.depth, word_str(word), len(word) + 1)
-                        )
-                    d = _sampled_diameter(self.space, X)
-                    if d <= 0:
-                        raise DomainError("degenerate sampled diameter at %s" % word_str(word))
-                    cache[word] = math.log(d)
-                return cache[word]
+                X = cloud.coordinates[cloud.piece(word)]
+                if len(X) < 2:
+                    raise DomainError(
+                        "the depth-%d cloud resolves no pair of samples inside %s; "
+                        "regenerate the cloud at depth >= %d"
+                        % (cloud.depth, word_str(word), len(word) + 1)
+                    )
+                d = _sampled_diameter(self.space, X)
+                if d <= 0:
+                    raise DomainError("degenerate sampled diameter at %s" % word_str(word))
+                return math.log(d)
 
             model = GeneralModel(log_diam, self.alphabet, seed_diameter=seed)
         model.containment_check = self._containment_check(cloud)
@@ -647,21 +644,25 @@ class CollisionScan(tuple):
 
     Each triple is a canonical incomparable pair (larger word first, no
     common trailing zeros) whose anchors coincide -- exactly (gap 0.0) when
-    ``r`` was given as an exact scalar, within ``tol`` otherwise.
+    ``r`` was given as an exact scalar, within ``_COLLISION_TOL`` otherwise.
     ``min_nonzero_gap`` is the smallest non-collision anchor difference
     seen across the whole scan.
     """
 
-    def __new__(cls, collisions, min_nonzero_gap: float, exact: bool, depth: int, tol: float):
+    def __new__(cls, collisions, min_nonzero_gap: float, exact: bool, depth: int):
         scan = super().__new__(cls, collisions)
-        scan.min_nonzero_gap, scan.exact, scan.depth, scan.tol = min_nonzero_gap, exact, depth, tol
+        scan.min_nonzero_gap, scan.exact, scan.depth = min_nonzero_gap, exact, depth
         return scan
 
     #: the triples as a plain tuple
     collisions = property(tuple)
 
 
-def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
+#: the anchor difference below which two float anchors coincide
+_COLLISION_TOL = 1e-9
+
+
+def osc_collision_scan(r, depth: int) -> CollisionScan:
     """Search for word pairs whose comb anchors ``x_i = sum i_k r^{k-1}`` agree.
 
     Enumerates difference vectors ``c in {-1,0,1}**m`` (``m <= depth``) by a
@@ -671,7 +672,7 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
     affine family with ratio ``r``.
 
     If ``r`` is exact (int, Fraction, or quadratic irrational) every float
-    candidate within ``tol`` is re-decided exactly and only true zeros are
+    candidate within ``_COLLISION_TOL`` is re-decided exactly and only true zeros are
     reported.  Returned pairs are canonical: the two words have equal
     length with no common trailing zero, the first word is the
     lexicographically larger one.
@@ -704,16 +705,16 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
     order = np.lexsort((*second_rows.T[::-1], second))
     second, second_rows = second[order], second_rows[order]
 
-    # each first half matches the second halves in [start, stop): sums within tol
-    start = np.searchsorted(second, -first - tol, "left")
-    stop = np.maximum(start, np.searchsorted(second, -first + tol, "right"))
+    # each first half matches the second halves in [start, stop): sums within the tolerance
+    start = np.searchsorted(second, -first - _COLLISION_TOL, "left")
+    stop = np.maximum(start, np.searchsorted(second, -first + _COLLISION_TOL, "right"))
     # the nearest neighbours outside the window give the gap
     near_gaps, nonzero = [], (first_rows.any(axis=1), second_rows.any(axis=1))
     for near in (start - 1, stop):
         ok = (0 <= near) & (near < len(second))
         f, j = np.flatnonzero(ok), near[ok]
         gap = np.abs(first[f] + second[j])[nonzero[0][f] | nonzero[1][j]]
-        near_gaps.append(gap[gap > tol])
+        near_gaps.append(gap[gap > _COLLISION_TOL])
 
     counts = stop - start
     f = np.repeat(np.arange(len(first)), counts)
@@ -748,7 +749,7 @@ def osc_collision_scan(r, depth: int, tol: float = 1e-9) -> CollisionScan:
     rows = (x[order].tolist() for x in (u, v, m, gaps))
     triples = [(tuple(a[:k]), tuple(b[:k]), gap) for a, b, k, gap in zip(*rows)]
     min_gap = float(np.concatenate(near_gaps).min(initial=np.inf))
-    return CollisionScan(triples, min_gap, exact, depth, tol)
+    return CollisionScan(triples, min_gap, exact, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +873,6 @@ def ball_condition_probe(
     if not delta_grid or not all(d > 0 for d in delta_grid):
         raise DomainError("delta grid must be non-empty and positive, got %r" % (delta_grid,))
     local = local_stopping_set(model, cloud, x, r)
-    if not local.words:
-        return BallConditionProbe(max(delta_grid), True, (), ())
     order = sorted(local.words, key=lambda w: (-model.diam(w), w))
     pieces = [cloud.piece(w) for w in order]
     X, dist = cloud.coordinates, cloud.space.distances

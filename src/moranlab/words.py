@@ -205,7 +205,7 @@ class SubTree(tuple):
 _MAX_DEPTH = 64
 
 
-def stopping_set(model, r: float, max_depth: int = _MAX_DEPTH) -> list[Word]:
+def stopping_set(model, r: float) -> list[Word]:
     """Words whose piece first drops to diameter ``<= r``.
 
     Returns the antichain ``{i : diam(X_i) <= r < diam(X_parent(i))}`` in
@@ -217,10 +217,10 @@ def stopping_set(model, r: float, max_depth: int = _MAX_DEPTH) -> list[Word]:
     the word ``i`` belongs to the stopping set.  The walk goes level by
     level; the words kept plus the next level count against :func:`enum_cap`.
     """
-    out, wide = _stopping_walk(model, r, max_depth)
+    out, wide = _stopping_walk(model, r, _MAX_DEPTH)
     if wide is not None:
         raise DomainError(
-            "piece diameters did not drop below r=%r within depth %d" % (r, max_depth)
+            "piece diameters did not drop below r=%r within depth %d" % (r, _MAX_DEPTH)
         )
     return out
 

@@ -1,5 +1,6 @@
 """Box counting, Minkowski slopes, cover sums, and packings."""
 
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from moranlab import (
     Alphabet,
+    CombSpace,
     ContractionSystem,
     DomainError,
     EuclideanSpace,
@@ -27,7 +29,7 @@ from moranlab import (
     packing_growth_check,
 )
 from moranlab.dimension import hausdorff_upper_sum
-from moranlab.specio import load_spec
+from moranlab.specio import load_spec, spec_from_dict
 
 T_STAR = math.log(2) / math.log(3)
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -93,6 +95,19 @@ def test_grid_counts_refuse_non_euclidean_clouds():
         for r in (0.1, 2.0):
             with pytest.raises(DomainError, match="greedy"):
                 box_count(cloud, r, method="grid")
+
+
+def test_comb_clouds_are_counted_as_plane_clouds():
+    """The comb's metric is the plane's: the shipped comb system's points give the
+    same grid counts and the same default slope fit in either space."""
+    data = json.loads((SPECS / "comb.json").read_text())
+    plane = attractor_cloud(spec_from_dict(data).require_system(), 12)
+    data["space"] = {"kind": "comb", "r": data["maps"][0]["r"]}
+    comb = attractor_cloud(spec_from_dict(data).require_system(), 12)
+    assert type(comb.space) is CombSpace and comb.coordinates.tolist() == plane.coordinates.tolist()
+    for r in (0.3, 0.1, 0.03):
+        assert box_count(comb, r, method="grid") == box_count(plane, r, method="grid")
+    assert minkowski_estimate(comb, 0.06, 0.8, 5) == minkowski_estimate(plane, 0.06, 0.8, 5)
 
 
 def test_grid_counts_refuse_radii_past_int64_cells():

@@ -51,10 +51,11 @@ from moranlab import (
     separation_epsilon,
     stopping_set,
 )
+from moranlab import systems
 from moranlab.cli import _cloud_csv, _default_scales
 from moranlab.dimension import _greedy_centers
 from moranlab.models import GeneralModel
-from moranlab.spaces import ball_bound, row_minima, spacing
+from moranlab.spaces import ball_bound, block_rows, row_minima, spacing
 from moranlab.systems import (
     ContractionMap,
     _IntegerLevel,
@@ -1254,11 +1255,12 @@ def exact_collisions(r, depth):
 @pytest.mark.parametrize(
     "r", [GOLDEN_RATIO, QuadraticNumber(0, Fraction(1, 2), 2), Fraction(2, 3), Fraction(5, 7)]
 )
-def test_collision_scan_agrees_with_exact_anchor_sums(r):
+def test_collision_scan_agrees_with_exact_anchor_sums(r, monkeypatch):
     pairs = exact_collisions(r, 7)
     # a wide tolerance makes many near misses candidates; each is re-decided
     for depth, tol in product(range(1, 8), (1e-9, 0.5)):
-        scan = osc_collision_scan(r, depth, tol)
+        monkeypatch.setattr(systems, "_COLLISION_TOL", tol)
+        scan = osc_collision_scan(r, depth)
         assert scan.exact
         assert {(u, v) for u, v, _ in scan} == {p for p in pairs if len(p[0]) <= depth}
         assert all(gap == 0.0 for _, _, gap in scan)
@@ -1468,6 +1470,20 @@ def test_spacing_passes_over_repeated_rows(data, copies, nan):
     distinct = space.coordinates(list(dict.fromkeys(points)))
     if not nan and len(distinct) > 1:  # the spacing of the distinct rows
         assert got == loop_spacing(space, distinct, np.arange(len(distinct)))
+
+
+def test_spacing_takes_one_kernel_call_per_block_of_repeated_rows(monkeypatch):
+    """The comb depth-10 cloud repeats the point of 255 of its 256 probes; once
+    doubled, every row repeats.  A repeated row costs no kernel call of its own."""
+    cloud = attractor_cloud(shipped_system("comb"), 10)
+    space, kernel, calls = cloud.space, type(cloud.space).distances, []
+    monkeypatch.setattr(type(space), "distances", lambda *args: calls.append(1) or kernel(*args))
+    for X in (cloud.coordinates, np.asfortranarray(np.vstack([cloud.coordinates] * 2))):
+        rows = probes(len(X))
+        want = loop_spacing(space, X, rows)
+        calls.clear()
+        assert spacing(space, X, rows) == want
+        assert len(calls) <= math.ceil(len(rows) / block_rows(len(X))), len(calls)
 
 
 @pytest.mark.parametrize("name, depth", [("cantor", 10), ("selfaffine", 8), ("symbolifs", 6)])
@@ -1707,10 +1723,11 @@ def loop_collision_scan(r, depth, tol=1e-9):
     "r", [GOLDEN_RATIO, Fraction(2, 3), Fraction(5, 7), Fraction(999, 1000), math.pi / 4],
     ids=["golden", "2/3", "5/7", "999/1000", "pi/4"],
 )
-def test_collision_scan_matches_the_loop(r):
+def test_collision_scan_matches_the_loop(r, monkeypatch):
     for depth in range(1, 15):
         for tol in (1e-9, 0.5) if depth <= 6 else (1e-9,):
-            scan = osc_collision_scan(r, depth, tol)
+            monkeypatch.setattr(systems, "_COLLISION_TOL", tol)
+            scan = osc_collision_scan(r, depth)
             assert (scan.collisions, scan.min_nonzero_gap) == loop_collision_scan(r, depth, tol)
 
 

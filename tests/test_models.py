@@ -53,10 +53,7 @@ def test_multiplicative_diameters():
     assert model.diam(()) == 2.0
     assert model.diam((0,)) == pytest.approx(2 / 3, rel=1e-15)
     assert model.diam((0, 1)) == pytest.approx(1 / 3, rel=1e-15)
-    assert model.level_extremes(2) == (
-        pytest.approx(2 / 9, rel=1e-15),
-        pytest.approx(1 / 2, rel=1e-15),
-    )
+    assert model.level_max(2) == pytest.approx(1 / 2, rel=1e-15)
 
 
 def test_multiplicative_level_sum_matches_enumeration():
@@ -124,10 +121,7 @@ def test_general_model_agrees_with_structured_one():
             assert gen.level_log_sum(t, n) == pytest.approx(
                 ref.level_log_sum(t, n), abs=1e-12
             )
-    assert gen.level_extremes(3) == (
-        pytest.approx(ref.level_extremes(3)[0], rel=1e-12),
-        pytest.approx(ref.level_extremes(3)[1], rel=1e-12),
-    )
+    assert gen.level_max(3) == pytest.approx(ref.level_max(3), rel=1e-12)
 
 
 def test_rectangle_model_diagonals():

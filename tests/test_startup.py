@@ -154,13 +154,90 @@ def test_every_public_name_has_a_caller():
     """Each exported name is used by the library, the benchmark or an acceptance criterion."""
     import moranlab
 
-    src = PKG_ROOT / "src" / "moranlab"
-    files = [p for p in src.glob("*.py") if p.name != "__init__.py"]
-    files += [*(PKG_ROOT / "bench").glob("*.py"), PKG_ROOT / "tests" / "test_acceptance.py"]
+    files = [p for p in _caller_files() if p.name != "__init__.py"]
     used = set().union(*map(_references, files))
     uncalled = set(moranlab.__all__) - used - set(UNCALLED_BY_DESIGN)
     assert not uncalled, sorted(uncalled)
     assert set(UNCALLED_BY_DESIGN) <= set(moranlab.__all__)
+
+
+def _caller_files() -> list:
+    """The library's modules, the benchmark and the acceptance criteria: the code
+    whose calls count as a use of the public API."""
+    return [*(PKG_ROOT / "src" / "moranlab").glob("*.py"), *(PKG_ROOT / "bench").glob("*.py"),
+            PKG_ROOT / "tests" / "test_acceptance.py"]
+
+
+def _passed_arguments(paths) -> dict:
+    """Per called name (``f`` of ``f(...)`` or ``obj.f(...)``), the largest number of
+    positional arguments and the keywords that its calls pass; a starred argument
+    passes every parameter.  A ``def`` in ``bench/`` counts as passing each parameter
+    it declares: the tracer's wrappers are named after what they wrap and forward
+    every argument they take to it."""
+    passed: dict = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                        k.arg is None for k in node.keywords):
+                    count, keywords = float("inf"), {"*"}
+                else:
+                    count, keywords = len(node.args), {k.arg for k in node.keywords}
+                name = call_name(node)
+            elif isinstance(node, ast.FunctionDef) and path.parent.name == "bench":
+                count, keywords, name = 0, {a.arg for a in node.args.args}, node.name
+            else:
+                continue
+            most, names = passed.get(name, (0, set()))
+            passed[name] = (max(most, count), names | keywords)
+    return passed
+
+
+def _defaults(moranlab) -> set:
+    """``(qualified name, called name, position, parameter)`` for each parameter with a
+    default of an exported function, of an exported class's constructor (tuples
+    aside: NamedTuple records) and of an exported class's public methods; a
+    keyword-only parameter's position is ``inf``."""
+    import inspect
+
+    found = set()
+
+    def add(func, called, skip):
+        params = list(inspect.signature(func).parameters.values())[skip:]
+        for k, p in enumerate(params):
+            if p.default is not p.empty:
+                at = k if p.kind <= p.POSITIONAL_OR_KEYWORD else float("inf")
+                found.add((func.__qualname__, called, at, p.name))
+
+    for name in moranlab.__all__:
+        obj = getattr(moranlab, name)
+        if inspect.isfunction(obj):
+            add(obj, name, 0)
+        elif isinstance(obj, type) and not issubclass(obj, tuple):
+            if inspect.isfunction(obj.__init__):
+                add(obj.__init__, name, 1)
+            for attr in dir(obj):
+                member = inspect.getattr_static(obj, attr)
+                static = isinstance(member, staticmethod)
+                func = member.__func__ if static else member
+                if not attr.startswith("_") and inspect.isfunction(func):
+                    add(func, attr, 0 if static else 1)
+    return found
+
+
+def test_every_default_has_a_caller():
+    """A parameter with a default is a setting: some call in the library, the
+    benchmark or the acceptance criteria passes it, by position or by keyword.
+    A value only tests set is a constant of its module."""
+    import moranlab
+
+    passed = _passed_arguments(_caller_files())
+    unset = []
+    for qualname, called, k, param in sorted(_defaults(moranlab)):
+        most, keywords = passed.get(called, (0, set()))
+        if most <= k and not keywords & {param, "*"}:
+            unset.append("%s(%s)" % (qualname, param))
+    assert not unset, unset
 
 
 # Classes that may define their own sequence or equality protocol, each with its reason;

@@ -371,10 +371,12 @@ def test_ball_condition_with_no_local_pieces():
     system = cantor_system()
     cloud = attractor_cloud(system, 6)
     model = system.induced_model()
-    probe = ball_condition_probe(model, cloud, (50.0,), 0.33, [0.25, 0.125])
-    assert probe.satisfied
-    assert probe.delta == 0.25
-    assert probe.words == ()
+    for grid in ([0.25, 0.125], [0.125, 0.25]):
+        probe = ball_condition_probe(model, cloud, (50.0,), 0.33, grid)
+        assert probe.satisfied
+        assert probe.delta == 0.25
+        assert probe.words == ()
+        assert probe.centers == ()
     with pytest.raises(DomainError):
         ball_condition_probe(model, cloud, (0.0,), 0.33, [])
 

@@ -29,8 +29,8 @@ from moranlab import spaces
 from moranlab.models import GeneralModel, LevelModel
 from moranlab.spaces import BLOCK_ELEMENTS
 from moranlab.words import (
-    _check_enum, d2_with_resolution, incomparable, largest_depth, level_step, local_stopping_set,
-    word_at,
+    _check_enum, _stopping_walk, d2_with_resolution, incomparable, largest_depth, level_step,
+    local_stopping_set, word_at,
     word_str,
 )
 
@@ -298,9 +298,10 @@ def test_stopping_set_radius_range():
 
 
 def test_stopping_set_depth_guard():
-    model = MultiplicativeModel((0.95, 0.95))
-    with pytest.raises(DomainError):
-        stopping_set(model, 1e-3, max_depth=5)
+    # one open word per level: 0.99**64 is still above r
+    model = MultiplicativeModel((0.99, 1e-9))
+    with pytest.raises(DomainError, match=r"within depth 64$"):
+        stopping_set(model, 1e-6)
 
 
 def test_stopping_set_honours_the_enumeration_cap(monkeypatch):
@@ -383,6 +384,12 @@ def _tuple_local_stopping_set(model, cloud, x, r):
     return tuple(w for w in candidates if inside[cloud.piece(w)].any()), tuple(candidates)
 
 
+def _tuple_walk_head(model, r, max_depth):
+    """``_tuple_stopping_walk`` as ``_stopping_walk`` answers: the first wide word, else ``None``."""
+    out, wide = _tuple_stopping_walk(model, r, max_depth)
+    return out, wide[0] if wide else None
+
+
 def _outcome(call, *args):
     """What ``call(*args)`` returns, or the type and text of the error it raises."""
     try:
@@ -428,8 +435,9 @@ def test_array_walk_equals_the_tuple_walk(data, model, cap, max_depth):
     r = data.draw(walk_radii(model))
     with mock.patch.dict(os.environ, {"MORANLAB_ENUM_CAP": str(cap)}):
         for depth in (max_depth, 64):
-            want = _outcome(_tuple_stopping_set, model, r, depth)
-            assert _outcome(stopping_set, model, r, depth) == want
+            want = _outcome(_tuple_walk_head, model, r, depth)
+            assert _outcome(_stopping_walk, model, r, depth) == want
+        assert _outcome(stopping_set, model, r) == _outcome(_tuple_stopping_set, model, r)
 
 
 def test_rectangle_walk_decides_on_libm_exp():
