@@ -16,7 +16,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -59,7 +59,8 @@ class ContractionMap:
         raise NotImplementedError
 
     def lip_bounds(self) -> tuple[float, float] | None:
-        """Exact ``(lower, upper)`` metric distortion, or ``None`` if unknown."""
+        """Exact ``(lower, upper)`` metric distortion: the infimum and supremum of
+        ``d(fx, fy) / d(x, y)`` in the coordinate metric, or ``None`` if unknown."""
         return None
 
     def affine(self) -> tuple[object, tuple] | None:
@@ -142,8 +143,9 @@ class SymbolMap(ContractionMap):
     """Prefix-rewriting map on the branch space.
 
     ``table[s]`` is the word prepended when the input starts with symbol
-    ``s``; the input itself is kept verbatim.  Maps of this shape send
-    every (non-empty) cylinder onto a cylinder.
+    ``s`` (one word per letter of the space's alphabet); the input itself
+    is kept verbatim.  Maps of this shape send every (non-empty) cylinder
+    onto a cylinder, and compose into one another (:meth:`then`).
     """
 
     __slots__ = ("table",)
@@ -169,6 +171,22 @@ class SymbolMap(ContractionMap):
         if isinstance(word, np.ndarray) or len(word) == 0:
             raise DomainError("symbol maps need a non-empty prefix to inspect")
         return self.table[word[0]] + tuple(word)
+
+    def then(self, inner: SymbolMap) -> SymbolMap:
+        """``self o inner``: table ``self.table[(t + (s,))[0]] + t`` at ``t = inner.table[s]``."""
+        return SymbolMap(tuple(self.table[(t + (s,))[0]] + t for s, t in enumerate(inner.table)))
+
+    def lip_bounds(self):
+        """The ratio ``d(fx, fy) / d(x, y)`` of tree distances takes finitely many
+        values: ``2**-len(table[s])`` at two points of first letter ``s``; at first
+        letters ``s != s'``, ``2**-j`` for the common prefix length ``j`` of
+        ``table[s] + (s,)`` and ``table[s'] + (s',)``, and every value down to 0
+        as well when one of those is a prefix of the other (the map glues branches)."""
+        ratios = [2.0 ** -len(t) for t in self.table]
+        for u, v in itertools.combinations([t + (s,) for s, t in enumerate(self.table)], 2):
+            j = next((k for k, (a, b) in enumerate(zip(u, v)) if a != b), None)
+            ratios += [2.0 ** -min(len(u), len(v)), 0.0] if j is None else [2.0 ** -j]
+        return min(ratios), max(ratios)
 
 
 class CarnotMap(ContractionMap):
@@ -260,8 +278,10 @@ class ContractionSystem:
         """Levels 1, 2, ... of ``seeds``, each its ``points`` and their ``rows``.
 
         Level ``n`` holds ``apply_word(w, x)`` for the length-``n`` words ``w``
-        in lexicographic order, then ``x`` in seed order, with the values and
-        types of :meth:`apply_word`, each point built when it is read; ``rows``
+        in lexicographic order, then ``x`` in seed order, each point built when
+        it is read, with the values of :meth:`apply_word`, and its types where
+        the map parameters are Python scalars, as ``specio`` builds them (a numpy
+        float parameter gives ``float`` here, ``np.float64`` there); ``rows``
         is ``space.coordinates(points)`` bit for bit.  Exact affine systems run
         on integer numerators (:func:`_integer_levels`); any other level stays
         in the kernel's layout and each map's ``apply`` runs once on it, maps
@@ -300,65 +320,30 @@ class ContractionSystem:
 
         Products of per-map bounds are always valid; when every map along
         the word is an axis/rigid similitude (lower == upper) the product
-        is the exact distortion.  For chains of planar affine maps the
-        singular values of the product matrix are used instead (exact).
-        Map bounds are stated in the coordinate metric; the space turns
-        them into bounds in its own metric.  A word through a map without
-        exact bounds is sampled where the space's points are words: the
-        ratio runs over every resolved pair of :attr:`_pair_pool`, where
-        prefix-rewriting maps attain their extremes already, and the result
-        is flagged inexact (one-sided).  On any other space such a word
-        raises :class:`DomainError`.
+        is the exact distortion.  A word of planar affine maps takes the
+        singular values of its product matrix, and a word of symbol maps the
+        bounds of its composite table (:meth:`SymbolMap.then`): both exact,
+        and tighter than the products.  Map bounds are stated in the
+        coordinate metric; the space turns them into bounds in its own
+        metric.  A word through a map without bounds raises :class:`DomainError`.
         """
-        bound = self.space.metric_bound
-        if all(isinstance(self.maps[s], Affine2DMap) for s in word) and len(word) > 0:
+        bound, maps = self.space.metric_bound, [self.maps[s] for s in word]
+        if maps and all(isinstance(m, Affine2DMap) for m in maps):
             prod = np.eye(2)
-            for s in word:
-                prod = prod @ np.array(self.maps[s].matrix, dtype=float)
+            for m in maps:
+                prod = prod @ np.array(m.matrix, dtype=float)
             sv = np.linalg.svd(prod, compute_uv=False)
             return SemiconformalBounds(bound(float(sv[-1])), bound(float(sv[0])), True)
+        if maps and all(isinstance(m, SymbolMap) for m in maps):
+            lo, hi = reduce(SymbolMap.then, maps).lip_bounds()
+            return SemiconformalBounds(bound(lo), bound(hi), True)
         lo, hi, exact = 1.0, 1.0, True
         for s in word:
             b = self.map_lip_bounds[s]
             if b is None:
-                break
-            lo *= b[0]
-            hi *= b[1]
-            exact = exact and (b[0] == b[1])
-        else:
-            return SemiconformalBounds(bound(lo), bound(hi), exact)
-        if self.space.coordinate_dim is not None:
-            raise DomainError("map %d has no exact contraction bounds" % s)
-        pool, blocks = self._pair_pool
-        I = self.space.coordinates([self.apply_word(word, u) for u in pool])
-        lo, hi = math.inf, 0.0
-        for rows, resolved, duv in blocks:
-            r = self.space.distances(I, I[rows])[resolved] / duv
-            if r.size:
-                lo, hi = min(lo, float(r.min())), max(hi, float(r.max()))
-        if hi == 0.0:
-            raise DomainError("no resolved pair in the sampling pool")
-        return SemiconformalBounds(lo, hi, False)
-
-    @cached_property
-    def _pair_pool(self) -> tuple[list[Word], list[tuple]]:
-        """The words of the space's tree at the least depth ``>= 3`` with at
-        least 64 pairs, and their distances in row blocks ``(rows, resolved,
-        d)``: ``d`` holds the distances from the pool to the words
-        ``pool[rows]`` where ``resolved`` (non-zero).  Built once per system."""
-        # the maps act on branches of the space's tree, which may be wider
-        # than the index alphabet of the system itself
-        space, pool_depth = self.space, 3
-        while math.comb(space.alphabet.size**pool_depth, 2) < 64:
-            pool_depth += 1
-        pool = list(space.alphabet.words(pool_depth))
-        P, step, blocks = space.coordinates(pool), block_rows(len(pool)), []
-        for a in range(0, len(pool), step):
-            # every ordered pair: the tree metric is symmetric, bit for bit
-            duv = space.distances(P, P[a : a + step])
-            resolved = duv != 0.0
-            blocks.append((slice(a, a + step), resolved, duv[resolved]))
-        return pool, blocks
+                raise DomainError("map %d has no exact contraction bounds" % s)
+            lo, hi, exact = lo * b[0], hi * b[1], exact and b[0] == b[1]
+        return SemiconformalBounds(bound(lo), bound(hi), exact)
 
     # -- induced diameter model -------------------------------------------
 
@@ -617,12 +602,11 @@ def _iterate_levels(maps, den: int, d: int, level: _IntegerLevel) -> Iterator[_I
 
 
 class SemiconformalBounds(NamedTuple):
-    """Witnessed distortion interval of a word map.
+    """Distortion interval of a word map.
 
-    When ``exact`` is false, either the interval was sampled from finitely
-    many point pairs (a word through a map without exact bounds), and the
-    true lower bound can only be smaller, the true upper only larger; or it
-    is a product of valid per-map bounds that are not tight (a word mixing
+    When ``exact`` is true, ``lower`` and ``upper`` are the infimum and
+    supremum of the distortion ratio.  When it is false, the interval is a
+    product of valid per-map bounds that are not tight (a word mixing
     ``Affine2DMap`` with other maps), and the true bounds lie inside it.
     """
 
@@ -776,9 +760,9 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
     X = _stack_rows([lv.rows for lv in itertools.islice(system.levels((x,)), depth)])
     # lower bounds a level at a time, each the parent's times the last map's
     # (the left-to-right products of ``word_lip_bounds``), then libm's pow per
-    # element on the snowflake; words with an affine map or a map without
-    # exact bounds (NaN here) go per word
-    lower = [math.nan if b is None or isinstance(m, Affine2DMap) else b[0]
+    # element on the snowflake; words with an affine or a symbol map, or a map
+    # without bounds (NaN here), go per word
+    lower = [math.nan if b is None or isinstance(m, (Affine2DMap, SymbolMap)) else b[0]
              for m, b in zip(system.maps, system.map_lip_bounds)]
     prods = [np.ones(1)]
     for _ in range(depth):

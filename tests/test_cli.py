@@ -197,6 +197,11 @@ def test_library_warnings_print_one_line_each_after_the_output(args, code, stdou
     assert ".py:" not in result.stderr
 
 
+def test_symbol_epsilon_reads_the_composite_tables():
+    result = run_cli("probe", "specs/symbolifs.json", "--probe", "epsilon", "--depth", "6")
+    assert (result.returncode, result.stdout) == (0, '{"epsilon":2.0,"depth":6}\n')
+
+
 # -- a snowflaked symbol tree -----------------------------------------------------
 
 

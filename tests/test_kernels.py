@@ -11,6 +11,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from bisect import bisect_left
+from functools import reduce
 from itertools import combinations, cycle, islice, product
 from numbers import Rational
 from pathlib import Path
@@ -698,25 +699,6 @@ def pairwise_semiconformal_bounds(system, word):
     return lo, hi
 
 
-def loop_symbolic_bounds(system, word, pair_samples=64):
-    """The pool loop that the blocks replaced: one kernel call per pool word."""
-    alphabet, space = system.space.alphabet, system.space
-    pool_depth = 3
-    while math.comb(alphabet.size**pool_depth, 2) < pair_samples:
-        pool_depth += 1
-    pool = list(alphabet.words(pool_depth))
-    images = [system.apply_word(word, u) for u in pool]
-    P, I = space.coordinates(pool), space.coordinates(images)
-    lo, hi = math.inf, 0.0
-    for i in range(len(pool) - 1):
-        duv = space.distances(P[i + 1 :], P[i][None])[0]
-        resolved = duv != 0.0
-        r = space.distances(I[i + 1 :], I[i][None])[0][resolved] / duv[resolved]
-        if r.size:
-            lo, hi = min(lo, float(r.min())), max(hi, float(r.max()))
-    return lo, hi
-
-
 @st.composite
 def symbol_systems(draw):
     """Prefix-rewriting maps on a two- or three-letter tree, prefixes up to two letters."""
@@ -727,12 +709,35 @@ def symbol_systems(draw):
     return ContractionSystem(space, maps, ((0,),))
 
 
+def glues_branches(table):
+    """Whether some image ``table[s] + (s,)`` is a prefix of another."""
+    heads = [t + (s,) for s, t in enumerate(table)]
+    return any(u == v[: len(u)] or v == u[: len(v)] for u, v in combinations(heads, 2))
+
+
+# map 0 sends 0x to 00x and 1x to 001x: the branches 01x and 1x meet
+GLUING_SYSTEM = ContractionSystem(
+    SymbolSpace(Alphabet(2)), (SymbolMap(((0,), (0, 0))), SymbolMap(((1,), (1,)))), ((0,),)
+)
+
+
 @settings(max_examples=40, deadline=None)
+@example(system=GLUING_SYSTEM)
 @given(system=symbol_systems())
-def test_symbolic_pool_blocks_match_the_per_word_loop(system):
+def test_symbolic_composite_bounds_match_the_pair_loop(system):
+    """The composite table's bounds are the extremes over every pair of the
+    depth-3 tree; a table that glues branches has lower bound exactly 0."""
+    points = list(system.space.alphabet.words(3))
     for word in system.alphabet.words_up_to(2):
         bounds = semiconformal_bounds(system, word)
-        assert (bounds.lower, bounds.upper) == loop_symbolic_bounds(system, word)
+        assert (bounds.lower, bounds.upper) == pairwise_semiconformal_bounds(system, word)
+        assert bounds.exact
+        if word:
+            composite = reduce(SymbolMap.then, [system.maps[s] for s in word])
+            images = [system.apply_word(word, u) for u in points]
+            assert [composite.apply(u) for u in points] == images
+            if glues_branches(composite.table):
+                assert bounds.lower == 0.0
 
 
 def test_symbolic_semiconformal_bounds_match_the_pair_loop():
@@ -740,7 +745,7 @@ def test_symbolic_semiconformal_bounds_match_the_pair_loop():
     for word in system.alphabet.words_up_to(3):
         bounds = semiconformal_bounds(system, word)
         assert (bounds.lower, bounds.upper) == pairwise_semiconformal_bounds(system, word)
-        assert not bounds.exact
+        assert bounds.exact
 
 
 # -- integer levels of exact systems against exact scalar arithmetic -------------------
@@ -1087,9 +1092,18 @@ def test_levels_go_float64_only_where_floats_compute_alike(maps, seeds):
     check_levels(ContractionSystem(EuclideanSpace(len(seeds[0])), maps, seeds), 4)
 
 
-def check_levels(system, depth):
+def test_levels_equal_apply_word_in_value_at_a_numpy_float_parameter():
+    """Levels keep ``apply_word``'s types only where the parameters are Python
+    scalars: a numpy float ratio gives ``float`` in a level and ``np.float64``
+    from ``apply_word``, with equal values."""
+    maps = (SimilitudeMap(np.float64(0.3), (0.0,)), SimilitudeMap(0.5, (1.0,)))
+    check_levels(ContractionSystem(EuclideanSpace(1), maps, ((0.2,),)), 4, same_types=False)
+
+
+def check_levels(system, depth, same_types=True):
     """Levels 1 to ``min(depth, 6)`` against :meth:`apply_word` over the words:
-    points with their types, rows bit for bit in the kernel's layout."""
+    points with their types (values only unless ``same_types``), rows bit for
+    bit in the kernel's layout."""
     seeds, space = system.seed_points, system.space
     types = lambda pts: [type(c) for p in pts for c in p]  # noqa: E731
     levels = system.levels(seeds)
@@ -1104,7 +1118,7 @@ def check_levels(system, depth):
         level = next(levels)
         points = tuple(map(level.point, range(len(want))))
         assert points == want
-        assert types(points) == types(want)
+        assert (types(points) == types(want)) == same_types
         rows, want_rows = level.rows, space.coordinates(want)
         layout = lambda X: (X.dtype, X.shape, X.flags.f_contiguous)  # noqa: E731
         assert layout(rows) == layout(want_rows)
@@ -1212,10 +1226,15 @@ def planar_mixed_system():
         ), 4),
         (snowflake_cantor(), 8),
         (planar_mixed_system(), 5),
+        # products of the per-map lower bounds would read 1.6 here, the composite tables 0.8
+        (ContractionSystem(
+            SymbolSpace(Alphabet(2)), (SymbolMap(((0, 0), (1,))), SymbolMap(((1,), (0, 1)))),
+            ((0,),),
+        ), 3),
     ],
     ids=list(SHIPPED_SYSTEMS)
     + ["uneven", "uneven-snowflake", "uneven-snowflake-0.7", "snowflake-0.55", "snowflake-cantor",
-       "planar-mixed"],
+       "planar-mixed", "symbol-composite"],
 )
 def test_level_lower_bounds_give_the_per_word_epsilon(system, depth):
     """``separation_epsilon`` builds the product bounds a level at a time;

@@ -151,18 +151,17 @@ def test_induced_model_without_a_cloud_samples_the_documented_default(name):
     assert default.containment_check() == given.containment_check()
 
 
-def test_symbolic_word_bounds_sample_one_pool_per_system(monkeypatch):
+def test_symbolic_word_bounds_read_no_points(monkeypatch):
     system = load_spec(SPECS / "symbolifs.json").system
     calls = []
     coordinates = SymbolSpace.coordinates
     monkeypatch.setattr(
         SymbolSpace, "coordinates", lambda sp, points: calls.append(sp) or coordinates(sp, points)
     )
-    words = list(system.alphabet.words_up_to(3))
-    for w in words:
+    for w in system.alphabet.words_up_to(3):
         assert system.word_lip_bounds(w) == semiconformal_bounds(system, w)
-    # the pool's rows once, then the images of the pool once per call
-    assert len(calls) == 1 + 2 * len(words)
+    # the bounds come from the composite tables alone
+    assert calls == []
 
 
 def test_containment_check_accepts_a_genuine_attractor():
@@ -206,13 +205,30 @@ def test_affine_chain_uses_singular_values():
 
 
 def test_symbolic_distortion_lands_on_powers_of_two():
-    """Prefix-rewriting maps shift the disagreement index by 1 or 2."""
+    """Prefix-rewriting maps shift the disagreement index by 1 or 2: the
+    bounded-distortion constant ``sup_w upper(w) / lower(w)`` is 2 at every
+    length 1 to 8."""
     system = symbol_system()
-    for word in ((0,), (1,), (0, 1), (1, 0, 0)):
-        bounds = semiconformal_bounds(system, word)
-        assert bounds.lower == 2.0 ** (-len(word) - 1)
-        assert bounds.upper == 2.0 ** (-len(word))
-        assert not bounds.exact
+    for word in system.alphabet.words_up_to(8):
+        if word:
+            bounds = semiconformal_bounds(system, word)
+            assert bounds.lower == 2.0 ** (-len(word) - 1)
+            assert bounds.upper == 2.0 ** (-len(word))
+            assert bounds.exact
+    # the product of the per-map bounds [1/4, 1/2] is looser than the composite table's
+    assert semiconformal_bounds(system, (0, 0)) == (1 / 8, 1 / 4, True)
+
+
+def test_prepending_maps_are_tight_and_induce_a_multiplicative_model():
+    """A map whose table holds one word ``P`` for every letter scales the tree
+    metric by exactly ``2**-len(P)``: its bounds are tight, and so is each word's."""
+    maps = (SymbolMap(((0,), (0,))), SymbolMap(((1, 1), (1, 1))))
+    system = ContractionSystem(SymbolSpace(Alphabet(2)), maps, ((0,),), seed_diameter=1.0)
+    assert [m.lip_bounds() for m in maps] == [(0.5, 0.5), (0.25, 0.25)]
+    assert semiconformal_bounds(system, (0, 1, 1)) == (1 / 32, 1 / 32, True)
+    model = system.induced_model()
+    assert isinstance(model, MultiplicativeModel)
+    assert model.ratios == (0.5, 0.25)
 
 
 def test_symbolic_cylinder_check_passes_for_prefix_rewriters():
