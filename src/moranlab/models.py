@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .words import Alphabet, SubTree, Word, _check_enum, level_step, word_at
+from .words import Alphabet, SubTree, Word, _check_enum, block_rows, level_step, word_at
 
 # Fitted constants that grow by more than this factor between consecutive
 # depths are flagged as diverging (axiom violated rather than held).
@@ -62,10 +62,9 @@ class DiameterModel:
         self.alphabet = alphabet
         self.seed_diameter = float(seed_diameter)
         self._ld_cache: dict[tuple[int, SubTree | None], np.ndarray] = {}
-        # the deepest ratio scans so far: running extremes, so every shallower
-        # depth reads its scan as a prefix of these
-        self._split_scan: list = [None, None]
-        self._child_scan: list = [None]
+        # the deepest split and child scans so far: running extremes, so every
+        # shallower depth reads its scan as a prefix of these
+        self._scans: tuple[list, list] = ([None, None], [None])
 
     # -- per-word values ---------------------------------------------------
 
@@ -153,18 +152,34 @@ class DiameterModel:
         word, split) order: candidates are keyed ``(ratio, length, word index)``,
         the maximum's ratio negated, and ``min`` keeps the earlier split of equal
         keys.  A level's splits go in blocks of ``block_rows`` ratio arrays.
-        The deepest scan is kept: a shallower depth gets a fresh copy of its prefix.
+        One pass (:meth:`_ratio_scan`) scans the splits and the children and
+        is kept: a shallower depth gets a fresh copy of its prefix.
         """
-        if len(self._split_scan) <= depth:
-            self._split_scan = self._split_ratio_scan(depth)
-        return self._split_scan[: max(depth, 1) + 1]
+        if len(self._scans[1]) <= depth:
+            self._scans = self._ratio_scan(depth)
+        return self._scans[0][: max(depth, 1) + 1]
 
-    def _split_ratio_scan(self, depth: int) -> list:
-        from .spaces import block_rows
+    def child_ratio_min(self, depth: int) -> list:
+        """Running minimum of ``diam(i) / diam(parent(i))`` with its witness.
+
+        Entry ``n`` (``1 <= n <= depth``) is ``(min, witness)`` over all
+        words of length 1..n, the witness being the first word attaining it
+        in (length, word) order; entry 0 is ``None``.  Scanned and kept with
+        the splits, so the validators read both from one pass.
+        """
+        if len(self._scans[1]) <= depth:
+            self._scans = self._ratio_scan(depth)
+        return self._scans[1][: max(depth, 0) + 1]
+
+    def _ratio_scan(self, depth: int) -> tuple[list, list]:
+        """The split and child scans to ``depth``: at each level its children, then its splits."""
         L, a = self._scan_levels(depth)
-        out: list = [None, None]
-        lo = hi = (math.inf, 0, 0)
-        for n in range(2, depth + 1):
+        split, child = [None, None], [None]
+        lo = hi = least = (math.inf, 0, 0)
+        for n in range(1, depth + 1):
+            v, i = _extreme((L[n].reshape(-1, a) - L[n - 1][:, None]).ravel(), lowest=True)
+            least = min(least, (v, n, i))
+            child.append((least[0], word_at(least[2], (a,) * least[1])))
             step = block_rows(a**n)
             for ms in (range(f, min(n, f + step)) for f in range(1, n, step)):
                 x = np.stack([(L[n].reshape(a**m, -1) - L[m][:, None] - L[n - m]).ravel()
@@ -173,29 +188,10 @@ class DiameterModel:
                 lo = min(lo, (v, n, i))
                 v, i = _extreme(x, lowest=False)
                 hi = min(hi, (-v, n, i))
-            out.append((lo[0], -hi[0], word_at(lo[2], (a,) * lo[1]), word_at(hi[2], (a,) * hi[1])))
-        return out
-
-    def child_ratio_min(self, depth: int) -> list:
-        """Running minimum of ``diam(i) / diam(parent(i))`` with its witness.
-
-        Entry ``n`` (``1 <= n <= depth``) is ``(min, witness)`` over all
-        words of length 1..n, the witness being the first word attaining it
-        in (length, word) order; entry 0 is ``None``.  Kept like the split scan.
-        """
-        if len(self._child_scan) <= depth:
-            self._child_scan = self._child_ratio_scan(depth)
-        return self._child_scan[: max(depth, 0) + 1]
-
-    def _child_ratio_scan(self, depth: int) -> list:
-        L, a = self._scan_levels(depth)
-        out: list = [None]
-        lo = (math.inf, 0, 0)
-        for n in range(1, depth + 1):
-            v, i = _extreme((L[n].reshape(-1, a) - L[n - 1][:, None]).ravel(), lowest=True)
-            lo = min(lo, (v, n, i))
-            out.append((lo[0], word_at(lo[2], (a,) * lo[1])))
-        return out
+            if n > 1:
+                split.append((lo[0], -hi[0], word_at(lo[2], (a,) * lo[1]),
+                              word_at(hi[2], (a,) * hi[1])))
+        return split, child
 
 
 def _extreme(x: np.ndarray, lowest: bool) -> tuple[float, int]:

@@ -113,10 +113,7 @@ def pressure_zero(model: DiameterModel, depth: int) -> PressureZero:
     """
     value = _bisect_zero(lambda t: pressure_at(model, t, depth), _TOL)
     ref_depth = max(1, depth // 2)
-    if ref_depth == depth:
-        ref = value
-    else:
-        ref = _bisect_zero(lambda t: pressure_at(model, t, ref_depth), _TOL)
+    ref = _bisect_zero(lambda t: pressure_at(model, t, ref_depth), _TOL)
     return PressureZero(value, depth, ref, ref_depth)
 
 

@@ -14,7 +14,7 @@ points into array rows (float rows from one builder, on :class:`MetricSpace`;
 letter rows on the symbol space) and ``distances(X, Q)`` takes a block of
 query rows in that layout and returns ``D[i, j] = distance(X[j], Q[i])``; one
 point is a one-row block, and loops over many points pass blocks of
-:func:`block_rows` rows.  The kernel uses the scalar path's operand order and
+:func:`words.block_rows` rows.  The kernel uses the scalar path's operand order and
 float operations (squares are products, the gauge's fourth root is two square
 roots, the snowflake exponent is libm's ``pow``), so on float coordinates it
 returns the scalar values bit for bit.  Exact coordinates enter as
@@ -43,16 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .words import Alphabet, Word, d2_with_resolution
-
-
-#: float64 elements per temporary of a block-query loop (64 KiB)
-BLOCK_ELEMENTS = 2**13
-
-
-def block_rows(n_rows: int) -> int:
-    """Query rows per kernel call against ``n_rows`` rows."""
-    return max(1, BLOCK_ELEMENTS // max(1, n_rows))
+from .words import Alphabet, Word, block_rows, d2_with_resolution
 
 
 def ball_bound(r: float, roots: int) -> float:

@@ -26,7 +26,6 @@ from .exactnum import QuadraticNumber
 from .spaces import (
     MetricSpace,
     SymbolSpace,
-    block_rows,
     row_minima,
     spacing,
     heisenberg_dilate,
@@ -37,6 +36,7 @@ from .words import (
     Alphabet,
     Word,
     _check_enum,
+    block_rows,
     largest_depth,
     level_step,
     local_stopping_set,
@@ -286,8 +286,8 @@ class ContractionSystem:
         on integer numerators (:func:`_integer_levels`); any other level stays
         in the kernel's layout and each map's ``apply`` runs once on it, maps
         outermost, on its rows of words or its tuple of coordinate columns:
-        the scalars themselves, float64 once all are floats (the four map kinds
-        below compute on float64 what they do on floats, whatever their parameters).
+        the scalars themselves, float64 once all are floats (the maps of this module
+        compute with ``+``, ``-`` and ``*`` only, which round on float64 as on floats).
         """
         n = self.space.coordinate_dim
         if n is not None and any(len(p) != n for p in seeds):
@@ -295,20 +295,15 @@ class ContractionSystem:
         levels = _integer_levels(self, seeds)
         if levels is not None:
             yield from levels  # endless: the maps below never run
-        if n is None:
-            X = self.space.coordinates(seeds)
-            while True:
-                X = _stack_rows([m.apply(X) for m in self.maps])
-                yield _RowLevel(X, True)
-        floats = all(type(m) in (SimilitudeMap, Affine2DMap, CombMap, CarnotMap) for m in self.maps)
-        X = np.array(seeds, dtype=object)
+        words = n is None
+        X = self.space.coordinates(seeds) if words else np.array(seeds, dtype=object)
         while True:
-            if floats and X.dtype == object and all(type(v) is float for v in X.ravel().tolist()):
+            if X.dtype == object and all(type(v) is float for v in X.ravel().tolist()):
                 X = X.astype(float)
             with np.errstate(all="ignore"):  # overflow to inf and NaN pass silently, as on floats
-                images = [m.apply(tuple(X.T)) for m in self.maps]
-            X = np.array([np.concatenate(c) for c in zip(*images)]).T  # column-major
-            yield _RowLevel(X, False)
+                X = _stack_rows([m.apply(X) if words else np.array(m.apply(tuple(X.T))).T
+                                 for m in self.maps])
+            yield _RowLevel(X, words)
 
     @cached_property
     def map_lip_bounds(self) -> tuple[tuple[float, float] | None, ...]:

@@ -5,7 +5,8 @@ names the piece reached by following branch ``i1`` at level 1, ``i2`` at
 level 2, and so on.  Everything here is exact combinatorics -- the only
 metric content is the dyadic tree metric :func:`d2_with_resolution` and
 the diameter values supplied by a caller's model.  :func:`level_step` builds
-the next level of any word-indexed array.
+the next level of any word-indexed array, and :func:`block_rows` cuts a loop
+over level or query rows into blocks of about :data:`BLOCK_ELEMENTS` floats.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .errors import DomainError, EnumerationCapError
 Word = tuple[int, ...]
 
 _DEFAULT_ENUM_CAP = 2**24
+
+#: float64 elements per temporary of a block-query loop (64 KiB)
+BLOCK_ELEMENTS = 2**13
 
 
 def enum_cap() -> int:
@@ -118,6 +122,11 @@ def largest_depth(size: int, count: int) -> int:
     while size ** (depth + 1) <= count:
         depth += 1
     return depth
+
+
+def block_rows(n_rows: int) -> int:
+    """Query rows per kernel call against ``n_rows`` rows."""
+    return max(1, BLOCK_ELEMENTS // max(1, n_rows))
 
 
 def level_step(parent: np.ndarray, steps, op=np.add) -> np.ndarray:
@@ -294,8 +303,6 @@ def local_stopping_sets(model, cloud, Q, r: float) -> list[LocalStoppingSet]:
     can only miss intersections, never invent them.  All rows share one
     stopping set, walked once and no deeper than the cloud.
     """
-    from .spaces import block_rows
-
     candidates, wide = _stopping_walk(model, r, cloud.depth)
     if wide is not None:  # the first deeper stopping word in order: letters 0 below wide
         w = wide + (0,)
@@ -308,6 +315,7 @@ def local_stopping_sets(model, cloud, Q, r: float) -> list[LocalStoppingSet]:
     space, X, out, step = cloud.space, cloud.coordinates, [], block_rows(len(cloud))
     # each piece's rows, cut to the cloud (letters the cloud lacks: no rows)
     lo, hi = np.array([cloud.piece(w).indices(len(X))[:2] for w in candidates]).T
+    candidates = tuple(candidates)
     for a in range(0, len(Q), step):
         inside = space.distances(X, Q[a : a + step]) < r
         # samples inside before each row: a piece meets the ball iff its count grows
@@ -315,7 +323,7 @@ def local_stopping_sets(model, cloud, Q, r: float) -> list[LocalStoppingSet]:
         np.cumsum(inside, axis=1, out=before[:, 1:])
         for hit in (before[:, hi] > before[:, lo]).tolist():
             words = tuple(itertools.compress(candidates, hit))
-            out.append(LocalStoppingSet(words, tuple(candidates)))
+            out.append(LocalStoppingSet(words, candidates))
     return out
 
 
@@ -339,7 +347,7 @@ def antichain_cover_cost(alphabet: Alphabet, psi: Callable, n: int, max_depth: i
     evaluated at the root.  (For proper subsets of the branch space the
     recursion would not be exact; this routine is deliberately restricted
     to the full space.)  It is evaluated bottom-up, in blocks of ``step``
-    levels (the most with ``size**step <= spaces.BLOCK_ELEMENTS``, at least
+    levels (the most with ``size**step <= BLOCK_ELEMENTS``, at least
     one) cut from ``max_depth`` up, so that the deepest block is full and a
     block holds one level of its costs, at most ``size**step``, at a time
     (a whole level of the tree would take ``size**max_depth``).  Blocks go depth-first
@@ -349,8 +357,6 @@ def antichain_cover_cost(alphabet: Alphabet, psi: Callable, n: int, max_depth: i
     ``min(psi(v), kids)``, the recursion's own operations, so the cost is
     the recursion's bit for bit.
     """
-    from .spaces import BLOCK_ELEMENTS  # spaces imports this module
-
     if not 1 <= n <= max_depth:
         raise DomainError("need 1 <= n <= max_depth, got n=%d, max_depth=%d" % (n, max_depth))
     size = alphabet.size

@@ -22,6 +22,10 @@ from hypothesis import strategies as st
 
 from moranlab import cli
 
+# RuntimeWarning stays a warning here: two test_failing_arithmetic_exits_3 cases
+# overflow on purpose, and the mutated specs may overflow too
+pytestmark = pytest.mark.filterwarnings("default::RuntimeWarning")
+
 PKG_ROOT = Path(__file__).resolve().parent.parent
 SPEC_NAMES = ("cantor", "comb", "heisenberg", "nsq", "selfaffine", "supercantor", "symbolifs")
 
@@ -155,6 +159,10 @@ BAD_NUMBERS = [
     (["probe", "specs/cantor.json", "--probe", "ball", "--r", "0.3", "--deltas", ","],
      "--deltas needs at least one number"),
     (["pressure", "specs/cantor.json", "--t-grid", ","], "--t-grid needs at least one number"),
+    (["pressure", "specs/cantor.json", "--t-grid", "0.1:0.5"],
+     "grid must be start:stop:count or a comma list"),
+    (["pressure", "specs/cantor.json", "--t-grid", "0.5:0.1:3"],
+     "grid needs start < stop and count >= 2"),
     # an int beyond the float range over 3: an OverflowError in ``math.isfinite``
     (["validate", "specs/cantor.json", "--axioms", "cmsc", "--t", "1" + "0" * 400 + "/3"],
      "--t takes finite numbers"),
@@ -421,6 +429,10 @@ FAILING_ARITHMETIC = [
     ("sampled seed diameter overflows",
      {**_set("cantor", ("maps", 1, "fixed_point"), [1e308]), "seed_diameter": None},
      ["validate", "--axioms", "cmc"], "seed diameter must be positive and finite"),
+    # both maps fix the one seed: every point is 0, so no default scale exists
+    ("degenerate cloud",
+     {**_set("cantor", ("maps", 1, "fixed_point"), [0]), "seed_points": [[0]]},
+     ["probe", "--probe", "clustering"], "degenerate cloud; supply --scales"),
 ]
 
 

@@ -299,6 +299,14 @@ def test_packing_growth_window_for_the_line_and_its_snowflake():
     growth = packing_growth_check(line, [((0.5,), pts)], [0.4], [0.2, 0.1, 0.05, 0.025])
     assert growth.alpha1 == pytest.approx(1.0, abs=1e-9)
     assert growth.alpha2 == pytest.approx(1.0, abs=1e-9)
+    # pairs with r >= R add nothing; an empty packing is skipped with one warning per pair
+    with pytest.warns(UserWarning) as caught:
+        same = packing_growth_check(line, [((0.5,), pts), ((0.5,), ())], [0.4],
+                                    [0.2, 0.1, 0.05, 0.025, 0.4, 0.8])
+    assert same == growth
+    skipped = [str(w.message) for w in caught if "pair skipped" in str(w.message)]
+    assert skipped == ["packing at R=0.4, r=%g is empty; pair skipped" % r
+                       for r in (0.2, 0.1, 0.05, 0.025)]
     # snowflaking with exponent 1/2 doubles the packing exponent
     flake = SnowflakeSpace(line, 0.5)
     growth = packing_growth_check(

@@ -56,7 +56,7 @@ from moranlab import systems
 from moranlab.cli import _cloud_csv, _default_scales
 from moranlab.dimension import _greedy_centers
 from moranlab.models import GeneralModel
-from moranlab.spaces import ball_bound, block_rows, row_minima, spacing
+from moranlab.spaces import ball_bound, row_minima, spacing
 from moranlab.systems import (
     ContractionMap,
     _IntegerLevel,
@@ -64,7 +64,7 @@ from moranlab.systems import (
     _integer_levels,
     _sampled_diameter,
 )
-from moranlab.words import incomparable, local_stopping_sets, word_str
+from moranlab.words import block_rows, incomparable, local_stopping_sets, word_str
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 T_STAR = math.log(2) / math.log(3)

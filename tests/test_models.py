@@ -25,7 +25,7 @@ from moranlab import (
     validate_wcmc,
 )
 from moranlab import cli, models
-from moranlab.spaces import BLOCK_ELEMENTS
+from moranlab.words import BLOCK_ELEMENTS
 from moranlab.specio import LoadedSpec, load_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -111,6 +111,9 @@ def test_level_model_values():
     assert model.level_log_sum(0.5, 3) == pytest.approx(
         math.log(8) + 0.5 * model.log_diam((0, 0, 0)), abs=1e-12
     )
+    for rho in (0.0, -0.5):
+        with pytest.raises(DomainError, match="level ratio at level 2 must be positive"):
+            LevelModel(lambda n: rho if n == 2 else 0.5, 2).diam((0, 0))
 
 
 def test_general_model_agrees_with_structured_one():
@@ -218,7 +221,12 @@ def test_super_fast_decay_violates_two_sided_control():
 
 
 def test_violated_notes_are_pinned_byte_for_byte():
-    """One verdict rule behind W3, W4 and C1; each keeps its own note."""
+    """One verdict rule behind W3, W4 and C1; each keeps its own note, as W2 does."""
+    # diameters 50 * 0.98^n stay above 1/D up to depth 5
+    report = validate_wcmc(MultiplicativeModel([0.99, 0.98], seed_diameter=50.0), 5)
+    assert not report.passed and report.check("W2").note == (
+        "no level up to depth 5 drops below 1/D = 0.98 for fitted D"
+    )
     # diam(level n) = 2^(-8 sqrt(n)): the split fit grows by 2.25 from depth 3 to 4
     concave = LevelModel(lambda n: 2.0 ** (8 * (math.sqrt(n - 1) - math.sqrt(n))), 2)
     assert validate_wcmc(concave, 4).check("W3").note == (
@@ -254,10 +262,11 @@ def test_axiom_report_plumbing():
 
 
 def test_cmc_at_depth_1_cannot_check_c1(capsys):
-    """Depth 1 exposes no split: C1 is not checkable, and nothing fails."""
+    """Depth 1 exposes no split: C1 and W3 are not checkable; the cmc report fails nothing."""
     code = cli.main(["validate", str(SPECS / "cantor.json"), "--axioms", "cmc", "--depth", "1"])
     c1 = json.loads(capsys.readouterr().out)["checks"][-1]
     assert (code, c1["axiom"], c1["status"]) == (0, "C1", "not-checkable")
+    assert validate_wcmc(cantor_model(), 1).check("W3").status == "not-checkable"
 
 
 def test_shipped_model_specs_reproduce_the_fits():
@@ -424,8 +433,9 @@ def test_split_blocks_past_the_block_size_hold_one_split(monkeypatch):
     depth = 14
     assert 2**depth > BLOCK_ELEMENTS
     assert model.split_ratio_extremes(depth) == per_split_ratio_extremes(model, depth)
-    # two tie-breaks (least, greatest) per block of splits
-    blocks, splits = rows[::2], sum(n - 1 for n in range(2, depth + 1))
+    # two tie-breaks (least, greatest) per block of splits; the child scan passes one row
+    blocks = [shape for shape in rows if len(shape) == 2][::2]
+    splits = sum(n - 1 for n in range(2, depth + 1))
     assert sum(k for k, _ in blocks) == splits and len(blocks) < splits
     assert all(k <= max(1, BLOCK_ELEMENTS // width) for k, width in blocks)
     assert blocks[1 - depth :] == [(1, 2**depth)] * (depth - 1)
@@ -621,17 +631,20 @@ def test_validators_on_one_model_equal_fresh_ones(make):
 
 def test_validators_scan_the_splits_once(monkeypatch):
     calls = []
-    scan = models.DiameterModel._split_ratio_scan
+    scan = models.DiameterModel._ratio_scan
 
     def counting(model, depth):
         calls.append(depth)
         return scan(model, depth)
 
-    monkeypatch.setattr(models.DiameterModel, "_split_ratio_scan", counting)
+    monkeypatch.setattr(models.DiameterModel, "_ratio_scan", counting)
     model = wobbly_general_model()
     validate_wcmc(model, 8)
+    model.child_ratio_min(8)
+    assert calls == [8]  # W3 and W4 read one pass
     validate_cmc(model, 8)
     validate_cmc(model, 6)
     assert calls == [8]
     validate_cmc(model, 9)  # deeper than any kept scan
+    model.child_ratio_min(9)  # C1's pass scanned the children too
     assert calls == [8, 9]

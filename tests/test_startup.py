@@ -120,6 +120,34 @@ def test_spaces_imports_only_errors_and_words():
     assert named == {"errors", "words"}, named
 
 
+# Function bodies that may import a moranlab module: each subcommand loads only its
+# own modules, and building a spec or a system loads ``models`` only for a model.
+LAZY_IMPORTS_BY_DESIGN = {("specio", "model_from_dict"), ("systems", "ContractionSystem.induced_model")}
+
+
+def test_modules_import_each_other_at_the_top():
+    """A module-level import is the rule; a function-local one once hid the
+    ``spaces``/``words`` import cycle."""
+    lazy = set()
+    for path in (PKG_ROOT / "src" / "moranlab").glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            methods = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            for func in methods:
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                name = func.name if func is stmt else "%s.%s" % (stmt.name, func.name)
+                for node in ast.walk(func):
+                    if isinstance(node, ast.ImportFrom):
+                        modules = ["moranlab" if node.level else node.module or ""]
+                    elif isinstance(node, ast.Import):
+                        modules = [a.name for a in node.names]
+                    else:
+                        continue
+                    if any(m.startswith("moranlab") for m in modules):
+                        lazy.add((path.stem, name))
+    assert {(m, f) for m, f in lazy if m != "cli"} == LAZY_IMPORTS_BY_DESIGN
+
+
 # Public names that nothing outside their unit tests calls yet, each kept on purpose.
 UNCALLED_BY_DESIGN = {
     "hausdorff_upper_sum": "the Hausdorff measure bracket on the ROADMAP builds on it",

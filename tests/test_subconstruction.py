@@ -183,6 +183,9 @@ def test_window_argument_validation():
         verify_cmsc(model, tree, 0.4, 4.0, 1)  # depth too small
     with pytest.raises(DomainError):
         verify_cmsc(model, SubTree((2, 2)), 0.4, 4.0, 10)  # shallow subtree
+    for t in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="the exponent must be finite"):
+            verify_cmsc(model, tree, t, 4.0, 10)
 
 
 # -- window ratios against the enumerating reference ------------------------------

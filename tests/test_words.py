@@ -25,13 +25,10 @@ from moranlab import (
     attractor_cloud,
     stopping_set,
 )
-from moranlab import spaces
 from moranlab.models import GeneralModel, LevelModel
-from moranlab.spaces import BLOCK_ELEMENTS
 from moranlab.words import (
-    _check_enum, _stopping_walk, d2_with_resolution, incomparable, largest_depth, level_step,
-    local_stopping_set, word_at,
-    word_str,
+    BLOCK_ELEMENTS, _check_enum, _stopping_walk, d2_with_resolution, incomparable, largest_depth,
+    level_step, local_stopping_set, word_at, word_str,
 )
 
 
@@ -77,6 +74,8 @@ def test_alphabet_refuses_sizes_that_are_not_integers(size):
 def test_words_enumerate_in_lexicographic_order():
     abc = Alphabet(2)
     assert list(abc.words(2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    with pytest.raises(DomainError, match="length must be non-negative"):
+        list(abc.words(-1))
     assert list(abc.words_up_to(2)) == [
         (0,),
         (1,),
@@ -646,7 +645,7 @@ def test_cover_cost_equals_the_recursion(window, data):
     a, n, max_depth = window
     psi = data.draw(cover_weights(a))
     alphabet = Alphabet(a)
-    with mock.patch.object(spaces, "BLOCK_ELEMENTS", data.draw(block_size(a))):
+    with mock.patch("moranlab.words.BLOCK_ELEMENTS", data.draw(block_size(a))):
         got = antichain_cover_cost(alphabet, psi, n, max_depth)
     assert same_float(got, recursive_cover_cost(alphabet, psi, n, max_depth))
 
@@ -672,7 +671,7 @@ def test_cover_cost_calls_psi_once_per_word_children_first(window, data):
         calls.append(w)
         return 1.0 / (1 + len(w))
 
-    with mock.patch.object(spaces, "BLOCK_ELEMENTS", block):
+    with mock.patch("moranlab.words.BLOCK_ELEMENTS", block):
         antichain_cover_cost(Alphabet(a), psi, n, max_depth)
     levels = [w for m in range(max_depth, n - 1, -1) for w in itertools.product(range(a), repeat=m)]
     assert sorted(calls) == sorted(levels)  # once per word, never on one shorter than n
