@@ -5,9 +5,16 @@ the combinatorial skeleton of a Moran construction, with the geometry
 abstracted away.  Four shapes cover everything shipped here:
 
 * multiplicative -- ``diam(i) = seed * prod(ratio[i_k])`` (self-similar);
-* level          -- ``diam(i)`` depends only on ``len(i)``;
+* level          -- ``diam(i) = seed * prod(ratio(k) for k <= len(i))``;
 * rectangle      -- the diagonal of an axis-aligned affine rectangle;
 * general        -- an arbitrary word-to-diameter function.
+
+Being *level* (homogeneous: every word of a length has one diameter) is a
+property that three shapes can have: every level model, a multiplicative
+model whose ratios are equal, and a rectangle whose ``a`` are equal and whose
+``b`` are equal.  The model decides it from its own parameters and says so
+through ``level_log_diam``; the level sums, maxima and ratio scans then read
+one value per level and never enumerate words.
 
 The validators fit the smallest witnessed constants for the nesting/control
 axioms up to a finite depth.  Witnessed constants are exactly that: minimal
@@ -74,6 +81,11 @@ class DiameterModel:
     def diam(self, word: Word) -> float:
         return math.exp(self.log_diam(word))
 
+    def level_log_diam(self, n: int) -> float | None:
+        """The log-diameter that every word of length ``n`` shares, or ``None``
+        when the words of a level differ (the default)."""
+        return None
+
     def child_diams(self, parent: np.ndarray, words: Callable[[], list[Word]]) -> np.ndarray:
         """One level of a stopping walk: the diameters of the frontier's children,
         ``a`` per frontier word in order, as ``diam`` computes them, from the frontier's
@@ -111,7 +123,12 @@ class DiameterModel:
         return np.array([self.log_diam(w) for w in itertools.product(*map(range, branches))])
 
     def level_log_sum(self, t: float, n: int, subtree: SubTree | None = None) -> float:
-        """``log(sum(diam(i)**t for i in level n))``, subtree-restricted if given."""
+        """``log(sum(diam(i)**t for i in level n))``, subtree-restricted if given:
+        ``log(count) + t * level_log_diam(n)`` when the level shares one diameter."""
+        branches = self._branches(range(1, n + 1), subtree)
+        ld = self.level_log_diam(n)
+        if ld is not None:
+            return math.log(math.prod(branches)) + t * ld
         vals = t * self._level_log_diams(n, subtree)
         m = float(np.max(vals))
         vals -= m
@@ -135,13 +152,18 @@ class DiameterModel:
 
     def level_max(self, n: int) -> float:
         """The largest diameter over level ``n``."""
-        return math.exp(float(np.max(self._level_log_diams(n))))
+        ld = self.level_log_diam(n)
+        return math.exp(float(np.max(self._level_log_diams(n))) if ld is None else ld)
 
     # -- ratio scans ---------------------------------------------------------
 
     def _scan_levels(self, depth: int) -> tuple[list[np.ndarray], int]:
-        """Level log-diameter arrays ``0..depth`` for the ratio scans, and their arity."""
-        return [self._level_log_diams(n) for n in range(depth + 1)], self.alphabet.size
+        """Level log-diameter arrays ``0..depth`` for the ratio scans, and their arity;
+        where every level shares one diameter, a one-letter tree of those values."""
+        lds = [self.level_log_diam(n) for n in range(depth + 1)]
+        if None in lds:
+            return [self._level_log_diams(n) for n in range(depth + 1)], self.alphabet.size
+        return [np.array([v]) for v in lds], 1
 
     def split_ratio_extremes(self, depth: int) -> list:
         """Running extremes of ``diam(ij) / (diam(i) diam(j))`` over split words.
@@ -226,13 +248,32 @@ class MultiplicativeModel(DiameterModel):
         self.ratios = ratios
         self.log_ratios = tuple(math.log(r) for r in ratios)
         self.log_scale = math.log(self.seed_diameter)
+        # equal ratios: diam and log_diam per length, grown on demand
+        self._by_length = None
         if len(set(ratios)) == 1:
             self.scale_ratio = ratios[0]
+            self._by_length = ([self.seed_diameter], [self.log_scale])
+
+    def _tables(self, n: int) -> tuple[list[float], list[float]]:
+        """The per-length tables through length ``n``: ``diam``'s ``*=`` from the
+        seed and ``log_diam``'s ``sum`` (compensated on Python 3.12+) of the log ratio."""
+        d, ld = self._by_length
+        while len(d) <= n:
+            d.append(d[-1] * self.ratios[0])
+            ld.append(self.log_scale + sum(itertools.repeat(self.log_ratios[0], len(ld))))
+        return d, ld
+
+    def level_log_diam(self, n: int) -> float | None:
+        return None if self._by_length is None else self._tables(n)[1][n]
 
     def log_diam(self, word: Word) -> float:
-        return self.log_scale + sum(self.log_ratios[s] for s in word)
+        ld = self.level_log_diam(len(word))
+        return self.log_scale + sum(self.log_ratios[s] for s in word) if ld is None else ld
 
     def diam(self, word: Word) -> float:
+        if self._by_length is not None:  # a list read: the cover-cost callbacks call this per word
+            n, diams = len(word), self._by_length[0]
+            return diams[n] if n < len(diams) else self._tables(n)[0][n]
         d = self.seed_diameter
         for s in word:
             d *= self.ratios[s]
@@ -299,17 +340,13 @@ class LevelModel(DiameterModel):
         lld = self._lld
         while len(lld) <= n:
             rho = self._ratio(len(lld))
-            if rho <= 0:
-                raise DomainError("level ratio at level %d must be positive" % len(lld))
+            if not 0 < rho < math.inf:  # NaN too
+                raise DomainError("level ratio at level %d must be positive and finite" % len(lld))
             lld.append(lld[-1] + math.log(rho))
         return lld[n]
 
     def log_diam(self, word: Word) -> float:
         return self.level_log_diam(len(word))
-
-    def level_log_sum(self, t: float, n: int, subtree: SubTree | None = None) -> float:
-        count = math.prod(self._branches(range(1, n + 1), subtree))
-        return math.log(count) + t * self.level_log_diam(n)
 
     def window_ratios(self, t: float, depth: int, subtree: SubTree) -> list[np.ndarray]:
         branches = self._branches(range(1, depth + 1), subtree)
@@ -322,13 +359,6 @@ class LevelModel(DiameterModel):
                 row.append(math.exp(math.log(count) + t * (lld[k] - lld[m])))
             out.append(np.array([row]))
         return out
-
-    def level_max(self, n: int) -> float:
-        return math.exp(self.level_log_diam(n))
-
-    def _scan_levels(self, depth: int) -> tuple[list[np.ndarray], int]:
-        # every word of a level has the level's diameter: scan a one-letter tree
-        return [np.array([self.level_log_diam(n)]) for n in range(depth + 1)], 1
 
 
 class GeneralModel(DiameterModel):
@@ -365,11 +395,24 @@ class RectangleModel(DiameterModel):
         self.a = tuple(float(v) for v in a)
         self.b = tuple(float(v) for v in b)
         self._la, self._lb = np.log(self.a), np.log(self.b)
+        # equal ratios on each side: one log-diameter per length, and the side sums
+        # of the one-letter word one letter longer than the last kept
+        self._lld = [] if len(set(self.a)) == len(set(self.b)) == 1 else None
+        self._ends = (np.zeros(1), np.zeros(1))
 
     def log_diam(self, word: Word) -> float:
         la = sum(self._la[s] for s in word)
         lb = sum(self._lb[s] for s in word)
         return 0.5 * np.logaddexp(2 * la, 2 * lb)
+
+    def level_log_diam(self, n: int) -> float | None:
+        # the one-letter word of length n, stepped as _log_diams steps every word
+        lld = self._lld
+        while lld is not None and len(lld) <= n:
+            la, lb = self._ends
+            lld.append(float(0.5 * np.logaddexp(2 * la, 2 * lb)[0]))
+            self._ends = level_step(la, self._la[:1]), level_step(lb, self._lb[:1])
+        return None if lld is None else lld[n]
 
     def _log_diams(self, branches: list[int]) -> np.ndarray:
         la, lb = np.zeros(1), np.zeros(1)

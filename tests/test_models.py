@@ -21,6 +21,7 @@ from moranlab import (
     RectangleModel,
     SubTree,
     attractor_cloud,
+    pressure_zero,
     validate_cmc,
     validate_wcmc,
 )
@@ -45,15 +46,43 @@ def nsq_model():
     return LevelModel(lambda n: 2.0 ** (-(2 * n - 1)), 2)
 
 
+def selfaffine_rectangle():
+    # equal ratios per side, as in specs/selfaffine.json: one word per level
+    return RectangleModel((1 / 3, 1 / 3), (1 / 4, 1 / 4))
+
+
 # -- model values and aggregates ----------------------------------------------
 
 
-def test_multiplicative_diameters():
+def per_word_diameters(model, word):
+    """``diam`` and ``log_diam`` of a multiplicative model, one letter at a time."""
+    d = model.seed_diameter
+    for s in word:
+        d *= model.ratios[s]
+    return d, model.log_scale + sum(model.log_ratios[s] for s in word)
+
+
+@given(
+    st.integers(2, 4),
+    st.floats(1e-3, 0.999),
+    st.sampled_from([1.0, 2.0, 0.7, math.sqrt(2)]),
+    st.lists(st.integers(0, 40), min_size=1, max_size=8),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_multiplicative_diameters(a, ratio, seed, lengths, data):
     model = MultiplicativeModel((1 / 3, 1 / 2), seed_diameter=2.0)
     assert model.diam(()) == 2.0
     assert model.diam((0,)) == pytest.approx(2 / 3, rel=1e-15)
     assert model.diam((0, 1)) == pytest.approx(1 / 3, rel=1e-15)
     assert model.level_max(2) == pytest.approx(1 / 2, rel=1e-15)
+    # equal ratios read per-length tables, grown here in the drawn (unsorted) order
+    model = MultiplicativeModel([ratio] * a, seed_diameter=seed)
+    for n in lengths:
+        word = tuple(data.draw(st.lists(st.integers(0, a - 1), min_size=n, max_size=n)))
+        want = per_word_diameters(model, word)
+        assert (model.diam(word), model.log_diam(word)) == want
+        assert model.level_log_diam(n) == want[1]
 
 
 def test_multiplicative_level_sum_matches_enumeration():
@@ -111,8 +140,8 @@ def test_level_model_values():
     assert model.level_log_sum(0.5, 3) == pytest.approx(
         math.log(8) + 0.5 * model.log_diam((0, 0, 0)), abs=1e-12
     )
-    for rho in (0.0, -0.5):
-        with pytest.raises(DomainError, match="level ratio at level 2 must be positive"):
+    for rho in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="level ratio at level 2 must be positive and finite"):
             LevelModel(lambda n: rho if n == 2 else 0.5, 2).diam((0, 0))
 
 
@@ -319,6 +348,18 @@ def assert_scans_match_the_reference(model, depth):
 
 
 @st.composite
+def rectangles(draw):
+    """Random sides, or equal ratios per side as in ``specs/selfaffine.json``
+    (every word of a level ties)."""
+    a = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        side = st.lists(st.floats(1e-3, 0.999), min_size=a, max_size=a)
+        return RectangleModel(draw(side), draw(side))
+    ra, rb = draw(st.sampled_from([(1 / 3, 1 / 4), (0.5, 0.5), (0.3, 0.7), (0.9, 1e-3)]))
+    return RectangleModel([ra] * a, [rb] * a)
+
+
+@st.composite
 def alphabets_and_depths(draw):
     a = draw(st.integers(2, 4))
     # keep the scalar reference small: at most 3**7 words per level
@@ -345,12 +386,12 @@ def test_general_scans_match_the_reference_with_ties(shape, step, data):
     assert_scans_match_the_reference(GeneralModel(log_diam, Alphabet(a), seed), depth)
 
 
-@given(alphabets_and_depths(), st.data())
+@given(rectangles(), st.data())
 @settings(max_examples=25, deadline=None)
-def test_rectangle_scans_match_the_reference(shape, data):
-    (a, depth) = shape
-    side = st.lists(st.floats(0.05, 0.95), min_size=a, max_size=a)
-    assert_scans_match_the_reference(RectangleModel(data.draw(side), data.draw(side)), depth)
+def test_rectangle_scans_match_the_reference(model, data):
+    """Random sides, and equal ratios per side, whose scans read one word per level."""
+    a = model.alphabet.size
+    assert_scans_match_the_reference(model, data.draw(st.integers(1, 7 if a < 4 else 5)))
 
 
 @given(alphabets_and_depths(), st.data())
@@ -471,18 +512,6 @@ def isin_extreme(x, lowest):
     return best, int((near[np.isin(x.ravel()[near], logs[exps == best])] % x.shape[-1]).min())
 
 
-@st.composite
-def rectangles(draw):
-    """Random sides, or equal ratios per side as in ``specs/selfaffine.json``
-    (every word of a level ties)."""
-    a = draw(st.integers(2, 4))
-    if draw(st.booleans()):
-        side = st.lists(st.floats(1e-3, 0.999), min_size=a, max_size=a)
-        return RectangleModel(draw(side), draw(side))
-    ra, rb = draw(st.sampled_from([(1 / 3, 1 / 4), (0.5, 0.5), (0.3, 0.7), (0.9, 1e-3)]))
-    return RectangleModel([ra] * a, [rb] * a)
-
-
 @given(rectangles(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_rectangle_levels_and_sums_are_the_broadcasts_bit_for_bit(model, data):
@@ -518,7 +547,8 @@ def test_extreme_equals_the_isin_version(model, n, data):
     per split, some rows NaN; and a child-ratio row."""
     if model.alphabet.size > 2:
         n = min(n, 4)
-    L, a = model._scan_levels(n)
+    # the level arrays themselves: an equal-ratio rectangle's scans read one word per level
+    L, a = [model._level_log_diams(k) for k in range(n + 1)], model.alphabet.size
     ms = range(1, n)
     x = np.stack([(L[n].reshape(a**m, -1) - L[m][:, None] - L[n - m]).ravel() for m in ms])
     nan_rows = data.draw(st.sets(st.integers(0, len(ms) - 1)))
@@ -580,6 +610,29 @@ def test_validators_read_each_log_diameter_once(monkeypatch):
             validate(RectangleModel((0.5, 0.3), (0.4, 0.6)), 9)
 
 
+def test_equal_ratio_rectangles_answer_from_one_word_per_level(monkeypatch):
+    """Level sums, maxima and scans of an equal-ratio rectangle build no level
+    wider than one word, so the enumeration cap does not meet them."""
+    widths = []
+    log_diams = RectangleModel._log_diams
+
+    def recording(model, branches):
+        widths.append(math.prod(branches))
+        return log_diams(model, branches)
+
+    monkeypatch.setattr(RectangleModel, "_log_diams", recording)
+    monkeypatch.setenv("MORANLAB_ENUM_CAP", "500")
+    assert not {"level_log_sum", "level_max", "_scan_levels"} & vars(LevelModel).keys()
+    for model in (selfaffine_rectangle(), nsq_model()):
+        assert pressure_zero(model, 16).value > 0
+        assert validate_wcmc(model, 12).depth == validate_cmc(model, 12).depth == 12
+    assert max(widths, default=1) == 1
+    for validate in (validate_wcmc, validate_cmc):
+        with pytest.raises(EnumerationCapError):
+            validate(RectangleModel((0.5, 0.3), (0.4, 0.6)), 12)
+    assert max(widths) > 1  # the recorder sees the levels of unequal ratios
+
+
 # -- kept scans ---------------------------------------------------------------------
 
 
@@ -593,6 +646,7 @@ def wobbly_general_model():
 SCAN_MODELS = [
     wobbly_general_model,
     lambda: RectangleModel((0.5, 0.3), (0.4, 0.45)),
+    selfaffine_rectangle,
     nsq_model,
     supercantor_model,
     cantor_model,
