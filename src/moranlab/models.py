@@ -83,7 +83,8 @@ class DiameterModel:
 
     def level_log_diam(self, n: int) -> float | None:
         """The log-diameter that every word of length ``n`` shares, or ``None``
-        when the words of a level differ (the default)."""
+        when the words of a level differ (the default); a negative ``n`` is
+        refused as the level aggregates refuse it."""
         return None
 
     def child_diams(self, parent: np.ndarray, words: Callable[[], list[Word]]) -> np.ndarray:
@@ -101,8 +102,7 @@ class DiameterModel:
         Every level aggregate comes through here, so this is where a
         negative depth is refused; depth 0 (no levels) is the seed alone.
         """
-        if levels.stop < levels.start:
-            raise DomainError("depth must be >= 0, got %d" % (levels.stop - levels.start))
+        _refuse_negative(levels.stop - levels.start)
         if subtree is None:
             return [self.alphabet.size] * len(levels)
         subtree.check_alphabet(self.alphabet)
@@ -120,7 +120,8 @@ class DiameterModel:
 
     def _log_diams(self, branches: list[int]) -> np.ndarray:
         """Uncached log-diameters of the words with ``i_k < branches[k-1]``, lexicographic."""
-        return np.array([self.log_diam(w) for w in itertools.product(*map(range, branches))])
+        words = itertools.product(*map(range, branches))
+        return np.fromiter(map(self.log_diam, words), float, math.prod(branches))
 
     def level_log_sum(self, t: float, n: int, subtree: SubTree | None = None) -> float:
         """``log(sum(diam(i)**t for i in level n))``, subtree-restricted if given:
@@ -216,6 +217,11 @@ class DiameterModel:
         return split, child
 
 
+def _refuse_negative(depth: int) -> None:
+    if depth < 0:
+        raise DomainError("depth must be >= 0, got %d" % depth)
+
+
 def _extreme(x: np.ndarray, lowest: bool) -> tuple[float, int]:
     """Least (or greatest) ``math.exp(v)`` over the rows of ``x`` and the first column attaining it.
 
@@ -264,6 +270,7 @@ class MultiplicativeModel(DiameterModel):
         return d, ld
 
     def level_log_diam(self, n: int) -> float | None:
+        _refuse_negative(n)
         return None if self._by_length is None else self._tables(n)[1][n]
 
     def log_diam(self, word: Word) -> float:
@@ -337,6 +344,7 @@ class LevelModel(DiameterModel):
         self._lld = [math.log(self.seed_diameter)]
 
     def level_log_diam(self, n: int) -> float:
+        _refuse_negative(n)
         lld = self._lld
         while len(lld) <= n:
             rho = self._ratio(len(lld))
@@ -407,6 +415,7 @@ class RectangleModel(DiameterModel):
 
     def level_log_diam(self, n: int) -> float | None:
         # the one-letter word of length n, stepped as _log_diams steps every word
+        _refuse_negative(n)
         lld = self._lld
         while lld is not None and len(lld) <= n:
             la, lb = self._ends

@@ -41,6 +41,7 @@ from .words import (
     level_step,
     local_stopping_set,
     local_stopping_sets,
+    word_at,
     word_str,
 )
 
@@ -469,8 +470,8 @@ def _over(xs) -> tuple[int, list[int], list[int]]:
 class _IntegerLevel(NamedTuple):
     """One level of points ``(a[j][k] + b[j][k]*sqrt(d)) / den``.
 
-    ``a[j]`` and ``b[j]`` are object arrays of Python ints, coordinate ``j``
-    of every point; ``b`` is ``None`` on rational systems (``d == 1``).
+    ``a[j]`` and ``b[j]`` hold coordinate ``j`` of every point, int64 below ``2**53``
+    and Python ints past it; ``b`` is ``None`` on rational systems (``d == 1``).
     """
 
     den: int
@@ -492,8 +493,8 @@ class _IntegerLevel(NamedTuple):
         """Exact point ``k``, with the values and types of :meth:`apply_word`."""
         den, d = self.den, self.d
         if self.b is None:
-            return tuple(Fraction(a[k], den) for a in self.a)
-        return tuple(QuadraticNumber(Fraction(a[k], den), Fraction(b[k], den), d)
+            return tuple(Fraction(int(a[k]), den) for a in self.a)
+        return tuple(QuadraticNumber(Fraction(int(a[k]), den), Fraction(int(b[k]), den), d)
                      for a, b in zip(self.a, self.b))
 
 
@@ -574,9 +575,22 @@ def _integer_levels(system: ContractionSystem, seeds: Sequence) -> Iterator[_Int
 def _iterate_levels(maps, den: int, d: int, level: _IntegerLevel) -> Iterator[_IntegerLevel]:
     """``maps[k] = (a, b)``: numerators over ``den`` of map k's ratio (index
     0) and offsets (index ``j + 1``); each level is every map applied to
-    every point of the previous one, maps outermost."""
+    every point of the previous one, maps outermost.  Numerators are int64
+    while the next level's denominator and numerator bound (the largest numerator
+    times the largest ``|p| + |q| d`` of a ratio, plus the largest offset times the
+    level's denominator) stay below ``2**53``, so no sum wraps and every value is
+    exact as a float; Python ints from the first level past it.
+    """
+    ratio = max(abs(a[0]) + abs(b[0]) * d for a, b in maps)
+    offset = max(abs(v) for a, b in maps for v in a[1:] + b[1:])
+    small = True
     while True:
         D, A, B = level.den, level.a, level.b
+        if small:
+            top = max(1, *(int(np.abs(x).max()) for x in A + (B or [])))
+            small = max(top * ratio + offset * D, den * D) < 2**53
+            A, B = ([x.astype(np.int64 if small else object, copy=False) for x in X] if X else X
+                    for X in (A, B))
         if B is None:
             A = [np.concatenate([a[0] * x + a[j + 1] * D for a, _ in maps])
                  for j, x in enumerate(A)]
@@ -725,8 +739,12 @@ def osc_collision_scan(r, depth: int) -> CollisionScan:
     m = depth - (canon[:, ::-1] != 0).argmax(axis=1)
     u, v = np.maximum(canon, 0), np.maximum(-canon, 0)
     order = np.lexsort((*v.T[::-1], *u.T[::-1], m))
-    rows = (x[order].tolist() for x in (u, v, m, gaps))
-    triples = [(tuple(a[:k]), tuple(b[:k]), gap) for a, b, k, gap in zip(*rows)]
+    u, v, m, gaps = u[order], v[order], m[order], gaps[order]
+    # pairs of length k are rows [ends[k - 1], ends[k]); their words are k letter columns
+    ends, triples = np.searchsorted(m, np.arange(depth + 1), "right").tolist(), []
+    for k, (a, b) in enumerate(itertools.pairwise(ends), start=1):
+        words = (zip(*x[a:b, :k].T.tolist()) for x in (u, v))
+        triples += zip(*words, gaps[a:b].tolist())
     min_gap = float(np.concatenate(near_gaps).min(initial=np.inf))
     return CollisionScan(triples, min_gap, exact, depth)
 
@@ -749,9 +767,9 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    x = tuple(x)
-    words: list[Word] = list(system.alphabet.words_up_to(depth))
-    space = system.space
+    x, space, size, ns = tuple(x), system.space, system.alphabet.size, range(1, depth + 1)
+    for n in ns:
+        _check_enum(size**n, "level %d" % n, (size,) * n)
     X = _stack_rows([lv.rows for lv in itertools.islice(system.levels((x,)), depth)])
     # lower bounds a level at a time, each the parent's times the last map's
     # (the left-to-right products of ``word_lip_bounds``), then libm's pow per
@@ -764,16 +782,17 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
         prods.append(level_step(prods[-1], lower, np.multiply))
     prod = np.concatenate(prods[1:])
     sep = np.fromiter(map(space.metric_bound, prod.tolist()), float, len(prod))
-    other = np.flatnonzero(np.isnan(prod))
-    sep[other] = [system.word_lip_bounds(words[i]).lower for i in other]
-    size = system.alphabet.size
+    # the words of level n are the base-``size`` numbers 0 .. size**n - 1 in
+    # order, from index first[n - 1] on
+    first = list(itertools.accumulate((size**n for n in ns), initial=0))
+    other = np.flatnonzero(np.isnan(prod)).tolist()
+    sep[other] = [system.word_lip_bounds(word_at(i - first[n - 1], (size,) * n)).lower
+                  for i, n in zip(other, np.searchsorted(first, other, "right").tolist())]
 
-    # word k covers the depth-``depth`` index range [lo[k], hi[k]); the words
-    # of level n are the base-``size`` numbers 0 .. size**n - 1 in order
-    ns = range(1, depth + 1)
+    # word k covers the depth-``depth`` index range [lo[k], hi[k])
     lo = np.concatenate([np.arange(size**n, dtype=np.int64) * size ** (depth - n) for n in ns])
     hi = lo + np.repeat([size ** (depth - n) for n in ns], [size**n for n in ns])
-    best, a, n = math.inf, 0, len(words)
+    best, a, n = math.inf, 0, len(prod)
     # word blocks i in [a, b) against the later words j > i; ratios are
     # non-negative, so an exact zero is final
     while a < n - 1 and best != 0.0:

@@ -259,8 +259,12 @@ def _stopping_walk(model, r: float, max_depth: int) -> tuple[list[Word], Word | 
             found.append(_letters(keeps, a, stop))
         keeps.append(keep)
         diams, count, stopped = diams[keep], len(keep), stopped + len(stop)
-    # an antichain sorts into depth-first order
-    out = sorted(itertools.chain.from_iterable(zip(*w.T.tolist()) for w in found))
+    # each length is in order; the antichain sorts into depth-first order, and as
+    # no word is a prefix of another, zero-padded letter rows sort as the words do
+    out = list(itertools.chain.from_iterable(zip(*w.T.tolist()) for w in found))
+    if len(found) > 1:
+        pad = np.concatenate([np.pad(w, ((0, 0), (0, len(keeps) - w.shape[1]))) for w in found])
+        out = list(map(out.__getitem__, np.lexsort(pad.T[::-1]).tolist()))
     if not count:
         return out, None
     return out, tuple(_letters(keeps[:-1], a, keeps[-1][:1])[0].tolist()) if keeps else ()
@@ -353,9 +357,10 @@ def antichain_cover_cost(alphabet: Alphabet, psi: Callable, n: int, max_depth: i
     (a whole level of the tree would take ``size**max_depth``).  Blocks go depth-first
     in word order; within a block, ``psi`` runs once per word of length
     ``n..max_depth``, deepest level first and lexicographic within a level.
-    Each node adds its children with ``sum`` in symbol order and keeps
-    ``min(psi(v), kids)``, the recursion's own operations, so the cost is
-    the recursion's bit for bit.
+    ``psi``'s values are read as floats.  Each node adds its children to
+    ``0.0`` left to right in symbol order (as ``sum`` adds floats before
+    Python 3.12) and keeps ``min(psi(v), kids)``, the recursion's own
+    operations, so the cost is the recursion's bit for bit.
     """
     if not 1 <= n <= max_depth:
         raise DomainError("need 1 <= n <= max_depth, got n=%d, max_depth=%d" % (n, max_depth))
@@ -371,11 +376,15 @@ def antichain_cover_cost(alphabet: Alphabet, psi: Callable, n: int, max_depth: i
             below = alphabet.words(length - top)
             return map(prefix.__add__, below) if prefix else below
 
-        costs = list(map(psi if bottom == max_depth else cost, level(bottom)))
+        costs = np.fromiter(map(psi if bottom == max_depth else cost, level(bottom)), float)
         for length in range(bottom - 1, top - 1, -1):
             # consecutive runs of ``size`` costs are the children of one node
-            kids = list(map(sum, zip(*[iter(costs)] * size)))
-            costs = list(map(min, map(psi, level(length)), kids)) if length >= n else kids
-        return costs[0]
+            with np.errstate(all="ignore"):  # inf - inf and overflow pass silently, as on floats
+                kids = sum((costs[c::size] for c in range(size)), 0.0)
+            if length >= n:
+                p = np.fromiter(map(psi, level(length)), float)
+                kids = np.where(kids < p, kids, p)
+            costs = kids
+        return float(costs[0])
 
     return cost(())

@@ -846,16 +846,50 @@ def test_comb_levels_equal_exact_arithmetic(case):
     check_integer_levels(*case)
 
 
+def check_int64_switch(system):
+    """int64 numerators while they and the denominator stay below 2**53, Python
+    ints from the first level past the bound on, exact on both sides of the switch."""
+    levels = list(islice(_integer_levels(system, system.seed_points), 8))
+    kinds = [level.a[0].dtype for level in levels]
+    small = kinds.index(object)  # the int64 levels 1 .. small
+    assert 1 <= small and kinds == [np.int64] * small + [object] * (8 - small)
+    for k, level in enumerate(levels):
+        numerators = level.a + (level.b or [])
+        assert all(x.dtype == kinds[k] for x in numerators)
+        top = max(abs(v) for x in numerators for v in x.tolist())
+        assert k >= small or (level.den < 2**53 and top < 2**53)
+    assert all(type(v) is int for v in levels[small].a[0]) and levels[-1].den > 2**53
+    for depth in (small, small + 1, 8):
+        check_integer_levels(system, depth)
+    return levels
+
+
 def test_integer_numerators_outgrow_int64():
+    # the denominators pass 2**53 at level 3 and 2**63 by level 8
     system = ContractionSystem(
         EuclideanSpace(1),
         (SimilitudeMap(Fraction(7, 19), (0,)), SimilitudeMap(Fraction(5, 23), (Fraction(1, 997),))),
         ((Fraction(1, 3),),),
     )
-    for level, _ in zip(_integer_levels(system, system.seed_points), range(8)):
-        pass
+    level = check_int64_switch(system)[-1]
     assert level.den > 2**63 and max(level.a[0]) > 2**63
-    check_integer_levels(system, 8)
+
+
+def test_quadratic_numerators_outgrow_int64():
+    # the numerator bound passes 2**53 at level 8
+    r = QuadraticNumber(Fraction(3, 11), Fraction(1, 13), 5)
+    system = ContractionSystem(EuclideanSpace(2), (CombMap(r, 0), CombMap(r, 1)),
+                               ((Fraction(1, 3), 0),))
+    assert check_int64_switch(system)[0].b is not None  # the quadratic recurrence ran
+
+
+@pytest.mark.parametrize("name, depth", [("cantor", 13), ("comb", 14)])
+def test_shipped_exact_levels_stay_int64(name, depth):
+    """numpy int64 arithmetic wraps without a warning: the shipped exact
+    levels must stay below the bound, and the bound must not cost them int64."""
+    system = shipped_system(name)
+    levels = list(islice(_integer_levels(system, system.seed_points), depth))
+    assert all(x.dtype == np.int64 for lv in levels for x in lv.a + (lv.b or []))
 
 
 MIXED_FIELDS = [

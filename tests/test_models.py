@@ -145,6 +145,25 @@ def test_level_model_values():
             LevelModel(lambda n: rho if n == 2 else 0.5, 2).diam((0, 0))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LevelModel(lambda n: 0.5, 2),
+    lambda: MultiplicativeModel((1 / 3, 1 / 3)),
+    lambda: RectangleModel((1 / 3, 1 / 3), (1 / 4, 1 / 4)),
+], ids=["level", "multiplicative", "rectangle"])
+def test_level_log_diam_refuses_a_negative_length(build):
+    """Refused as the level aggregates refuse a negative depth, also once a
+    deeper level is kept (a negative index would read the deepest one)."""
+    model = build()
+    for deepest in (None, 5):
+        if deepest is not None:
+            assert model.level_log_diam(deepest) is not None
+        for n in (-1, -3):
+            with pytest.raises(DomainError, match="depth must be >= 0, got %d" % n):
+                model.level_log_diam(n)
+    with pytest.raises(DomainError, match="depth must be >= 0, got -1"):
+        model.level_log_sum(1.0, -1)
+
+
 def test_general_model_agrees_with_structured_one():
     ref = MultiplicativeModel((1 / 3, 1 / 2))
     gen = GeneralModel(ref.log_diam, Alphabet(2))

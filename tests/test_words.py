@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import operator
 import os
 import tracemalloc
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -578,12 +580,13 @@ def test_cover_cost_depth_window_validated():
 
 
 def recursive_cover_cost(alphabet, psi, n, max_depth):
-    """The depth-first recursion that the level-at-a-time evaluation replaced."""
+    """The depth-first recursion that the level-at-a-time evaluation replaced;
+    children add left to right from 0, as ``sum`` adds floats before Python 3.12."""
 
     def cost(word):
         if len(word) == max_depth:
             return psi(word)
-        kids = sum(cost(word + (s,)) for s in range(alphabet.size))
+        kids = reduce(operator.add, (cost(word + (s,)) for s in range(alphabet.size)), 0)
         if len(word) >= n:
             return min(psi(word), kids)
         return kids
@@ -611,15 +614,22 @@ def word_index(w):
 
 @st.composite
 def cover_weights(draw, a):
-    """Multiplicative weights, tie-heavy grid weights, or weights taking NaN, inf and ±0.0."""
-    kind = draw(st.sampled_from(["multiplicative", "grid", "special"]))
-    if kind == "multiplicative":
+    """Multiplicative weights (as floats or ``np.float64``), tie-heavy grid weights,
+    Python int weights, or weights taking NaN, inf and ±0.0."""
+    kind = draw(st.sampled_from(["multiplicative", "float64", "grid", "int", "special"]))
+    if kind in ("multiplicative", "float64"):
         model = MultiplicativeModel(
             draw(st.lists(st.floats(0.05, 0.95), min_size=a, max_size=a)),
             draw(st.sampled_from([0.5, 1.0, 3.0])),
         )
         t = draw(st.sampled_from([0.3, 0.63, 1.0, 1.7]))
+        if kind == "float64":
+            return lambda w: np.float64(model.diam(w)) ** t
         return lambda w: model.diam(w) ** t
+    if kind == "int":
+        weight = draw(st.lists(st.integers(0, 9), min_size=a, max_size=a))
+        wobble = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=5))
+        return lambda w: sum(weight[s] for s in w) + wobble[word_index(w) % len(wobble)]
     if kind == "grid":
         step = draw(st.sampled_from([0.25, 0.5, 1 / 3, 1.0]))
         weight = draw(st.lists(st.integers(-3, 0), min_size=a, max_size=a))
@@ -647,7 +657,9 @@ def test_cover_cost_equals_the_recursion(window, data):
     alphabet = Alphabet(a)
     with mock.patch("moranlab.words.BLOCK_ELEMENTS", data.draw(block_size(a))):
         got = antichain_cover_cost(alphabet, psi, n, max_depth)
-    assert same_float(got, recursive_cover_cost(alphabet, psi, n, max_depth))
+    # psi's values are read as floats: an int or np.float64 psi gives a float cost
+    assert type(got) is float
+    assert same_float(got, float(recursive_cover_cost(alphabet, psi, n, max_depth)))
 
 
 def test_cover_cost_min_keeps_psi_unless_the_children_are_smaller():
