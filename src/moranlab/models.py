@@ -83,8 +83,7 @@ class DiameterModel:
 
     def level_log_diam(self, n: int) -> float | None:
         """The log-diameter that every word of length ``n`` shares, or ``None``
-        when the words of a level differ (the default); a negative ``n`` is
-        refused as the level aggregates refuse it."""
+        when the words of a level differ (the default)."""
         return None
 
     def child_diams(self, parent: np.ndarray, words: Callable[[], list[Word]]) -> np.ndarray:

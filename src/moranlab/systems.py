@@ -575,12 +575,9 @@ def _integer_levels(system: ContractionSystem, seeds: Sequence) -> Iterator[_Int
 def _iterate_levels(maps, den: int, d: int, level: _IntegerLevel) -> Iterator[_IntegerLevel]:
     """``maps[k] = (a, b)``: numerators over ``den`` of map k's ratio (index
     0) and offsets (index ``j + 1``); each level is every map applied to
-    every point of the previous one, maps outermost.  Numerators are int64
-    while the next level's denominator and numerator bound (the largest numerator
-    times the largest ``|p| + |q| d`` of a ratio, plus the largest offset times the
-    level's denominator) stay below ``2**53``, so no sum wraps and every value is
-    exact as a float; Python ints from the first level past it.
-    """
+    every point of the previous one, maps outermost.  Numerators are int64 while
+    the next level's denominator and numerator bound stay below ``2**53`` (no sum
+    wraps, every value is exact as a float), Python ints from the first level past it."""
     ratio = max(abs(a[0]) + abs(b[0]) * d for a, b in maps)
     offset = max(abs(v) for a, b in maps for v in a[1:] + b[1:])
     small = True
@@ -743,8 +740,7 @@ def osc_collision_scan(r, depth: int) -> CollisionScan:
     # pairs of length k are rows [ends[k - 1], ends[k]); their words are k letter columns
     ends, triples = np.searchsorted(m, np.arange(depth + 1), "right").tolist(), []
     for k, (a, b) in enumerate(itertools.pairwise(ends), start=1):
-        words = (zip(*x[a:b, :k].T.tolist()) for x in (u, v))
-        triples += zip(*words, gaps[a:b].tolist())
+        triples += zip(*(zip(*x[a:b, :k].T.tolist()) for x in (u, v)), gaps[a:b].tolist())
     min_gap = float(np.concatenate(near_gaps).min(initial=np.inf))
     return CollisionScan(triples, min_gap, exact, depth)
 
@@ -768,8 +764,7 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
     if depth < 1:
         raise DomainError("depth must be >= 1")
     x, space, size, ns = tuple(x), system.space, system.alphabet.size, range(1, depth + 1)
-    for n in ns:
-        _check_enum(size**n, "level %d" % n, (size,) * n)
+    list(map(system.alphabet.words, ns))  # the enumeration cap; no word is read
     X = _stack_rows([lv.rows for lv in itertools.islice(system.levels((x,)), depth)])
     # lower bounds a level at a time, each the parent's times the last map's
     # (the left-to-right products of ``word_lip_bounds``), then libm's pow per
@@ -782,8 +777,7 @@ def separation_epsilon(system: ContractionSystem, x, depth: int) -> float:
         prods.append(level_step(prods[-1], lower, np.multiply))
     prod = np.concatenate(prods[1:])
     sep = np.fromiter(map(space.metric_bound, prod.tolist()), float, len(prod))
-    # the words of level n are the base-``size`` numbers 0 .. size**n - 1 in
-    # order, from index first[n - 1] on
+    # level n's words are the base-``size`` numbers 0 .. size**n - 1, from index first[n - 1] on
     first = list(itertools.accumulate((size**n for n in ns), initial=0))
     other = np.flatnonzero(np.isnan(prod)).tolist()
     sep[other] = [system.word_lip_bounds(word_at(i - first[n - 1], (size,) * n)).lower

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -336,6 +337,21 @@ def local_stopping_sets(model, cloud, Q, r: float) -> list[LocalStoppingSet]:
 # ---------------------------------------------------------------------------
 
 
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+
+def _sum_runs(costs: np.ndarray, size: int) -> np.ndarray:
+    """``sum`` of each run of ``size`` floats as CPython sums them: left to right from 0,
+    and from Python 3.12 on plus Neumaier's compensation ``comp`` when finite and non-zero."""
+    with np.errstate(all="ignore"):  # inf - inf and overflow pass silently, as on floats
+        total, comp = costs[0::size] + 0.0, 0.0
+        for x in (costs[c::size] for c in range(1, size)):
+            f, total = total, total + x
+            if _COMPENSATED_SUM:
+                comp += np.where(np.abs(f) >= np.abs(x), (f - total) + x, (x - total) + f)
+        return np.where(np.isfinite(comp) & (comp != 0), total + comp, total)
+
+
 def antichain_cover_cost(alphabet: Alphabet, psi: Callable, n: int, max_depth: int) -> float:
     """Cheapest antichain cover of the whole branch space, exactly.
 
@@ -357,9 +373,9 @@ def antichain_cover_cost(alphabet: Alphabet, psi: Callable, n: int, max_depth: i
     (a whole level of the tree would take ``size**max_depth``).  Blocks go depth-first
     in word order; within a block, ``psi`` runs once per word of length
     ``n..max_depth``, deepest level first and lexicographic within a level.
-    ``psi``'s values are read as floats.  Each node adds its children to
-    ``0.0`` left to right in symbol order (as ``sum`` adds floats before
-    Python 3.12) and keeps ``min(psi(v), kids)``, the recursion's own
+    ``psi``'s values are read as floats.  Each node sums its children in
+    symbol order as ``sum`` sums floats on the running Python (see
+    ``_sum_runs``) and keeps ``min(psi(v), kids)``, the recursion's own
     operations, so the cost is the recursion's bit for bit.
     """
     if not 1 <= n <= max_depth:
@@ -379,12 +395,10 @@ def antichain_cover_cost(alphabet: Alphabet, psi: Callable, n: int, max_depth: i
         costs = np.fromiter(map(psi if bottom == max_depth else cost, level(bottom)), float)
         for length in range(bottom - 1, top - 1, -1):
             # consecutive runs of ``size`` costs are the children of one node
-            with np.errstate(all="ignore"):  # inf - inf and overflow pass silently, as on floats
-                kids = sum((costs[c::size] for c in range(size)), 0.0)
+            costs = _sum_runs(costs, size)
             if length >= n:
                 p = np.fromiter(map(psi, level(length)), float)
-                kids = np.where(kids < p, kids, p)
-            costs = kids
+                costs = np.where(costs < p, costs, p)
         return float(costs[0])
 
     return cost(())
