@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .words import Alphabet, SubTree, Word, _check_enum, block_rows, level_step, word_at
+from .words import Alphabet, SubTree, Word, _check_enum, block_rows, level_step, word_at, word_str
 
 # Fitted constants that grow by more than this factor between consecutive
 # depths are flagged as diverging (axiom violated rather than held).
@@ -114,7 +114,11 @@ class DiameterModel:
             branches = self._branches(range(1, n + 1), subtree)
             what = "level %d of a %s" % (n, type(self).__name__)
             _check_enum(math.prod(branches), what, branches)
-            self._ld_cache[key] = self._log_diams(branches)
+            lds = self._log_diams(branches)
+            if not np.isfinite(lds).all():
+                bad = int(np.flatnonzero(~np.isfinite(lds))[0])
+                raise _non_finite(word_at(bad, branches), lds[bad])
+            self._ld_cache[key] = lds
         return self._ld_cache[key]
 
     def _log_diams(self, branches: list[int]) -> np.ndarray:
@@ -157,14 +161,6 @@ class DiameterModel:
 
     # -- ratio scans ---------------------------------------------------------
 
-    def _scan_levels(self, depth: int) -> tuple[list[np.ndarray], int]:
-        """Level log-diameter arrays ``0..depth`` for the ratio scans, and their arity;
-        where every level shares one diameter, a one-letter tree of those values."""
-        lds = [self.level_log_diam(n) for n in range(depth + 1)]
-        if None in lds:
-            return [self._level_log_diams(n) for n in range(depth + 1)], self.alphabet.size
-        return [np.array([v]) for v in lds], 1
-
     def split_ratio_extremes(self, depth: int) -> list:
         """Running extremes of ``diam(ij) / (diam(i) diam(j))`` over split words.
 
@@ -194,22 +190,39 @@ class DiameterModel:
         return self._scans[1][: max(depth, 0) + 1]
 
     def _ratio_scan(self, depth: int) -> tuple[list, list]:
-        """The split and child scans to ``depth``: at each level its children, then its splits."""
-        L, a = self._scan_levels(depth)
+        """The split and child scans to ``depth``: at each level its children, then its splits,
+        from the level arrays (one ``_extreme`` per block) or, where every level shares one
+        diameter, from the word ``(0,)*n`` of each level, with the arrays' float operations."""
+        lds = [self.level_log_diam(n) for n in range(depth + 1)]
+        if None in lds:
+            L, a = [self._level_log_diams(n) for n in range(depth + 1)], self.alphabet.size
+
+            def extremes(n: int) -> tuple[tuple[float, int], list]:
+                kids = _extreme((L[n].reshape(-1, a) - L[n - 1][:, None]).ravel(), lowest=True)
+                step = block_rows(a**n)
+                blocks = (np.stack([(L[n].reshape(a**m, -1) - L[m][:, None] - L[n - m]).ravel()
+                                    for m in range(f, min(n, f + step))])
+                          for f in range(1, n, step))
+                return kids, [(_extreme(x, lowest=True), _extreme(x, lowest=False)) for x in blocks]
+        else:
+            a = 1
+            for n, v in enumerate(lds):
+                if not math.isfinite(v):
+                    raise _non_finite((0,) * n, v)
+
+            def extremes(n: int) -> tuple[tuple[float, int], list]:
+                r = [math.exp(lds[n] - lds[m] - lds[n - m]) for m in range(1, n)]
+                return (math.exp(lds[n] - lds[n - 1]), 0), [((min(r), 0), (max(r), 0))] if r else []
+
         split, child = [None, None], [None]
         lo = hi = least = (math.inf, 0, 0)
         for n in range(1, depth + 1):
-            v, i = _extreme((L[n].reshape(-1, a) - L[n - 1][:, None]).ravel(), lowest=True)
+            (v, i), blocks = extremes(n)
             least = min(least, (v, n, i))
             child.append((least[0], word_at(least[2], (a,) * least[1])))
-            step = block_rows(a**n)
-            for ms in (range(f, min(n, f + step)) for f in range(1, n, step)):
-                x = np.stack([(L[n].reshape(a**m, -1) - L[m][:, None] - L[n - m]).ravel()
-                              for m in ms])
-                v, i = _extreme(x, lowest=True)
+            for (v, i), (w, j) in blocks:
                 lo = min(lo, (v, n, i))
-                v, i = _extreme(x, lowest=False)
-                hi = min(hi, (-v, n, i))
+                hi = min(hi, (-w, n, j))
             if n > 1:
                 split.append((lo[0], -hi[0], word_at(lo[2], (a,) * lo[1]),
                               word_at(hi[2], (a,) * hi[1])))
@@ -219,6 +232,11 @@ class DiameterModel:
 def _refuse_negative(depth: int) -> None:
     if depth < 0:
         raise DomainError("depth must be >= 0, got %d" % depth)
+
+
+def _non_finite(word: Word, ld: float) -> DomainError:
+    return DomainError("log-diameter of word %s is %s; diameters must be positive and finite"
+                       % (word_str(word), float(ld)))
 
 
 def _extreme(x: np.ndarray, lowest: bool) -> tuple[float, int]:

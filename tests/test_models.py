@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -440,9 +441,18 @@ def per_split_extreme(x, lowest):
     return best, int(near[np.isin(x[near], logs[exps == best])][0])
 
 
+def scan_levels(model, depth):
+    """Level log-diameter arrays ``0..depth`` and their arity, as the array scan
+    reads them; where every level shares one diameter, a one-letter tree of those values."""
+    lds = [model.level_log_diam(n) for n in range(depth + 1)]
+    if None in lds:
+        return [model._level_log_diams(n) for n in range(depth + 1)], model.alphabet.size
+    return [np.array([v]) for v in lds], 1
+
+
 def per_split_ratio_extremes(model, depth):
     """``split_ratio_extremes`` with one tie-break per split of each level."""
-    L, a = model._scan_levels(depth)
+    L, a = scan_levels(model, depth)
     out = [None, None]
     lo = hi = (math.inf, 0, 0)
     for n in range(2, depth + 1):
@@ -499,6 +509,129 @@ def test_split_blocks_past_the_block_size_hold_one_split(monkeypatch):
     assert sum(k for k, _ in blocks) == splits and len(blocks) < splits
     assert all(k <= max(1, BLOCK_ELEMENTS // width) for k, width in blocks)
     assert blocks[1 - depth :] == [(1, 2**depth)] * (depth - 1)
+
+
+# -- length-only scans on per-length floats ------------------------------------------
+
+
+def one_letter_tree_scan(model, depth):
+    """The split and child scans of a length-only model as the array scan took
+    them: a one-letter tree of ``level_log_diam``, one ``_extreme`` per block."""
+    L = [np.array([model.level_log_diam(n)]) for n in range(depth + 1)]
+    split, child = [None, None], [None]
+    lo = hi = least = (math.inf, 0, 0)
+    for n in range(1, depth + 1):
+        v, i = models._extreme(L[n] - L[n - 1], lowest=True)
+        least = min(least, (v, n, i))
+        child.append((least[0], (0,) * least[1]))
+        if n > 1:
+            x = np.stack([L[n] - L[m] - L[n - m] for m in range(1, n)])
+            v, i = models._extreme(x, lowest=True)
+            lo = min(lo, (v, n, i))
+            v, i = models._extreme(x, lowest=False)
+            hi = min(hi, (-v, n, i))
+            split.append((lo[0], -hi[0], (0,) * lo[1], (0,) * hi[1]))
+    return split, child
+
+
+class FirstWords:
+    """A length-only model seen through its words ``(0,)*n`` alone.  Every word
+    of a level has the level's log-diameter, so the other words repeat the
+    first word's ratios, which never pass the scalar references' strict ``<``."""
+
+    def __init__(self, model):
+        self.log_diam = model.log_diam
+        self.alphabet = self
+
+    def words(self, n):
+        return [(0,) * n]
+
+    def words_up_to(self, depth):
+        return [(0,) * n for n in range(1, depth + 1)]
+
+
+@st.composite
+def length_only_models(draw):
+    """Level models with increasing, decreasing, exactly tied and last-ulp tied
+    ratios, and equal-ratio rectangles with ``a >= b`` and ``a < b``."""
+    a = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["up", "down", "tied", "ulp", "rectangle"]))
+    if kind == "rectangle":
+        ra, rb = sorted(draw(st.lists(st.floats(1e-3, 0.999), min_size=2, max_size=2)))
+        if draw(st.booleans()):
+            ra, rb = rb, ra
+        return RectangleModel([ra] * a, [rb] * a)
+    if kind in ("up", "down"):
+        ratios = sorted(draw(st.lists(st.floats(1e-3, 0.999), min_size=14, max_size=14)),
+                        reverse=kind == "down")
+    else:
+        base = draw(st.sampled_from([0.5, 1 / 3, 0.3, 2.0**-0.5, 0.1]))
+        ulps = st.integers(-2, 2) if kind == "ulp" else st.just(0)
+        ratios = [base + k * math.ulp(base)
+                  for k in draw(st.lists(ulps, min_size=14, max_size=14))]
+    seed = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    return LevelModel(lambda n: ratios[n - 1], a, seed)
+
+
+@given(length_only_models(), st.integers(1, 14))
+@settings(max_examples=60, deadline=None)
+def test_length_only_scans_equal_the_references(model, depth):
+    """Every running entry is the scalar references' and the one-letter tree's;
+    to depth 5 the references also walk the whole alphabet."""
+    split, child = model.split_ratio_extremes(depth), model.child_ratio_min(depth)
+    assert (split, child) == one_letter_tree_scan(model, depth)
+    first = FirstWords(model)
+    for n in range(1, depth + 1):
+        assert split[n] == scalar_split_ratio_extremes(first, n)
+        assert child[n] == scalar_child_ratio_min(first, n)
+    assert_scans_match_the_reference(model, min(depth, 5))
+
+
+def test_length_only_scans_call_no_tie_break(monkeypatch):
+    rows = []
+    extreme = models._extreme
+
+    def recording(x, lowest):
+        rows.append(x.shape)
+        return extreme(x, lowest)
+
+    monkeypatch.setattr(models, "_extreme", recording)
+    for model in (nsq_model(), selfaffine_rectangle(), supercantor_model()):
+        for validate in (validate_wcmc, validate_cmc):
+            assert validate(model, 12).depth == 12
+    assert rows == []
+    validate_wcmc(RectangleModel((0.5, 0.3), (0.4, 0.45)), 4)  # the arrays still break ties
+    assert rows
+
+
+# -- non-finite log-diameters -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_log_diameters_are_refused(bad):
+    """One word of level 2 has a non-finite log-diameter: no zero, no bare
+    ``ValueError``, but a ``DomainError`` naming the word."""
+    def log_diam(w):
+        return bad if w == (0, 1) else -float(len(w))
+
+    message = "log-diameter of word 0-1 is %s; diameters must be positive and finite" % bad
+    for call in (
+        lambda model: pressure_zero(model, 2),
+        lambda model: validate_wcmc(model, 2),
+        lambda model: validate_cmc(model, 3),
+        lambda model: model.window_ratios(0.5, 2, SubTree((2, 2))),
+    ):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call(GeneralModel(log_diam, Alphabet(2)))
+
+    class Broken(LevelModel):
+        def level_log_diam(self, n):
+            return bad if n == 2 else super().level_log_diam(n)
+
+    message = "log-diameter of word 0-0 is %s; diameters must be positive and finite" % bad
+    for validate in (validate_wcmc, validate_cmc):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            validate(Broken(lambda n: 0.5, 2), 3)
 
 
 # -- level arrays and tie-breaks against the broadcasts they replaced -----------
@@ -641,7 +774,7 @@ def test_equal_ratio_rectangles_answer_from_one_word_per_level(monkeypatch):
 
     monkeypatch.setattr(RectangleModel, "_log_diams", recording)
     monkeypatch.setenv("MORANLAB_ENUM_CAP", "500")
-    assert not {"level_log_sum", "level_max", "_scan_levels"} & vars(LevelModel).keys()
+    assert not {"level_log_sum", "level_max", "_ratio_scan"} & vars(LevelModel).keys()
     for model in (selfaffine_rectangle(), nsq_model()):
         assert pressure_zero(model, 16).value > 0
         assert validate_wcmc(model, 12).depth == validate_cmc(model, 12).depth == 12
