@@ -86,6 +86,14 @@ class DiameterModel:
         when the words of a level differ (the default)."""
         return None
 
+    def _shared_log_diam(self, n: int) -> float | None:
+        """``level_log_diam(n)``, refused when it is not finite: every reader of
+        the hook comes through here."""
+        ld = self.level_log_diam(n)
+        if ld is not None and not math.isfinite(ld):
+            raise _non_finite((0,) * n, ld)
+        return ld
+
     def child_diams(self, parent: np.ndarray, words: Callable[[], list[Word]]) -> np.ndarray:
         """One level of a stopping walk: the diameters of the frontier's children,
         ``a`` per frontier word in order, as ``diam`` computes them, from the frontier's
@@ -130,7 +138,7 @@ class DiameterModel:
         """``log(sum(diam(i)**t for i in level n))``, subtree-restricted if given:
         ``log(count) + t * level_log_diam(n)`` when the level shares one diameter."""
         branches = self._branches(range(1, n + 1), subtree)
-        ld = self.level_log_diam(n)
+        ld = self._shared_log_diam(n)
         if ld is not None:
             return math.log(math.prod(branches)) + t * ld
         vals = t * self._level_log_diams(n, subtree)
@@ -144,7 +152,15 @@ class DiameterModel:
         Entry ``m`` (``0 <= m < depth``) has one row per length-``m`` subtree
         word ``i``, in lexicographic order, and one column per ``n = 1 ..
         depth - m``; models whose ratio does not depend on ``i`` give one row.
+        Where each level shares one diameter, that row is
+        ``exp(log(count) + t * (L_{m+n} - L_m))`` over the subtree's ``count``
+        suffixes and the level log-diameters ``L``.
         """
+        lds = [self._shared_log_diam(k) for k in range(depth + 1)]
+        if None not in lds:
+            branches = self._branches(range(1, depth + 1), subtree)
+            return [np.array([[math.exp(math.log(math.prod(branches[m:k])) + t * (L - lds[m]))
+                               for k, L in enumerate(lds[m + 1:], m + 1)]]) for m in range(depth)]
         tL = [t * self._level_log_diams(k, subtree) for k in range(depth + 1)]
         return [
             np.column_stack([
@@ -156,7 +172,7 @@ class DiameterModel:
 
     def level_max(self, n: int) -> float:
         """The largest diameter over level ``n``."""
-        ld = self.level_log_diam(n)
+        ld = self._shared_log_diam(n)
         return math.exp(float(np.max(self._level_log_diams(n))) if ld is None else ld)
 
     # -- ratio scans ---------------------------------------------------------
@@ -169,7 +185,9 @@ class DiameterModel:
         ``None``.  A witness is the first word attaining its extreme in (length,
         word, split) order: candidates are keyed ``(ratio, length, word index)``,
         the maximum's ratio negated, and ``min`` keeps the earlier split of equal
-        keys.  A level's splits go in blocks of ``block_rows`` ratio arrays.
+        keys.  A level's splits go in blocks of ``block_rows`` ratio arrays, and a
+        block's candidate holds its extreme log, so of two logs a last ulp apart
+        that round to one ratio, the word of the more extreme log wins.
         One pass (:meth:`_ratio_scan`) scans the splits and the children and
         is kept: a shallower depth gets a fresh copy of its prefix.
         """
@@ -192,8 +210,8 @@ class DiameterModel:
     def _ratio_scan(self, depth: int) -> tuple[list, list]:
         """The split and child scans to ``depth``: at each level its children, then its splits,
         from the level arrays (one ``_extreme`` per block) or, where every level shares one
-        diameter, from the word ``(0,)*n`` of each level, with the arrays' float operations."""
-        lds = [self.level_log_diam(n) for n in range(depth + 1)]
+        diameter, from the per-length floats, with the witness ``(0,)*n``."""
+        lds = [self._shared_log_diam(n) for n in range(depth + 1)]
         if None in lds:
             L, a = [self._level_log_diams(n) for n in range(depth + 1)], self.alphabet.size
 
@@ -206,9 +224,6 @@ class DiameterModel:
                 return kids, [(_extreme(x, lowest=True), _extreme(x, lowest=False)) for x in blocks]
         else:
             a = 1
-            for n, v in enumerate(lds):
-                if not math.isfinite(v):
-                    raise _non_finite((0,) * n, v)
 
             def extremes(n: int) -> tuple[tuple[float, int], list]:
                 r = [math.exp(lds[n] - lds[m] - lds[n - m]) for m in range(1, n)]
@@ -240,22 +255,10 @@ def _non_finite(word: Word, ld: float) -> DomainError:
 
 
 def _extreme(x: np.ndarray, lowest: bool) -> tuple[float, int]:
-    """Least (or greatest) ``math.exp(v)`` over the rows of ``x`` and the first column attaining it.
-
-    Only distinct logs within 1e-12 of their row's extreme are exponentiated:
-    two ratios round to one float only if their logs differ by ~1e-16.  A row
-    with a NaN has a NaN extreme, so no NaN is near.
-    """
-    gap = x - x.min(axis=-1, keepdims=True) if lowest else x.max(axis=-1, keepdims=True) - x
-    near = np.flatnonzero(gap <= 1e-12)
-    vals = x.ravel()[near]
-    # distinct sorted logs, as np.unique gives them (which imports numpy.ma)
-    logs = np.sort(vals)
-    logs = np.concatenate((logs[:1], logs[1:][logs[1:] != logs[:-1]])).tolist()
-    exps = [math.exp(v) for v in logs]
-    best = min(exps) if lowest else max(exps)
-    hit = np.logical_or.reduce([vals == v for v, e in zip(logs, exps) if e == best])
-    return best, int((near[hit] % x.shape[-1]).min())
+    """``math.exp`` of the least (or greatest) log in ``x``, and the first column
+    of any row that attains that log.  ``x`` holds no NaN: the level arrays are finite."""
+    best = x.min() if lowest else x.max()
+    return math.exp(best), int((np.flatnonzero(x == best) % x.shape[-1]).min())
 
 
 class MultiplicativeModel(DiameterModel):
@@ -271,33 +274,27 @@ class MultiplicativeModel(DiameterModel):
         self.ratios = ratios
         self.log_ratios = tuple(math.log(r) for r in ratios)
         self.log_scale = math.log(self.seed_diameter)
-        # equal ratios: diam and log_diam per length, grown on demand
-        self._by_length = None
+        # equal ratios: diam per length, as child_diams carries it (``*=`` from the
+        # seed), so that stopping sets compare the same floats; grown on demand
+        self._diams = None
         if len(set(ratios)) == 1:
             self.scale_ratio = ratios[0]
-            self._by_length = ([self.seed_diameter], [self.log_scale])
-
-    def _tables(self, n: int) -> tuple[list[float], list[float]]:
-        """The per-length tables through length ``n``: ``diam``'s ``*=`` from the
-        seed and ``log_diam``'s ``sum`` (compensated on Python 3.12+) of the log ratio."""
-        d, ld = self._by_length
-        while len(d) <= n:
-            d.append(d[-1] * self.ratios[0])
-            ld.append(self.log_scale + sum(itertools.repeat(self.log_ratios[0], len(ld))))
-        return d, ld
+            self._diams = [self.seed_diameter]
 
     def level_log_diam(self, n: int) -> float | None:
         _refuse_negative(n)
-        return None if self._by_length is None else self._tables(n)[1][n]
+        return None if self._diams is None else self.log_scale + n * self.log_ratios[0]
 
     def log_diam(self, word: Word) -> float:
         ld = self.level_log_diam(len(word))
         return self.log_scale + sum(self.log_ratios[s] for s in word) if ld is None else ld
 
     def diam(self, word: Word) -> float:
-        if self._by_length is not None:  # a list read: the cover-cost callbacks call this per word
-            n, diams = len(word), self._by_length[0]
-            return diams[n] if n < len(diams) else self._tables(n)[0][n]
+        diams = self._diams
+        if diams is not None:  # a list read: the cover-cost callbacks call this per word
+            while len(diams) <= len(word):
+                diams.append(diams[-1] * self.ratios[0])
+            return diams[len(word)]
         d = self.seed_diameter
         for s in word:
             d *= self.ratios[s]
@@ -373,18 +370,6 @@ class LevelModel(DiameterModel):
     def log_diam(self, word: Word) -> float:
         return self.level_log_diam(len(word))
 
-    def window_ratios(self, t: float, depth: int, subtree: SubTree) -> list[np.ndarray]:
-        branches = self._branches(range(1, depth + 1), subtree)
-        lld = [self.level_log_diam(k) for k in range(depth + 1)]
-        out = []
-        for m in range(depth):
-            count, row = 1, []
-            for k in range(m + 1, depth + 1):
-                count *= branches[k - 1]
-                row.append(math.exp(math.log(count) + t * (lld[k] - lld[m])))
-            out.append(np.array([row]))
-        return out
-
 
 class GeneralModel(DiameterModel):
     """Arbitrary word-to-diameter function (enumerating aggregates)."""
@@ -420,10 +405,8 @@ class RectangleModel(DiameterModel):
         self.a = tuple(float(v) for v in a)
         self.b = tuple(float(v) for v in b)
         self._la, self._lb = np.log(self.a), np.log(self.b)
-        # equal ratios on each side: one log-diameter per length, and the side sums
-        # of the one-letter word one letter longer than the last kept
-        self._lld = [] if len(set(self.a)) == len(set(self.b)) == 1 else None
-        self._ends = (np.zeros(1), np.zeros(1))
+        # equal ratios on each side: one log-diameter per length
+        self._level = len(set(self.a)) == len(set(self.b)) == 1
 
     def log_diam(self, word: Word) -> float:
         la = sum(self._la[s] for s in word)
@@ -431,14 +414,10 @@ class RectangleModel(DiameterModel):
         return 0.5 * np.logaddexp(2 * la, 2 * lb)
 
     def level_log_diam(self, n: int) -> float | None:
-        # the one-letter word of length n, stepped as _log_diams steps every word
         _refuse_negative(n)
-        lld = self._lld
-        while lld is not None and len(lld) <= n:
-            la, lb = self._ends
-            lld.append(float(0.5 * np.logaddexp(2 * la, 2 * lb)[0]))
-            self._ends = level_step(la, self._la[:1]), level_step(lb, self._lb[:1])
-        return None if lld is None else lld[n]
+        if not self._level:
+            return None
+        return float(0.5 * np.logaddexp(2 * n * self._la[0], 2 * n * self._lb[0]))
 
     def _log_diams(self, branches: list[int]) -> np.ndarray:
         la, lb = np.zeros(1), np.zeros(1)

@@ -716,7 +716,7 @@ def osc_collision_scan(r, depth: int) -> CollisionScan:
     cvecs *= cvecs[np.arange(len(cvecs)), (cvecs != 0).argmax(axis=1), None]
     _, unique = np.unique((cvecs + 1).astype(np.int64) @ 3 ** np.arange(depth), return_index=True)
     canon = cvecs[unique]
-    # row sums added column by column from 0, as ``sum`` adds floats before Python 3.12
+    # row sums, added column by column from 0 (``sum`` over arrays adds them in order)
     gaps = np.abs(sum(canon[:, k] * p for k, p in enumerate(pows)))
 
     if exact:

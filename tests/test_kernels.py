@@ -1749,8 +1749,7 @@ def loop_collision_scan(r, depth, tol=1e-9):
         canon = canonical(cvec)
         if canon in confirmed:
             continue
-        # ``sum`` as the loop used it, written as the left-to-right fold it is
-        # before Python 3.12 (later versions compensate float sums)
+        # the gap added left to right from 0, column by column, as the kernel adds it
         gap = 0.0
         for k, c in enumerate(canon):
             gap += c * pows[k]

@@ -5,6 +5,7 @@ import json
 import math
 import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -55,14 +56,6 @@ def selfaffine_rectangle():
 # -- model values and aggregates ----------------------------------------------
 
 
-def per_word_diameters(model, word):
-    """``diam`` and ``log_diam`` of a multiplicative model, one letter at a time."""
-    d = model.seed_diameter
-    for s in word:
-        d *= model.ratios[s]
-    return d, model.log_scale + sum(model.log_ratios[s] for s in word)
-
-
 @given(
     st.integers(2, 4),
     st.floats(1e-3, 0.999),
@@ -72,18 +65,28 @@ def per_word_diameters(model, word):
 )
 @settings(max_examples=40, deadline=None)
 def test_multiplicative_diameters(a, ratio, seed, lengths, data):
+    """Equal ratios: ``diam`` is the product the stopping walk carries, within
+    ``n`` roundings of the exact one; ``log_diam`` is ``log_scale + n * log_ratio``,
+    within two roundings of that exact sum."""
     model = MultiplicativeModel((1 / 3, 1 / 2), seed_diameter=2.0)
     assert model.diam(()) == 2.0
     assert model.diam((0,)) == pytest.approx(2 / 3, rel=1e-15)
     assert model.diam((0, 1)) == pytest.approx(1 / 3, rel=1e-15)
     assert model.level_max(2) == pytest.approx(1 / 2, rel=1e-15)
-    # equal ratios read per-length tables, grown here in the drawn (unsorted) order
+    # equal ratios read a per-length table, grown here in the drawn (unsorted) order
     model = MultiplicativeModel([ratio] * a, seed_diameter=seed)
+    scale, step = Fraction(model.log_scale), Fraction(model.log_ratios[0])
     for n in lengths:
         word = tuple(data.draw(st.lists(st.integers(0, a - 1), min_size=n, max_size=n)))
-        want = per_word_diameters(model, word)
-        assert (model.diam(word), model.log_diam(word)) == want
-        assert model.level_log_diam(n) == want[1]
+        carried = np.array([model.seed_diameter])
+        for s in word:
+            carried = model.child_diams(carried, None)[s : s + 1]
+        assert model.diam(word) == carried[0]
+        exact = Fraction(model.seed_diameter) * Fraction(ratio) ** n
+        assert abs(Fraction(model.diam(word)) - exact) <= n * 2**-52 * exact
+        assert model.log_diam(word) == model.level_log_diam(n)
+        error = abs(Fraction(model.log_diam(word)) - (scale + n * step))
+        assert error <= 2**-52 * (abs(scale) + n * abs(step))
 
 
 def test_multiplicative_level_sum_matches_enumeration():
@@ -357,14 +360,53 @@ def scalar_child_ratio_min(model, depth):
     return best, wit
 
 
-def assert_scans_match_the_reference(model, depth):
+def scan_tolerance(model, depth):
+    """The relative bound that holds a scan to the scalar references: a ratio is
+    ``exp`` of three added log-diameters, each a sum of at most ``depth`` terms that
+    two evaluations may round apart by ``depth`` ulps of the largest one, ``top``."""
+    words = itertools.chain([()], model.alphabet.words_up_to(depth))
+    top = max(abs(model.log_diam(w)) for w in words)
+    return 2**-52 * (3 * depth * (1 + top) + 1)
+
+
+def split_ratios(model, w):
+    """The scalar reference's ratios of the word ``w``, one per split."""
+    lw = model.log_diam(w)
+    return [math.exp(lw - model.log_diam(w[:m]) - model.log_diam(w[m:])) for m in range(1, len(w))]
+
+
+def assert_near(got, want, tol):
+    assert abs(got - want) <= tol * abs(want)
+
+
+def assert_split_entry(entry, want, model, n, tol):
+    """A split entry ``(lo, hi, wlo, whi)`` at depth ``n`` against the reference's:
+    both extremes within ``tol`` (relative), and each witness, a word of length
+    2..n, has a split whose reference ratio is that extreme within ``tol``."""
+    lo, hi, wlo, whi = entry
+    assert_near(lo, want[0], tol)
+    assert_near(hi, want[1], tol)
+    assert 2 <= len(wlo) <= n and 2 <= len(whi) <= n
+    assert_near(min(split_ratios(model, wlo)), lo, tol)
+    assert_near(max(split_ratios(model, whi)), hi, tol)
+
+
+def assert_scans_match_the_reference(model, depth, words=None):
+    """Every running entry, so the depth-1 stability fits are covered too, against
+    the scalar references over ``words`` (a model, ``model`` by default)."""
     split = model.split_ratio_extremes(depth)
     child = model.child_ratio_min(depth)
     assert len(split) == len(child) == depth + 1
-    # every running entry, so the depth-1 stability fits are covered too
+    ref = model if words is None else words
+    tol = scan_tolerance(ref, depth)
+    assert split[1] is None
     for n in range(1, depth + 1):
-        assert split[n] == scalar_split_ratio_extremes(model, n)
-        assert child[n] == scalar_child_ratio_min(model, n)
+        if n > 1:
+            assert_split_entry(split[n], scalar_split_ratio_extremes(ref, n), ref, n, tol)
+        (v, w), want = child[n], scalar_child_ratio_min(ref, n)
+        assert_near(v, want[0], tol)
+        assert 1 <= len(w) <= n
+        assert_near(math.exp(ref.log_diam(w) - ref.log_diam(w[:-1])), v, tol)
 
 
 @st.composite
@@ -433,12 +475,9 @@ def test_sampled_symbolic_model_scans_match_the_reference():
 
 
 def per_split_extreme(x, lowest):
-    """The one-split tie-break the block scan replaced."""
-    near = np.flatnonzero(np.abs(x - (x.min() if lowest else x.max())) <= 1e-12)
-    logs = np.unique(x[near])
-    exps = np.array([math.exp(v) for v in logs.tolist()])
-    best = float(exps.min() if lowest else exps.max())
-    return best, int(near[np.isin(x[near], logs[exps == best])][0])
+    """The one-split scan the block scan replaced: the split's extreme ratio, first index."""
+    i = int(x.argmin() if lowest else x.argmax())
+    return math.exp(x[i]), i
 
 
 def scan_levels(model, depth):
@@ -487,7 +526,15 @@ def test_split_blocks_match_the_per_split_scan_on_ties(shape, ratios, data):
         LevelModel(lambda n: level[n - 1], a),
         RectangleModel(side, side),
     ):
-        assert model.split_ratio_extremes(depth) == per_split_ratio_extremes(model, depth)
+        assert_split_blocks_match(model, depth)
+
+
+def assert_split_blocks_match(model, depth):
+    """The block scan against the per-split scan, as against the scalar references."""
+    got, want = model.split_ratio_extremes(depth), per_split_ratio_extremes(model, depth)
+    tol = scan_tolerance(model, depth)
+    for n in range(2, depth + 1):
+        assert_split_entry(got[n], want[n], model, n, tol)
 
 
 def test_split_blocks_past_the_block_size_hold_one_split(monkeypatch):
@@ -502,7 +549,7 @@ def test_split_blocks_past_the_block_size_hold_one_split(monkeypatch):
     model = RectangleModel((0.5, 0.3), (0.4, 0.45))
     depth = 14
     assert 2**depth > BLOCK_ELEMENTS
-    assert model.split_ratio_extremes(depth) == per_split_ratio_extremes(model, depth)
+    assert_split_blocks_match(model, depth)
     # two tie-breaks (least, greatest) per block of splits; the child scan passes one row
     blocks = [shape for shape in rows if len(shape) == 2][::2]
     splits = sum(n - 1 for n in range(2, depth + 1))
@@ -576,14 +623,11 @@ def length_only_models(draw):
 @given(length_only_models(), st.integers(1, 14))
 @settings(max_examples=60, deadline=None)
 def test_length_only_scans_equal_the_references(model, depth):
-    """Every running entry is the scalar references' and the one-letter tree's;
-    to depth 5 the references also walk the whole alphabet."""
+    """Every running entry is the one-letter tree's, and the scalar references'
+    to rounding; to depth 5 the references also walk the whole alphabet."""
     split, child = model.split_ratio_extremes(depth), model.child_ratio_min(depth)
     assert (split, child) == one_letter_tree_scan(model, depth)
-    first = FirstWords(model)
-    for n in range(1, depth + 1):
-        assert split[n] == scalar_split_ratio_extremes(first, n)
-        assert child[n] == scalar_child_ratio_min(first, n)
+    assert_scans_match_the_reference(model, depth, FirstWords(model))
     assert_scans_match_the_reference(model, min(depth, 5))
 
 
@@ -628,22 +672,37 @@ def test_non_finite_log_diameters_are_refused(bad):
         def level_log_diam(self, n):
             return bad if n == 2 else super().level_log_diam(n)
 
+    # every reader of the hook refuses it, naming the level's first word
     message = "log-diameter of word 0-0 is %s; diameters must be positive and finite" % bad
-    for validate in (validate_wcmc, validate_cmc):
+    for call in (
+        lambda model: model.level_log_sum(1.0, 2),
+        lambda model: model.level_max(2),
+        lambda model: pressure_zero(model, 2),
+        lambda model: validate_wcmc(model, 3),
+        lambda model: validate_cmc(model, 3),
+        lambda model: model.window_ratios(0.5, 3, SubTree((2, 1, 2))),
+    ):
         with pytest.raises(DomainError, match=re.escape(message)):
-            validate(Broken(lambda n: 0.5, 2), 3)
+            call(Broken(lambda n: 0.5, 2))
 
 
-# -- level arrays and tie-breaks against the broadcasts they replaced -----------
+# -- level arrays and tie-breaks against their references ------------------------
 
 
-def broadcast_rectangle_log_diams(model, branches):
-    """``RectangleModel._log_diams`` as two broadcasts per level and out-of-place doubling."""
-    la = lb = np.zeros(1)
-    for b in branches:
-        la = (la[:, None] + model._la[:b]).ravel()
-        lb = (lb[:, None] + model._lb[:b]).ravel()
-    return 0.5 * np.logaddexp(2 * la, 2 * lb)
+def exact_rectangle_log_diam(model, word):
+    """``0.5 * log(A**2 + B**2)`` with the side products ``A`` and ``B`` taken exactly
+    over the model's floats; one rounding of the sum and one of ``log``."""
+    A = math.prod(map(Fraction, (model.a[s] for s in word)), start=Fraction(1))
+    B = math.prod(map(Fraction, (model.b[s] for s in word)), start=Fraction(1))
+    return 0.5 * math.log(float(A * A + B * B))
+
+
+def rectangle_tolerance(model, n):
+    """An absolute bound on a level-``n`` log-diameter against the exact one: each
+    side's log is a sum of ``n`` logs of size up to ``top``, each a few ulps off,
+    added with ``n`` roundings; ``logaddexp`` and the reference add a few ulps more."""
+    top = float(np.abs(np.concatenate((model._la, model._lb))).max())
+    return 2**-52 * (n + 4) * (1 + n * top)
 
 
 def three_temporaries_level_log_sum(model, t, n, subtree=None):
@@ -653,20 +712,11 @@ def three_temporaries_level_log_sum(model, t, n, subtree=None):
     return m + math.log(float(np.sum(np.exp(vals - m))))
 
 
-def isin_extreme(x, lowest):
-    """``models._extreme`` finding its witness with ``np.isin``."""
-    gap = x - x.min(axis=-1, keepdims=True) if lowest else x.max(axis=-1, keepdims=True) - x
-    near = np.flatnonzero(gap <= 1e-12)
-    logs = np.sort(x.ravel()[near])
-    logs = np.concatenate((logs[:1], logs[1:][logs[1:] != logs[:-1]]))
-    exps = np.array([math.exp(v) for v in logs.tolist()])
-    best = float(exps.min() if lowest else exps.max())
-    return best, int((near[np.isin(x.ravel()[near], logs[exps == best])] % x.shape[-1]).min())
-
-
 @given(rectangles(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_rectangle_levels_and_sums_are_the_broadcasts_bit_for_bit(model, data):
+def test_rectangle_levels_and_sums_are_the_exact_diagonals_to_rounding(model, data):
+    """Every level log-diameter within ``rectangle_tolerance`` of the exact diagonal;
+    the level sum within ``|t|`` times that, plus the roundings of two sums."""
     a = model.alphabet.size
     branches = data.draw(st.lists(st.integers(1, a), max_size=12 if a == 2 else 6))
     subtree = SubTree(branches) if data.draw(st.booleans()) else None
@@ -674,12 +724,19 @@ def test_rectangle_levels_and_sums_are_the_broadcasts_bit_for_bit(model, data):
         branches = [a] * len(branches)
     n, t = len(branches), data.draw(st.floats(-40.0, 40.0))
     got = model._level_log_diams(n, subtree)
-    want = broadcast_rectangle_log_diams(model, branches)
-    assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    want_sum = three_temporaries_level_log_sum(model, t, n, subtree)
-    assert model.level_log_sum(t, n, subtree) == want_sum
+    want = [exact_rectangle_log_diam(model, w) for w in itertools.product(*map(range, branches))]
+    tol = rectangle_tolerance(model, n)
+    assert got.shape == (len(want),)
+    assert np.all(np.abs(got - want) <= tol)
+    if model.level_log_diam(n) is not None:
+        assert abs(model.level_log_diam(n) - want[0]) <= tol
+    terms = [t * v for v in want]
+    top = max(terms)
+    want_sum = top + math.log(math.fsum(math.exp(v - top) for v in terms))
+    bound = abs(t) * tol + 2**-52 * (len(want) + 4 + 2 * max(map(abs, terms)) + abs(want_sum))
+    assert abs(model.level_log_sum(t, n, subtree) - want_sum) <= bound
     # the sum works on its own temporary: the cached level is untouched
-    assert np.array_equal(model._level_log_diams(n, subtree), want)
+    assert np.array_equal(model._level_log_diams(n, subtree), got)
 
 
 @given(st.data(), st.sampled_from([0.25, 1 / 3, 0.1]), st.integers(2, 3))
@@ -692,40 +749,27 @@ def test_general_level_sums_are_the_three_temporaries_bit_for_bit(data, step, a)
     assert model.level_log_sum(t, n) == three_temporaries_level_log_sum(model, t, n)
 
 
-@given(rectangles(), st.integers(2, 7), st.data())
-@settings(max_examples=60, deadline=None)
-def test_extreme_equals_the_isin_version(model, n, data):
-    """Split blocks of a level (equal-ratio rectangles tie everywhere), a row
-    per split, some rows NaN; and a child-ratio row."""
-    if model.alphabet.size > 2:
-        n = min(n, 4)
-    # the level arrays themselves: an equal-ratio rectangle's scans read one word per level
-    L, a = [model._level_log_diams(k) for k in range(n + 1)], model.alphabet.size
-    ms = range(1, n)
-    x = np.stack([(L[n].reshape(a**m, -1) - L[m][:, None] - L[n - m]).ravel() for m in ms])
-    nan_rows = data.draw(st.sets(st.integers(0, len(ms) - 1)))
-    x[sorted(nan_rows)] = np.nan
-    blocks = [x, (L[n].reshape(-1, a) - L[n - 1][:, None]).ravel()]
-    for block, lowest in itertools.product(blocks, (True, False)):
-        if np.isnan(block).all():  # no row has an extreme: both refuse
-            for extreme in (models._extreme, isin_extreme):
-                with pytest.raises(ValueError):
-                    extreme(block, lowest)
-        else:
-            assert models._extreme(block, lowest) == isin_extreme(block, lowest)
-
-
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_extreme_equals_the_isin_version_on_last_ulp_ties(data):
-    """Logs one or two ulps apart, so several distinct logs round to the best ratio."""
+def test_extreme_is_the_least_ratio_at_a_column_that_attains_it(data):
+    """Logs one or two ulps apart, so several distinct logs round to the extreme
+    ratio: the value is the per-element ``math.exp`` extreme within one ulp
+    (relative ``2**-52``), and the witness column holds a ratio within that of it."""
     rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 30))
     base = data.draw(st.sampled_from([-1.0, -0.5, math.log(1 / 3), 0.7]))
     ulps = data.draw(st.lists(st.integers(-2, 2), min_size=rows * cols, max_size=rows * cols))
     x = np.array([base + k * math.ulp(base) for k in ulps]).reshape(rows, cols)
-    x[sorted(data.draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1)))] = np.nan
-    for lowest in (True, False):
-        assert models._extreme(x, lowest) == isin_extreme(x, lowest)
+    ratios = [[math.exp(v) for v in row] for row in x.tolist()]
+    for lowest, pick in ((True, min), (False, max)):
+        v, c = models._extreme(x, lowest)
+        want = pick(map(pick, ratios))
+        assert_near(v, want, 2**-52)
+        assert_near(pick(row[c] for row in ratios), v, 2**-52)
+        # the first column holding the extreme log
+        best = x.min() if lowest else x.max()
+        assert c == min(np.flatnonzero((x == best).any(axis=0)))
+        if rows == 1:
+            assert (v, c) == per_split_extreme(x[0], lowest)
 
 
 def test_closed_form_scans():
@@ -774,7 +818,8 @@ def test_equal_ratio_rectangles_answer_from_one_word_per_level(monkeypatch):
 
     monkeypatch.setattr(RectangleModel, "_log_diams", recording)
     monkeypatch.setenv("MORANLAB_ENUM_CAP", "500")
-    assert not {"level_log_sum", "level_max", "_ratio_scan"} & vars(LevelModel).keys()
+    kept = {"level_log_sum", "level_max", "_ratio_scan", "window_ratios"}
+    assert not kept & vars(LevelModel).keys()
     for model in (selfaffine_rectangle(), nsq_model()):
         assert pressure_zero(model, 16).value > 0
         assert validate_wcmc(model, 12).depth == validate_cmc(model, 12).depth == 12

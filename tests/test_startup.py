@@ -120,6 +120,19 @@ def test_spaces_imports_only_errors_and_words():
     assert named == {"errors", "words"}, named
 
 
+def test_no_module_branches_on_the_python_version():
+    """One float path on every supported Python: no module reads ``sys.version_info``
+    (by attribute or by ``from sys import``), so each CI leg runs the same code."""
+    readers = set()
+    for path in (PKG_ROOT / "src" / "moranlab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "version_info" or (
+                isinstance(node, ast.alias) and node.name == "version_info"
+            ):
+                readers.add(path.name)
+    assert not readers
+
+
 # Function bodies that may import a moranlab module: each subcommand loads only its
 # own modules, and building a spec or a system loads ``models`` only for a model.
 LAZY_IMPORTS_BY_DESIGN = {("specio", "model_from_dict"), ("systems", "ContractionSystem.induced_model")}

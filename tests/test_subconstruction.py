@@ -246,7 +246,11 @@ def grid_models(draw):
 
 @st.composite
 def rectangle_models(draw):
+    """Random sides, or equal ratios per side, whose levels share one diameter."""
     a = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        ra, rb = draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95))
+        return RectangleModel([ra] * a, [rb] * a)
     side = st.lists(st.floats(0.05, 0.95), min_size=a, max_size=a)
     return RectangleModel(draw(side), draw(side))
 
@@ -274,7 +278,7 @@ def closed_form_window(model, subtree, t, depth):
     for m in range(depth):
         for n in range(1, depth - m + 1):
             levels = range(m + 1, m + n + 1)
-            if isinstance(model, LevelModel):
+            if not isinstance(model, MultiplicativeModel):  # one log-diameter per level
                 count = math.prod(subtree.branch(k) for k in levels)
                 lld = model.level_log_diam
                 ratio = math.exp(math.log(count) + t * (lld(m + n) - lld(m)))
@@ -301,13 +305,14 @@ def closed_form_window(model, subtree, t, depth):
 )
 @settings(max_examples=120, deadline=None)
 def test_window_matches_the_enumerating_reference(model, data):
-    """Enumerating models give the enumeration's floats; closed forms give the
-    per-``(m, n)`` formula's floats and the enumeration's to rounding."""
+    """Enumerating models give the enumeration's floats; closed forms (and models
+    whose levels share one diameter) give the per-``(m, n)`` formula's floats and
+    the enumeration's to rounding."""
     tree = data.draw(subtrees(model.alphabet.size))
     t = data.draw(st.sampled_from([0.3, 0.5, T_STAR, 1.0, 1.7]))
     report = verify_cmsc(model, tree, t, 4.0, tree.depth)
     enumerated = enumerated_window(model, tree, t, tree.depth)
-    if isinstance(model, (MultiplicativeModel, LevelModel)):
+    if isinstance(model, MultiplicativeModel) or model.level_log_diam(1) is not None:
         assert report_window(report) == closed_form_window(model, tree, t, tree.depth)
         assert report_window(report)[:2] == pytest.approx(enumerated[:2], rel=1e-12)
     else:

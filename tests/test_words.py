@@ -2,11 +2,9 @@
 
 import itertools
 import math
-import operator
 import os
-import sys
 import tracemalloc
-from functools import reduce
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -30,7 +28,7 @@ from moranlab import (
 )
 from moranlab.models import GeneralModel, LevelModel
 from moranlab.words import (
-    BLOCK_ELEMENTS, _check_enum, _stopping_walk, _sum_runs, d2_with_resolution, incomparable, largest_depth,
+    BLOCK_ELEMENTS, _check_enum, _stopping_walk, d2_with_resolution, incomparable, largest_depth,
     level_step, local_stopping_set, word_at, word_str,
 )
 
@@ -580,15 +578,28 @@ def test_cover_cost_depth_window_validated():
 # -- cover cost against the recursion --------------------------------------------
 
 
-def recursive_cover_cost(alphabet, psi, n, max_depth, add=sum):
-    """The depth-first recursion that the level-at-a-time evaluation replaced."""
+def exact_sum(xs):
+    """The sum of ``xs`` in exact arithmetic: a ``Fraction``, or where a term is a
+    NaN or an infinity, the float that every order of IEEE addition gives."""
+    special = [x for x in xs if isinstance(x, float)]
+    return sum(special) if special else sum(xs, Fraction(0))
+
+
+def exact_cover_cost(alphabet, psi, n, max_depth):
+    """The cover recursion in exact arithmetic over the floats ``psi`` returns:
+    finite values as ``Fraction``s, NaN and infinities as floats; ``min`` keeps
+    ``psi(v)`` unless the children are smaller, as the kernel does."""
+
+    def value(word):
+        x = float(psi(word))
+        return Fraction(x) if math.isfinite(x) else x
 
     def cost(word):
         if len(word) == max_depth:
-            return psi(word)
-        kids = add(cost(word + (s,)) for s in range(alphabet.size))
+            return value(word)
+        kids = exact_sum([cost(word + (s,)) for s in range(alphabet.size)])
         if len(word) >= n:
-            return min(psi(word), kids)
+            return min(value(word), kids)
         return kids
 
     return cost(())
@@ -603,8 +614,9 @@ def same_float(x, y):
 
 @st.composite
 def cover_windows(draw):
-    a = draw(st.integers(2, 4))
-    max_depth = draw(st.integers(1, 7))
+    """Two to four letters, or more than 8, where numpy's sum is pairwise."""
+    a = draw(st.sampled_from([2, 3, 4, 9, 11]))
+    max_depth = draw(st.integers(1, 7 if a <= 4 else 3))
     return a, draw(st.integers(1, max_depth)), max_depth
 
 
@@ -652,71 +664,22 @@ def block_size(a):
 @given(cover_windows(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_cover_cost_equals_the_recursion(window, data):
+    """Finite non-negative ``psi``: within a relative ``max_depth * a * 2**-52`` of
+    the exact recursion (each level adds ``a`` non-negative children in some order,
+    ``(a - 1) * 2**-53`` each).  Integer ``psi`` sums exactly; NaN and infinities
+    give the exact recursion's float."""
     a, n, max_depth = window
     psi = data.draw(cover_weights(a))
     alphabet = Alphabet(a)
     with mock.patch("moranlab.words.BLOCK_ELEMENTS", data.draw(block_size(a))):
         got = antichain_cover_cost(alphabet, psi, n, max_depth)
     # psi's values are read as floats: an int or np.float64 psi gives a float cost
-    # (``sum`` compensates floats on 3.12+, not np.float64, so the recursion reads
-    # them as floats too; the int weights sum exactly either way)
     assert type(got) is float
-    want = recursive_cover_cost(alphabet, lambda w: float(psi(w)), n, max_depth)
-    assert same_float(got, float(want))
-
-
-def neumaier_sum(xs):
-    """CPython 3.12's ``sum`` of floats, transcribed: left to right from 0 with
-    Neumaier's compensation, added at the end when finite and non-zero."""
-    total, comp = 0, 0.0
-    for i, x in enumerate(xs):
-        t = total + x
-        if i:
-            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
-        total = t
-    return total + comp if comp and math.isfinite(comp) else total
-
-
-def plain_sum(xs):
-    return reduce(operator.add, xs, 0)
-
-
-run_floats = st.lists(
-    st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([1e100, -1e100, 1.0, -0.0]),
-    min_size=1, max_size=6,
-)
-
-
-@given(run_floats)
-@settings(max_examples=200, deadline=None)
-@example([1.0, 1e100, 1.0, -1e100])  # 0.0 left to right, 2.0 compensated
-def test_children_sum_as_sum_does_on_this_python(xs):
-    run = np.array(xs * 3)  # three runs of the same children
-    for got in _sum_runs(run, len(xs)):
-        assert same_float(float(got), sum(xs))
-    for compensated, reference in ((False, plain_sum), (True, neumaier_sum)):
-        with mock.patch("moranlab.words._COMPENSATED_SUM", compensated):
-            assert same_float(float(_sum_runs(run, len(xs))[0]), reference(xs))
-
-
-def test_compensation_changes_a_sum():
-    xs = [1.0, 1e100, 1.0, -1e100]
-    assert (plain_sum(xs), neumaier_sum(xs)) == (0.0, 2.0)
-    assert sum(xs) == (2.0 if sys.version_info >= (3, 12) else 0.0)
-
-
-@given(cover_windows(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_compensated_cover_cost_equals_the_compensated_recursion(window, data):
-    """The 3.12+ kernel on any Python, against the recursion with 3.12's ``sum``."""
-    a, n, max_depth = window
-    psi = data.draw(cover_weights(a))
-    alphabet = Alphabet(a)
-    with mock.patch("moranlab.words.BLOCK_ELEMENTS", data.draw(block_size(a))), \
-            mock.patch("moranlab.words._COMPENSATED_SUM", True):
-        got = antichain_cover_cost(alphabet, psi, n, max_depth)
-    want = recursive_cover_cost(alphabet, lambda w: float(psi(w)), n, max_depth, neumaier_sum)
-    assert same_float(got, want)
+    want = exact_cover_cost(alphabet, psi, n, max_depth)
+    if isinstance(want, float):
+        assert same_float(got, want)
+    else:
+        assert abs(Fraction(got) - want) <= max_depth * a * 2**-52 * abs(want)
 
 
 def test_cover_cost_min_keeps_psi_unless_the_children_are_smaller():
@@ -726,7 +689,7 @@ def test_cover_cost_min_keeps_psi_unless_the_children_are_smaller():
         psi = lambda w, top=top, leaf=leaf: top if len(w) == 1 else leaf
         got = antichain_cover_cost(Alphabet(2), psi, 1, 2)
         assert same_float(got, want)
-        assert same_float(got, recursive_cover_cost(Alphabet(2), psi, 1, 2))
+        assert same_float(got, float(exact_cover_cost(Alphabet(2), psi, 1, 2)))
 
 
 @given(cover_windows(), st.data())
