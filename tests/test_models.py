@@ -689,12 +689,15 @@ def test_non_finite_log_diameters_are_refused(bad):
 # -- level arrays and tie-breaks against their references ------------------------
 
 
-def exact_rectangle_log_diam(model, word):
-    """``0.5 * log(A**2 + B**2)`` with the side products ``A`` and ``B`` taken exactly
-    over the model's floats; one rounding of the sum and one of ``log``."""
-    A = math.prod(map(Fraction, (model.a[s] for s in word)), start=Fraction(1))
-    B = math.prod(map(Fraction, (model.b[s] for s in word)), start=Fraction(1))
-    return 0.5 * math.log(float(A * A + B * B))
+def exact_rectangle_log_diams(model, branches):
+    """``0.5 * log(A**2 + B**2)`` per word of the level, lexicographic, with the side
+    products ``A`` and ``B`` taken exactly over the model's floats; one rounding of
+    the sum and one of ``log``."""
+    A = B = [Fraction(1)]
+    for b in branches:
+        A = [x * Fraction(v) for x in A for v in model.a[:b]]
+        B = [y * Fraction(v) for y in B for v in model.b[:b]]
+    return [0.5 * math.log(float(x * x + y * y)) for x, y in zip(A, B)]
 
 
 def rectangle_tolerance(model, n):
@@ -724,7 +727,7 @@ def test_rectangle_levels_and_sums_are_the_exact_diagonals_to_rounding(model, da
         branches = [a] * len(branches)
     n, t = len(branches), data.draw(st.floats(-40.0, 40.0))
     got = model._level_log_diams(n, subtree)
-    want = [exact_rectangle_log_diam(model, w) for w in itertools.product(*map(range, branches))]
+    want = exact_rectangle_log_diams(model, branches)
     tol = rectangle_tolerance(model, n)
     assert got.shape == (len(want),)
     assert np.all(np.abs(got - want) <= tol)
