@@ -20,11 +20,17 @@ carry values, and the handlers turn their fields into CSV (:func:`_csv`),
 SVG, PPM or JSON (:func:`_json`) text.  ``probe`` looks its probes up in
 :data:`PROBES`.  Each handler imports the modules its subcommand needs,
 so a call loads only those (``beta`` loads no numpy).
+
+``run`` is the process entry (``python -m moranlab`` and the ``moranlab``
+script): it turns the cyclic garbage collector off, exits with ``main``'s
+code and freezes the heap first, so the interpreter's shutdown collects
+nothing.  ``main`` itself leaves the collector alone for in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -314,10 +320,11 @@ def _probe_ball(spec, args):
 
 def _probe_epsilon(spec, args):
     from .systems import separation_epsilon
+    from .words import largest_depth
 
     system = spec.require_system()
     x = _probe_point(system, args.x)
-    depth = 6 if args.depth is None else args.depth
+    depth = largest_depth(system.alphabet.size, 64) if args.depth is None else args.depth
     return {"epsilon": separation_epsilon(system, x, depth), "depth": depth}
 
 
@@ -436,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("probe", _cmd_probe, "separation-condition diagnostics")
     p.add_argument("--probe", choices=tuple(PROBES), required=True)
-    p.add_argument("--depth", type=int, help="default: 6, or a cloud of at most 64 points")
+    p.add_argument("--depth", type=int, help="default: the largest depth of at most 64 "
+                   "words (epsilon) or cloud points; 6 for osc-collisions")
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--r", default=None, help="radius / ratio (number or p/q)")
     p.add_argument("--x", default=None, help="probe point, comma coordinates")
@@ -470,3 +478,12 @@ def main(argv=None) -> int:
     sys.stdout.write(text)
     sys.stderr.writelines("warning: %s\n" % w.message for w in caught)
     return code
+
+
+def run() -> None:
+    """The process entry: one call needs no cyclic collection, at work or at exit."""
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

@@ -13,7 +13,7 @@ GOLDEN = PKG_ROOT / "tests" / "golden"
 SPECS = PKG_ROOT / "specs"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(PKG_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -22,6 +22,7 @@ def run_cli(*args):
         text=True,
         cwd=PKG_ROOT,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -284,3 +285,12 @@ def test_default_depths_follow_the_number_of_maps(tmp_path):
     args = ["probe", "specs/cantor.json", "--probe", "clustering", "--x-samples", "50",
             "--scales", "0.2,0.1"]
     assert run_cli(*args).stdout == (GOLDEN / "probe_clustering_cantor.json").read_text()
+
+
+def test_epsilon_depth_defaults_to_64_words():
+    """Without --depth the epsilon scan reads at most 64 words per length: depth 1 on
+    heisenberg's sixteen maps (its former depth 6 left about 1.6e14 pairs), 6 on two."""
+    result = run_cli("probe", "specs/heisenberg.json", "--probe", "epsilon", timeout=60)
+    assert (result.returncode, result.stdout) == (0, '{"epsilon":0.5,"depth":1}\n'), result.stderr
+    args = ["probe", "specs/cantor.json", "--probe", "epsilon"]
+    assert run_cli(*args).stdout == run_cli(*args, "--depth", "6").stdout

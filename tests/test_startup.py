@@ -5,6 +5,7 @@ end, so modules imported by earlier tests in this process do not count.
 """
 
 import ast
+import gc
 import json
 import os
 import re
@@ -17,10 +18,11 @@ import pytest
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
 # runs ``python -m moranlab`` with the arguments after ``-c``, then writes the
-# loaded module names to stderr as the last line
+# loaded module names and the collector's state at exit to stderr as the last line
 RUN_CLI = (
-    "import atexit, json, runpy, sys\n"
-    "atexit.register(lambda: sys.stderr.write('\\n' + json.dumps(sorted(sys.modules))))\n"
+    "import atexit, gc, json, runpy, sys\n"
+    "atexit.register(lambda: sys.stderr.write('\\n' + json.dumps({'modules': sorted(sys.modules),"
+    " 'gc_enabled': gc.isenabled(), 'frozen': gc.get_freeze_count()})))\n"
     "runpy.run_module('moranlab', run_name='__main__', alter_sys=True)\n"
 )
 HEAVY = {"moranlab.dimension", "moranlab.pressure", "moranlab.subconstruction"}
@@ -34,10 +36,16 @@ def python(*args):
     )
 
 
-def modules_after_cli(*argv) -> set:
+def state_at_exit(*argv) -> tuple:
+    """The exit code of ``python -m moranlab *argv`` and what its ``atexit`` hook saw."""
     result = python("-c", RUN_CLI, *argv)
-    assert result.returncode in (0, 1), result.stderr
-    return set(json.loads(result.stderr.splitlines()[-1]))
+    return result.returncode, json.loads(result.stderr.splitlines()[-1])
+
+
+def modules_after_cli(*argv) -> set:
+    code, state = state_at_exit(*argv)
+    assert code in (0, 1), state
+    return set(state["modules"])
 
 
 def test_import_moranlab_loads_no_numpy():
@@ -71,6 +79,45 @@ def test_subcommands_skip_the_modules_they_do_not_use(argv, skipped):
     loaded = modules_after_cli(*argv)
     assert "moranlab.systems" in loaded
     assert loaded.isdisjoint(skipped)
+
+
+# one per exit path of ``main``
+EXITS = [
+    ("success", ["beta", "--layers", "2,1", "--alpha", "2.5"], 0),
+    ("violated", ["validate", str(PKG_ROOT / "specs" / "nsq.json"), "--axioms", "cmc", "--depth", "6"], 1),
+    ("unusable-flag", ["beta", "--layers", "2,1", "--alpha", "x"], 2),
+    ("domain-error", ["beta", "--layers", "2,1", "--alpha", "0"], 3),
+    ("argparse-exit", ["beta"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", [c[1:] for c in EXITS], ids=[c[0] for c in EXITS])
+def test_a_cli_process_never_collects(argv, code):
+    """``python -m moranlab`` runs with the collector off and exits with the heap
+    frozen, so the interpreter's shutdown collects nothing."""
+    exit_code, state = state_at_exit(*argv)
+    assert exit_code == code
+    assert state["gc_enabled"] is False and state["frozen"] > 0, state
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv,code", [c[1:] for c in EXITS], ids=[c[0] for c in EXITS])
+def test_main_leaves_the_collector_alone(argv, code, enabled):
+    """In-process callers of ``cli.main`` keep their collector state on every exit path."""
+    from moranlab.cli import main
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = gc.get_freeze_count()
+        try:
+            exit_code = main(argv)
+        except SystemExit as exc:  # argparse's
+            exit_code = exc.code
+        assert exit_code == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, before)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_every_public_name_resolves_in_a_fresh_process():
